@@ -133,29 +133,6 @@ let victimise t site items =
           | _ -> ()))
     blockers
 
-(* Apply a normal secondary, victimising blockers after every failed round
-   (a timed-out wait is the paper's deadlock signal). *)
-let apply_secondary t ~gid ~site items ~finally =
-  let c = t.c in
-  if items = [] then finally ()
-  else begin
-    let rec round tries =
-      let attempt = Cluster.fresh_attempt c in
-      match Exec.acquire_writes c ~gid ~attempt ~site items with
-      | Ok () ->
-          Exec.commit_cost c ~site;
-          Exec.apply_writes c ~gid ~site items;
-          Cluster.trace_secondary_commit c ~gid ~site;
-          Exec.release c ~attempt ~site;
-          finally ()
-      | Error _ ->
-          Exec.abort_local c ~attempt ~site;
-          victimise t site items;
-          round (tries + 1)
-    in
-    round 0
-  end
-
 (* --- backedge subtransactions ------------------------------------------ *)
 
 (* Execute a backedge subtransaction at a target site: exclusive locks on the
@@ -227,13 +204,13 @@ let process_tree_msg t site msg =
   match msg with
   | Normal { gid; writes; origin_commit; epoch = _ } ->
       let items = Routing.local_replicas c.placement site writes in
-      let sent = ref 0 in
-      apply_secondary t ~gid ~site items ~finally:(fun () ->
-          if items <> [] then
-            Cluster.record_propagation c ~gid ~site ~delay:(Sim.now c.sim -. origin_commit);
-          sent := forward_normal t site (gid, writes, origin_commit);
-          Cluster.dec_outstanding c);
-      if !sent > 0 then Cluster.use_cpu c site (float_of_int !sent *. c.params.cpu_msg)
+      (* A timed-out wait is the paper's deadlock signal: victimise the
+         blockers after every failed round. *)
+      Exec.apply_secondary ~on_retry:(fun () -> victimise t site items) c ~gid ~site
+        ~origin_commit items;
+      let sent = forward_normal t site (gid, writes, origin_commit) in
+      Cluster.dec_outstanding c;
+      if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg)
   | Special { gid; origin; writes; epoch = _ } ->
       if site = origin then begin
         (* All earlier secondaries have committed here: wake the primary. *)
@@ -473,12 +450,9 @@ let abort_primary t ~site ~attempt ~gid ~targets reason =
 
 let commit_primary t ~site ~attempt ~gid ~writes ~targets =
   let c = t.c in
-  Exec.commit_cost ~owner:attempt c ~site;
   (* Atomic commit section: apply, release, decide, lazy-forward. *)
-  Exec.apply_writes c ~gid ~site writes;
+  Exec.commit_local c ~gid ~attempt ~site writes;
   Cluster.note_destined c ~items:writes;
-  Cluster.trace_txn_commit c ~gid ~site;
-  Exec.release c ~attempt ~site;
   Hashtbl.remove t.pending_by_gid gid;
   Hashtbl.remove t.pending_by_attempt.(site) attempt;
   let now = Sim.now c.sim in
@@ -499,8 +473,7 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;

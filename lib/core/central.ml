@@ -1,8 +1,5 @@
 module Sim = Repdb_sim.Sim
 module Mailbox = Repdb_sim.Mailbox
-module Lock_mgr = Repdb_lock.Lock_mgr
-module History = Repdb_txn.History
-module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -16,12 +13,10 @@ type cert_msg =
   | Certify of { reads : (int * int) list; writes : int list; reply : bool -> unit }
   | Certify_reply of { ok : bool; deliver : bool -> unit }
 
-type update_msg = { gid : int; writes : int list; origin_commit : float }
-
 type t = {
   c : Cluster.t;
   net : cert_msg Network.t;
-  update_net : update_msg Network.t;
+  update_net : Exec.update Network.t;
   committed_version : int array; (* per item, at the central site *)
   mutable n_certified : int;
   mutable n_rejected : int;
@@ -64,25 +59,6 @@ let cert_server t site =
   in
   loop ()
 
-(* One sequential applier per site: updates of an item all originate at its
-   primary, so FIFO delivery + in-order application preserves the
-   certification order (concurrent application could invert two updates that
-   overlap on some items but not others). *)
-let update_applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, { gid; writes; origin_commit } = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Routing.local_replicas c.placement site writes in
-    Exec.apply_secondary c ~gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit);
-        Cluster.dec_outstanding c);
-    loop ()
-  in
-  loop ()
-
 let create (c : Cluster.t) =
   let t =
     {
@@ -94,39 +70,16 @@ let create (c : Cluster.t) =
       n_rejected = 0;
     }
   in
+  (* One sequential applier per site: updates of an item all originate at its
+     primary, so FIFO delivery + in-order application preserves the
+     certification order (concurrent application could invert two updates
+     that overlap on some items but not others). *)
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
     Sim.spawn ~cat c.sim (fun () -> cert_server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
+    Sim.spawn ~cat c.sim (fun () -> Exec.update_applier c t.update_net site)
   done;
   t
-
-(* Execute ops locally under strict 2PL, capturing the version of every item
-   read (the certification evidence). *)
-let run_ops_versioned (c : Cluster.t) ~gid ~attempt ~site ops =
-  let reads = ref [] in
-  let rec go = function
-    | [] -> Ok (List.rev !reads)
-    | op :: rest -> (
-        let item, mode, kind =
-          match op with
-          | Txn.Read item -> (item, Lock_mgr.Shared, History.R)
-          | Txn.Write item -> (item, Lock_mgr.Exclusive, History.W)
-        in
-        match Lock_mgr.acquire c.locks.(site) ~owner:attempt item mode with
-        | Lock_mgr.Granted ->
-            Cluster.use_cpu c site c.params.cpu_op;
-            (match op with
-            | Txn.Read item ->
-                let v = Store.read c.stores.(site) item in
-                reads := (item, v.Value.version) :: !reads
-            | Txn.Write _ -> ());
-            History.record c.history ~site ~item ~gid ~attempt kind;
-            go rest
-        | (Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim) as o ->
-            Error (Exec.abort_reason_of_outcome o))
-  in
-  go ops
 
 let certify t ~site ~reads ~writes =
   let c = t.c in
@@ -146,36 +99,29 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  match run_ops_versioned c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Txn.Aborted reason
-  | Ok reads ->
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  let abort reason =
+    Exec.abort_local c ~attempt ~site;
+    Cluster.trace_txn_abort c ~gid ~site reason;
+    Txn.Aborted reason
+  in
+  (* Strict 2PL locally, capturing the version of every item read (the
+     certification evidence). *)
+  let reads = ref [] in
+  let on_read item (v : Value.t) = reads := (item, v.version) :: !reads in
+  match Exec.run_ops ~on_read c ~gid ~attempt ~site spec.ops with
+  | Error reason -> abort reason
+  | Ok () ->
+      let reads = List.rev !reads in
       let writes = List.sort_uniq compare (Txn.writes spec) in
       if certify t ~site ~reads ~writes then begin
-        Exec.commit_cost c ~site;
-        Exec.apply_writes c ~gid ~site writes;
-        Exec.release c ~attempt ~site;
+        Exec.commit_local c ~gid ~attempt ~site writes;
         (* Lazy direct propagation; per-item streams are FIFO from the
            primary, so replicas apply in certification order. *)
-        let dests = Hashtbl.create 4 in
-        List.iter
-          (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-          writes;
-        let now = Sim.now c.sim in
-        Hashtbl.iter
-          (fun dst () ->
-            Cluster.inc_outstanding c;
-            Network.send t.update_net ~src:site ~dst { gid; writes; origin_commit = now })
-          dests;
-        if Hashtbl.length dests > 0 then
-          Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg);
+        Exec.send_updates c t.update_net ~site ~gid writes;
         Txn.Committed
       end
-      else begin
-        Exec.abort_local c ~attempt ~site;
-        Txn.Aborted Txn.Remote_denied
-      end
+      else abort Txn.Remote_denied
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

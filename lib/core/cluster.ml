@@ -334,8 +334,9 @@ let make_batcher t net =
 
 (* The txn begin/commit/abort helpers double as the span lifecycle hooks:
    the four lazy protocols call each exactly once per client attempt. *)
-let trace_txn_begin t ~gid ~site =
+let trace_txn_begin t ~gid ~attempt ~site =
   Span.begin_ t.spans ~gid ~site ~now:(Sim.now t.sim);
+  Span.link t.spans ~owner:attempt ~gid;
   if Trace.on t.trace then Trace.record t.trace (Event.Txn_begin { gid; site })
 
 let trace_txn_commit t ~gid ~site =
@@ -349,7 +350,6 @@ let trace_txn_abort t ~gid ~site reason =
 
 (* --- span attribution ------------------------------------------------------ *)
 
-let span_link t ~owner ~gid = Span.link t.spans ~owner ~gid
 let span_add t ~owner phase dur = Span.add t.spans ~owner phase dur
 let span_think t ~site dur = Span.think t.spans ~site dur
 let spans t = t.spans
@@ -572,6 +572,14 @@ let acquire_switch t =
 let release_switch t =
   t.reconfiguring <- false;
   Condvar.broadcast t.resume
+
+(* No process can run between these assignments: the simulator only
+   interleaves at blocking points. *)
+let switch_epoch t placement ~reconfigure ~gen =
+  t.placement <- placement;
+  reconfigure ();
+  Repdb_workload.Generator.refresh gen placement;
+  t.config_epoch <- t.config_epoch + 1
 
 (* --- self-healing hooks ---------------------------------------------------- *)
 

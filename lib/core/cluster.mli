@@ -174,7 +174,11 @@ val make_batcher : t -> 'a list Repdb_net.Network.t -> 'a Repdb_net.Batcher.t
     No-ops when the trace is disabled; protocols call these instead of
     touching the trace directly. *)
 
-val trace_txn_begin : t -> gid:int -> site:int -> unit
+(** [trace_txn_begin t ~gid ~attempt ~site] also opens the transaction's
+    phase spans and ties its lock-owner id [attempt] to [gid], so lock waits
+    are attributed. Protocols call it right after allocating the ids. *)
+val trace_txn_begin : t -> gid:int -> attempt:int -> site:int -> unit
+
 val trace_txn_commit : t -> gid:int -> site:int -> unit
 val trace_txn_abort : t -> gid:int -> site:int -> Repdb_txn.Txn.abort_reason -> unit
 val trace_secondary_recv : t -> gid:int -> site:int -> unit
@@ -233,12 +237,8 @@ val sample_timeline : t -> unit
 
 (** {1 Phase spans} *)
 
-(** [span_link t ~owner ~gid] — tie a lock-owner (attempt) id to its gid so
-    lock waits are attributed; protocols call it right after allocating the
-    client attempt id. *)
-val span_link : t -> owner:int -> gid:int -> unit
-
-(** Charge [dur] ms of a phase to the attempt linked as [owner]. *)
+(** Charge [dur] ms of a phase to the attempt [owner] linked by
+    {!trace_txn_begin}. *)
 val span_add : t -> owner:int -> Span.phase -> float -> unit
 
 (** Observe client think (retry backoff) time at [site]. *)
@@ -338,6 +338,15 @@ val await_drained : t -> unit
     stall in [stall_hist] and [stall_total], charged to [site]. Clients call
     this before generating each transaction. *)
 val reconfig_barrier : t -> site:int -> unit
+
+(** [switch_epoch t placement ~reconfigure ~gen] — the atomic epoch switch
+    shared by operator reconfiguration and healer failover: install
+    [placement], let the protocol rebuild its routing ([reconfigure]),
+    refresh the workload generator's pools and bump [config_epoch]. Never
+    blocks, so no process observes a half-switched cluster. Call it with the
+    switch held ({!acquire_switch}) and the cluster drained. *)
+val switch_epoch :
+  t -> Placement.t -> reconfigure:(unit -> unit) -> gen:Repdb_workload.Generator.t -> unit
 
 val trace_reconfig_begin : t -> epoch:int -> unit
 val trace_reconfig_switch : t -> epoch:int -> duration:float -> unit

@@ -72,12 +72,9 @@ let process t site (msg : msg) =
   else begin
     Cluster.trace_secondary_recv c ~gid:msg.gid ~site;
     let items = Routing.local_replicas c.placement site msg.writes in
-    Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Cluster.record_propagation c ~gid:msg.gid ~site
-            ~delay:(Sim.now c.sim -. msg.origin_commit);
-        advance_site_ts t site msg;
-        Cluster.dec_outstanding c)
+    Exec.apply_secondary c ~gid:msg.gid ~site ~origin_commit:msg.origin_commit items;
+    advance_site_ts t site msg;
+    Cluster.dec_outstanding c
   end
 
 let applier t site =
@@ -115,29 +112,20 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
   while not (my_turn_on_items ()) do
     Condvar.await st.turn
   done;
-  let attempt = ref (-1) in
-  if items <> [] then begin
-    let rec acquire () =
-      attempt := Cluster.fresh_attempt c;
-      match Exec.acquire_writes c ~gid:msg.gid ~attempt:!attempt ~site items with
-      | Ok () -> ()
-      | Error _ ->
-          Exec.abort_local c ~attempt:!attempt ~site;
-          acquire ()
-    in
-    acquire ();
-    Exec.commit_cost c ~site
-  end;
+  let attempt =
+    if items = [] then -1
+    else begin
+      let attempt = Exec.lock_secondary c ~gid:msg.gid ~site items in
+      Exec.commit_cost c ~site;
+      attempt
+    end
+  in
   (* Commit strictly in dispatch (= timestamp) order. *)
   while st.commits_done <> ticket do
     Condvar.await st.turn
   done;
-  if items <> [] then begin
-    Exec.apply_writes c ~gid:msg.gid ~site items;
-    Cluster.trace_secondary_commit c ~gid:msg.gid ~site;
-    Exec.release c ~attempt:!attempt ~site;
-    Cluster.record_propagation c ~gid:msg.gid ~site ~delay:(Sim.now c.sim -. msg.origin_commit)
-  end;
+  if items <> [] then
+    Exec.commit_secondary c ~gid:msg.gid ~attempt ~site ~origin_commit:msg.origin_commit items;
   advance_site_ts t site msg;
   List.iter
     (fun item ->
@@ -295,8 +283,7 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
@@ -304,18 +291,15 @@ let submit t (spec : Txn.spec) =
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
       (* Atomic commit section (the "critical section" of Section 3.2.2):
-         bump the local counter, stamp the transaction, apply, release and
+         apply, release, bump the local counter, stamp the transaction and
          schedule the secondaries at the relevant children. *)
+      Exec.commit_local c ~gid ~attempt ~site writes;
+      Cluster.note_destined c ~items:writes;
       let st = t.states.(site) in
       st.lts <- st.lts + 1;
       st.ts <- Timestamp.bump_own st.ts t.rank.(site);
       let ts = st.ts in
-      Exec.apply_writes c ~gid ~site writes;
-      Cluster.note_destined c ~items:writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
       let relevant =
         List.filter
           (fun child ->

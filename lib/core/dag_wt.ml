@@ -52,14 +52,10 @@ let process_secondary t site (msg : msg) =
   else begin
   Cluster.use_cpu c site c.params.cpu_msg;
   let items = Routing.local_replicas c.placement site msg.writes in
-  let sent = ref 0 in
-  Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-      if items <> [] then
-        Cluster.record_propagation c ~gid:msg.gid ~site
-          ~delay:(Sim.now c.sim -. msg.origin_commit);
-      sent := forward t site msg;
-      Cluster.dec_outstanding c);
-  if !sent > 0 then Cluster.use_cpu c site (float_of_int !sent *. c.params.cpu_msg)
+  Exec.apply_secondary c ~gid:msg.gid ~site ~origin_commit:msg.origin_commit items;
+  let sent = forward t site msg in
+  Cluster.dec_outstanding c;
+  if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg)
   end
 
 let applier t site =
@@ -127,8 +123,7 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
@@ -136,12 +131,9 @@ let submit t (spec : Txn.spec) =
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
       (* Atomic commit section: apply, release, forward. *)
-      Exec.apply_writes c ~gid ~site writes;
+      Exec.commit_local c ~gid ~attempt ~site writes;
       Cluster.note_destined c ~items:writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
       let msg = { gid; writes; origin_commit = Sim.now c.sim; epoch = c.config_epoch } in
       let sent = if writes = [] then 0 else forward t site msg in
       if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg);

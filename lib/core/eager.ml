@@ -53,7 +53,7 @@ let decide t site ~owner ~gid ~commit ~origin_commit =
       Hashtbl.remove t.staged.(site) owner;
       if commit then begin
         Exec.apply_writes c ~gid ~site (List.sort_uniq compare !cell);
-        Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit)
+        Cluster.record_propagation c ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
       end
       else Repdb_txn.History.discard_attempt c.history ~attempt:owner
   | None -> ());
@@ -110,6 +110,7 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = gid in
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   let participants = Hashtbl.create 4 in
   let finish_remote commit origin_commit =
     Hashtbl.iter
@@ -149,6 +150,7 @@ let submit t (spec : Txn.spec) =
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
       finish_remote false 0.0;
+      Cluster.trace_txn_abort c ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       (* Phase 1: prepare round to every participant. *)
@@ -157,9 +159,8 @@ let submit t (spec : Txn.spec) =
         participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Exec.release c ~attempt ~site;
+      Exec.commit_local c ~gid ~attempt ~site writes;
+      Cluster.note_destined c ~items:writes;
       finish_remote true (Sim.now c.sim);
       Txn.Committed
 

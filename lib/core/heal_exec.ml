@@ -396,10 +396,7 @@ let failover t ~dead =
       if promoted > 0 then begin
         (* No state transfer needed: every new primary already holds a live
            copy — promotion only renames authority. *)
-        c.placement <- np;
-        t.reconfigure ();
-        Generator.refresh t.gen np;
-        c.config_epoch <- c.config_epoch + 1;
+        Cluster.switch_epoch c np ~reconfigure:t.reconfigure ~gen:t.gen;
         t.failovers <- t.failovers + 1;
         t.promoted_items <- t.promoted_items + promoted
       end;

@@ -47,9 +47,8 @@ let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   let items = Routing.local_replicas c.placement site writes in
-  Exec.apply_secondary c ~gid ~site items ~finally:(fun () ->
-      if items <> [] then Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. origin_commit);
-      Batcher.push_now t.bat ~src:site ~dst:src (Push_ack { deliver = reply }))
+  Exec.apply_secondary c ~gid ~site ~origin_commit items;
+  Batcher.push_now t.bat ~src:site ~dst:src (Push_ack { deliver = reply })
 
 let server t site =
   let inbox = Network.inbox t.net site in
@@ -102,6 +101,7 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = gid in
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   let remote_sites = Hashtbl.create 4 in
   let cleanup_remote () =
     Hashtbl.iter
@@ -112,52 +112,40 @@ let submit t (spec : Txn.spec) =
   in
   let rec run = function
     | [] -> Ok ()
-    | op :: rest -> (
-        match op with
-        | Txn.Write _ -> (
-            match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-            | Ok () -> run rest
-            | Error reason -> Error reason)
-        | Txn.Read item ->
-            let primary = c.placement.primary.(item) in
-            if primary = site then (
-              match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-              | Ok () -> run rest
-              | Error reason -> Error reason)
-            else begin
-              t.remote <- t.remote + 1;
-              Hashtbl.replace remote_sites primary ();
-              if rpc t ~site ~dst:primary (fun reply -> Read_request { item; owner = attempt; reply })
-              then begin
-                (* Read the local replica under the primary's lock. *)
-                Cluster.use_cpu c site c.params.cpu_op;
-                ignore (Store.read c.stores.(site) item);
-                run rest
-              end
-              else Error Txn.Remote_denied
-            end)
+    | Txn.Read item :: rest when c.placement.primary.(item) <> site ->
+        let primary = c.placement.primary.(item) in
+        t.remote <- t.remote + 1;
+        Hashtbl.replace remote_sites primary ();
+        if rpc t ~site ~dst:primary (fun reply -> Read_request { item; owner = attempt; reply })
+        then begin
+          (* Read the local replica under the primary's lock. *)
+          Cluster.use_cpu c site c.params.cpu_op;
+          ignore (Store.read c.stores.(site) item);
+          run rest
+        end
+        else Error Txn.Remote_denied
+    | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
       cleanup_remote ();
+      Cluster.trace_txn_abort c ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
+      Exec.commit_cost ~owner:attempt c ~site;
       Exec.apply_writes c ~gid ~site writes;
-      (* Push the updates and hold every lock until all replicas ack. *)
-      let dests = Hashtbl.create 4 in
-      List.iter
-        (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-        writes;
+      (* Push the updates one replica site at a time (each rpc charges its
+         own message) and hold every lock until all replicas ack. *)
       let origin_commit = Sim.now c.sim in
-      Hashtbl.iter
-        (fun dst () ->
-          ignore
-            (rpc ~batched:true t ~site ~dst (fun resume ->
-                 Push { gid; writes; origin_commit; reply = (fun () -> resume true) })))
-        dests;
+      ignore
+        (Exec.fan_out c ~site writes (fun dst ->
+             ignore
+               (rpc ~batched:true t ~site ~dst (fun resume ->
+                    Push { gid; writes; origin_commit; reply = (fun () -> resume true) }))));
+      Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. origin_commit);
+      Cluster.trace_txn_commit c ~gid ~site;
       Exec.release c ~attempt ~site;
       cleanup_remote ();
       Txn.Committed

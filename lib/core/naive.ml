@@ -1,66 +1,36 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
 
 let name = "naive"
 let updates_replicas = true
 
-type msg = { gid : int; writes : int list; origin_commit : float }
-
-type t = { c : Cluster.t; net : msg Network.t }
-
-let applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let _, msg = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Routing.local_replicas c.placement site msg.writes in
-    Exec.apply_secondary c ~gid:msg.gid ~site items ~finally:(fun () ->
-        if items <> [] then
-          Metrics.propagation c.metrics ~delay:(Sim.now c.sim -. msg.origin_commit);
-        Cluster.dec_outstanding c);
-    loop ()
-  in
-  loop ()
+type t = { c : Cluster.t; net : Exec.update Network.t }
 
 let create (c : Cluster.t) =
   let net = Cluster.make_net c in
-  let t = { c; net } in
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> applier t site)
+    Sim.spawn ~cat c.sim (fun () -> Exec.update_applier c net site)
   done;
-  t
+  { c; net }
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
+      Cluster.trace_txn_abort c ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Exec.release c ~attempt ~site;
+      Exec.commit_local c ~gid ~attempt ~site writes;
       (* Indiscriminate: straight to every replica site, no ordering. *)
-      let dests = Hashtbl.create 8 in
-      List.iter
-        (fun item -> Array.iter (fun s -> Hashtbl.replace dests s ()) c.placement.replicas.(item))
-        writes;
-      let now = Sim.now c.sim in
-      Hashtbl.iter
-        (fun dst () ->
-          Cluster.inc_outstanding c;
-          Network.send t.net ~src:site ~dst { gid; writes; origin_commit = now })
-        dests;
-      if Hashtbl.length dests > 0 then
-        Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg);
+      Exec.send_updates c t.net ~site ~gid writes;
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

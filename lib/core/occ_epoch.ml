@@ -24,17 +24,10 @@ type msg =
   | Batch of { epoch : int; txns : pending list }
   | Verdicts of { epoch : int; results : (pending * (int * int) list option) list }
 
-type update_msg = {
-  u_gid : int;
-  u_writes : (int * int) list; (* (item, version) in validation order *)
-  u_origin_commit : float;
-  u_epoch : int;
-}
-
 type t = {
   c : Cluster.t;
   net : msg Network.t;
-  update_net : update_msg Network.t;
+  update_net : Exec.versioned_update Network.t;
   validator : Validator.t;
   queues : pending list ref array; (* per site, reversed arrival order *)
 }
@@ -46,53 +39,15 @@ let rejected t = Validator.rejected t.validator
    waiting client: a client whose deadline fired mid-epoch has already been
    resumed (resumption is one-shot — its late verdict is ignored), but the
    batch was validated and the versions assigned, so the system must install
-   the writes regardless. They are recorded under a fresh attempt id so a
-   client-side discard never takes committed writes with it. *)
+   the writes regardless. Lazy propagation follows; per-item streams are
+   FIFO from the primary, so replicas apply in validation order. *)
 let apply_verdicts t ~site results =
-  let c = t.c in
   List.iter
     (fun (p, verdict) ->
       match verdict with
       | None -> p.deliver `Validation_failed
       | Some vwrites ->
-          Cluster.use_cpu c site c.params.cpu_commit;
-          if vwrites <> [] then begin
-            let attempt = Cluster.fresh_attempt c in
-            List.iter
-              (fun (item, version) ->
-                Store.apply c.stores.(site) item ~writer:p.gid ();
-                assert ((Store.read c.stores.(site) item).Value.version = version);
-                Cluster.note_apply c ~site ~item;
-                History.record c.history ~site ~item ~gid:p.gid ~attempt ~version History.W)
-              vwrites;
-            Cluster.note_destined c ~items:(List.map fst vwrites)
-          end;
-          Cluster.trace_txn_commit c ~gid:p.gid ~site;
-          if vwrites <> [] then begin
-            (* Lazy propagation of the winner's writes; per-item streams are
-               FIFO from the primary, so replicas apply in validation order. *)
-            let dests = Hashtbl.create 4 in
-            List.iter
-              (fun (item, _) ->
-                Array.iter
-                  (fun s -> if s <> site then Hashtbl.replace dests s ())
-                  c.placement.replicas.(item))
-              vwrites;
-            let now = Sim.now c.sim in
-            Hashtbl.iter
-              (fun dst () ->
-                Cluster.inc_outstanding c;
-                Network.send t.update_net ~src:site ~dst
-                  {
-                    u_gid = p.gid;
-                    u_writes = vwrites;
-                    u_origin_commit = now;
-                    u_epoch = c.config_epoch;
-                  })
-              dests;
-            if Hashtbl.length dests > 0 then
-              Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg)
-          end;
+          Exec.commit_versioned t.c t.update_net ~site ~gid:p.gid ~commit_ts:0.0 vwrites;
           p.deliver `Committed)
     results
 
@@ -138,34 +93,6 @@ let server t site =
   in
   loop ()
 
-let update_applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = c.config_epoch);
-    let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
-    if local <> [] then begin
-      let attempt = Cluster.fresh_attempt c in
-      List.iter
-        (fun (item, version) ->
-          if List.mem item local then begin
-            Store.apply c.stores.(site) item ~writer:u.u_gid ();
-            assert ((Store.read c.stores.(site) item).Value.version = version);
-            Cluster.note_apply c ~site ~item;
-            History.record c.history ~site ~item ~gid:u.u_gid ~attempt ~version History.W
-          end)
-        u.u_writes;
-      Cluster.trace_secondary_commit c ~gid:u.u_gid ~site;
-      Cluster.record_propagation c ~gid:u.u_gid ~site
-        ~delay:(Sim.now c.sim -. u.u_origin_commit)
-    end;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
-
 (* Flush a site's buffered transactions as one batch to the validator. Runs
    in its own process (CPU waits block); the validator site validates its own
    batch by direct call — there is no self-loop in the network. *)
@@ -186,7 +113,8 @@ let describe_msg = function
   | Batch { txns; _ } -> ("occ-batch", 16 + (24 * List.length txns))
   | Verdicts { results; _ } -> ("occ-verdicts", 16 + (8 * List.length results))
 
-let describe_update (u : update_msg) = ("occ-update", 16 + (8 * List.length u.u_writes))
+let describe_update (u : Exec.versioned_update) =
+  ("occ-update", 16 + (8 * List.length u.u_writes))
 
 let create (c : Cluster.t) =
   let t =
@@ -201,7 +129,7 @@ let create (c : Cluster.t) =
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
     Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
+    Sim.spawn ~cat c.sim (fun () -> Exec.versioned_applier c t.update_net site)
   done;
   (* Epoch boundaries are global instants (k * occ_epoch_ms): every site
      flushes at the same boundary, in site order. The ticker keeps firing
@@ -226,8 +154,7 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   (* Optimistic local execution: no locks. Reads capture the version
      observed (the validation evidence), writes are buffered. *)
   let reads = ref [] in

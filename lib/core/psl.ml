@@ -95,8 +95,7 @@ let submit t (spec : Txn.spec) =
      remote primaries record history under it directly. *)
   let gid = Cluster.fresh_gid c in
   let attempt = gid in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   let remote_sites = Hashtbl.create 4 in
   let cleanup_remote () =
     Hashtbl.iter
@@ -107,53 +106,39 @@ let submit t (spec : Txn.spec) =
   in
   let rec run = function
     | [] -> Ok ()
-    | op :: rest -> (
-        match op with
-        | Txn.Write _ -> (
-            match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-            | Ok () -> run rest
-            | Error reason -> Error reason)
-        | Txn.Read item ->
-            let primary = c.placement.primary.(item) in
-            if primary = site then (
-              match Exec.run_ops c ~gid ~attempt ~site [ op ] with
-              | Ok () -> run rest
-              | Error reason -> Error reason)
-            else begin
-              let stale =
-                if
-                  c.params.stale_reads > 0.0
-                  && not (Network.reachable t.net ~src:site ~dst:primary)
-                then Some (Cluster.staleness c ~site ~item)
-                else None
-              in
-              match stale with
-              | Some staleness when staleness <= c.params.stale_reads ->
-                  (* Graceful degradation: the primary is on the other side of
-                     a partition and the local copy is within the staleness
-                     bound — serve the read locally, outside the 1SR guarantee
-                     (no lock, no history record). *)
-                  Cluster.use_cpu c site c.params.cpu_op;
-                  ignore (Store.read c.stores.(site) item);
-                  Cluster.record_stale_read c ~site ~item ~staleness;
-                  run rest
-              | _ -> (
-                  Hashtbl.replace remote_sites primary ();
-                  (* The round-trip to the primary is the PSL propagation
-                     wait: lock-grant latency shows up at the reader. *)
-                  let t0 = Sim.now c.sim in
-                  let reply = remote_read t ~site ~primary ~item ~owner:attempt ~deadline_at in
-                  Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait
-                    (Sim.now c.sim -. t0);
-                  match reply with
-                  | `Granted ->
-                      Cluster.use_cpu c site c.params.cpu_msg;
-                      run rest
-                  | `Denied -> Error Txn.Remote_denied
-                  | `Deadline ->
-                      Cluster.trace_txn_deadline c ~gid ~site;
-                      Error Txn.Deadline_exceeded)
-            end)
+    | Txn.Read item :: rest when c.placement.primary.(item) <> site -> (
+        let primary = c.placement.primary.(item) in
+        let stale =
+          if c.params.stale_reads > 0.0 && not (Network.reachable t.net ~src:site ~dst:primary)
+          then Some (Cluster.staleness c ~site ~item)
+          else None
+        in
+        match stale with
+        | Some staleness when staleness <= c.params.stale_reads ->
+            (* Graceful degradation: the primary is on the other side of a
+               partition and the local copy is within the staleness bound —
+               serve the read locally, outside the 1SR guarantee (no lock, no
+               history record). *)
+            Cluster.use_cpu c site c.params.cpu_op;
+            ignore (Store.read c.stores.(site) item);
+            Cluster.record_stale_read c ~site ~item ~staleness;
+            run rest
+        | _ -> (
+            Hashtbl.replace remote_sites primary ();
+            (* The round-trip to the primary is the PSL propagation wait:
+               lock-grant latency shows up at the reader. *)
+            let t0 = Sim.now c.sim in
+            let reply = remote_read t ~site ~primary ~item ~owner:attempt ~deadline_at in
+            Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. t0);
+            match reply with
+            | `Granted ->
+                Cluster.use_cpu c site c.params.cpu_msg;
+                run rest
+            | `Denied -> Error Txn.Remote_denied
+            | `Deadline ->
+                Cluster.trace_txn_deadline c ~gid ~site;
+                Error Txn.Deadline_exceeded))
+    | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
   | Error reason ->
@@ -163,10 +148,7 @@ let submit t (spec : Txn.spec) =
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_cost ~owner:attempt c ~site;
-      Exec.apply_writes c ~gid ~site writes;
-      Cluster.trace_txn_commit c ~gid ~site;
-      Exec.release c ~attempt ~site;
+      Exec.commit_local c ~gid ~attempt ~site writes;
       cleanup_remote ();
       if Hashtbl.length remote_sites > 0 then
         Cluster.use_cpu c site (float_of_int (Hashtbl.length remote_sites) *. c.params.cpu_msg);

@@ -5,7 +5,6 @@ module Network = Repdb_net.Network
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Placement = Repdb_workload.Placement
-module Generator = Repdb_workload.Generator
 module Reconfig = Repdb_reconfig.Reconfig
 module Stats = Repdb_obs.Stats
 
@@ -52,12 +51,7 @@ let execute_step (c : Cluster.t) net ~reconfigure ~gen (ts : Reconfig.timed) =
       Cluster.use_cpu c src c.params.cpu_msg)
     (additions c.placement np);
   Cluster.await_drained c;
-  (* Atomic switch: no process can run between these assignments (the
-     simulator only interleaves at blocking points). *)
-  c.placement <- np;
-  reconfigure ();
-  Generator.refresh gen np;
-  c.config_epoch <- c.config_epoch + 1;
+  Cluster.switch_epoch c np ~reconfigure ~gen;
   c.reconfigs <- c.reconfigs + 1;
   let switch = Sim.now c.sim -. t0 in
   (match c.switch_hist with Some h -> Stats.observe h ~site:0 switch | None -> ());

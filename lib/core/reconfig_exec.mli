@@ -12,9 +12,10 @@
       typed state-transfer network (counted outstanding, so a second drain
       wait covers the last install; crashed destinations receive theirs
       after restart via the acked links);
-    + atomically swaps the placement, invokes the protocol's [reconfigure]
-      hook (rebuild tree/routing/backedges), refreshes the workload
-      generator's item pools, and bumps [config_epoch];
+    + switches epochs atomically with {!Cluster.switch_epoch} (the same
+      switch a healer failover makes): swap the placement, run the
+      protocol's [reconfigure] hook, refresh the generator's item pools and
+      bump [config_epoch];
     + clears the flag and broadcasts [resume].
 
     Everything runs inside the simulation, so repeats are byte-identical;

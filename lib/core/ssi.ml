@@ -27,18 +27,10 @@ type msg =
   | Certify of { txn : Tracker.txn; reply : Tracker.verdict -> unit }
   | Cert_reply of { gid : int; verdict : Tracker.verdict; deliver : Tracker.verdict -> unit }
 
-type update_msg = {
-  u_gid : int;
-  u_writes : (int * int) list; (* (item, version) *)
-  u_commit_ts : float; (* certification timestamp, keys the version chains *)
-  u_origin_commit : float;
-  u_epoch : int;
-}
-
 type t = {
   c : Cluster.t;
   net : msg Network.t;
-  update_net : update_msg Network.t;
+  update_net : Exec.versioned_update Network.t;
   tracker : Tracker.t;
   mv : Mvstore.t array; (* per-site version chains beside the flat stores *)
   mutable remote : int;
@@ -47,52 +39,18 @@ type t = {
 (* Remote (available-copies) snapshot reads performed so far. *)
 let remote_reads t = t.remote
 
-let propagate t ~site ~gid ~commit_ts vwrites =
-  let c = t.c in
-  let dests = Hashtbl.create 4 in
-  List.iter
-    (fun (item, _) ->
-      Array.iter
-        (fun s -> if s <> site then Hashtbl.replace dests s ())
-        c.placement.replicas.(item))
-    vwrites;
-  let now = Sim.now c.sim in
-  Hashtbl.iter
-    (fun dst () ->
-      Cluster.inc_outstanding c;
-      Network.send t.update_net ~src:site ~dst
-        {
-          u_gid = gid;
-          u_writes = vwrites;
-          u_commit_ts = commit_ts;
-          u_origin_commit = now;
-          u_epoch = c.config_epoch;
-        })
-    dests;
-  if Hashtbl.length dests > 0 then
-    Cluster.use_cpu c site (float_of_int (Hashtbl.length dests) *. c.params.cpu_msg)
+(* Every installed version, at the origin or a replica, also extends the
+   site's version chain. *)
+let append_version t ~site ~item ~version ~commit_ts =
+  Mvstore.append t.mv.(site) ~item ~version ~commit_ts
 
 (* Install a certified transaction at its origin primary. Runs server-side
    (the certifier's replies are FIFO and this site is the single primary of
    everything in [vwrites]), so versions apply in certification order even
    when the waiting client already gave up on its deadline. *)
 let apply_commit t ~site ~gid ~commit_ts vwrites =
-  let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_commit;
-  if vwrites <> [] then begin
-    let attempt = Cluster.fresh_attempt c in
-    List.iter
-      (fun (item, version) ->
-        Store.apply c.stores.(site) item ~writer:gid ();
-        assert ((Store.read c.stores.(site) item).Value.version = version);
-        Mvstore.append t.mv.(site) ~item ~version ~commit_ts;
-        Cluster.note_apply c ~site ~item;
-        History.record c.history ~site ~item ~gid ~attempt ~version History.W)
-      vwrites;
-    Cluster.note_destined c ~items:(List.map fst vwrites)
-  end;
-  Cluster.trace_txn_commit c ~gid ~site;
-  if vwrites <> [] then propagate t ~site ~gid ~commit_ts vwrites
+  Exec.commit_versioned ~on_install:(append_version t) t.c t.update_net ~site ~gid ~commit_ts
+    vwrites
 
 let server t site =
   let c = t.c in
@@ -131,35 +89,6 @@ let server t site =
   in
   loop ()
 
-let update_applier t site =
-  let c = t.c in
-  let inbox = Network.inbox t.update_net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = c.config_epoch);
-    let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
-    if local <> [] then begin
-      let attempt = Cluster.fresh_attempt c in
-      List.iter
-        (fun (item, version) ->
-          if List.mem item local then begin
-            Store.apply c.stores.(site) item ~writer:u.u_gid ();
-            assert ((Store.read c.stores.(site) item).Value.version = version);
-            Mvstore.append t.mv.(site) ~item ~version ~commit_ts:u.u_commit_ts;
-            Cluster.note_apply c ~site ~item;
-            History.record c.history ~site ~item ~gid:u.u_gid ~attempt ~version History.W
-          end)
-        u.u_writes;
-      Cluster.trace_secondary_commit c ~gid:u.u_gid ~site;
-      Cluster.record_propagation c ~gid:u.u_gid ~site
-        ~delay:(Sim.now c.sim -. u.u_origin_commit)
-    end;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
-
 let describe_msg = function
   | Snap_request _ -> ("snap-request", 24)
   | Snap_reply _ -> ("snap-reply", 16)
@@ -167,7 +96,8 @@ let describe_msg = function
       ("certify", 16 + (12 * (List.length txn.Tracker.reads + List.length txn.Tracker.writes)))
   | Cert_reply _ -> ("cert-reply", 16)
 
-let describe_update (u : update_msg) = ("ssi-update", 24 + (8 * List.length u.u_writes))
+let describe_update (u : Exec.versioned_update) =
+  ("ssi-update", 24 + (8 * List.length u.u_writes))
 
 let create (c : Cluster.t) =
   let t =
@@ -185,7 +115,8 @@ let create (c : Cluster.t) =
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
     Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () -> update_applier t site)
+    Sim.spawn ~cat c.sim (fun () ->
+        Exec.versioned_applier ~on_install:(append_version t) c t.update_net site)
   done;
   t
 
@@ -233,8 +164,7 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~site;
-  Cluster.span_link c ~owner:attempt ~gid;
+  Cluster.trace_txn_begin c ~gid ~attempt ~site;
   let begin_ts = Sim.now c.sim in
   (* Register with the certifier's GC window. Modelled as piggybacked
      metadata (no message): it only bounds what the tracker may forget. *)

@@ -191,9 +191,12 @@ let test_exec_apply_secondary_retries () =
       Sim.delay 120.0;
       Repdb_lock.Lock_mgr.release_all c.locks.(1) ~owner:attempt);
   Sim.spawn c.sim (fun () ->
-      Exec.apply_secondary c ~gid:77 ~site:1 [ 0 ] ~finally:(fun () -> done_at := Sim.now c.sim));
+      Exec.apply_secondary c ~gid:77 ~site:1 ~origin_commit:0.0 [ 0 ];
+      done_at := Sim.now c.sim);
   Sim.run c.sim;
   checkb "eventually applied" true (!done_at >= 120.0);
+  checki "propagation recorded" 1
+    (Metrics.summarize c.metrics ~n_sites:c.params.n_sites ~messages:0).n_propagations;
   checki "write applied" 1 (Store.read c.stores.(1) 0).Repdb_store.Value.version
 
 (* --- routing -------------------------------------------------------------- *)

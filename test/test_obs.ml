@@ -363,6 +363,25 @@ let test_dagt_epoch_monotone () =
       | _ -> ());
   checkb "epochs advanced" true (!advances > 0)
 
+(* Every registered protocol reports through the same trace hooks: one
+   txn_commit event per committed transaction, and prop_apply events from
+   every protocol that pushes updates to replicas. *)
+let test_trace_parity () =
+  List.iter
+    (fun name ->
+      let p = find_protocol name in
+      let module P = (val p : Repdb.Protocol.S) in
+      let r = run_traced name in
+      let commits = ref 0 and applies = ref 0 in
+      Trace.iter r.trace (fun e ->
+          match e.kind with
+          | Event.Txn_commit _ -> incr commits
+          | Event.Prop_apply _ -> incr applies
+          | _ -> ());
+      checki (name ^ ": txn_commit events = commits") r.summary.commits !commits;
+      if P.updates_replicas then checkb (name ^ ": prop_apply events") true (!applies > 0))
+    Repdb.Registry.names
+
 (* Tracing off (the default) must leave the shared disabled collector in the
    report and collect nothing. *)
 let test_trace_off_by_default () =
@@ -404,6 +423,7 @@ let () =
           Alcotest.test_case "psl no propagation" `Quick test_psl_no_propagation;
           Alcotest.test_case "backedge eager lock span" `Quick test_backedge_eager_lock_span;
           Alcotest.test_case "dag-t epoch monotone" `Quick test_dagt_epoch_monotone;
+          Alcotest.test_case "trace parity" `Quick test_trace_parity;
           Alcotest.test_case "trace off by default" `Quick test_trace_off_by_default;
         ] );
     ]
