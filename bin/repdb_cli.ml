@@ -333,12 +333,23 @@ let run_cmd =
     Fmt.pf report_ppf "%a@." Repdb.Driver.pp_report report;
     if profile then Fmt.pf report_ppf "%a@." Repdb_obs.Profile.pp_table report.profile;
     Option.iter (export_trace report) trace_file;
-    match (timeline_file, report.timeline) with
+    (match (timeline_file, report.timeline) with
     | Some dest, Some tl -> write_timeline tl dest
-    | _ -> ()
+    | _ -> ());
+    (* A failed correctness check fails the command, so scripts and CI see it. *)
+    let not_serializable =
+      match report.serializability with
+      | Some (Repdb_txn.Serializability.Not_serializable _) -> true
+      | _ -> false
+    in
+    if not_serializable || match report.divergent with Some (_ :: _) -> true | _ -> false then
+      exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one protocol on one parameter setting and print the report.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one protocol on one parameter setting and print the report. Exits 1 when the \
+          history is not serializable or replicas diverged.")
     Term.(const run $ params_term $ protocol_term $ trace_flags $ obs_flags)
 
 (* --- stats ---------------------------------------------------------------- *)

@@ -96,7 +96,7 @@ let forward_normal t site (gid, writes, origin_commit) =
     (fun child ->
       Cluster.inc_outstanding t.c;
       Batcher.push t.tree_bat ~src:site ~dst:child
-        (Normal { gid; writes; origin_commit; epoch = t.c.config_epoch }))
+        (Normal { gid; writes; origin_commit; epoch = Epoch.current t.c }))
     children;
   List.length children
 
@@ -185,7 +185,7 @@ let run_participant t ~gid ~origin ~site items =
 let forward_special t ~src (gid, origin, writes) =
   Cluster.inc_outstanding t.c;
   Batcher.push_now t.tree_bat ~src ~dst:(next_hop t src origin)
-    (Special { gid; origin; writes; epoch = t.c.config_epoch })
+    (Special { gid; origin; writes; epoch = Epoch.current t.c })
 
 (* --- tree applier -------------------------------------------------------- *)
 
@@ -198,7 +198,7 @@ let process_tree_msg t site msg =
      are dropped with accounting (a dropped Special simply lets its origin's
      wait time out; anti-entropy repairs dropped Normals). *)
   let epoch = match msg with Normal { epoch; _ } | Special { epoch; _ } -> epoch in
-  if Cluster.stale_epoch c ~site ~epoch then Cluster.dec_outstanding c
+  if Epoch.stale c ~site ~epoch then Cluster.dec_outstanding c
   else begin
   Cluster.use_cpu c site c.params.cpu_msg;
   match msg with
@@ -358,7 +358,7 @@ let make_with_tree (c : Cluster.t) ~retree tr =
      byte-identical. *)
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to m - 1 do
-    if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then
+    if Epoch.planned c || Tree.parent tr site <> -1 then
       Sim.spawn ~cat c.sim (fun () -> tree_applier t site);
     Sim.spawn ~cat c.sim (fun () -> direct_server t site)
   done;

@@ -18,6 +18,19 @@ module Span = Repdb_obs.Span
 module Timeline = Repdb_obs.Timeline
 module Profile = Repdb_obs.Profile
 
+type epoch = {
+  mutable config_epoch : int;
+  mutable reconfiguring : bool;
+  drained : Condvar.t; (* broadcast when active_txns = outstanding = 0 *)
+  resume : Condvar.t; (* broadcast when the epoch switch completes *)
+  mutable reconfigs : int;
+  mutable state_transfers : int;
+  mutable stall_total : float;
+  switch_hist : Stats.histogram option;
+  stall_hist : Stats.histogram option;
+  stale_drop_ctr : Stats.counter option; (* "heal.stale_drop", heal only *)
+}
+
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -53,17 +66,7 @@ type t = {
      the staleness of partition-time local reads. *)
   apply_mtime : float array array;
   stale_ctr : Stats.counter option; (* registered only when stale reads are on *)
-  (* Online reconfiguration (all idle unless [params.reconfig] is non-empty) *)
-  mutable config_epoch : int;
-  mutable reconfiguring : bool;
   mutable active_txns : int;
-  drained : Condvar.t; (* broadcast when active_txns = outstanding = 0 *)
-  resume : Condvar.t; (* broadcast when the epoch switch completes *)
-  mutable reconfigs : int;
-  mutable state_transfers : int;
-  mutable stall_total : float;
-  switch_hist : Stats.histogram option;
-  stall_hist : Stats.histogram option;
   (* Observability: phase spans, self-profiler, and the sampled timeline. *)
   spans : Span.t;
   profile : Profile.t;
@@ -78,11 +81,10 @@ type t = {
   lag_pending : int array;
   lag_applied : float array;
   lag_seen : bool array; (* per-destination scratch, cleared after each use *)
-  mutable inflight_fns : (unit -> int) list; (* one per network created *)
-  mutable inflight_matching_fns : ((src:int -> dst:int -> bool) -> int) list;
+  mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (* Per network/batcher: in-flight units on pairs selected by the
-         predicate; the healer's weak failover drain sums these to exempt
-         traffic parked behind a down or partitioned pair. *)
+         predicate — all pairs for the timeline; the weak failover drain
+         sums the pairs parked behind a down or partitioned endpoint. *)
   (* Self-healing (all idle unless [params.heal]) *)
   corrupted : (int * int, unit) Hashtbl.t;
       (* (site, item) replica copies silently scrambled by a corrupt@ fault
@@ -90,7 +92,7 @@ type t = {
   mutable corruption_events : int;
   mutable corrupt_items : int; (* copies scrambled, cumulative *)
   mutable phi_fn : (unit -> float array) option; (* healer's detector sample *)
-  stale_drop_ctr : Stats.counter option; (* "heal.stale_drop", heal only *)
+  epoch : epoch; (* owned by [Epoch] *)
   corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
 
@@ -196,22 +198,7 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
        else [||]);
     stale_ctr =
       (if params.stale_reads > 0.0 then Some (Stats.counter stats "read.stale") else None);
-    config_epoch = 0;
-    reconfiguring = false;
     active_txns = 0;
-    drained = Condvar.create ();
-    resume = Condvar.create ();
-    reconfigs = 0;
-    state_transfers = 0;
-    stall_total = 0.0;
-    (* Registered only when a plan exists: [Stats.pp_table] prints every
-       registered histogram, so static-topology runs must not see these. *)
-    switch_hist =
-      (if Reconfig.is_empty params.reconfig then None
-       else Some (Stats.histogram stats "reconfig.switch"));
-    stall_hist =
-      (if Reconfig.is_empty params.reconfig then None
-       else Some (Stats.histogram stats "reconfig.stall"));
     spans;
     profile;
     timeline =
@@ -228,14 +215,31 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     lag_applied = Array.make m 0.0;
     lag_seen = Array.make m false;
     inflight_fns = [];
-    inflight_matching_fns = [];
     corrupted = Hashtbl.create 16;
     corruption_events = 0;
     corrupt_items = 0;
     phi_fn = None;
-    (* Registered only under healing: [Stats.pp_table] prints every
-       registered counter, so heal-off stats tables are unchanged. *)
-    stale_drop_ctr = (if params.heal then Some (Stats.counter stats "heal.stale_drop") else None);
+    (* [Stats.pp_table] prints every registered counter and histogram, so
+       these are registered only when a plan exists (histograms) or under
+       healing (counters): static, heal-off tables are unchanged. *)
+    epoch =
+      {
+        config_epoch = 0;
+        reconfiguring = false;
+        drained = Condvar.create ();
+        resume = Condvar.create ();
+        reconfigs = 0;
+        state_transfers = 0;
+        stall_total = 0.0;
+        switch_hist =
+          (if Reconfig.is_empty params.reconfig then None
+           else Some (Stats.histogram stats "reconfig.switch"));
+        stall_hist =
+          (if Reconfig.is_empty params.reconfig then None
+           else Some (Stats.histogram stats "reconfig.stall"));
+        stale_drop_ctr =
+          (if params.heal then Some (Stats.counter stats "heal.stale_drop") else None);
+      };
     corrupt_ctr = (if params.heal then Some (Stats.counter stats "corrupt.items") else None);
   }
 
@@ -262,16 +266,19 @@ let use_cpu t site d =
 
 let latency_fn t src dst = t.lat_fn src dst
 
-let make_net ?describe t =
+(* Every network and batcher registers its in-flight count on the pairs a
+   predicate selects: the timeline samples all pairs, the weak drain the
+   parked ones. *)
+let net_with ?arity ?describe t =
   let net =
-    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t)
+    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t) ?arity
       ~on_send:(fun units -> t.messages <- t.messages + units)
       ~trace:t.trace ?describe ~stats:t.stats ?injector:t.injector ()
   in
-  t.inflight_fns <- (fun () -> Repdb_net.Network.in_flight net) :: t.inflight_fns;
-  t.inflight_matching_fns <-
-    (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_matching_fns;
+  t.inflight_fns <- (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_fns;
   net
+
+let make_net ?describe t = net_with ?describe t
 
 (* A net whose messages are per-pair coalesced update runs. Counters and
    traces account logical updates (a singleton batch describes exactly like
@@ -288,16 +295,7 @@ let make_batch_net ?describe_one t =
               List.fold_left (fun acc m -> acc + snd (d m)) 8 ms ))
       describe_one
   in
-  let net =
-    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t)
-      ~arity:List.length
-      ~on_send:(fun units -> t.messages <- t.messages + units)
-      ~trace:t.trace ?describe ~stats:t.stats ?injector:t.injector ()
-  in
-  t.inflight_fns <- (fun () -> Repdb_net.Network.in_flight net) :: t.inflight_fns;
-  t.inflight_matching_fns <-
-    (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_matching_fns;
-  net
+  net_with ~arity:List.length ?describe t
 
 let make_batcher t net =
   let bat =
@@ -307,17 +305,6 @@ let make_batcher t net =
       ()
   in
   t.inflight_fns <-
-    (fun () ->
-      let n = t.params.n_sites in
-      let parked = ref 0 in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          parked := !parked + Repdb_net.Batcher.pending bat ~src ~dst
-        done
-      done;
-      !parked)
-    :: t.inflight_fns;
-  t.inflight_matching_fns <-
     (fun f ->
       let n = t.params.n_sites in
       let parked = ref 0 in
@@ -327,7 +314,7 @@ let make_batcher t net =
         done
       done;
       !parked)
-    :: t.inflight_matching_fns;
+    :: t.inflight_fns;
   bat
 
 (* --- trace/metrics emission helpers (shared by the protocols) ------------- *)
@@ -352,7 +339,6 @@ let trace_txn_abort t ~gid ~site reason =
 
 let span_add t ~owner phase dur = Span.add t.spans ~owner phase dur
 let span_think t ~site dur = Span.think t.spans ~site dur
-let spans t = t.spans
 
 let trace_secondary_recv t ~gid ~site =
   if Trace.on t.trace then Trace.record t.trace (Event.Secondary_recv { gid; site })
@@ -430,8 +416,6 @@ let lag_of t site =
   if t.lag_pending.(site) > 0 then Float.max 0.0 (Sim.now t.sim -. t.lag_applied.(site))
   else 0.0
 
-let timeline t = t.timeline
-
 let sample_timeline t =
   match t.timeline with
   | None -> ()
@@ -450,7 +434,8 @@ let sample_timeline t =
         {
           Timeline.r_time = Sim.now t.sim;
           r_active = t.active_txns;
-          r_inflight = List.fold_left (fun acc f -> acc + f ()) 0 t.inflight_fns;
+          r_inflight =
+            List.fold_left (fun acc f -> acc + f (fun ~src:_ ~dst:_ -> true)) 0 t.inflight_fns;
           r_commits = commits;
           r_aborts = aborts;
           r_lag = Array.init m (fun s -> lag_of t s);
@@ -467,8 +452,11 @@ let set_phi_fn t f = t.phi_fn <- Some f
 let maybe_wake t =
   if t.clients_running = 0 && t.outstanding = 0 then Condvar.broadcast t.quiesced
 
-let drained_now t = t.active_txns = 0 && t.outstanding = 0
-let maybe_drained t = if t.reconfiguring && drained_now t then Condvar.broadcast t.drained
+(* The one place outside [Epoch] that touches its state: a strong drain
+   waits for this broadcast. *)
+let maybe_drained t =
+  if t.epoch.reconfiguring && t.active_txns = 0 && t.outstanding = 0 then
+    Condvar.broadcast t.epoch.drained
 
 let inc_outstanding t = t.outstanding <- t.outstanding + 1
 
@@ -542,11 +530,7 @@ let recover_site t ~site ~downtime =
   if Trace.on t.trace then Trace.record t.trace (Event.Site_recover { site; downtime });
   Condvar.broadcast t.up_cv.(site)
 
-(* --- online reconfiguration ----------------------------------------------- *)
-
-(* A healer failover rewires the tree just like an operator plan does, so
-   heal runs provision for mid-run placement changes too. *)
-let reconfig_planned t = not (Reconfig.is_empty t.params.reconfig) || t.params.heal
+(* --- epoch-switch drain accounting ------------------------------------------ *)
 
 let txn_started t = t.active_txns <- t.active_txns + 1
 
@@ -554,96 +538,6 @@ let txn_finished t =
   t.active_txns <- t.active_txns - 1;
   assert (t.active_txns >= 0);
   maybe_drained t
-
-let await_drained t =
-  while not (drained_now t) do
-    Condvar.await t.drained
-  done
-
-(* Serialize epoch switches: the healer's failovers and the operator's
-   reconfiguration plan share the [reconfiguring] flag, so whichever
-   coordinator arrives second waits for the resume broadcast. *)
-let acquire_switch t =
-  while t.reconfiguring do
-    Condvar.await t.resume
-  done;
-  t.reconfiguring <- true
-
-let release_switch t =
-  t.reconfiguring <- false;
-  Condvar.broadcast t.resume
-
-(* No process can run between these assignments: the simulator only
-   interleaves at blocking points. *)
-let switch_epoch t placement ~reconfigure ~gen =
-  t.placement <- placement;
-  reconfigure ();
-  Repdb_workload.Generator.refresh gen placement;
-  t.config_epoch <- t.config_epoch + 1
-
-(* --- self-healing hooks ---------------------------------------------------- *)
-
-let heal_planned t = t.params.heal
-
-(* In-flight messages the failover drain may ignore: traffic on a pair with a
-   down endpoint or an active partition between them is parked by the acked
-   links for the whole outage, and waiting for it would stall the epoch
-   switch for the downtime the failover is meant to mask. *)
-let parked_outstanding t =
-  let pred ~src ~dst =
-    (not t.site_up.(src)) || (not t.site_up.(dst))
-    ||
-    match t.injector with
-    | Some inj -> not (Fault.reachable inj ~src ~dst ~at:(Sim.now t.sim))
-    | None -> false
-  in
-  List.fold_left (fun acc f -> acc + f pred) 0 t.inflight_matching_fns
-
-(* The healer's weak drain: every transaction attempt finished and nothing in
-   flight except traffic parked behind the outage itself. *)
-let weak_drained t = t.active_txns = 0 && t.outstanding - parked_outstanding t <= 0
-
-(* A propagation message routed under an earlier epoch surfaced after a
-   weak-drain failover switch (it was parked behind the outage when routing
-   moved on). Under healing it is dropped with accounting — anti-entropy is
-   the convergence backstop; without healing the strong drain makes this
-   impossible, so it stays a hard error. *)
-let stale_epoch t ~site ~epoch =
-  if epoch = t.config_epoch then false
-  else begin
-    (match t.stale_drop_ctr with
-    | Some ctr -> Stats.incr ctr ~site
-    | None ->
-        failwith
-          (Printf.sprintf "Cluster: stale epoch %d at site %d without healing" epoch site));
-    true
-  end
-
-(* Clients call this before generating each transaction; while an epoch
-   switch is in progress they stall here, and the stall is charged to the
-   originating site so the mid-run throughput dip is measurable. *)
-let reconfig_barrier t ~site =
-  if t.reconfiguring then begin
-    let t0 = Sim.now t.sim in
-    while t.reconfiguring do
-      Condvar.await t.resume
-    done;
-    let stall = Sim.now t.sim -. t0 in
-    t.stall_total <- t.stall_total +. stall;
-    match t.stall_hist with Some h -> Stats.observe h ~site stall | None -> ()
-  end
-
-let trace_reconfig_begin t ~epoch =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_begin { epoch })
-
-let trace_reconfig_switch t ~epoch ~duration =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_switch { epoch; duration })
-
-let trace_reconfig_done t ~epoch ~duration =
-  if Trace.on t.trace then Trace.record t.trace (Event.Reconfig_done { epoch; duration })
-
-let trace_state_transfer t ~item ~src ~dst =
-  if Trace.on t.trace then Trace.record t.trace (Event.State_transfer { item; src; dst })
 
 (* Silently scramble replica copies at [site]: each non-primary copy is
    overwritten with probability [prob] via [Store.restore], which bypasses
@@ -672,10 +566,8 @@ let corrupt_site t ~site ~prob ~clause =
   t.corruption_events <- t.corruption_events + 1;
   if Trace.on t.trace then Trace.record t.trace (Event.Corrupt { site; items = !n })
 
-let corrupted_copies t = Hashtbl.length t.corrupted
 let corruption_count t = t.corruption_events
 let corrupt_items_total t = t.corrupt_items
-let is_corrupt t ~site ~item = Hashtbl.mem t.corrupted (site, item)
 let clear_corrupt t ~site ~item = Hashtbl.remove t.corrupted (site, item)
 
 let schedule_faults t =
@@ -709,5 +601,4 @@ let schedule_faults t =
 
 let crash_count t = t.crashes
 let partition_count t = t.partitions
-let profile t = t.profile
 let profile_cat t name = Profile.cat t.profile name

@@ -14,7 +14,6 @@ module Store = Repdb_store.Store
 module Wal = Repdb_store.Wal
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Fault = Repdb_fault.Fault
-module Reconfig = Repdb_reconfig.Reconfig
 module History = Repdb_txn.History
 module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
@@ -23,6 +22,29 @@ module Stats = Repdb_obs.Stats
 module Span = Repdb_obs.Span
 module Timeline = Repdb_obs.Timeline
 module Profile = Repdb_obs.Profile
+
+(** Epoch-switch state. Only {!Epoch} reads or writes it, except that
+    {!dec_outstanding} and {!txn_finished} broadcast [drained]. *)
+type epoch = {
+  mutable config_epoch : int;
+      (** Bumped once per executed switch. Propagation messages carry the
+          epoch they were routed under. *)
+  mutable reconfiguring : bool;  (** A switch is in progress. *)
+  drained : Condvar.t;
+      (** Broadcast (while reconfiguring) when [active_txns] and
+          [outstanding] both reach 0. *)
+  resume : Condvar.t;  (** Broadcast when the switch completes. *)
+  mutable reconfigs : int;  (** Operator plan steps executed so far. *)
+  mutable state_transfers : int;  (** Item values bulk-copied to new copies. *)
+  mutable stall_total : float;  (** Total client stall at the barrier, ms. *)
+  switch_hist : Stats.histogram option;
+      (** Drain + transfer + switch latency per plan step
+          (["reconfig.switch"]); registered only when a plan exists, so
+          static-topology stats tables are unchanged. *)
+  stall_hist : Stats.histogram option;  (** Per-site client stall times. *)
+  stale_drop_ctr : Stats.counter option;
+      (** ["heal.stale_drop"]; registered only when [params.heal]. *)
+}
 
 type t = {
   sim : Sim.t;
@@ -69,24 +91,7 @@ type t = {
   stale_ctr : Stats.counter option;
       (** ["read.stale"]; registered only when [params.stale_reads > 0], so
           stats tables without the feature are unchanged. *)
-  mutable config_epoch : int;
-      (** Configuration epoch; bumped once per executed reconfiguration
-          step. Propagation messages carry the epoch they were routed under
-          and assert it on arrival (drain makes violations impossible). *)
-  mutable reconfiguring : bool;  (** An epoch switch is in progress. *)
   mutable active_txns : int;  (** Transaction attempts currently executing. *)
-  drained : Condvar.t;
-      (** Broadcast (while reconfiguring) when [active_txns] and
-          [outstanding] both reach 0. *)
-  resume : Condvar.t;  (** Broadcast when the epoch switch completes. *)
-  mutable reconfigs : int;  (** Reconfiguration steps executed so far. *)
-  mutable state_transfers : int;  (** Item values bulk-copied to new replicas. *)
-  mutable stall_total : float;  (** Total client stall at the barrier, ms. *)
-  switch_hist : Stats.histogram option;
-      (** Drain + transfer + switch latency per step (["reconfig.switch"]);
-          registered only when a reconfiguration plan exists, so
-          static-topology stats tables are unchanged. *)
-  stall_hist : Stats.histogram option;  (** Per-site client stall times. *)
   spans : Span.t;
       (** Transaction phase attribution (always on; registers the five
           [span.*] histograms in [stats]). *)
@@ -105,11 +110,10 @@ type t = {
   lag_applied : float array;
       (** Per site: origin-commit time of the newest update applied. *)
   lag_seen : bool array;  (** Scratch for {!note_destined} deduplication. *)
-  mutable inflight_fns : (unit -> int) list;
-      (** One in-flight-message getter per network built by {!make_net}. *)
-  mutable inflight_matching_fns : ((src:int -> dst:int -> bool) -> int) list;
+  mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (** Per network/batcher: in-flight units on the pairs a predicate
-          selects; summed by {!parked_outstanding} for the weak drain. *)
+          selects — every pair for the timeline, parked ones for the weak
+          drain. *)
   corrupted : (int * int, unit) Hashtbl.t;
       (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
           not yet repaired; cleared by recovery and anti-entropy. *)
@@ -118,8 +122,7 @@ type t = {
   mutable phi_fn : (unit -> float array) option;
       (** Healer-installed sampler: per-site suspicion level for the
           timeline's φ column. *)
-  stale_drop_ctr : Stats.counter option;
-      (** ["heal.stale_drop"]; registered only when [params.heal]. *)
+  epoch : epoch;
   corrupt_ctr : Stats.counter option;
       (** ["corrupt.items"]; registered only when [params.heal]. *)
 }
@@ -223,13 +226,6 @@ val record_propagation : t -> gid:int -> site:int -> delay:float -> unit
     written item gains one pending update (once per transaction). *)
 val note_destined : t -> items:int list -> unit
 
-(** Replication lag of [site], ms: 0 when no update is pending, otherwise
-    the age of the newest applied origin commit (so it grows in real time
-    while propagation is stalled, e.g. across a partition). *)
-val lag_of : t -> int -> float
-
-val timeline : t -> Timeline.t option
-
 (** Append one sample row (gauges now, commit/abort deltas since the last
     sample). The driver's ticker calls this every [params.timeline_every]
     ms. *)
@@ -243,12 +239,6 @@ val span_add : t -> owner:int -> Span.phase -> float -> unit
 
 (** Observe client think (retry backoff) time at [site]. *)
 val span_think : t -> site:int -> float -> unit
-
-val spans : t -> Span.t
-
-(** The kernel's self-profiler ({!Profile.disabled} unless
-    [params.profile]). *)
-val profile : t -> Profile.t
 
 (** Intern a profiler category name (cheap; "other" when disabled). *)
 val profile_cat : t -> string -> int
@@ -285,16 +275,6 @@ val site_up : t -> int -> bool
     Clients call this before starting each transaction. *)
 val await_site_up : t -> int -> unit
 
-(** Mark the site down and trace [Site_crash]. Driven by {!schedule_faults};
-    exposed for tests. *)
-val crash_site : t -> site:int -> unit
-
-(** Restart the site: rebuild the store with [Wal.recover], verify the
-    rebuild matches the pre-crash contents exactly, install it, re-hook the
-    log ([Wal.reattach]), mark the site up and wake waiting clients.
-    @raise Failure if the recovered contents diverge from the live store. *)
-val recover_site : t -> site:int -> downtime:float -> unit
-
 (** Schedule every crash/restart in the fault schedule as simulation events,
     plus counting/trace marks for each partition begin and heal; no-op
     without an injector. The driver calls this before starting clients. *)
@@ -306,21 +286,10 @@ val crash_count : t -> int
 (** Partition windows activated so far. *)
 val partition_count : t -> int
 
-(** {1 Online reconfiguration}
+(** {1 Epoch-switch drain accounting}
 
-    The coordinator ({!Reconfig_exec}) executes each step of
-    [params.reconfig] live: it sets [reconfiguring], waits for the cluster to
-    drain (no executing transaction attempts, nothing outstanding — clients
-    stall at {!reconfig_barrier} meanwhile), bulk-transfers values to newly
-    added replicas, swaps [placement], bumps [config_epoch] and broadcasts
-    [resume]. These are the accounting hooks that protocol-independent drain
-    and stall measurement need. *)
-
-(** Can the placement change mid-run — an operator plan is scheduled
-    ([params.reconfig] non-empty) or the healer may fail over
-    ([params.heal])? Protocols use this to provision appliers for sites
-    that could acquire a tree parent at a later epoch. *)
-val reconfig_planned : t -> bool
+    {!Epoch} runs every placement change on a drained cluster; these hooks
+    keep the count it drains on. *)
 
 (** Bracket every transaction execution attempt (including retries); the
     drain condition counts attempts, not clients, because clients survive
@@ -329,84 +298,19 @@ val txn_started : t -> unit
 
 val txn_finished : t -> unit
 
-(** Block until no attempt is executing and nothing is outstanding. Only the
-    coordinator calls this, after setting [reconfiguring] (the broadcasts
-    fire only in that state). *)
-val await_drained : t -> unit
-
-(** Stall while an epoch switch is in progress; no-op otherwise. Records the
-    stall in [stall_hist] and [stall_total], charged to [site]. Clients call
-    this before generating each transaction. *)
-val reconfig_barrier : t -> site:int -> unit
-
-(** [switch_epoch t placement ~reconfigure ~gen] — the atomic epoch switch
-    shared by operator reconfiguration and healer failover: install
-    [placement], let the protocol rebuild its routing ([reconfigure]),
-    refresh the workload generator's pools and bump [config_epoch]. Never
-    blocks, so no process observes a half-switched cluster. Call it with the
-    switch held ({!acquire_switch}) and the cluster drained. *)
-val switch_epoch :
-  t -> Placement.t -> reconfigure:(unit -> unit) -> gen:Repdb_workload.Generator.t -> unit
-
-val trace_reconfig_begin : t -> epoch:int -> unit
-val trace_reconfig_switch : t -> epoch:int -> duration:float -> unit
-val trace_reconfig_done : t -> epoch:int -> duration:float -> unit
-val trace_state_transfer : t -> item:int -> src:int -> dst:int -> unit
-
 (** {1 Self-healing}
 
     Hooks used by {!Heal_exec} (the φ-accrual detector, failover coordinator
     and anti-entropy repairer); all idle unless [params.heal]. *)
 
-(** Is the self-healing subsystem enabled ([params.heal])? *)
-val heal_planned : t -> bool
-
-(** Acquire the exclusive right to run an epoch switch: waits while another
-    switch (operator reconfiguration or healer failover) is in progress, then
-    sets [reconfiguring]. Release with {!release_switch}. *)
-val acquire_switch : t -> unit
-
-(** Clear [reconfiguring] and broadcast [resume], waking stalled clients and
-    any coordinator queued at {!acquire_switch}. *)
-val release_switch : t -> unit
-
-(** In-flight messages parked behind the outage itself: traffic on pairs with
-    a down endpoint or an active partition between them. *)
-val parked_outstanding : t -> int
-
-(** The healer's weak drain condition: no transaction attempt executing and
-    nothing in flight except {!parked_outstanding} traffic. The caller must
-    poll (with settle delays) — parked counts change without broadcasts. *)
-val weak_drained : t -> bool
-
-(** [stale_epoch t ~site ~epoch] — true iff [epoch] predates the current
-    configuration epoch: the message was parked behind an outage when a
-    weak-drain failover moved routing on, and the receiving protocol must
-    drop it (anti-entropy repairs the gap). Counted per site in
-    ["heal.stale_drop"].
-    @raise Failure when healing is off (the strong drain makes a stale epoch
-    a protocol bug there). *)
-val stale_epoch : t -> site:int -> epoch:int -> bool
-
 (** Install the per-site suspicion sampler feeding the timeline φ columns. *)
 val set_phi_fn : t -> (unit -> float array) -> unit
-
-(** [corrupt_site t ~site ~prob ~clause] — scramble each replica copy at
-    [site] with probability [prob] via the log-bypassing [Store.restore]
-    (primary copies are never touched). Deterministic in [(seed, clause)].
-    Driven by {!schedule_faults}; exposed for tests. *)
-val corrupt_site : t -> site:int -> prob:float -> clause:int -> unit
-
-(** Scrambled copies not yet repaired. *)
-val corrupted_copies : t -> int
 
 (** Corruption injections executed so far. *)
 val corruption_count : t -> int
 
 (** Copies scrambled so far, cumulative (repairs do not subtract). *)
 val corrupt_items_total : t -> int
-
-val is_corrupt : t -> site:int -> item:int -> bool
 
 (** Clear a corruption mark (the healer repaired or re-verified the copy). *)
 val clear_corrupt : t -> site:int -> item:int -> unit

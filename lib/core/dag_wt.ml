@@ -48,7 +48,7 @@ let process_secondary t site (msg : msg) =
      healer failover drains weakly, and a message parked behind the outage
      can deliver after the switch. Such messages are dropped with accounting;
      anti-entropy repairs whatever they carried. *)
-  if Cluster.stale_epoch c ~site ~epoch:msg.epoch then Cluster.dec_outstanding c
+  if Epoch.stale c ~site ~epoch:msg.epoch then Cluster.dec_outstanding c
   else begin
   Cluster.use_cpu c site c.params.cpu_msg;
   let items = Routing.local_replicas c.placement site msg.writes in
@@ -77,10 +77,27 @@ let applier t site =
 
 let describe_msg (msg : msg) = ("secondary", 24 + (8 * List.length msg.writes))
 
+(* The copy graph of [pl]; DAG(WT) refuses a cyclic one. *)
+let dag_of pl ~why =
+  let g = Placement.copy_graph pl in
+  if not (Repdb_graph.Digraph.is_dag g) then invalid_arg ("Dag_wt: " ^ why);
+  g
+
+let cyclic = "copy graph has a cycle (use the BackEdge protocol)"
+
+(* Besides the initial graph, replay the operator plan so that a step making
+   the graph cyclic is refused before any event runs, not at its switch.
+   Failover placements stay acyclic by construction ([Heal_exec.promote]). *)
 let check_tree (c : Cluster.t) tr =
-  let g = Placement.copy_graph c.placement in
-  if not (Repdb_graph.Digraph.is_dag g) then
-    invalid_arg "Dag_wt: copy graph has a cycle (use the BackEdge protocol)";
+  let g = dag_of c.placement ~why:cyclic in
+  ignore
+    (List.fold_left
+       (fun pl (ts : Repdb_reconfig.Reconfig.timed) ->
+         let pl = Placement.apply_step pl ts.step in
+         let step = Repdb_reconfig.Reconfig.to_string { steps = [ ts ] } in
+         ignore (dag_of pl ~why:("reconfiguration step " ^ step ^ " makes the copy graph cyclic"));
+         pl)
+       c.placement c.params.reconfig.steps);
   if not (Tree.satisfies g tr) then invalid_arg "Dag_wt: tree lacks the ancestor property"
 
 let create_with_tree (c : Cluster.t) tr =
@@ -95,25 +112,19 @@ let create_with_tree (c : Cluster.t) tr =
      byte-identical. *)
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    if Cluster.reconfig_planned c || Tree.parent tr site <> -1 then
+    if Epoch.planned c || Tree.parent tr site <> -1 then
       Sim.spawn ~cat c.sim (fun () -> applier t site)
   done;
   t
 
-let create (c : Cluster.t) =
-  let g = Placement.copy_graph c.placement in
-  if not (Repdb_graph.Digraph.is_dag g) then
-    invalid_arg "Dag_wt: copy graph has a cycle (use the BackEdge protocol)";
-  create_with_tree c (Tree.of_dag g)
+let create (c : Cluster.t) = create_with_tree c (Tree.of_dag (dag_of c.placement ~why:cyclic))
 
 (* Epoch switch (cluster drained, placement already swapped): rebuild the
    tree and the subtree-replica routing map for the new copy graph. *)
 let reconfigure =
   Some
     (fun t ->
-      let g = Placement.copy_graph t.c.placement in
-      if not (Repdb_graph.Digraph.is_dag g) then
-        invalid_arg "Dag_wt: reconfiguration made the copy graph cyclic";
+      let g = dag_of t.c.placement ~why:"reconfiguration made the copy graph cyclic" in
       let tr = Tree.of_dag g in
       t.tr <- tr;
       t.in_subtree <- Routing.subtree_replicas t.c.placement tr)
@@ -134,7 +145,7 @@ let submit t (spec : Txn.spec) =
       (* Atomic commit section: apply, release, forward. *)
       Exec.commit_local c ~gid ~attempt ~site writes;
       Cluster.note_destined c ~items:writes;
-      let msg = { gid; writes; origin_commit = Sim.now c.sim; epoch = c.config_epoch } in
+      let msg = { gid; writes; origin_commit = Sim.now c.sim; epoch = Epoch.current c } in
       let sent = if writes = [] then 0 else forward t site msg in
       if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg);
       Txn.Committed

@@ -48,20 +48,20 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
     if Cluster.faulty c then Cluster.await_site_up c site;
     (* An in-progress epoch switch stalls the client here (the mid-run
        throughput dip the reconfig experiment measures). *)
-    Cluster.reconfig_barrier c ~site;
+    Epoch.barrier c ~site;
     let spec = ref (Generator.gen_with gen rng ~site) in
-    let spec_epoch = ref c.config_epoch in
+    let spec_epoch = ref (Epoch.current c) in
     let start = Sim.now c.sim in
     (* [n_failed] counts this transaction's failed attempts; each retry gets
        a fresh deadline (the deadline is per attempt, not per transaction). *)
     let rec attempt n_failed =
-      Cluster.reconfig_barrier c ~site;
+      Epoch.barrier c ~site;
       (* A retry that crossed an epoch switch redraws its transaction: the
          old spec may read replicas the new placement dropped from this
          site, whose local copies no longer receive updates. *)
-      if c.config_epoch <> !spec_epoch then begin
+      if Epoch.current c <> !spec_epoch then begin
         spec := Generator.gen_with gen rng ~site;
-        spec_epoch := c.config_epoch
+        spec_epoch := Epoch.current c
       end;
       Cluster.txn_started c;
       Cluster.arm_deadline c;
@@ -101,7 +101,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   let p = c.params in
   (* Refuse unsupported combinations up front, before any simulation runs. *)
   let reconfig_hook : P.t -> unit =
-    if Repdb_reconfig.Reconfig.is_empty p.reconfig && not p.heal then fun _ -> ()
+    if not (Epoch.planned c) then fun _ -> ()
     else
       match P.reconfigure with
       | Some f -> f
@@ -126,11 +126,8 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     done
   done;
   Cluster.schedule_faults c;
-  Reconfig_exec.schedule c ~reconfigure:(fun () -> reconfig_hook proto) ~gen;
-  let healer =
-    if p.heal then Some (Heal_exec.schedule c ~reconfigure:(fun () -> reconfig_hook proto) ~gen)
-    else None
-  in
+  let epoch = Epoch.schedule c ~reconfigure:(fun () -> reconfig_hook proto) ~gen in
+  let healer = if p.heal then Some (Heal_exec.schedule c epoch) else None in
   (* The timeline ticker: samples every [timeline_every] ms of simulated
      time and stops rescheduling once the run is quiescent, so it never
      keeps the drain phase alive. *)
@@ -214,6 +211,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       { Lock_mgr.acquires = 0; waits = 0; timeouts = 0; deadlock_aborts = 0 }
       c.locks
   in
+  let reconfigs, state_transfers, reconfig_stall = Epoch.totals c in
   {
     protocol = P.name;
     params = p;
@@ -233,9 +231,9 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     msg_drops =
       (if Cluster.faulty c then Stats.counter_total (Stats.counter c.stats "msg.drop") else 0);
     partitions = Cluster.partition_count c;
-    reconfigs = c.reconfigs;
-    state_transfers = c.state_transfers;
-    reconfig_stall = c.stall_total;
+    reconfigs;
+    state_transfers;
+    reconfig_stall;
     heal = heal_summary;
     timeline = c.timeline;
     profile = c.profile;

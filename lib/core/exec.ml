@@ -170,7 +170,7 @@ let commit_versioned ?on_install (c : Cluster.t) net ~site ~gid ~commit_ts vwrit
             u_writes = vwrites;
             u_commit_ts = commit_ts;
             u_origin_commit = now;
-            u_epoch = c.config_epoch;
+            u_epoch = Epoch.current c;
           })
   end
 
@@ -179,7 +179,7 @@ let versioned_applier ?on_install (c : Cluster.t) net site =
   let rec loop () =
     let _, u = Mailbox.recv inbox in
     Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = c.config_epoch);
+    assert (u.u_epoch = Epoch.current c);
     let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
     if local <> [] then begin
       install_versions ?on_install ~only:local c ~gid:u.u_gid ~site ~commit_ts:u.u_commit_ts

@@ -16,17 +16,16 @@
 
    - {e Failover.} On suspicion the healer promotes every item primaried at
      the dead site to its lowest-id unsuspected replica holder, through the
-     same epoch machinery operator reconfigurations use: serialize on the
-     switch lock, weak-drain (no running transaction attempts and nothing in
-     flight except messages parked on unreachable pairs), swap the placement,
-     call the protocol's [reconfigure] hook, refresh the workload generator
-     and bump the epoch. The dead site keeps every replica-list membership
-     (demoted to a replica of the items it used to own), so updates parked on
-     its links deliver after recovery as ordinary propagation. When the old
-     placement was acyclic the promotion greedily retries holder choices to
-     keep the copy graph a DAG (DAG-WT requires it; chain protocols tolerate
-     any outcome). A false suspicion therefore costs availability (one epoch
-     switch, clients redraw) but never consistency.
+     same {!Epoch.switch} operator reconfigurations use, with a weak drain
+     (no running transaction attempts and nothing in flight except messages
+     parked on unreachable pairs). The dead site keeps every replica-list
+     membership (demoted to a replica of the items it used to own), so
+     updates parked on its links deliver after recovery as ordinary
+     propagation. When the old placement was acyclic the promotion greedily
+     retries holder choices to keep the copy graph a DAG (DAG-WT requires
+     it; chain protocols tolerate any outcome). A false suspicion therefore
+     costs availability (one epoch switch, clients redraw) but never
+     consistency.
 
    - {e Anti-entropy.} A repair session compares one (primary, holder) pair:
      Merkle-style digest narrowing over the shared sorted item list
@@ -47,7 +46,6 @@ module Network = Repdb_net.Network
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Placement = Repdb_workload.Placement
-module Generator = Repdb_workload.Generator
 module Digraph = Repdb_graph.Digraph
 module Stats = Repdb_obs.Stats
 module Trace = Repdb_obs.Trace
@@ -95,8 +93,7 @@ type summary = {
 type t = {
   c : Cluster.t;
   net : msg Network.t;
-  reconfigure : unit -> unit;
-  gen : Generator.t;
+  epoch : Epoch.t;
   dets : Detector.t array array;  (* [dets.(observer).(subject)] *)
   suspected : bool array;
   suspect_since : float array;
@@ -281,10 +278,8 @@ let pairs_of (pl : Placement.t) m =
    lists so parked propagation still has a destination and rejoin repair has
    a pair to scrub. Unreplicated (or wholly-suspected) items stay put and
    simply stall until their site returns. *)
-let promote t ~dead =
-  let c = t.c in
-  let pl = c.placement in
-  let m = c.params.n_sites in
+let promote t (pl : Placement.t) ~dead =
+  let m = t.c.params.n_sites in
   (* Preserve acyclicity when the old graph had it (DAG-WT's hard
      invariant): a holder choice is accepted only if the placement built so
      far is still a DAG, re-tested per item with all earlier choices
@@ -360,54 +355,39 @@ let promote t ~dead =
   let promoted = Hashtbl.length chosen in
   if promoted = 0 then (pl, 0) else (build (), promoted)
 
-(* Weak drain: no transaction attempt executing and nothing in flight except
-   messages parked on unreachable pairs. Clients are already stalled at the
-   epoch barrier ([acquire_switch] ran); in-progress attempts finish bounded
-   by their own timeouts — which is why healing a blocking protocol (PSL)
-   requires a transaction deadline. Re-check after a settle delay so traffic
-   that was deliverable at the poll instant actually lands. *)
-let weak_drain (c : Cluster.t) =
-  let settle = Float.max 1.0 (2.0 *. c.params.latency) in
-  let rec go () =
-    if Cluster.weak_drained c then begin
-      Sim.delay settle;
-      if not (Cluster.weak_drained c) then go ()
-    end
-    else begin
-      Sim.delay settle;
-      go ()
-    end
-  in
-  go ()
-
+(* Fail [dead]'s primaries over through a weak-drain epoch switch. The
+   suspicion is re-validated once the switch is held: it may have cleared (or
+   the run ended) while this fiber queued behind an operator
+   reconfiguration. *)
 let failover t ~dead =
   let c = t.c in
-  if not c.stopped then begin
-    Cluster.acquire_switch c;
-    (* Re-validate: the suspicion may have cleared (or the run ended) while
-       this fiber queued behind an operator reconfiguration. *)
-    if c.stopped || not t.suspected.(dead) then Cluster.release_switch c
-    else begin
-      let t0 = Sim.now c.sim in
+  let t0 = ref 0.0 and promoted = ref 0 in
+  let admit () =
+    let valid = (not c.stopped) && t.suspected.(dead) in
+    if valid then begin
+      t0 := Sim.now c.sim;
       if Trace.on c.trace then
-        Trace.record c.trace (Event.Failover_begin { site = dead; epoch = c.config_epoch + 1 });
-      weak_drain c;
-      let np, promoted = promote t ~dead in
-      if promoted > 0 then begin
-        (* No state transfer needed: every new primary already holds a live
-           copy — promotion only renames authority. *)
-        Cluster.switch_epoch c np ~reconfigure:t.reconfigure ~gen:t.gen;
-        t.failovers <- t.failovers + 1;
-        t.promoted_items <- t.promoted_items + promoted
-      end;
-      let duration = Sim.now c.sim -. t0 in
-      Stats.observe t.failover_hist ~site:dead duration;
-      t.failover_sum <- t.failover_sum +. duration;
-      if Trace.on c.trace then
-        Trace.record c.trace
-          (Event.Failover_done { site = dead; epoch = c.config_epoch; duration; promoted });
-      Cluster.release_switch c
-    end
+        Trace.record c.trace (Event.Failover_begin { site = dead; epoch = Epoch.current c + 1 })
+    end;
+    valid
+  in
+  let next pl =
+    let np, n = promote t pl ~dead in
+    promoted := n;
+    if n > 0 then Some np else None
+  in
+  if (not c.stopped) && Epoch.switch t.epoch Epoch.Weak ~admit next then begin
+    if !promoted > 0 then begin
+      t.failovers <- t.failovers + 1;
+      t.promoted_items <- t.promoted_items + !promoted
+    end;
+    let duration = Sim.now c.sim -. !t0 in
+    Stats.observe t.failover_hist ~site:dead duration;
+    t.failover_sum <- t.failover_sum +. duration;
+    if Trace.on c.trace then
+      Trace.record c.trace
+        (Event.Failover_done
+           { site = dead; epoch = Epoch.current c; duration; promoted = !promoted })
   end
 
 (* --- Rejoin --------------------------------------------------------------- *)
@@ -527,7 +507,7 @@ let start_anti_entropy t =
           Sim.delay c.params.anti_entropy_every;
           (* Pause the scan during epoch switches: sessions read the
              placement and must not race the swap. *)
-          if (not c.stopped) && not c.reconfiguring then begin
+          if (not c.stopped) && not (Epoch.switching c) then begin
             match pairs_of c.placement m with
             | [] -> ()
             | pairs ->
@@ -542,7 +522,7 @@ let start_anti_entropy t =
 
 (* --- Lifecycle ------------------------------------------------------------ *)
 
-let schedule (c : Cluster.t) ~reconfigure ~gen =
+let schedule (c : Cluster.t) epoch =
   let p = c.params in
   let m = p.n_sites in
   (* Dedicated control-plane net: same latency model and fault injector as
@@ -562,8 +542,7 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
     {
       c;
       net;
-      reconfigure;
-      gen;
+      epoch;
       dets;
       suspected = Array.make m false;
       suspect_since = Array.make m 0.0;

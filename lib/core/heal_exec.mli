@@ -36,13 +36,12 @@ type summary = {
   corrupt_items : int;
 }
 
-(** [schedule c ~reconfigure ~gen] — create the control-plane net, the
-    per-pair detector matrix and the [detector.*]/[repair.*]/[heal.*]
-    counters, install the timeline φ probe, and spawn the heartbeat,
-    suspicion-poll and anti-entropy fibers. [reconfigure] is the protocol's
-    epoch hook; [gen] is refreshed with the promoted placement on
-    failover. *)
-val schedule : Cluster.t -> reconfigure:(unit -> unit) -> gen:Repdb_workload.Generator.t -> t
+(** [schedule c epoch] — create the control-plane net, the per-pair
+    detector matrix and the [detector.*]/[repair.*]/[heal.*] counters,
+    install the timeline φ probe, and spawn the heartbeat, suspicion-poll
+    and anti-entropy fibers. Failovers run through [epoch]'s
+    {!Epoch.switch} with a weak drain. *)
+val schedule : Cluster.t -> Epoch.t -> t
 
 (** Spawn a full repair sweep over every (primary, holder) pair — the
     post-quiescence convergence backstop. The caller must run the simulator

@@ -69,7 +69,7 @@ let serve_batch t ~src txns =
   else begin
     Cluster.use_cpu c validator_site c.params.cpu_msg;
     Network.send t.net ~src:validator_site ~dst:src
-      (Verdicts { epoch = c.config_epoch; results })
+      (Verdicts { epoch = Epoch.current c; results })
   end
 
 (* Per-site server: the validator site serves batches, every site applies its
@@ -83,11 +83,11 @@ let server t site =
     (match msg with
     | Batch { epoch; txns } ->
         assert (site = validator_site);
-        assert (epoch = c.config_epoch);
+        assert (epoch = Epoch.current c);
         serve_batch t ~src txns
     | Verdicts { epoch; results } ->
         Cluster.dec_outstanding c;
-        assert (epoch = c.config_epoch);
+        assert (epoch = Epoch.current c);
         apply_verdicts t ~site results);
     loop ()
   in
@@ -106,7 +106,7 @@ let flush t site =
       Cluster.use_cpu c site c.params.cpu_msg;
       Cluster.inc_outstanding c;
       Network.send t.net ~src:site ~dst:validator_site
-        (Batch { epoch = c.config_epoch; txns = batch })
+        (Batch { epoch = Epoch.current c; txns = batch })
     end
 
 let describe_msg = function
