@@ -377,13 +377,14 @@ let failover t ~dead =
     if n > 0 then Some np else None
   in
   if (not c.stopped) && Epoch.switch t.epoch Epoch.Weak ~admit next then begin
+    let duration = Sim.now c.sim -. !t0 in
+    (* A switch whose promotion declined moved no primary: not a failover. *)
     if !promoted > 0 then begin
       t.failovers <- t.failovers + 1;
-      t.promoted_items <- t.promoted_items + !promoted
+      t.promoted_items <- t.promoted_items + !promoted;
+      Stats.observe t.failover_hist ~site:dead duration;
+      t.failover_sum <- t.failover_sum +. duration
     end;
-    let duration = Sim.now c.sim -. !t0 in
-    Stats.observe t.failover_hist ~site:dead duration;
-    t.failover_sum <- t.failover_sum +. duration;
     if Trace.on c.trace then
       Trace.record c.trace
         (Event.Failover_done

@@ -239,6 +239,34 @@ let test_failover_convergence () =
     (r.summary.commits + r.summary.aborts
     >= p.Params.n_sites * p.threads_per_site * p.txns_per_thread)
 
+(* Site 1 crashes twice; the second suspicion's promotion declines (every
+   item it primaried already moved away), so that switch is no failover and
+   must not reach the failover count, the mean or the heal.failover
+   histogram. *)
+let test_declined_failover_not_counted () =
+  let params =
+    {
+      Params.default with
+      backedge_prob = 0.0;
+      txns_per_thread = 200;
+      heal = true;
+      txn_deadline = 400.0;
+      retry = Params.default_backoff;
+      faults =
+        (match Fault.of_string "crash@400:site=1,down=800;crash@2500:site=1,down=800" with
+        | Ok s -> s
+        | Error m -> failwith m);
+    }
+  in
+  let r, _ = run_report ~params (module Repdb.Dag_wt : Repdb.Protocol.S) in
+  let h = heal_of r in
+  let hist = Repdb_obs.Stats.histogram r.site_stats "heal.failover" in
+  let n = Repdb_obs.Stats.histogram_count hist ~site:1 in
+  checki "one failover" 1 h.failovers;
+  checki "histogram count = failovers" h.failovers n;
+  checkf "histogram mean = failover mean" h.failover_mean
+    (Repdb_obs.Stats.histogram_mean hist ~site:1)
+
 let test_corruption_repair () =
   (* Scramble every replica copy at one site; anti-entropy must find and
      repair all of them (the final sweep is the backstop), leaving no
@@ -422,6 +450,8 @@ let () =
       ( "live",
         [
           Alcotest.test_case "failover converges, zero restarts" `Quick test_failover_convergence;
+          Alcotest.test_case "declined failover not counted" `Quick
+            test_declined_failover_not_counted;
           Alcotest.test_case "corruption repaired" `Quick test_corruption_repair;
           Alcotest.test_case "deterministic" `Quick test_heal_deterministic;
           Alcotest.test_case "sweep deterministic across pools" `Quick
