@@ -157,8 +157,9 @@ let run_participant t ~gid ~origin ~site items =
       match Exec.acquire_writes c ~gid ~attempt ~site items with
       | Ok () when bp.bp_state = `Executing ->
           bp.bp_state <- `Staged;
-          if Repdb_obs.Trace.on c.trace then
-            Repdb_obs.Trace.record c.trace (Repdb_obs.Event.Backedge_stage { gid; site });
+          let tr = Metrics.trace c.metrics in
+          if Repdb_obs.Trace.on tr then
+            Repdb_obs.Trace.record tr (Repdb_obs.Event.Backedge_stage { gid; site });
           Some bp
       | Ok () ->
           (* Cancelled (Decide abort) while waiting for the last lock. *)
@@ -244,8 +245,8 @@ let tree_applier t site =
       (fun msg ->
         (match msg with
         | Normal { gid; _ } ->
-            Cluster.trace_secondary_recv t.c ~gid ~site;
-            Cluster.trace_queue_depth t.c ~site ~queue:"tree" ~depth:(Mailbox.length inbox)
+            Metrics.secondary_recv t.c.metrics ~gid ~site;
+            Metrics.queue_depth t.c.metrics ~site ~queue:"tree" ~depth:(Mailbox.length inbox)
         | Special _ -> ());
         process_tree_msg t site msg)
       batch;
@@ -270,11 +271,12 @@ let handle_direct t site msg =
       | Some bp -> begin
           match bp.bp_state with
           | `Staged ->
-              if Repdb_obs.Trace.on c.trace then
-                Repdb_obs.Trace.record c.trace (Repdb_obs.Event.Backedge_decide { gid; site; commit });
+              let tr = Metrics.trace c.metrics in
+              if Repdb_obs.Trace.on tr then
+                Repdb_obs.Trace.record tr (Repdb_obs.Event.Backedge_decide { gid; site; commit });
               if commit then begin
                 Exec.apply_writes c ~gid ~site bp.bp_items;
-                Cluster.record_propagation c ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
+                Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
               end
               else History.discard_attempt c.history ~attempt:bp.bp_attempt;
               Exec.release c ~attempt:bp.bp_attempt ~site;
@@ -436,7 +438,7 @@ let reconfigure =
 
 let abort_primary t ~site ~attempt ~gid ~targets reason =
   let c = t.c in
-  Cluster.trace_txn_abort c ~gid ~site reason;
+  Metrics.txn_abort c.metrics ~gid ~site reason;
   Exec.abort_local c ~attempt ~site;
   Hashtbl.remove t.pending_by_gid gid;
   Hashtbl.remove t.pending_by_attempt.(site) attempt;
@@ -452,7 +454,7 @@ let commit_primary t ~site ~attempt ~gid ~writes ~targets =
   let c = t.c in
   (* Atomic commit section: apply, release, decide, lazy-forward. *)
   Exec.commit_local c ~gid ~attempt ~site writes;
-  Cluster.note_destined c ~items:writes;
+  Metrics.destined c.metrics c.placement ~items:writes;
   Hashtbl.remove t.pending_by_gid gid;
   Hashtbl.remove t.pending_by_attempt.(site) attempt;
   let now = Sim.now c.sim in
@@ -473,11 +475,11 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () -> (
       let writes = List.sort_uniq compare (Txn.writes spec) in
@@ -491,7 +493,7 @@ let submit t (spec : Txn.spec) =
              fast instead of burning the full origin wait. Nothing has been
              staged remotely, so no Decide is owed. *)
           Exec.abort_local c ~attempt ~site;
-          Cluster.trace_txn_abort c ~gid ~site Txn.Partitioned;
+          Metrics.txn_abort c.metrics ~gid ~site Txn.Partitioned;
           Txn.Aborted Txn.Partitioned
       | farthest :: _ as targets ->
           let p = { p_gid = gid; p_state = `Waiting; p_cv = Condvar.create () } in
@@ -504,7 +506,7 @@ let submit t (spec : Txn.spec) =
              BackEdge propagation phase, however it ends. *)
           let wait_start = Sim.now c.sim in
           let prop_done () =
-            Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait
+            Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait
               (Sim.now c.sim -. wait_start)
           in
           let rec wait () =
@@ -525,7 +527,7 @@ let submit t (spec : Txn.spec) =
                 in
                 if timeout <= 0.0 then begin
                   p.p_state <- `Failed Txn.Deadline_exceeded;
-                  Cluster.trace_txn_deadline c ~gid ~site;
+                  Metrics.deadline c.metrics ~gid ~site;
                   prop_done ();
                   abort_primary t ~site ~attempt ~gid ~targets Txn.Deadline_exceeded
                 end
@@ -535,7 +537,7 @@ let submit t (spec : Txn.spec) =
                   | `Waiting when not woken ->
                       p.p_state <- `Failed on_expire;
                       if on_expire = Txn.Deadline_exceeded then
-                        Cluster.trace_txn_deadline c ~gid ~site;
+                        Metrics.deadline c.metrics ~gid ~site;
                       prop_done ();
                       abort_primary t ~site ~attempt ~gid ~targets on_expire
                   | _ -> wait ()

@@ -99,10 +99,10 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   let abort reason =
     Exec.abort_local c ~attempt ~site;
-    Cluster.trace_txn_abort c ~gid ~site reason;
+    Metrics.txn_abort c.metrics ~gid ~site reason;
     Txn.Aborted reason
   in
   (* Strict 2PL locally, capturing the version of every item read (the

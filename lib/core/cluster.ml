@@ -41,13 +41,9 @@ type t = {
   cpus : Resource.t array;
   history : History.t;
   metrics : Metrics.t;
-  trace : Trace.t;
-  stats : Stats.t;
-  prop_hist : Stats.histogram;
   rng : Rng.t;
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable messages : int;
   mutable outstanding : int;
   mutable clients_running : int;
   mutable stopped : bool;
@@ -65,22 +61,7 @@ type t = {
   (* [site][item] -> simulated time of the last locally applied write; feeds
      the staleness of partition-time local reads. *)
   apply_mtime : float array array;
-  stale_ctr : Stats.counter option; (* registered only when stale reads are on *)
   mutable active_txns : int;
-  (* Observability: phase spans, self-profiler, and the sampled timeline. *)
-  spans : Span.t;
-  profile : Profile.t;
-  timeline : Timeline.t option;
-  commit_ctr : Stats.counter;
-  abort_ctr : Stats.counter;
-  tl_commits_prev : int array; (* counter snapshot at the previous sample *)
-  tl_aborts_prev : int array;
-  (* Replication-lag bookkeeping (maintained only when a timeline exists):
-     per site, how many propagated updates are destined but not yet applied,
-     and the origin-commit time of the newest update applied. *)
-  lag_pending : int array;
-  lag_applied : float array;
-  lag_seen : bool array; (* per-destination scratch, cleared after each use *)
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (* Per network/batcher: in-flight units on pairs selected by the
          predicate — all pairs for the timeline; the weak failover drain
@@ -90,8 +71,6 @@ type t = {
       (* (site, item) replica copies silently scrambled by a corrupt@ fault
          clause and not yet repaired; recovery and anti-entropy clear marks. *)
   mutable corruption_events : int;
-  mutable corrupt_items : int; (* copies scrambled, cumulative *)
-  mutable phi_fn : (unit -> float array) option; (* healer's detector sample *)
   epoch : epoch; (* owned by [Epoch] *)
   corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
@@ -163,6 +142,23 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
         stores
     else [||]
   in
+  (* [Stats.pp_table] prints every registered counter and histogram in
+     registration order: after the lock counters come these, registered
+     only under a plan (histograms) or under healing (counters) so static,
+     heal-off tables are unchanged, and then Metrics' own. *)
+  let corrupt_ctr = if params.heal then Some (Stats.counter stats "corrupt.items") else None in
+  let stale_drop_ctr = if params.heal then Some (Stats.counter stats "heal.stale_drop") else None in
+  let planned = not (Reconfig.is_empty params.reconfig) in
+  let stall_hist = if planned then Some (Stats.histogram stats "reconfig.stall") else None in
+  let switch_hist = if planned then Some (Stats.histogram stats "reconfig.switch") else None in
+  let timeline =
+    if params.timeline_every > 0.0 then
+      Some (Timeline.create ~n_sites:m ~interval:params.timeline_every ~phi:params.heal ())
+    else None
+  in
+  let metrics =
+    Metrics.create ~sim ~trace:tr ~spans ?timeline ~stale_reads:(params.stale_reads > 0.0) stats
+  in
   {
     sim;
     params;
@@ -172,14 +168,10 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     locks;
     cpus;
     history = History.create ~enabled:params.record_history ~n_sites:m ();
-    metrics = Metrics.create ~n_sites:m ();
-    trace = tr;
-    stats;
-    prop_hist = Stats.histogram stats "prop.delay";
+    metrics;
     rng = Rng.create (params.seed * 31 + 7);
     next_gid = 0;
     next_attempt = 0;
-    messages = 0;
     outstanding = 0;
     clients_running = 0;
     stopped = false;
@@ -196,32 +188,10 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     apply_mtime =
       (if params.stale_reads > 0.0 then Array.init m (fun _ -> Array.make params.n_items 0.0)
        else [||]);
-    stale_ctr =
-      (if params.stale_reads > 0.0 then Some (Stats.counter stats "read.stale") else None);
     active_txns = 0;
-    spans;
-    profile;
-    timeline =
-      (if params.timeline_every > 0.0 then
-         Some (Timeline.create ~n_sites:m ~interval:params.timeline_every ~phi:params.heal ())
-       else None);
-    (* Same names the driver resolves: [Stats.counter] finds-or-registers,
-       so these are the very counters the clients bump. *)
-    commit_ctr = Stats.counter stats "txn.commit";
-    abort_ctr = Stats.counter stats "txn.abort";
-    tl_commits_prev = Array.make m 0;
-    tl_aborts_prev = Array.make m 0;
-    lag_pending = Array.make m 0;
-    lag_applied = Array.make m 0.0;
-    lag_seen = Array.make m false;
     inflight_fns = [];
     corrupted = Hashtbl.create 16;
     corruption_events = 0;
-    corrupt_items = 0;
-    phi_fn = None;
-    (* [Stats.pp_table] prints every registered counter and histogram, so
-       these are registered only when a plan exists (histograms) or under
-       healing (counters): static, heal-off tables are unchanged. *)
     epoch =
       {
         config_epoch = 0;
@@ -231,16 +201,11 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
         reconfigs = 0;
         state_transfers = 0;
         stall_total = 0.0;
-        switch_hist =
-          (if Reconfig.is_empty params.reconfig then None
-           else Some (Stats.histogram stats "reconfig.switch"));
-        stall_hist =
-          (if Reconfig.is_empty params.reconfig then None
-           else Some (Stats.histogram stats "reconfig.stall"));
-        stale_drop_ctr =
-          (if params.heal then Some (Stats.counter stats "heal.stale_drop") else None);
+        switch_hist;
+        stall_hist;
+        stale_drop_ctr;
       };
-    corrupt_ctr = (if params.heal then Some (Stats.counter stats "corrupt.items") else None);
+    corrupt_ctr;
   }
 
 let create ?trace ?trace_capacity (params : Params.t) =
@@ -272,8 +237,8 @@ let latency_fn t src dst = t.lat_fn src dst
 let net_with ?arity ?describe t =
   let net =
     Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t) ?arity
-      ~on_send:(fun units -> t.messages <- t.messages + units)
-      ~trace:t.trace ?describe ~stats:t.stats ?injector:t.injector ()
+      ~trace:(Metrics.trace t.metrics) ?describe ~stats:(Metrics.stats t.metrics)
+      ?injector:t.injector ()
   in
   t.inflight_fns <- (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_fns;
   net
@@ -317,41 +282,6 @@ let make_batcher t net =
     :: t.inflight_fns;
   bat
 
-(* --- trace/metrics emission helpers (shared by the protocols) ------------- *)
-
-(* The txn begin/commit/abort helpers double as the span lifecycle hooks:
-   the four lazy protocols call each exactly once per client attempt. *)
-let trace_txn_begin t ~gid ~attempt ~site =
-  Span.begin_ t.spans ~gid ~site ~now:(Sim.now t.sim);
-  Span.link t.spans ~owner:attempt ~gid;
-  if Trace.on t.trace then Trace.record t.trace (Event.Txn_begin { gid; site })
-
-let trace_txn_commit t ~gid ~site =
-  Span.finish t.spans ~gid ~now:(Sim.now t.sim);
-  if Trace.on t.trace then Trace.record t.trace (Event.Txn_commit { gid; site })
-
-let trace_txn_abort t ~gid ~site reason =
-  Span.finish t.spans ~gid ~now:(Sim.now t.sim);
-  if Trace.on t.trace then
-    Trace.record t.trace (Event.Txn_abort { gid; site; reason = Repdb_txn.Txn.string_of_abort reason })
-
-(* --- span attribution ------------------------------------------------------ *)
-
-let span_add t ~owner phase dur = Span.add t.spans ~owner phase dur
-let span_think t ~site dur = Span.think t.spans ~site dur
-
-let trace_secondary_recv t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Secondary_recv { gid; site })
-
-let trace_secondary_commit t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Secondary_commit { gid; site })
-
-let trace_queue_depth t ~site ~queue ~depth =
-  if Trace.on t.trace then Trace.record t.trace (Event.Queue_depth { site; queue; depth })
-
-let trace_txn_deadline t ~gid ~site =
-  if Trace.on t.trace then Trace.record t.trace (Event.Txn_deadline { gid; site })
-
 (* --- per-transaction deadlines -------------------------------------------- *)
 
 let arm_deadline t =
@@ -368,86 +298,6 @@ let note_apply t ~site ~item =
 let staleness t ~site ~item =
   if Array.length t.apply_mtime > 0 then Sim.now t.sim -. t.apply_mtime.(site).(item)
   else Sim.now t.sim
-
-let record_stale_read t ~site ~item ~staleness =
-  Metrics.stale_read t.metrics ~staleness;
-  (match t.stale_ctr with Some c -> Stats.incr c ~site | None -> ());
-  if Trace.on t.trace then Trace.record t.trace (Event.Stale_read { site; item; staleness })
-
-(* --- replication-lag bookkeeping ------------------------------------------ *)
-
-(* Called by the lazy protocols at origin-commit time with the committed
-   write set: every site holding a replica of a written item will eventually
-   apply this transaction, so it gains one pending update. Counted once per
-   (transaction, site) via the scratch array. Maintained only when a
-   timeline is being sampled. *)
-let note_destined t ~items =
-  match t.timeline with
-  | None -> ()
-  | Some _ ->
-      List.iter
-        (fun item ->
-          Array.iter
-            (fun site ->
-              if not t.lag_seen.(site) then begin
-                t.lag_seen.(site) <- true;
-                t.lag_pending.(site) <- t.lag_pending.(site) + 1
-              end)
-            t.placement.Placement.replicas.(item))
-        items;
-      Array.iteri (fun s seen -> if seen then t.lag_seen.(s) <- false) t.lag_seen
-
-(* Record a replica update everywhere it is accounted: the aggregate metric,
-   the per-site registry, and (when on) the trace. *)
-let record_propagation t ~gid ~site ~delay =
-  Metrics.propagation t.metrics ~delay;
-  Stats.observe t.prop_hist ~site delay;
-  if t.timeline <> None then begin
-    if t.lag_pending.(site) > 0 then t.lag_pending.(site) <- t.lag_pending.(site) - 1;
-    let origin = Sim.now t.sim -. delay in
-    if origin > t.lag_applied.(site) then t.lag_applied.(site) <- origin
-  end;
-  if Trace.on t.trace then Trace.record t.trace (Event.Prop_apply { gid; site; delay })
-
-(* Replication lag of [site] right now: with updates pending, the age of the
-   newest applied origin commit (growing in real time while the backlog
-   persists, e.g. across a partition); 0 once caught up. *)
-let lag_of t site =
-  if t.lag_pending.(site) > 0 then Float.max 0.0 (Sim.now t.sim -. t.lag_applied.(site))
-  else 0.0
-
-let sample_timeline t =
-  match t.timeline with
-  | None -> ()
-  | Some tl ->
-      let m = t.params.n_sites in
-      let commits = Array.make m 0 and aborts = Array.make m 0 in
-      for s = 0 to m - 1 do
-        let c = Stats.counter_value t.commit_ctr ~site:s in
-        commits.(s) <- c - t.tl_commits_prev.(s);
-        t.tl_commits_prev.(s) <- c;
-        let a = Stats.counter_value t.abort_ctr ~site:s in
-        aborts.(s) <- a - t.tl_aborts_prev.(s);
-        t.tl_aborts_prev.(s) <- a
-      done;
-      Timeline.push tl
-        {
-          Timeline.r_time = Sim.now t.sim;
-          r_active = t.active_txns;
-          r_inflight =
-            List.fold_left (fun acc f -> acc + f (fun ~src:_ ~dst:_ -> true)) 0 t.inflight_fns;
-          r_commits = commits;
-          r_aborts = aborts;
-          r_lag = Array.init m (fun s -> lag_of t s);
-          r_pending = Array.copy t.lag_pending;
-          r_locks = Array.init m (fun s -> Lock_mgr.locks_held t.locks.(s));
-          r_waiters = Array.init m (fun s -> Lock_mgr.lock_waiters t.locks.(s));
-          r_phi =
-            (if not (Timeline.has_phi tl) then [||]
-             else match t.phi_fn with Some f -> f () | None -> Array.make m 0.0);
-        }
-
-let set_phi_fn t f = t.phi_fn <- Some f
 
 let maybe_wake t =
   if t.clients_running = 0 && t.outstanding = 0 then Condvar.broadcast t.quiesced
@@ -471,7 +321,6 @@ let client_started t = t.clients_running <- t.clients_running + 1
 let client_finished t =
   t.clients_running <- t.clients_running - 1;
   assert (t.clients_running >= 0);
-  Metrics.client_done t.metrics ~time:(Sim.now t.sim);
   maybe_wake t
 
 let quiescent t = t.clients_running = 0 && t.outstanding = 0
@@ -495,7 +344,7 @@ let await_site_up t site =
 let crash_site t ~site =
   t.site_up.(site) <- false;
   t.crashes <- t.crashes + 1;
-  if Trace.on t.trace then Trace.record t.trace (Event.Site_crash { site })
+  Metrics.emit t.metrics (Event.Site_crash { site })
 
 let recover_site t ~site ~downtime =
   let wal = t.wals.(site) in
@@ -527,7 +376,7 @@ let recover_site t ~site ~downtime =
   t.stores.(site) <- recovered;
   Wal.reattach wal recovered;
   t.site_up.(site) <- true;
-  if Trace.on t.trace then Trace.record t.trace (Event.Site_recover { site; downtime });
+  Metrics.emit t.metrics (Event.Site_recover { site; downtime });
   Condvar.broadcast t.up_cv.(site)
 
 (* --- epoch-switch drain accounting ------------------------------------------ *)
@@ -559,15 +408,10 @@ let corrupt_site t ~site ~prob ~clause =
         incr n
       end)
     (Placement.placed_at t.placement site);
-  if !n > 0 then begin
-    t.corrupt_items <- t.corrupt_items + !n;
-    match t.corrupt_ctr with Some ctr -> Stats.add ctr ~site !n | None -> ()
-  end;
+  (match t.corrupt_ctr with Some ctr when !n > 0 -> Stats.add ctr ~site !n | _ -> ());
   t.corruption_events <- t.corruption_events + 1;
-  if Trace.on t.trace then Trace.record t.trace (Event.Corrupt { site; items = !n })
+  Metrics.emit t.metrics (Event.Corrupt { site; items = !n })
 
-let corruption_count t = t.corruption_events
-let corrupt_items_total t = t.corrupt_items
 let clear_corrupt t ~site ~item = Hashtbl.remove t.corrupted (site, item)
 
 let schedule_faults t =
@@ -594,11 +438,9 @@ let schedule_faults t =
           let groups = Fault.string_of_groups p.groups in
           Sim.at t.sim p.from_t (fun () ->
               t.partitions <- t.partitions + 1;
-              if Trace.on t.trace then Trace.record t.trace (Event.Partition_begin { groups }));
+              Metrics.emit t.metrics (Event.Partition_begin { groups }));
           Sim.at t.sim p.until_t (fun () ->
-              if Trace.on t.trace then Trace.record t.trace (Event.Partition_heal { groups })))
+              Metrics.emit t.metrics (Event.Partition_heal { groups })))
         (Fault.schedule inj).partitions
 
-let crash_count t = t.crashes
-let partition_count t = t.partitions
-let profile_cat t name = Profile.cat t.profile name
+let profile_cat t name = Profile.cat (Sim.profile t.sim) name

@@ -70,7 +70,7 @@ let process t site (msg : msg) =
   Cluster.use_cpu c site c.params.cpu_msg;
   if msg.dummy then advance_site_ts t site msg
   else begin
-    Cluster.trace_secondary_recv c ~gid:msg.gid ~site;
+    Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
     let items = Routing.local_replicas c.placement site msg.writes in
     Exec.apply_secondary c ~gid:msg.gid ~site ~origin_commit:msg.origin_commit items;
     advance_site_ts t site msg;
@@ -144,7 +144,7 @@ let pipelined_applier t site =
     match min_head st with
     | Some (q, msg) ->
         ignore (Queue.pop q);
-        if not msg.dummy then Cluster.trace_secondary_recv c ~gid:msg.gid ~site;
+        if not msg.dummy then Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
         let ticket = st.tickets in
         st.tickets <- st.tickets + 1;
         let items =
@@ -191,8 +191,7 @@ let dummy_timer t site children =
       List.iter
         (fun child ->
           if Sim.now c.sim -. st.last_sent.(child) >= c.params.dummy_idle then begin
-            if Repdb_obs.Trace.on c.trace then
-              Repdb_obs.Trace.record c.trace (Repdb_obs.Event.Dummy_emit { src = site; dst = child });
+            Metrics.emit c.metrics (Repdb_obs.Event.Dummy_emit { src = site; dst = child });
             send t ~src:site ~dst:child
               { ts = st.ts; gid = 0; writes = []; dummy = true; origin_commit = Sim.now c.sim }
           end)
@@ -210,9 +209,8 @@ let epoch_timer t site =
     Sim.delay c.params.epoch_period;
     if not c.stopped then begin
       st.ts <- Timestamp.with_epoch st.ts (Timestamp.epoch st.ts + 1);
-      if Repdb_obs.Trace.on c.trace then
-        Repdb_obs.Trace.record c.trace
-          (Repdb_obs.Event.Epoch_advance { site; epoch = Timestamp.epoch st.ts });
+      Metrics.emit c.metrics
+        (Repdb_obs.Event.Epoch_advance { site; epoch = Timestamp.epoch st.ts });
       loop ()
     end
   in
@@ -258,7 +256,7 @@ let create_internal ~pipelined (c : Cluster.t) =
             match Hashtbl.find_opt st.queues src with
             | Some q ->
                 Queue.add msg q;
-                Cluster.trace_queue_depth c ~site
+                Metrics.queue_depth c.metrics ~site
                   ~queue:(Printf.sprintf "parent:%d" src)
                   ~depth:(Queue.length q);
                 Condvar.broadcast st.arrivals
@@ -283,11 +281,11 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
@@ -295,7 +293,7 @@ let submit t (spec : Txn.spec) =
          apply, release, bump the local counter, stamp the transaction and
          schedule the secondaries at the relevant children. *)
       Exec.commit_local c ~gid ~attempt ~site writes;
-      Cluster.note_destined c ~items:writes;
+      Metrics.destined c.metrics c.placement ~items:writes;
       let st = t.states.(site) in
       st.lts <- st.lts + 1;
       st.ts <- Timestamp.bump_own st.ts t.rank.(site);

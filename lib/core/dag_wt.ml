@@ -67,8 +67,8 @@ let applier t site =
        it so tests can assert commit order. *)
     List.iter
       (fun (msg : msg) ->
-        Cluster.trace_secondary_recv t.c ~gid:msg.gid ~site;
-        Cluster.trace_queue_depth t.c ~site ~queue:"fifo" ~depth:(Mailbox.length inbox);
+        Metrics.secondary_recv t.c.metrics ~gid:msg.gid ~site;
+        Metrics.queue_depth t.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox);
         process_secondary t site msg)
       batch;
     loop ()
@@ -134,17 +134,17 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
       (* Atomic commit section: apply, release, forward. *)
       Exec.commit_local c ~gid ~attempt ~site writes;
-      Cluster.note_destined c ~items:writes;
+      Metrics.destined c.metrics c.placement ~items:writes;
       let msg = { gid; writes; origin_commit = Sim.now c.sim; epoch = Epoch.current c } in
       let sent = if writes = [] then 0 else forward t site msg in
       if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg);

@@ -39,9 +39,6 @@ type report = {
 
 let client (c : Cluster.t) submit gen rng retry_rng ~site =
   let p = c.params in
-  let commit_ctr = Stats.counter c.stats "txn.commit"
-  and abort_ctr = Stats.counter c.stats "txn.abort"
-  and response_hist = Stats.histogram c.stats "response" in
   for _ = 1 to p.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
@@ -67,17 +64,10 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
       Cluster.arm_deadline c;
       let outcome = submit !spec in
       Cluster.txn_finished c;
+      Metrics.outcome c.metrics ~site ~response:(Sim.now c.sim -. start) outcome;
       match outcome with
-      | Txn.Committed ->
-          let response = Sim.now c.sim -. start in
-          Metrics.commit c.metrics ~site ~response;
-          Metrics.timeline_commit c.metrics ~at:(Sim.now c.sim);
-          Stats.incr commit_ctr ~site;
-          Stats.observe response_hist ~site response
-      | Txn.Aborted reason -> (
-          Metrics.abort c.metrics ~site reason;
-          Metrics.timeline_abort c.metrics ~at:(Sim.now c.sim);
-          Stats.incr abort_ctr ~site;
+      | Txn.Committed -> ()
+      | Txn.Aborted _ -> (
           match p.retry with
           | Params.No_retry -> ()
           | Params.Backoff { base; multiplier; cap; max_retries } ->
@@ -89,12 +79,13 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
                    stream so retries never perturb the workload draws. *)
                 let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
                 Sim.delay think;
-                Cluster.span_think c ~site think;
+                Metrics.think c.metrics ~site think;
                 attempt (n_failed + 1)
               end)
     in
     attempt 0
   done;
+  Metrics.client_done c.metrics ~time:(Sim.now c.sim);
   Cluster.client_finished c
 
 let run_on (c : Cluster.t) (module P : Protocol.S) =
@@ -131,7 +122,8 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   (* The timeline ticker: samples every [timeline_every] ms of simulated
      time and stops rescheduling once the run is quiescent, so it never
      keeps the drain phase alive. *)
-  (match c.timeline with
+  let timeline = Metrics.timeline c.metrics in
+  (match timeline with
   | None -> ()
   | Some tl ->
       Timeline.set_meta tl [ ("protocol", P.name); ("seed", string_of_int p.seed) ];
@@ -139,7 +131,10 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       let cat_tick = Cluster.profile_cat c "timeline" in
       let rec tick at =
         Sim.at ~cat:cat_tick c.sim at (fun () ->
-            Cluster.sample_timeline c;
+            Metrics.sample c.metrics ~active:c.active_txns
+              ~inflight:
+                (List.fold_left (fun acc f -> acc + f (fun ~src:_ ~dst:_ -> true)) 0 c.inflight_fns)
+              ~locks:c.locks;
             if not c.stopped then tick (at +. every))
       in
       tick 0.0);
@@ -167,10 +162,10 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       Heal_exec.final_sweep h;
       Sim.run c.sim);
   let heal_summary = Option.map Heal_exec.summary healer in
-  let summary = Metrics.summarize c.metrics ~n_sites:p.n_sites ~messages:c.messages in
+  let summary = Metrics.summary c.metrics in
   (* Fold the end-of-run breakdown into the timeline metadata so `repdb
      report` can render it from the CSV alone. *)
-  (match c.timeline with
+  (match timeline with
   | None -> ()
   | Some tl ->
       let aborts =
@@ -198,20 +193,9 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
             ]
       in
       Timeline.set_meta tl (Timeline.meta tl @ aborts @ heal_meta));
-  let lock_stats =
-    Array.fold_left
-      (fun (acc : Lock_mgr.stats) lm ->
-        let s = Lock_mgr.stats lm in
-        {
-          Lock_mgr.acquires = acc.acquires + s.acquires;
-          waits = acc.waits + s.waits;
-          timeouts = acc.timeouts + s.timeouts;
-          deadlock_aborts = acc.deadlock_aborts + s.deadlock_aborts;
-        })
-      { Lock_mgr.acquires = 0; waits = 0; timeouts = 0; deadlock_aborts = 0 }
-      c.locks
-  in
   let reconfigs, state_transfers, reconfig_stall = Epoch.totals c in
+  let stats = Metrics.stats c.metrics in
+  let total = Stats.total stats in
   {
     protocol = P.name;
     params = p;
@@ -222,21 +206,26 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     copy_graph_edges = Repdb_graph.Digraph.n_edges (Placement.copy_graph c.placement);
     n_backedges = List.length (Placement.backedges c.placement);
     n_replicas = Placement.n_replicas c.placement;
-    lock_stats;
+    lock_stats =
+      {
+        acquires = total "lock.acq";
+        waits = total "lock.wait";
+        timeouts = total "lock.tmo";
+        deadlock_aborts = total "lock.ddl";
+      };
     sim_events = Sim.events_executed c.sim;
     sim_time = Sim.now c.sim;
-    trace = c.trace;
-    site_stats = c.stats;
-    crashes = Cluster.crash_count c;
-    msg_drops =
-      (if Cluster.faulty c then Stats.counter_total (Stats.counter c.stats "msg.drop") else 0);
-    partitions = Cluster.partition_count c;
+    trace = Metrics.trace c.metrics;
+    site_stats = stats;
+    crashes = c.crashes;
+    msg_drops = total "msg.drop";
+    partitions = c.partitions;
     reconfigs;
     state_transfers;
     reconfig_stall;
     heal = heal_summary;
-    timeline = c.timeline;
-    profile = c.profile;
+    timeline;
+    profile = Sim.profile c.sim;
   }
 
 let run ?placement ?trace ?trace_capacity params protocol =

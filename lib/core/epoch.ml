@@ -9,7 +9,6 @@ module Placement = Repdb_workload.Placement
 module Generator = Repdb_workload.Generator
 module Reconfig = Repdb_reconfig.Reconfig
 module Stats = Repdb_obs.Stats
-module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
 
 type drain = Strong | Weak
@@ -151,8 +150,7 @@ let receive_server t site =
     Cluster.use_cpu c site c.params.cpu_msg;
     Store.install c.stores.(site) x.item x.value;
     c.epoch.state_transfers <- c.epoch.state_transfers + 1;
-    if Trace.on c.trace then
-      Trace.record c.trace (Event.State_transfer { item = x.item; src; dst = site });
+    Metrics.emit c.metrics (Event.State_transfer { item = x.item; src; dst = site });
     Cluster.dec_outstanding c;
     loop ()
   in
@@ -161,15 +159,13 @@ let receive_server t site =
 let execute_step t (ts : Reconfig.timed) =
   let c = t.c and e = t.c.epoch in
   let t0 = Sim.now c.sim in
-  if Trace.on c.trace then Trace.record c.trace (Event.Reconfig_begin { epoch = e.config_epoch });
+  Metrics.emit c.metrics (Event.Reconfig_begin { epoch = e.config_epoch });
   ignore (switch t Strong (fun pl -> Some (Placement.apply_step pl ts.step)));
   e.reconfigs <- e.reconfigs + 1;
   let duration = Sim.now c.sim -. t0 in
   (match e.switch_hist with Some h -> Stats.observe h ~site:0 duration | None -> ());
-  if Trace.on c.trace then begin
-    Trace.record c.trace (Event.Reconfig_switch { epoch = e.config_epoch; duration });
-    Trace.record c.trace (Event.Reconfig_done { epoch = e.config_epoch; duration })
-  end
+  Metrics.emit c.metrics (Event.Reconfig_switch { epoch = e.config_epoch; duration });
+  Metrics.emit c.metrics (Event.Reconfig_done { epoch = e.config_epoch; duration })
 
 let schedule (c : Cluster.t) ~reconfigure ~gen =
   let plan = c.params.reconfig in

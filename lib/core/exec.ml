@@ -55,14 +55,14 @@ let commit_cost ?owner (c : Cluster.t) ~site =
   | Some owner ->
       let t0 = Sim.now c.sim in
       Cluster.use_cpu c site c.params.cpu_commit;
-      Cluster.span_add c ~owner Repdb_obs.Span.Commit (Sim.now c.sim -. t0)
+      Metrics.span c.metrics ~owner Repdb_obs.Span.Commit (Sim.now c.sim -. t0)
 
 let release (c : Cluster.t) ~attempt ~site = Lock_mgr.release_all c.locks.(site) ~owner:attempt
 
 let commit_local c ~gid ~attempt ~site writes =
   commit_cost ~owner:attempt c ~site;
   apply_writes c ~gid ~site writes;
-  Cluster.trace_txn_commit c ~gid ~site;
+  Metrics.txn_commit c.metrics ~gid ~site;
   release c ~attempt ~site
 
 let abort_local (c : Cluster.t) ~attempt ~site =
@@ -82,9 +82,9 @@ let rec lock_secondary ?(on_retry = ignore) c ~gid ~site items =
 
 let commit_secondary (c : Cluster.t) ~gid ~attempt ~site ~origin_commit items =
   apply_writes c ~gid ~site items;
-  Cluster.trace_secondary_commit c ~gid ~site;
+  Metrics.secondary_commit c.metrics ~gid ~site;
   release c ~attempt ~site;
-  Cluster.record_propagation c ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
+  Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
 
 let apply_secondary ?on_retry c ~gid ~site ~origin_commit items =
   if items <> [] then begin
@@ -96,7 +96,7 @@ let apply_secondary ?on_retry c ~gid ~site ~origin_commit items =
 (* The destination set stays a [Hashtbl] iterated in bucket order: sends made
    at one simulated instant are ordered by it, and so is every later event. *)
 let fan_out (c : Cluster.t) ~site items send =
-  Cluster.note_destined c ~items;
+  Metrics.destined c.metrics c.placement ~items;
   let dests = Hashtbl.create 4 in
   List.iter
     (fun item ->
@@ -159,7 +159,7 @@ let install_versions ?on_install ?only (c : Cluster.t) ~gid ~site ~commit_ts vwr
 let commit_versioned ?on_install (c : Cluster.t) net ~site ~gid ~commit_ts vwrites =
   Cluster.use_cpu c site c.params.cpu_commit;
   if vwrites <> [] then install_versions ?on_install c ~gid ~site ~commit_ts vwrites;
-  Cluster.trace_txn_commit c ~gid ~site;
+  Metrics.txn_commit c.metrics ~gid ~site;
   if vwrites <> [] then begin
     let now = Sim.now c.sim in
     propagate c ~site (List.map fst vwrites) (fun dst ->
@@ -184,8 +184,8 @@ let versioned_applier ?on_install (c : Cluster.t) net site =
     if local <> [] then begin
       install_versions ?on_install ~only:local c ~gid:u.u_gid ~site ~commit_ts:u.u_commit_ts
         u.u_writes;
-      Cluster.trace_secondary_commit c ~gid:u.u_gid ~site;
-      Cluster.record_propagation c ~gid:u.u_gid ~site ~delay:(Sim.now c.sim -. u.u_origin_commit)
+      Metrics.secondary_commit c.metrics ~gid:u.u_gid ~site;
+      Metrics.propagation c.metrics ~gid:u.u_gid ~site ~delay:(Sim.now c.sim -. u.u_origin_commit)
     end;
     Cluster.dec_outstanding c;
     loop ()

@@ -44,7 +44,7 @@ val apply_writes : Cluster.t -> gid:int -> site:int -> int list -> unit
 
 (** [commit_cost ?owner c ~site] — charge [cpu_commit] (blocking). Call
     {e before} the atomic commit section. When [owner] (a client attempt id
-    previously linked by {!Cluster.trace_txn_begin}) is given, the charged time
+    previously linked by {!Metrics.txn_begin}) is given, the charged time
     is attributed to that transaction's commit phase span. *)
 val commit_cost : ?owner:int -> Cluster.t -> site:int -> unit
 
@@ -70,7 +70,7 @@ val lock_secondary :
   ?on_retry:(unit -> unit) -> Cluster.t -> gid:int -> site:int -> int list -> int
 
 (** [commit_secondary c ~gid ~attempt ~site ~origin_commit items] — apply the
-    writes, release the locks and {!Cluster.record_propagation} the delay
+    writes, release the locks and {!Metrics.propagation} the delay
     since [origin_commit]. Never blocks. *)
 val commit_secondary :
   Cluster.t -> gid:int -> attempt:int -> site:int -> origin_commit:float -> int list -> unit
@@ -91,7 +91,7 @@ val apply_secondary :
 
 (** {1 Direct fan-out} *)
 
-(** [fan_out c ~site items send] — {!Cluster.note_destined} [items], call
+(** [fan_out c ~site items send] — {!Metrics.destined} [items], call
     [send dst] for each site other than [site] holding a replica of some
     item, and return the number of destinations. *)
 val fan_out : Cluster.t -> site:int -> int list -> (int -> unit) -> int

@@ -109,17 +109,8 @@ type t = {
   repair_ctr : Stats.counter;
   mttr_hist : Stats.histogram;
   failover_hist : Stats.histogram;
-  mutable suspicions : int;
   mutable false_suspicions : int;
-  mutable failovers : int;
   mutable promoted_items : int;
-  mutable rejoins : int;
-  mutable repair_sessions : int;
-  mutable repaired_items : int;
-  mutable mttr_sum : float;
-  mutable mttr_max : float;
-  mutable mttr_n : int;
-  mutable failover_sum : float;
 }
 
 (* --- Per-site control-plane handler --------------------------------------- *)
@@ -154,8 +145,7 @@ let handler t site ~src msg =
         Store.install c.stores.(site) item value;
         Cluster.clear_corrupt c ~site ~item;
         Stats.incr t.repair_ctr ~site;
-        t.repaired_items <- t.repaired_items + 1;
-        if Trace.on c.trace then Trace.record c.trace (Event.Repair_item { item; src; dst = site })
+        Metrics.emit c.metrics (Event.Repair_item { item; src; dst = site })
       end
 
 (* --- Repair sessions ------------------------------------------------------ *)
@@ -241,15 +231,14 @@ let run_session ?(force = false) t ~primary ~holder =
       match Digest_tree.narrow ~fanout:4 ~leaf:8 ~equal_digest ~check_items items with
       | exception Session_timeout -> None
       | mismatched ->
-          t.repair_sessions <- t.repair_sessions + 1;
           Stats.incr t.session_ctr ~site:holder;
           List.iter
             (fun item ->
               Network.send t.net ~src:primary ~dst:holder
                 (Repair { item; value = Store.read store item }))
             mismatched;
-          if mismatched <> [] && Trace.on c.trace then
-            Trace.record c.trace
+          if mismatched <> [] then
+            Metrics.emit c.metrics
               (Event.Repair_session { primary; holder; mismatched = List.length mismatched });
           Some (List.length mismatched)
     end
@@ -366,8 +355,7 @@ let failover t ~dead =
     let valid = (not c.stopped) && t.suspected.(dead) in
     if valid then begin
       t0 := Sim.now c.sim;
-      if Trace.on c.trace then
-        Trace.record c.trace (Event.Failover_begin { site = dead; epoch = Epoch.current c + 1 })
+      Metrics.emit c.metrics (Event.Failover_begin { site = dead; epoch = Epoch.current c + 1 })
     end;
     valid
   in
@@ -380,15 +368,11 @@ let failover t ~dead =
     let duration = Sim.now c.sim -. !t0 in
     (* A switch whose promotion declined moved no primary: not a failover. *)
     if !promoted > 0 then begin
-      t.failovers <- t.failovers + 1;
       t.promoted_items <- t.promoted_items + !promoted;
-      Stats.observe t.failover_hist ~site:dead duration;
-      t.failover_sum <- t.failover_sum +. duration
+      Stats.observe t.failover_hist ~site:dead duration
     end;
-    if Trace.on c.trace then
-      Trace.record c.trace
-        (Event.Failover_done
-           { site = dead; epoch = Epoch.current c; duration; promoted = !promoted })
+    Metrics.emit c.metrics
+      (Event.Failover_done { site = dead; epoch = Epoch.current c; duration; promoted = !promoted })
   end
 
 (* --- Rejoin --------------------------------------------------------------- *)
@@ -406,13 +390,8 @@ let rejoin t ~site ~since =
       | Some n -> repaired := !repaired + n
       | None -> ()
   done;
-  t.rejoins <- t.rejoins + 1;
-  let mttr = Sim.now c.sim -. since in
-  t.mttr_sum <- t.mttr_sum +. mttr;
-  t.mttr_max <- Float.max t.mttr_max mttr;
-  t.mttr_n <- t.mttr_n + 1;
-  Stats.observe t.mttr_hist ~site mttr;
-  if Trace.on c.trace then Trace.record c.trace (Event.Rejoin { site; repaired = !repaired })
+  Stats.observe t.mttr_hist ~site (Sim.now c.sim -. since);
+  Metrics.emit c.metrics (Event.Rejoin { site; repaired = !repaired })
 
 (* --- Background fibers ---------------------------------------------------- *)
 
@@ -477,18 +456,17 @@ let start_poller t =
               if (not t.suspected.(s)) && !obs > 0 && !over >= majority then begin
                 t.suspected.(s) <- true;
                 t.suspect_since.(s) <- now;
-                t.suspicions <- t.suspicions + 1;
                 if Cluster.site_up c s then t.false_suspicions <- t.false_suspicions + 1;
                 Stats.incr t.suspect_ctr ~site:s;
-                if Trace.on c.trace then
-                  Trace.record c.trace (Event.Suspect { site = s; phi = (phi_snapshot t ()).(s) });
+                if Trace.on (Metrics.trace c.metrics) then
+                  Metrics.emit c.metrics
+                    (Event.Suspect { site = s; phi = (phi_snapshot t ()).(s) });
                 Sim.spawn ~cat:t.cat c.sim (fun () -> failover t ~dead:s)
               end
               else if t.suspected.(s) && !over < majority then begin
                 t.suspected.(s) <- false;
                 let since = t.suspect_since.(s) in
-                if Trace.on c.trace then
-                  Trace.record c.trace (Event.Unsuspect { site = s; downtime = now -. since });
+                Metrics.emit c.metrics (Event.Unsuspect { site = s; downtime = now -. since });
                 Sim.spawn ~cat:t.cat c.sim (fun () -> rejoin t ~site:s ~since)
               end
             done;
@@ -538,7 +516,7 @@ let schedule (c : Cluster.t) epoch =
     Array.init m (fun _ ->
         Array.init m (fun _ -> Detector.create ~hb_every:p.heartbeat_every ~now ()))
   in
-  let stats = c.stats in
+  let stats = Metrics.stats c.metrics in
   let t =
     {
       c;
@@ -559,23 +537,14 @@ let schedule (c : Cluster.t) epoch =
       repair_ctr = Stats.counter stats "repair.items";
       mttr_hist = Stats.histogram stats "heal.mttr";
       failover_hist = Stats.histogram stats "heal.failover";
-      suspicions = 0;
       false_suspicions = 0;
-      failovers = 0;
       promoted_items = 0;
-      rejoins = 0;
-      repair_sessions = 0;
-      repaired_items = 0;
-      mttr_sum = 0.0;
-      mttr_max = 0.0;
-      mttr_n = 0;
-      failover_sum = 0.0;
     }
   in
   for site = 0 to m - 1 do
     Network.set_handler net site (handler t site)
   done;
-  Cluster.set_phi_fn c (phi_snapshot t);
+  Metrics.set_phi c.metrics (phi_snapshot t);
   start_heartbeats t;
   start_poller t;
   start_anti_entropy t;
@@ -592,24 +561,27 @@ let final_sweep t =
         done
       done)
 
+(* Every count and sum is read from the registry; only the false-suspicion
+   and promotion totals have no Stats entry. *)
 let summary t : summary =
   let c = t.c in
+  let total = function Some ctr -> Stats.counter_total ctr | None -> 0 in
+  let all = -1 in
   {
-    suspicions = t.suspicions;
+    suspicions = Stats.counter_total t.suspect_ctr;
     false_suspicions = t.false_suspicions;
-    failovers = t.failovers;
+    failovers = Stats.histogram_count t.failover_hist ~site:all;
     promoted_items = t.promoted_items;
-    rejoins = t.rejoins;
-    repair_sessions = t.repair_sessions;
-    repaired_items = t.repaired_items;
+    rejoins = Stats.histogram_count t.mttr_hist ~site:all;
+    repair_sessions = Stats.counter_total t.session_ctr;
+    repaired_items = Stats.counter_total t.repair_ctr;
     incidents_open = Array.fold_left (fun n s -> if s then n + 1 else n) 0 t.suspected;
-    mttr_mean = (if t.mttr_n = 0 then 0.0 else t.mttr_sum /. float_of_int t.mttr_n);
-    mttr_max = t.mttr_max;
-    failover_mean =
-      (if t.failovers = 0 then 0.0 else t.failover_sum /. float_of_int t.failovers);
-    stale_drops = Stats.counter_total (Stats.counter c.stats "heal.stale_drop");
-    corruption_events = Cluster.corruption_count c;
-    corrupt_items = Cluster.corrupt_items_total c;
+    mttr_mean = Stats.histogram_mean t.mttr_hist ~site:all;
+    mttr_max = Stats.histogram_max t.mttr_hist ~site:all;
+    failover_mean = Stats.histogram_mean t.failover_hist ~site:all;
+    stale_drops = total c.epoch.stale_drop_ctr;
+    corruption_events = c.corruption_events;
+    corrupt_items = total c.corrupt_ctr;
   }
 
 let pp_summary ppf (s : summary) =

@@ -101,7 +101,7 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = gid in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   let remote_sites = Hashtbl.create 4 in
   let cleanup_remote () =
     Hashtbl.iter
@@ -130,7 +130,7 @@ let submit t (spec : Txn.spec) =
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
       cleanup_remote ();
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
@@ -144,8 +144,9 @@ let submit t (spec : Txn.spec) =
              ignore
                (rpc ~batched:true t ~site ~dst (fun resume ->
                     Push { gid; writes; origin_commit; reply = (fun () -> resume true) }))));
-      Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. origin_commit);
-      Cluster.trace_txn_commit c ~gid ~site;
+      Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait
+        (Sim.now c.sim -. origin_commit);
+      Metrics.txn_commit c.metrics ~gid ~site;
       Exec.release c ~attempt ~site;
       cleanup_remote ();
       Txn.Committed

@@ -20,11 +20,11 @@ let submit t (spec : Txn.spec) =
   let site = spec.origin in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in

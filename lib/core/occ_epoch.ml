@@ -154,7 +154,7 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   (* Optimistic local execution: no locks. Reads capture the version
      observed (the validation evidence), writes are buffered. *)
   let reads = ref [] in
@@ -172,11 +172,11 @@ let submit t (spec : Txn.spec) =
   let writes = List.sort_uniq compare (Txn.writes spec) in
   let abort reason =
     History.discard_attempt c.history ~attempt;
-    Cluster.trace_txn_abort c ~gid ~site reason;
+    Metrics.txn_abort c.metrics ~gid ~site reason;
     Txn.Aborted reason
   in
   if Sim.now c.sim >= deadline_at then begin
-    Cluster.trace_txn_deadline c ~gid ~site;
+    Metrics.deadline c.metrics ~gid ~site;
     abort Txn.Deadline_exceeded
   end
   else if
@@ -197,12 +197,12 @@ let submit t (spec : Txn.spec) =
                 t.queues.(site) := List.filter (fun p -> p.gid <> gid) !(t.queues.(site));
                 resume `Deadline))
     in
-    Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
+    Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
     match outcome with
     | `Committed -> Txn.Committed
     | `Validation_failed -> abort Txn.Validation_failed
     | `Deadline ->
-        Cluster.trace_txn_deadline c ~gid ~site;
+        Metrics.deadline c.metrics ~gid ~site;
         abort Txn.Deadline_exceeded
   end
 

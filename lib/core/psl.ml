@@ -95,7 +95,7 @@ let submit t (spec : Txn.spec) =
      remote primaries record history under it directly. *)
   let gid = Cluster.fresh_gid c in
   let attempt = gid in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   let remote_sites = Hashtbl.create 4 in
   let cleanup_remote () =
     Hashtbl.iter
@@ -121,7 +121,7 @@ let submit t (spec : Txn.spec) =
                history record). *)
             Cluster.use_cpu c site c.params.cpu_op;
             ignore (Store.read c.stores.(site) item);
-            Cluster.record_stale_read c ~site ~item ~staleness;
+            Metrics.stale_read c.metrics ~site ~item ~staleness;
             run rest
         | _ -> (
             Hashtbl.replace remote_sites primary ();
@@ -129,14 +129,14 @@ let submit t (spec : Txn.spec) =
                lock-grant latency shows up at the reader. *)
             let t0 = Sim.now c.sim in
             let reply = remote_read t ~site ~primary ~item ~owner:attempt ~deadline_at in
-            Cluster.span_add c ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. t0);
+            Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. t0);
             match reply with
             | `Granted ->
                 Cluster.use_cpu c site c.params.cpu_msg;
                 run rest
             | `Denied -> Error Txn.Remote_denied
             | `Deadline ->
-                Cluster.trace_txn_deadline c ~gid ~site;
+                Metrics.deadline c.metrics ~gid ~site;
                 Error Txn.Deadline_exceeded))
     | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
   in
@@ -144,7 +144,7 @@ let submit t (spec : Txn.spec) =
   | Error reason ->
       Exec.abort_local c ~attempt ~site;
       cleanup_remote ();
-      Cluster.trace_txn_abort c ~gid ~site reason;
+      Metrics.txn_abort c.metrics ~gid ~site reason;
       Txn.Aborted reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in

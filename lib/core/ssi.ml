@@ -164,7 +164,7 @@ let submit t (spec : Txn.spec) =
   let deadline_at = Cluster.deadline_at c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
-  Cluster.trace_txn_begin c ~gid ~attempt ~site;
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
   let begin_ts = Sim.now c.sim in
   (* Register with the certifier's GC window. Modelled as piggybacked
      metadata (no message): it only bounds what the tracker may forget. *)
@@ -175,7 +175,7 @@ let submit t (spec : Txn.spec) =
   let abort reason =
     Tracker.forget t.tracker ~gid;
     History.discard_attempt c.history ~attempt;
-    Cluster.trace_txn_abort c ~gid ~site reason;
+    Metrics.txn_abort c.metrics ~gid ~site reason;
     Txn.Aborted reason
   in
   let rec run reads = function
@@ -192,7 +192,7 @@ let submit t (spec : Txn.spec) =
         | None -> (
             let t0 = Sim.now c.sim in
             let r = remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at in
-            Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
+            Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
             match r with
             | `Got v -> run ((item, v) :: reads) rest
             | `Exhausted ->
@@ -200,7 +200,7 @@ let submit t (spec : Txn.spec) =
                 Error Txn.Validation_failed
             | `Unreachable -> Error Txn.Partitioned
             | `Deadline ->
-                Cluster.trace_txn_deadline c ~gid ~site;
+                Metrics.deadline c.metrics ~gid ~site;
                 Error Txn.Deadline_exceeded))
   in
   match run [] spec.ops with
@@ -209,7 +209,7 @@ let submit t (spec : Txn.spec) =
       let writes = List.sort_uniq compare (Txn.writes spec) in
       let txn = { Tracker.gid; begin_ts; reads; writes } in
       if Sim.now c.sim >= deadline_at then begin
-        Cluster.trace_txn_deadline c ~gid ~site;
+        Metrics.deadline c.metrics ~gid ~site;
         abort Txn.Deadline_exceeded
       end
       else if
@@ -236,7 +236,7 @@ let submit t (spec : Txn.spec) =
                   (Certify { txn; reply = (fun v -> resume (`Verdict v)) }))
           end
         in
-        Cluster.span_add c ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
+        Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
         match verdict with
         | `Verdict (Tracker.Commit _) -> Txn.Committed
         | `Verdict (Tracker.Abort cause) ->
@@ -247,15 +247,15 @@ let submit t (spec : Txn.spec) =
               | Tracker.Dangerous -> Txn.Dangerous_structure
             in
             History.discard_attempt c.history ~attempt;
-            Cluster.trace_txn_abort c ~gid ~site reason;
+            Metrics.txn_abort c.metrics ~gid ~site reason;
             Txn.Aborted reason
         | `Deadline ->
             (* The certifier will still process the request; it deregisters
                the gid and a certified winner applies server-side. Only the
                client-side reads are withdrawn. *)
-            Cluster.trace_txn_deadline c ~gid ~site;
+            Metrics.deadline c.metrics ~gid ~site;
             History.discard_attempt c.history ~attempt;
-            Cluster.trace_txn_abort c ~gid ~site Txn.Deadline_exceeded;
+            Metrics.txn_abort c.metrics ~gid ~site Txn.Deadline_exceeded;
             Txn.Aborted Txn.Deadline_exceeded
       end)
 

@@ -14,14 +14,12 @@ type 'a t = {
   delays : float array array;
   mutable targets : 'a target array;
   mutable sent : int;
-  mutable delivered : int;
   mutable dropped : int;
   cat : int; (* profiler category for delivery events *)
   arity : 'a -> int;
       (* Logical updates carried by one physical message. Always 1 except on
          batched nets, where counters track updates rather than envelopes so
          the message metrics stay comparable across batch sizes. *)
-  on_send : int -> unit;
   trace : Trace.t;
   describe : ('a -> string * int) option;
   sent_ctr : Stats.counter option;
@@ -38,8 +36,8 @@ type 'a t = {
          to preserve the FIFO-channel guarantee. *)
 }
 
-let create ~sim ~n_sites ~latency ?(arity = fun _ -> 1) ?(on_send = fun _ -> ())
-    ?(trace = Trace.disabled) ?describe ?stats ?injector () =
+let create ~sim ~n_sites ~latency ?(arity = fun _ -> 1) ?(trace = Trace.disabled) ?describe
+    ?stats ?injector () =
   if n_sites < 1 then invalid_arg "Network.create: need at least one site";
   let delays =
     Array.init n_sites (fun src ->
@@ -54,11 +52,9 @@ let create ~sim ~n_sites ~latency ?(arity = fun _ -> 1) ?(on_send = fun _ -> ())
     delays;
     targets = Array.init n_sites (fun _ -> Inbox (Mailbox.create ()));
     sent = 0;
-    delivered = 0;
     dropped = 0;
     cat = Profile.cat (Sim.profile sim) "net";
     arity;
-    on_send;
     trace;
     describe;
     sent_ctr = Option.map (fun s -> Stats.counter s "msg.sent") stats;
@@ -93,10 +89,8 @@ let send t ~src ~dst msg =
   t.sent <- t.sent + units;
   let pair = (src * t.n) + dst in
   t.inflight_pair.(pair) <- t.inflight_pair.(pair) + units;
-  t.on_send units;
   (match t.sent_ctr with Some c -> Stats.add c ~site:src units | None -> ());
   let deliver () =
-    t.delivered <- t.delivered + units;
     t.inflight_pair.(pair) <- t.inflight_pair.(pair) - units;
     (match t.recv_ctr with Some c -> Stats.add c ~site:dst units | None -> ());
     match t.targets.(dst) with
@@ -152,21 +146,10 @@ let set_handler t dst f =
   t.targets.(dst) <- Handler f
 
 let messages_sent t = t.sent
-let messages_delivered t = t.delivered
 
 (* Messages accepted by [send] whose delivery event has not yet run. Counts
    one per message regardless of retransmissions (drops are re-sent by the
    acked link until the single delivery fires). *)
-let in_flight t = t.sent - t.delivered
-
-let in_flight_to t dst =
-  check t dst;
-  let acc = ref 0 in
-  for src = 0 to t.n - 1 do
-    acc := !acc + t.inflight_pair.((src * t.n) + dst)
-  done;
-  !acc
-
 let in_flight_matching t ~f =
   let acc = ref 0 in
   for src = 0 to t.n - 1 do
@@ -176,10 +159,6 @@ let in_flight_matching t ~f =
     done
   done;
   !acc
-
-let inbox_depth t dst =
-  check t dst;
-  match t.targets.(dst) with Inbox mb -> Mailbox.length mb | Handler _ -> 0
 
 let latency t ~src ~dst =
   check t src;

@@ -16,8 +16,7 @@ type 'a t
 
 (** [create ~sim ~n_sites ~latency ()] — [latency src dst] gives the one-way
     delay in ms for that ordered pair; it is sampled once per pair at
-    creation. [on_send] is invoked synchronously for every {!send} with the
-    message's logical arity (used for cluster-wide message accounting).
+    creation.
 
     [arity] gives the number of logical updates one physical message carries
     (default: 1). Batched nets pass the batch length so that the sent /
@@ -42,7 +41,6 @@ val create :
   n_sites:int ->
   latency:(int -> int -> float) ->
   ?arity:('a -> int) ->
-  ?on_send:(int -> unit) ->
   ?trace:Repdb_obs.Trace.t ->
   ?describe:('a -> string * int) ->
   ?stats:Repdb_obs.Stats.t ->
@@ -74,28 +72,15 @@ val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 (** Total logical messages sent so far (physical sends weighted by [arity]). *)
 val messages_sent : 'a t -> int
 
-(** Total logical messages whose delivery event has run. *)
-val messages_delivered : 'a t -> int
-
-(** Logical messages sent but not yet delivered — counted once per update
-    regardless of how many faulty transmission attempts it took. *)
-val in_flight : 'a t -> int
-
-(** [in_flight_to t dst] — the subset of {!in_flight} destined for [dst].
-    @raise Invalid_argument on an out-of-range site. *)
-val in_flight_to : 'a t -> int -> int
-
-(** [in_flight_matching t ~f] — logical in-flight messages on ordered pairs
-    selected by [f ~src ~dst]. The healer's failover drain waits for
-    [in_flight - in_flight_matching ~f:parked] to reach zero, where [parked]
+(** [in_flight_matching t ~f] — logical messages sent but not yet delivered
+    on ordered pairs selected by [f ~src ~dst], counted once per update
+    regardless of how many faulty transmission attempts it took. The
+    healer's failover drain waits for everything except the [parked] pairs
+    to reach zero, where [parked]
     selects pairs with a down endpoint or an active partition between them:
     traffic parked behind a crashed site must not stall the epoch switch for
     the whole downtime. *)
 val in_flight_matching : 'a t -> f:(src:int -> dst:int -> bool) -> int
-
-(** Undrained messages in [dst]'s inbox mailbox (0 for handler targets,
-    which consume at delivery time). *)
-val inbox_depth : 'a t -> int -> int
 
 (** Total dropped transmission attempts so far (0 without an injector; a
     single message may account for several). *)

@@ -3,7 +3,7 @@
     Each client transaction attempt is decomposed into lock wait,
     execution, propagation/backedge wait, and commit phases; client think
     time (retry backoff) is tracked separately. Phases are accumulated on
-    an open record keyed by the attempt's gid, opened at [trace_txn_begin]
+    an open record keyed by the attempt's gid, opened at [Metrics.txn_begin]
     time and closed at commit/abort, where the phase durations are fed
     into per-site [Stats] histograms ([span.lock], [span.exec],
     [span.prop], [span.commit], [span.think]) and — when tracing — emitted

@@ -5,6 +5,11 @@ type histogram = {
   bounds : float array; (* strictly increasing upper bounds *)
   counts : int array array; (* site -> bucket (last = overflow) *)
   sums : float array; (* per site *)
+  total : float array;
+      (* One element: all sites, summed in observation order, so means derived
+         from it are bit-identical to a single running sum, unlike a fold of
+         [sums]. A flat float array, not a mutable float field, so that
+         updating it does not allocate. *)
   ns : int array; (* per site *)
   maxs : float array; (* per site: largest observation, for overflow hits *)
 }
@@ -25,8 +30,10 @@ let create ~n_sites () =
 
 let n_sites t = t.n_sites
 
+let find_counter t name = List.find_opt (fun c -> c.c_name = name) t.counters
+
 let counter t name =
-  match List.find_opt (fun c -> c.c_name = name) t.counters with
+  match find_counter t name with
   | Some c -> c
   | None ->
       let c = { c_name = name; c = Array.make t.n_sites 0 } in
@@ -56,6 +63,7 @@ let histogram ?buckets t name =
           bounds = Array.copy buckets;
           counts = Array.init t.n_sites (fun _ -> Array.make (Array.length buckets + 1) 0);
           sums = Array.make t.n_sites 0.0;
+          total = [| 0.0 |];
           ns = Array.make t.n_sites 0;
           maxs = Array.make t.n_sites 0.0;
         }
@@ -80,15 +88,24 @@ let observe h ~site v =
   let b = bucket_of h.bounds v in
   h.counts.(site).(b) <- h.counts.(site).(b) + 1;
   h.sums.(site) <- h.sums.(site) +. v;
+  h.total.(0) <- h.total.(0) +. v;
   h.ns.(site) <- h.ns.(site) + 1;
   if v > h.maxs.(site) then h.maxs.(site) <- v
 
 let counter_value c ~site = c.c.(site)
 let counter_total c = Array.fold_left ( + ) 0 c.c
-let histogram_count h ~site = h.ns.(site)
+let total t name = match find_counter t name with Some c -> counter_total c | None -> 0
+let histogram_count h ~site = if site >= 0 then h.ns.(site) else Array.fold_left ( + ) 0 h.ns
+let histogram_sum h ~site = if site >= 0 then h.sums.(site) else h.total.(0)
 
 let histogram_mean h ~site =
-  if h.ns.(site) = 0 then 0.0 else h.sums.(site) /. float_of_int h.ns.(site)
+  let n = histogram_count h ~site in
+  if n = 0 then 0.0 else histogram_sum h ~site /. float_of_int n
+
+(* Nearest rank: the smallest rank with at least [q] of [n] samples at or
+   below it, i.e. ceil(q*n), 1-based. Truncating q*n instead would skew one
+   element high on exact boundaries: p50 of [1;2;3;4] must be 2, not 3. *)
+let rank ~n q = max 1 (min n (int_of_float (ceil (q *. float_of_int n))))
 
 (* Aggregate bucket counts for [site], or all sites when [site < 0]. *)
 let bucket_counts h site =
@@ -108,8 +125,7 @@ let percentile h ~site q =
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then 0.0
   else begin
-    let rank = int_of_float (ceil (q *. float_of_int total)) in
-    let rank = max 1 (min total rank) in
+    let rank = rank ~n:total q in
     let nb = Array.length h.bounds in
     let rec find i acc =
       if i >= nb then
@@ -126,8 +142,6 @@ let percentile h ~site q =
 
 let percentile_total h q = percentile h ~site:(-1) q
 
-let counter_names t = List.rev_map (fun c -> c.c_name) t.counters
-let histogram_names t = List.rev_map (fun h -> h.h_name) t.histograms
 
 (* One rendering path for counters and histograms: every column is a header
    plus one pre-formatted cell per row (each site, then "all"), widths
@@ -147,7 +161,8 @@ let pp_table ppf t =
          counters)
     @ List.concat_map
         (fun h ->
-          let count site = if site >= 0 then h.ns.(site) else Array.fold_left ( + ) 0 h.ns in
+          let count site = histogram_count h ~site in
+          (* The "all" row folds the per-site sums, not [total]. *)
           let mean site =
             if site >= 0 then histogram_mean h ~site
             else

@@ -26,6 +26,7 @@ val n_sites : t -> int
     first use. Counter and histogram names share one namespace. *)
 val counter : t -> string -> counter
 
+
 (** [histogram t name] — likewise for histograms. [buckets] are the
     inclusive upper bounds (ms) of the finite buckets, strictly increasing;
     an overflow bucket is added implicitly. The default spans 0.25 ms to
@@ -43,9 +44,20 @@ val observe : histogram -> site:int -> float -> unit
 val counter_value : counter -> site:int -> int
 val counter_total : counter -> int
 
-(** Number of observations. *)
+(** [total t name] — {!counter_total} of the counter registered under
+    [name], 0 when there is none. Never registers one, so reading cannot
+    add a column to {!pp_table}. *)
+val total : t -> string -> int
+
+(** Number of observations at [site] ([site:-1] for all sites). *)
 val histogram_count : histogram -> site:int -> int
 
+(** Sum of the observations at [site]. [site:-1] is the all-site sum kept in
+    observation order, so a mean derived from it is bit-identical to one
+    kept by a single running sum. *)
+val histogram_sum : histogram -> site:int -> float
+
+(** [histogram_sum / histogram_count]; 0 when empty. *)
 val histogram_mean : histogram -> site:int -> float
 
 (** Largest value observed at [site] ([site:-1] for all sites); 0 when
@@ -60,10 +72,10 @@ val percentile : histogram -> site:int -> float -> float
 
 val percentile_total : histogram -> float -> float
 
-(** Registered counter names in registration order. *)
-val counter_names : t -> string list
-
-val histogram_names : t -> string list
+(** [rank ~n q] — the nearest rank of quantile [q] in [n > 0] sorted
+    samples: [ceil (q *. n)], 1-based, clamped to [\[1, n\]]. Shared by
+    {!percentile} and exact-sample percentiles. *)
+val rank : n:int -> float -> int
 
 (** Per-site table: one row per site and an aggregate row; counters as
     columns, then each histogram's count/mean/p50/p95/p99. *)

@@ -17,16 +17,26 @@ let checkf = Alcotest.(check (float 1e-9))
 
 (* --- metrics ------------------------------------------------------------- *)
 
+(* A bare Metrics over an [n_sites] registry whose "msg.sent" counter holds
+   [sent]; outcomes land at simulated time 0. *)
+let metrics ?(n_sites = 1) ?(sent = 0) () =
+  let stats = Repdb_obs.Stats.create ~n_sites () in
+  if sent > 0 then Repdb_obs.Stats.add (Repdb_obs.Stats.counter stats "msg.sent") ~site:0 sent;
+  Metrics.create stats
+
+let commit m ~site ~response = Metrics.outcome m ~site ~response Txn.Committed
+let abort m ~site reason = Metrics.outcome m ~site ~response:0.0 (Txn.Aborted reason)
+
 let test_metrics_counts () =
-  let m = Metrics.create () in
-  Metrics.commit m ~site:0 ~response:10.0;
-  Metrics.commit m ~site:0 ~response:20.0;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
-  Metrics.abort m ~site:0 Txn.Deadlock;
-  Metrics.propagation m ~delay:5.0;
+  let m = metrics ~n_sites:2 ~sent:7 () in
+  commit m ~site:0 ~response:10.0;
+  commit m ~site:0 ~response:20.0;
+  abort m ~site:0 Txn.Lock_timeout;
+  abort m ~site:0 Txn.Lock_timeout;
+  abort m ~site:0 Txn.Deadlock;
+  Metrics.propagation m ~gid:1 ~site:0 ~delay:5.0;
   Metrics.client_done m ~time:1000.0;
-  let s = Metrics.summarize m ~n_sites:2 ~messages:7 in
+  let s = Metrics.summary m in
   checki "commits" 2 s.commits;
   checki "aborts" 3 s.aborts;
   checkf "abort rate" 60.0 s.abort_rate;
@@ -42,12 +52,12 @@ let test_metrics_counts () =
   checkb "lock-timeout counted twice" true (List.mem (Txn.Lock_timeout, 2) s.aborts_by_reason)
 
 let test_metrics_percentiles () =
-  let m = Metrics.create () in
+  let m = metrics () in
   for i = 1 to 100 do
-    Metrics.commit m ~site:0 ~response:(float_of_int i)
+    commit m ~site:0 ~response:(float_of_int i)
   done;
   Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let s = Metrics.summary m in
   (* Nearest-rank: of 1..100, pXX is exactly XX. *)
   checkf "p50" 50.0 s.p50_response;
   checkf "p95" 95.0 s.p95_response;
@@ -81,8 +91,8 @@ let test_metrics_stats_percentiles_agree () =
     [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99; 1.0 ]
 
 let test_metrics_empty () =
-  let m = Metrics.create () in
-  let s = Metrics.summarize m ~n_sites:3 ~messages:0 in
+  let m = metrics ~n_sites:3 () in
+  let s = Metrics.summary m in
   checkf "no throughput" 0.0 s.throughput;
   checkf "no response" 0.0 s.avg_response;
   checkf "no abort rate" 0.0 s.abort_rate;
@@ -93,34 +103,44 @@ let test_metrics_empty () =
   checkb "avg prop finite" false (Float.is_nan s.avg_propagation)
 
 let test_metrics_single_sample () =
-  let m = Metrics.create () in
-  Metrics.commit m ~site:0 ~response:42.0;
+  let m = metrics () in
+  commit m ~site:0 ~response:42.0;
   Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let s = Metrics.summary m in
   checkf "p50 of one" 42.0 s.p50_response;
   checkf "p95 of one" 42.0 s.p95_response;
   checkf "p99 of one" 42.0 s.p99_response;
   checkf "avg of one" 42.0 s.avg_response
 
 let test_metrics_aborts_only () =
-  let m = Metrics.create () in
-  Metrics.abort m ~site:0 Txn.Deadlock;
-  Metrics.abort m ~site:0 Txn.Lock_timeout;
+  let m = metrics () in
+  abort m ~site:0 Txn.Deadlock;
+  abort m ~site:0 Txn.Lock_timeout;
   Metrics.client_done m ~time:50.0;
-  let s = Metrics.summarize m ~n_sites:1 ~messages:0 in
+  let s = Metrics.summary m in
   checki "no commits" 0 s.commits;
   checki "two aborts" 2 s.aborts;
   checkf "abort rate is total" 100.0 s.abort_rate;
   checkb "avg response finite" false (Float.is_nan s.avg_response);
   checkb "p99 finite" false (Float.is_nan s.p99_response)
 
+let test_metrics_summary_registers_nothing () =
+  (* The summary reads "msg.sent" and the response histogram when they
+     exist; reading must not register them, or the stats table would grow. *)
+  let stats = Repdb_obs.Stats.create ~n_sites:2 () in
+  let m = Metrics.create stats in
+  let table () = Fmt.str "%a" Repdb_obs.Stats.pp_table stats in
+  let before = table () in
+  checki "no messages" 0 (Metrics.summary m).messages;
+  Alcotest.(check string) "table unchanged" before (table ())
+
 let test_metrics_per_site () =
-  let m = Metrics.create ~n_sites:3 () in
-  Metrics.commit m ~site:0 ~response:10.0;
-  Metrics.commit m ~site:2 ~response:30.0;
-  Metrics.abort m ~site:2 Txn.Deadlock;
+  let m = metrics ~n_sites:3 () in
+  commit m ~site:0 ~response:10.0;
+  commit m ~site:2 ~response:30.0;
+  abort m ~site:2 Txn.Deadlock;
   Metrics.client_done m ~time:100.0;
-  let s = Metrics.summarize m ~n_sites:3 ~messages:0 in
+  let s = Metrics.summary m in
   checki "three rows" 3 (List.length s.per_site);
   let row site = List.nth s.per_site site in
   checki "site 0 commits" 1 (row 0).Metrics.s_commits;
@@ -196,7 +216,7 @@ let test_exec_apply_secondary_retries () =
   Sim.run c.sim;
   checkb "eventually applied" true (!done_at >= 120.0);
   checki "propagation recorded" 1
-    (Metrics.summarize c.metrics ~n_sites:c.params.n_sites ~messages:0).n_propagations;
+    (Metrics.summary c.metrics).n_propagations;
   checki "write applied" 1 (Store.read c.stores.(1) 0).Repdb_store.Value.version
 
 (* --- routing -------------------------------------------------------------- *)
@@ -302,6 +322,8 @@ let () =
           Alcotest.test_case "single sample" `Quick test_metrics_single_sample;
           Alcotest.test_case "aborts only" `Quick test_metrics_aborts_only;
           Alcotest.test_case "per site" `Quick test_metrics_per_site;
+          Alcotest.test_case "summary registers nothing" `Quick
+            test_metrics_summary_registers_nothing;
         ] );
       ( "convergence",
         [ Alcotest.test_case "detects divergence" `Quick test_convergence_detects_divergence ] );

@@ -7,9 +7,9 @@ module Network = Repdb_net.Network
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-let make ?(n = 3) ?(latency = fun _ _ -> 1.0) ?on_send () =
+let make ?(n = 3) ?(latency = fun _ _ -> 1.0) () =
   let sim = Sim.create () in
-  (sim, Network.create ~sim ~n_sites:n ~latency ?on_send ())
+  (sim, Network.create ~sim ~n_sites:n ~latency ())
 
 let test_delivery_latency () =
   let sim, net = make () in
@@ -89,15 +89,13 @@ let test_handler_routing () =
     (Invalid_argument "Network.inbox: site has a custom handler") (fun () ->
       ignore (Network.inbox net 1))
 
-let test_counting_and_on_send () =
-  let count = ref 0 in
-  let sim, net = make ~on_send:(fun _ -> incr count) () in
+let test_counting () =
+  let sim, net = make () in
   for _ = 1 to 4 do
     Network.send net ~src:0 ~dst:1 0
   done;
   Sim.run sim;
-  checki "messages_sent" 4 (Network.messages_sent net);
-  checki "on_send hook" 4 !count
+  checki "messages_sent" 4 (Network.messages_sent net)
 
 let test_errors () =
   let _, net = make () in
@@ -118,7 +116,7 @@ let () =
           Alcotest.test_case "same-instant send order" `Quick test_same_instant_send_order;
           Alcotest.test_case "asymmetric latency" `Quick test_asymmetric_latency;
           Alcotest.test_case "handler routing" `Quick test_handler_routing;
-          Alcotest.test_case "counting" `Quick test_counting_and_on_send;
+          Alcotest.test_case "counting" `Quick test_counting;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );
     ]

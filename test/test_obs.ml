@@ -82,6 +82,9 @@ let test_stats_histogram () =
   checkf "p50 site 0" 5.0 (Stats.percentile h ~site:0 0.5);
   checkf "p99 site 0" 10.0 (Stats.percentile h ~site:0 0.99);
   checkf "aggregate p99" 1000.0 (Stats.percentile_total h 0.99);
+  checki "all-site count" 3 (Stats.histogram_count h ~site:(-1));
+  checkf "all-site sum" 910.0 (Stats.histogram_sum h ~site:(-1));
+  checkf "all-site mean" (910.0 /. 3.0) (Stats.histogram_mean h ~site:(-1));
   checkf "empty percentile" 0.0 (Stats.percentile (Stats.histogram s "other") ~site:0 0.5)
 
 let test_stats_histogram_overflow_max () =

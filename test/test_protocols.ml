@@ -257,7 +257,7 @@ let test_dag_wt_routes_through_tree () =
   Sim.spawn c.sim (fun () -> Cluster.await_quiescence c);
   Sim.run_until c.sim 10_000.0;
   Sim.run c.sim;
-  checki "two hops" 2 c.messages
+  checki "two hops" 2 (Repdb.Metrics.summary c.metrics).messages
 
 let test_dag_t_sends_directly () =
   (* Same update under DAG(T): one direct message per relevant child, but
@@ -365,7 +365,7 @@ let test_psl_remote_read () =
   Alcotest.check outcome "committed" Txn.Committed !o;
   checki "one remote read" 1 (Repdb.Psl.remote_reads p);
   (* Request + reply + release. *)
-  checki "three messages" 3 c.messages
+  checki "three messages" 3 (Repdb.Metrics.summary c.metrics).messages
 
 let test_psl_remote_denied () =
   let c = Cluster.create_with base_params example_1_1_placement in
@@ -395,7 +395,7 @@ let test_psl_local_reads_stay_local () =
   Sim.run_until c.sim 10_000.0;
   Sim.run c.sim;
   checki "no remote reads" 0 (Repdb.Psl.remote_reads p);
-  checki "no messages" 0 c.messages
+  checki "no messages" 0 (Repdb.Metrics.summary c.metrics).messages
 
 (* --- Eager specifics -------------------------------------------------------- *)
 
