@@ -65,23 +65,17 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
       let outcome = submit !spec in
       Cluster.txn_finished c;
       Metrics.outcome c.metrics ~site ~response:(Sim.now c.sim -. start) outcome;
-      match outcome with
-      | Txn.Committed -> ()
-      | Txn.Aborted _ -> (
-          match p.retry with
-          | Params.No_retry -> ()
-          | Params.Backoff { base; multiplier; cap; max_retries } ->
-              if n_failed < max_retries then begin
-                let backoff =
-                  Float.min cap (base *. (multiplier ** float_of_int n_failed))
-                in
-                (* Jitter in [0.5, 1.0), drawn from the dedicated per-client
-                   stream so retries never perturb the workload draws. *)
-                let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
-                Sim.delay think;
-                Metrics.think c.metrics ~site think;
-                attempt (n_failed + 1)
-              end)
+      match (outcome, p.retry) with
+      | Txn.Aborted _, Params.Backoff { base; multiplier; cap; max_retries }
+        when n_failed < max_retries ->
+          let backoff = Float.min cap (base *. (multiplier ** float_of_int n_failed)) in
+          (* Jitter in [0.5, 1.0), drawn from the dedicated per-client stream
+             so retries never perturb the workload draws. *)
+          let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
+          Sim.delay think;
+          Metrics.think c.metrics ~site think;
+          attempt (n_failed + 1)
+      | _ -> ()
     in
     attempt 0
   done;
