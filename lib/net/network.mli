@@ -19,10 +19,10 @@ type 'a t
     creation.
 
     [arity] gives the number of logical updates one physical message carries
-    (default: 1). Batched nets pass the batch length so that the sent /
-    delivered / in-flight counters and the per-site stats keep counting
-    logical updates — comparable across batch sizes — while the simulation
-    still schedules one delivery event per physical message.
+    (default: 1). Batched nets pass the batch length so that the sent and
+    in-flight counters and the per-site stats keep counting logical updates
+    — comparable across batch sizes — while the simulation still schedules
+    one delivery event per physical message.
 
     Observability: when [trace] is enabled, every send and delivery is
     recorded as a [Msg_send] / [Msg_recv] event tagged with the message kind
