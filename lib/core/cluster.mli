@@ -3,7 +3,7 @@
     A cluster bundles the substrate a protocol runs on — simulation kernel,
     per-site stores and lock managers, per-machine CPUs, the data placement,
     the access history and the run's telemetry ({!Metrics}) — plus the
-    bookkeeping the driver needs to detect quiescence (outstanding in-flight
+    bookkeeping {!Driver} needs to detect quiescence (outstanding in-flight
     work, running clients, the stop flag that shuts periodic processes
     down). *)
 

@@ -99,7 +99,7 @@ val stale_read : t -> site:int -> item:int -> staleness:float -> unit
 val destined : t -> Repdb_workload.Placement.t -> items:int list -> unit
 
 (** Append one timeline row: the gauges given, commit/abort deltas since the
-    last sample, replication lag and φ. The driver's ticker calls this every
+    last sample, replication lag and φ. {!Driver}'s ticker calls this every
     [params.timeline_every] ms. *)
 val sample : t -> active:int -> inflight:int -> locks:Repdb_lock.Lock_mgr.t array -> unit
 
