@@ -4,17 +4,18 @@
      dune exec bench/baseline.exe -- -j 4 fig2a
      REPDB_BENCH_TXNS=50 dune exec bench/baseline.exe -- -o /tmp/b.json
 
-   Each selected figure is regenerated twice — sequentially and on a [-j]
-   domain pool — and BENCH_sweeps.json records wall-clock per figure for
-   both paths, the speedup, simulator events/second, and whether the two
-   CSVs were byte-identical (they must be). Future PRs diff this file to
+   Each selected experiment of [Experiment.registry] is regenerated twice —
+   sequentially and on a [-j] domain pool — and BENCH_sweeps.json records
+   wall-clock per experiment for both paths, the speedup, simulator
+   events/second, and whether the two outputs (a figure's CSV, a report
+   list's text) were byte-identical (they must be). Future PRs diff this file to
    regression-check the experiment engine's performance.
 
    [--check FILE] compares this run against a committed baseline JSON: the
    run fails (exit 1) if FILE is missing any required field or if the run's
    total sequential events/second has regressed more than 15% below FILE's.
    The [-j] timings are recorded but not gated: a one-CPU runner cannot
-   measure a parallel speedup. The [-j] CSV-identity check always applies.
+   measure a parallel speedup. The [-j] output-identity check always applies.
    CI uses this to gate merges on the committed BENCH_sweeps.json. *)
 
 module Params = Repdb_workload.Params
@@ -26,50 +27,13 @@ let txns_per_thread =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1000)
   | None -> 1000
 
-(* REPDB_BENCH_BATCH="8/2" runs every sweep with that batch size / linger-ms
-   so the batched data plane can be timed on the full sweeps (the default,
-   "1/0", is the unbatched path). *)
-let batch_size, batch_linger_ms =
-  match Sys.getenv_opt "REPDB_BENCH_BATCH" with
-  | None -> (1, 0.0)
-  | Some s -> (
-      match String.split_on_char '/' s with
-      | [ sz ] -> ( match int_of_string_opt sz with Some n when n >= 1 -> (n, 0.0) | _ -> (1, 0.0))
-      | [ sz; lg ] -> (
-          match (int_of_string_opt sz, float_of_string_opt lg) with
-          | Some n, Some l when n >= 1 && l >= 0.0 -> (n, l)
-          | _ -> (1, 0.0))
-      | _ -> (1, 0.0))
-
-let base = { Params.default with txns_per_thread; batch_size; batch_linger_ms }
-
-let figures : (string * (?pool:Pool.t -> unit -> Experiment.figure)) list =
-  [
-    ("fig2a", fun ?pool () -> Experiment.fig2a ?pool ~base ());
-    ("fig2b", fun ?pool () -> Experiment.fig2b ?pool ~base ());
-    ("fig3a", fun ?pool () -> Experiment.fig3a ?pool ~base ());
-    ("fig3b", fun ?pool () -> Experiment.fig3b ?pool ~base ());
-    ("sites", fun ?pool () -> Experiment.sweep_sites ?pool ~base ());
-    ("threads", fun ?pool () -> Experiment.sweep_threads ?pool ~base ());
-    ("latency", fun ?pool () -> Experiment.sweep_latency ?pool ~base ());
-    ("readtxn", fun ?pool () -> Experiment.sweep_read_txn ?pool ~base ());
-    ("eager-scaling", fun ?pool () -> Experiment.ablation_eager_scaling ?pool ~base ());
-    ("tree-routing", fun ?pool () -> Experiment.ablation_tree_routing ?pool ~base ());
-    ("dummy-period", fun ?pool () -> Experiment.ablation_dummy_period ?pool ~base ());
-    ("hotspot", fun ?pool () -> Experiment.ablation_hotspot ?pool ~base ());
-    ("straggler", fun ?pool () -> Experiment.ablation_straggler ?pool ~base ());
-    ("faults", fun ?pool () -> Experiment.sweep_faults ?pool ~base ());
-    ("reconfig", fun ?pool () -> Experiment.sweep_reconfig ?pool ~base ());
-    ("partition", fun ?pool () -> Experiment.sweep_partition ?pool ~base ());
-    ("occ", fun ?pool () -> Experiment.sweep_occ ?pool ~base ());
-    ("heal", fun ?pool () -> Experiment.sweep_heal ?pool ~base ());
-  ]
+let base = { Params.default with txns_per_thread }
 
 let default_figures = [ "fig2a"; "fig2b"; "fig3a"; "fig3b" ]
 
 let usage () =
-  Fmt.epr "usage: baseline [-j N] [-o FILE] [--check FILE] [figure...]@.figures: %s@."
-    (String.concat ", " (List.map fst figures));
+  Fmt.epr "usage: baseline [-j N] [-o FILE] [--check FILE] [experiment...]@.experiments: %s@."
+    (String.concat ", " Experiment.ids);
   exit 1
 
 let jobs, out_file, check_file, selected =
@@ -83,9 +47,9 @@ let jobs, out_file, check_file, selected =
     | "--check" :: f :: rest -> parse jobs out (Some f) acc rest
     | ("-j" | "-o" | "--check") :: _ -> usage ()
     | arg :: rest ->
-        if List.mem_assoc arg figures then parse jobs out check (arg :: acc) rest
+        if List.mem arg Experiment.ids then parse jobs out check (arg :: acc) rest
         else begin
-          Fmt.epr "unknown figure %S@." arg;
+          Fmt.epr "unknown experiment %S@." arg;
           usage ()
         end
   in
@@ -97,15 +61,20 @@ type row = {
   id : string;
   seq_s : float;
   par_s : float;
-  events : int;  (* simulator events per full figure (same both paths) *)
+  events : int;  (* simulator events per full target (same both paths) *)
   identical : bool;
 }
 
-let events_of (fig : Experiment.figure) =
-  List.fold_left
-    (fun acc (pt : Experiment.point) ->
-      List.fold_left (fun acc (_, (r : Repdb.Driver.report)) -> acc + r.sim_events) acc pt.reports)
-    0 fig.points
+(* Simulator events of an outcome, and a rendering that the sequential and
+   [-j] runs must reproduce byte for byte. *)
+let digest (outcome : Experiment.outcome) =
+  let reports, text =
+    match outcome with
+    | Figure fig ->
+        (List.concat_map (fun (pt : Experiment.point) -> pt.reports) fig.points, Experiment.to_csv fig)
+    | Reports rs -> (rs, Fmt.str "%a" Experiment.pp_reports rs)
+  in
+  (List.fold_left (fun acc (_, (r : Repdb.Driver.report)) -> acc + r.sim_events) 0 reports, text)
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -214,15 +183,16 @@ let () =
       (fun () ->
         List.map
           (fun id ->
-            let make = List.assoc id figures in
+            (* At the CLI's default resolution, [repdb experiment]'s --steps. *)
+            let make pool = (Option.get (Experiment.find id)).run ~pool ~base ~steps:10 in
             Fmt.pr "%-14s seq ... %!" id;
-            let seq_s, seq_fig = time (fun () -> make ()) in
+            let seq_s, seq_out = time (fun () -> make None) in
             Fmt.pr "%6.2fs   -j %d ... %!" seq_s jobs;
-            let par_s, par_fig = time (fun () -> make ?pool ()) in
-            let identical = Experiment.to_csv seq_fig = Experiment.to_csv par_fig in
-            let events = events_of seq_fig in
+            let par_s, par_out = time (fun () -> make pool) in
+            let events, seq_text = digest seq_out in
+            let identical = seq_text = snd (digest par_out) in
             Fmt.pr "%6.2fs   %4.2fx   %s@." par_s (seq_s /. par_s)
-              (if identical then "csv identical" else "CSV MISMATCH");
+              (if identical then "output identical" else "OUTPUT MISMATCH");
             { id; seq_s; par_s; events; identical })
           selected)
   in
@@ -266,7 +236,7 @@ let () =
   close_out oc;
   Fmt.pr "total: seq %.2fs, -j %d %.2fs (%.2fx), %d events, %s -> %s@." seq_total jobs par_total
     (seq_total /. par_total) events_total
-    (if all_identical then "all CSVs identical" else "CSV MISMATCH")
+    (if all_identical then "all outputs identical" else "OUTPUT MISMATCH")
     out_file;
   if not all_identical then exit 1;
   Option.iter

@@ -72,29 +72,6 @@ let table1 () =
     (Params.table1 base);
   Fmt.pr "@."
 
-(* --- Section 5.3.4 ------------------------------------------------------------ *)
-
-let resp () =
-  Fmt.pr "== Section 5.3.4: response time and update propagation at the defaults ==@.";
-  List.iter
-    (fun (name, (r : Repdb.Driver.report)) ->
-      Fmt.pr "  %-9s avg response = %6.1f ms   avg propagation = %6.1f ms   abort = %5.2f%%@."
-        name r.summary.avg_response r.summary.avg_propagation r.summary.abort_rate)
-    (Experiment.response_times ?pool ~base ());
-  Fmt.pr "  (paper: ~180 ms BackEdge vs ~260 ms PSL; propagation \"a few hundred millisec\")@.@."
-
-(* --- ablations ----------------------------------------------------------------- *)
-
-let ablation () =
-  Fmt.pr "== Ablation: every protocol on a DAG copy graph (b=0, defaults) ==@.";
-  List.iter
-    (fun (name, (r : Repdb.Driver.report)) ->
-      Fmt.pr "  %-9s thr/site=%7.2f  abort=%6.2f%%  resp=%7.1fms  prop=%7.1fms  msgs=%d@." name
-        r.summary.throughput_per_site r.summary.abort_rate r.summary.avg_response
-        r.summary.avg_propagation r.summary.messages)
-    (Experiment.ablation_protocols ?pool ~base ());
-  Fmt.pr "@."
-
 (* --- Section 4.2: minimising the effects of backedges ---------------------------- *)
 
 (* The choice of backedge set matters: compare, over random placements, the
@@ -303,28 +280,19 @@ let micro () =
      measured cost is claim/synchronisation, not work. *)
   let micro_pool = Pool.create ~domains:2 () in
   let pool_tasks = Array.init 256 Fun.id in
-  (* Propagation path: 256 updates from one source to one destination, as
-     singletons (size 1 short-circuits the batcher — the pre-batching path)
-     or coalesced into runs of 8 / 64. The closure builds its own simulator
-     so each run pays send + delivery for every physical message. *)
-  let bench_batch size =
+  (* Propagation path: 256 updates from one source to one destination. The
+     closure builds its own simulator so each run pays send + delivery for
+     every message. *)
+  let propagate =
     let module Sim = Repdb_sim.Sim in
     let module Network = Repdb_net.Network in
-    let module Batcher = Repdb_net.Batcher in
     Staged.stage (fun () ->
         let sim = Sim.create () in
         let delivered = ref 0 in
-        let net =
-          Network.create ~sim ~n_sites:2 ~latency:(fun _ _ -> 1.0) ~arity:List.length ()
-        in
-        Network.set_handler net 1 (fun ~src:_ batch -> delivered := !delivered + List.length batch);
-        let bat =
-          Batcher.create ~sim ~n_sites:2 ~size ~linger_ms:0.0
-            ~ship:(fun ~src ~dst batch -> Network.send net ~src ~dst batch)
-            ()
-        in
+        let net = Network.create ~sim ~n_sites:2 ~latency:(fun _ _ -> 1.0) () in
+        Network.set_handler net 1 (fun ~src:_ _ -> incr delivered);
         for i = 1 to 256 do
-          Batcher.push bat ~src:0 ~dst:1 i
+          Network.send net ~src:0 ~dst:1 i
         done;
         Sim.run sim;
         assert (!delivered = 256))
@@ -380,9 +348,7 @@ let micro () =
                   (Repdb_reconfig.Reconfig.Add_replica { item = 0; site = 1 }))));
       Test.make ~name:"Pool.map (256 tasks, 2 domains)"
         (Staged.stage (fun () -> ignore (Pool.map micro_pool pool_tasks ~f:succ)));
-      Test.make ~name:"propagate 256 (batch=1)" (bench_batch 1);
-      Test.make ~name:"propagate 256 (batch=8)" (bench_batch 8);
-      Test.make ~name:"propagate 256 (batch=64)" (bench_batch 64);
+      Test.make ~name:"propagate 256" propagate;
       Test.make ~name:"256 events (profile off)" (bench_sched None);
       Test.make ~name:"256 events (profile on)"
         (bench_sched (Some (Repdb_obs.Profile.create ())));
@@ -454,51 +420,18 @@ let occ_validate () =
 
 (* --- dispatch ------------------------------------------------------------------- *)
 
+(* Every [Experiment.registry] entry at the CLI's default resolution, plus
+   the targets that are not sweeps. *)
 let targets : (string * (unit -> unit)) list =
-  [
-    ("table1", table1);
-    ("fig2a", fun () -> print_figure (Experiment.fig2a ?pool ~base ()));
-    ("fig2b", fun () -> print_figure (Experiment.fig2b ?pool ~base ()));
-    ("fig3a", fun () -> print_figure (Experiment.fig3a ?pool ~base ()));
-    ("fig3b", fun () -> print_figure (Experiment.fig3b ?pool ~base ()));
-    ("resp", resp);
-    ("sites", fun () -> print_figure (Experiment.sweep_sites ?pool ~base ()));
-    ("threads", fun () -> print_figure (Experiment.sweep_threads ?pool ~base ()));
-    ("latency", fun () -> print_figure (Experiment.sweep_latency ?pool ~base ()));
-    ("readtxn", fun () -> print_figure (Experiment.sweep_read_txn ?pool ~base ()));
-    ("ablation", ablation);
-    ("eager-scaling", fun () -> print_figure (Experiment.ablation_eager_scaling ?pool ~base ()));
-    ("tree-routing", fun () -> print_figure (Experiment.ablation_tree_routing ?pool ~base ()));
-    ( "deadlock-policy",
+  let experiment (e : Experiment.entry) =
+    ( e.exp_id,
       fun () ->
-        Fmt.pr "== Ablation: timeout vs waits-for-graph detection (defaults) ==@.";
-        List.iter
-          (fun (name, (r : Repdb.Driver.report)) ->
-            Fmt.pr "  %-18s thr/site=%7.2f  abort=%6.2f%%  resp=%7.1fms@." name
-              r.summary.throughput_per_site r.summary.abort_rate r.summary.avg_response)
-          (Experiment.ablation_deadlock_policy ?pool ~base ());
-        Fmt.pr "@." );
-    ("dummy-period", fun () -> print_figure (Experiment.ablation_dummy_period ?pool ~base ()));
-    ("hotspot", fun () -> print_figure (Experiment.ablation_hotspot ?pool ~base ()));
-    ("straggler", fun () -> print_figure (Experiment.ablation_straggler ?pool ~base ()));
-    ( "site-order",
-      fun () ->
-        Fmt.pr "== Ablation: BackEdge site ordering on a hub topology (Section 4.2) ==@.";
-        List.iter
-          (fun (label, (r : Repdb.Driver.report)) ->
-            Fmt.pr "  %-15s thr/site=%7.2f  abort=%6.2f%%  backedges=%d@." label
-              r.summary.throughput_per_site r.summary.abort_rate r.n_backedges)
-          (Experiment.ablation_site_order ?pool ~base ());
-        Fmt.pr "  (n_backedges is counted under the identity order; the fas order removes them@.\
-         \   from the protocol's tree even though the copy graph is unchanged)@.@." );
-    ("faults", fun () -> print_figure (Experiment.sweep_faults ?pool ~base ()));
-    ("reconfig", fun () -> print_figure (Experiment.sweep_reconfig ?pool ~base ()));
-    ("fas", fas);
-    ("variance", variance);
-    ("micro", micro);
-    ("occ", fun () -> print_figure (Experiment.sweep_occ ?pool ~base ()));
-    ("occ-validate", occ_validate);
-  ]
+        match e.run ~pool ~base ~steps:10 with
+        | Experiment.Figure fig -> print_figure fig
+        | Experiment.Reports rs -> Fmt.pr "%a@." Experiment.pp_reports rs )
+  in
+  (("table1", table1) :: List.map experiment Experiment.registry)
+  @ [ ("fas", fas); ("variance", variance); ("micro", micro); ("occ-validate", occ_validate) ]
 
 let () =
   let requested = if requested = [] then List.map fst targets else requested in

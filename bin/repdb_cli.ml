@@ -33,8 +33,8 @@ let params_term =
   in
   let d = Params.default in
   let make sites items r s b ops threads txns read_op read_txn latency timeout seed retry deadline
-      stale check faults reconfig batch_size batch_linger zipf occ_epoch heal heartbeat_every
-      phi_threshold anti_entropy_every =
+      stale check faults reconfig zipf occ_epoch heal heartbeat_every phi_threshold
+      anti_entropy_every =
     {
       d with
       n_sites = sites;
@@ -56,8 +56,6 @@ let params_term =
       record_history = check;
       faults;
       reconfig;
-      batch_size;
-      batch_linger_ms = batch_linger;
       zipf_theta = zipf;
       occ_epoch_ms = occ_epoch;
       heal;
@@ -128,19 +126,6 @@ let params_term =
              to site $(i,B)). Each step is an epoch switch: quiesce, transfer, atomic \
              placement/tree swap, resume. Example: \
              $(b,\"add@300:item=5,site=3;rebalance@600:from=1,to=2\").")
-  $ int_flag "batch-size"
-      ~doc:
-        "Coalesce up to this many lazy propagation updates per destination into one network \
-         message (dag-wt, dag-t, backedge normals, lazy-master pushes). 1 disables batching \
-         (every update ships immediately in its own message)."
-      d.batch_size
-  $ float_flag "batch-linger"
-      ~doc:
-        "How long (simulated ms) a partially filled batch may wait for more updates before \
-         flushing. 0 flushes within the opening instant (delivery times unchanged); larger \
-         values trade bounded propagation latency for fuller batches. Ignored at \
-         $(b,--batch-size) 1."
-      d.batch_linger_ms
   $ float_flag "zipf"
       ~doc:
         "Zipf skew theta for item selection within the site's readable/writable pools, in \
@@ -321,7 +306,6 @@ let run_with_trace params protocol (trace_file, trace_capacity) =
   | report -> report
   | exception Invalid_argument msg ->
       Fmt.epr "error: %s@." msg;
-      Fmt.epr "hint: the DAG protocols need an acyclic copy graph — pass '-b 0'.@.";
       exit 1
 
 let run_cmd =
@@ -436,14 +420,25 @@ let experiment_cmd =
       let p = if timeline_dir <> None && p.Params.timeline_every = 0.0 then { p with Params.timeline_every = 100.0 } else p in
       match obs with _, _, profile -> { p with Params.profile }
     in
+    let positive flag n =
+      if n < 1 then begin
+        Fmt.epr "error: %s must be positive (got %d)@." flag n;
+        exit 1
+      end
+    in
+    positive "--steps" steps;
+    Option.iter (positive "--chunk") chunk;
     match Repdb.Experiment.find exp_name with
     | None ->
         Fmt.epr "unknown experiment %S (try: %s)@." exp_name
           (String.concat ", " Repdb.Experiment.ids);
         exit 1
-    | Some entry ->
-        with_jobs ?chunk jobs (fun pool ->
-            let outcome = entry.run ~pool ~base ~steps in
+    | Some entry -> (
+        match with_jobs ?chunk jobs (fun pool -> entry.run ~pool ~base ~steps) with
+        | exception Invalid_argument msg ->
+            Fmt.epr "error: %s@." msg;
+            exit 1
+        | outcome ->
             (match outcome with
             | Repdb.Experiment.Figure fig ->
                 if csv then print_string (Repdb.Experiment.to_csv fig)

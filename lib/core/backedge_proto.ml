@@ -7,7 +7,6 @@ module Digraph = Repdb_graph.Digraph
 module Tree = Repdb_graph.Tree
 module Backedge = Repdb_graph.Backedge
 module Network = Repdb_net.Network
-module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
 
@@ -51,8 +50,7 @@ type t = {
   c : Cluster.t;
   mutable tr : Tree.t;
   retree : unit -> Tree.t; (* rebuild the tree for the current placement *)
-  tree_net : chain_msg list Network.t; (* one physical message = one coalesced run *)
-  tree_bat : chain_msg Batcher.t;
+  tree_net : chain_msg Network.t;
   direct_net : direct_msg Network.t;
   mutable in_subtree : Routing.subtree_map;
       (* site -> item bitset -> replica within subtree(site) *)
@@ -95,7 +93,7 @@ let forward_normal t site (gid, writes, origin_commit) =
   List.iter
     (fun child ->
       Cluster.inc_outstanding t.c;
-      Batcher.push t.tree_bat ~src:site ~dst:child
+      Network.send t.tree_net ~src:site ~dst:child
         (Normal { gid; writes; origin_commit; epoch = Epoch.current t.c }))
     children;
   List.length children
@@ -180,12 +178,11 @@ let run_participant t ~gid ~origin ~site items =
   in
   attempt_loop 0
 
-(* The special chases the normals committed before it down the same chain
-   FIFO — [push_now] flushes any parked normals on the hop first, so the
-   special can never overtake them inside the batcher. *)
+(* The special chases the normals committed before it down the same FIFO
+   chain, so it can never overtake them. *)
 let forward_special t ~src (gid, origin, writes) =
   Cluster.inc_outstanding t.c;
-  Batcher.push_now t.tree_bat ~src ~dst:(next_hop t src origin)
+  Network.send t.tree_net ~src ~dst:(next_hop t src origin)
     (Special { gid; origin; writes; epoch = Epoch.current t.c })
 
 (* --- tree applier -------------------------------------------------------- *)
@@ -240,16 +237,13 @@ let process_tree_msg t site msg =
 let tree_applier t site =
   let inbox = Network.inbox t.tree_net site in
   let rec loop () =
-    let _, batch = Mailbox.recv inbox in
-    List.iter
-      (fun msg ->
-        (match msg with
-        | Normal { gid; _ } ->
-            Metrics.secondary_recv t.c.metrics ~gid ~site;
-            Metrics.queue_depth t.c.metrics ~site ~queue:"tree" ~depth:(Mailbox.length inbox)
-        | Special _ -> ());
-        process_tree_msg t site msg)
-      batch;
+    let _, msg = Mailbox.recv inbox in
+    (match msg with
+    | Normal { gid; _ } ->
+        Metrics.secondary_recv t.c.metrics ~gid ~site;
+        Metrics.queue_depth t.c.metrics ~site ~queue:"tree" ~depth:(Mailbox.length inbox)
+    | Special _ -> ());
+    process_tree_msg t site msg;
     loop ()
   in
   loop ()
@@ -327,7 +321,7 @@ let make_with_tree (c : Cluster.t) ~retree tr =
     invalid_arg "Backedge_proto: tree leaves a copy-graph edge between incomparable sites";
   let m = c.params.n_sites in
   let tree_net =
-    Cluster.make_batch_net c ~describe_one:(function
+    Cluster.make_net c ~describe:(function
       | Normal { writes; _ } -> ("normal", 24 + (8 * List.length writes))
       | Special { writes; _ } -> ("special", 32 + (8 * List.length writes)))
   in
@@ -337,7 +331,6 @@ let make_with_tree (c : Cluster.t) ~retree tr =
       tr;
       retree;
       tree_net;
-      tree_bat = Cluster.make_batcher c tree_net;
       direct_net =
         Cluster.make_net c ~describe:(function
           | Exec_request { writes; _ } -> ("exec-request", 32 + (8 * List.length writes))

@@ -63,7 +63,7 @@ type t = {
   apply_mtime : float array array;
   mutable active_txns : int;
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
-      (* Per network/batcher: in-flight units on pairs selected by the
+      (* Per network: in-flight messages on pairs selected by the
          predicate — all pairs for the timeline; the weak failover drain
          sums the pairs parked behind a down or partitioned endpoint. *)
   (* Self-healing (all idle unless [params.heal]) *)
@@ -231,56 +231,16 @@ let use_cpu t site d =
 
 let latency_fn t src dst = t.lat_fn src dst
 
-(* Every network and batcher registers its in-flight count on the pairs a
-   predicate selects: the timeline samples all pairs, the weak drain the
-   parked ones. *)
-let net_with ?arity ?describe t =
+(* Every network registers its in-flight count on the pairs a predicate
+   selects: the timeline samples all pairs, the weak drain the parked ones. *)
+let make_net ?describe t =
   let net =
-    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t) ?arity
+    Repdb_net.Network.create ~sim:t.sim ~n_sites:t.params.n_sites ~latency:(latency_fn t)
       ~trace:(Metrics.trace t.metrics) ?describe ~stats:(Metrics.stats t.metrics)
       ?injector:t.injector ()
   in
   t.inflight_fns <- (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_fns;
   net
-
-let make_net ?describe t = net_with ?describe t
-
-(* A net whose messages are per-pair coalesced update runs. Counters and
-   traces account logical updates (a singleton batch describes exactly like
-   the bare message did pre-batching, so batch_size=1 traces are unchanged);
-   the [inflight] sample also counts updates still parked in the batcher. *)
-let make_batch_net ?describe_one t =
-  let describe =
-    Option.map
-      (fun d -> function
-        | [ m ] -> d m
-        | ms ->
-            let kind = match ms with m :: _ -> fst (d m) | [] -> "batch" in
-            ( Printf.sprintf "%s[%d]" kind (List.length ms),
-              List.fold_left (fun acc m -> acc + snd (d m)) 8 ms ))
-      describe_one
-  in
-  net_with ~arity:List.length ?describe t
-
-let make_batcher t net =
-  let bat =
-    Repdb_net.Batcher.create ~sim:t.sim ~n_sites:t.params.n_sites ~size:t.params.batch_size
-      ~linger_ms:t.params.batch_linger_ms
-      ~ship:(fun ~src ~dst batch -> Repdb_net.Network.send net ~src ~dst batch)
-      ()
-  in
-  t.inflight_fns <-
-    (fun f ->
-      let n = t.params.n_sites in
-      let parked = ref 0 in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if f ~src ~dst then parked := !parked + Repdb_net.Batcher.pending bat ~src ~dst
-        done
-      done;
-      !parked)
-    :: t.inflight_fns;
-  bat
 
 (* --- per-transaction deadlines -------------------------------------------- *)
 

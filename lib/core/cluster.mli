@@ -84,7 +84,7 @@ type t = {
           the staleness clock for partition-time local reads. *)
   mutable active_txns : int;  (** Transaction attempts currently executing. *)
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
-      (** Per network/batcher: in-flight units on the pairs a predicate
+      (** Per network: in-flight messages on the pairs a predicate
           selects — every pair for the timeline, parked ones for the weak
           drain. *)
   corrupted : (int * int, unit) Hashtbl.t;
@@ -127,20 +127,6 @@ val latency_fn : t -> int -> int -> float
     protocol builds its own typed network(s); [describe] tags traced
     messages with a kind and an approximate size in bytes. *)
 val make_net : ?describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
-
-(** [make_batch_net t] — a network carrying per-pair coalesced update runs
-    ([batch_size]/[batch_linger_ms] from the cluster's params). Message
-    counters, per-site stats and the timeline's in-flight sample account
-    logical updates, not envelopes, so metrics stay comparable across batch
-    sizes; [describe_one] describes a single update (a singleton batch is
-    described exactly like the bare message, larger batches as
-    ["kind[n]"] with summed sizes). *)
-val make_batch_net : ?describe_one:('a -> string * int) -> t -> 'a list Repdb_net.Network.t
-
-(** [make_batcher t net] — the coalescer feeding [net], configured from the
-    cluster's [batch_size]/[batch_linger_ms]; updates still parked in it are
-    included in the timeline's in-flight sample. *)
-val make_batcher : t -> 'a list Repdb_net.Network.t -> 'a Repdb_net.Batcher.t
 
 (** {1 Per-transaction deadlines} *)
 

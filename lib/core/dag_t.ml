@@ -2,7 +2,6 @@ module Sim = Repdb_sim.Sim
 module Condvar = Repdb_sim.Condvar
 module Digraph = Repdb_graph.Digraph
 module Network = Repdb_net.Network
-module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
 
@@ -34,8 +33,7 @@ type t = {
   c : Cluster.t;
   graph : Digraph.t;
   rank : int array;
-  net : msg list Network.t; (* one physical message = one coalesced run *)
-  bat : msg Batcher.t;
+  net : msg Network.t;
   states : site_state array;
   pipelined : bool;
 }
@@ -172,13 +170,10 @@ let pipelined_applier t site =
   in
   loop ()
 
-(* Secondaries coalesce; dummies are progress barriers, so they flush the
-   pair and ship alone — a dummy's timestamp must not overtake (or park
-   behind) the secondaries sent before it on the same channel. *)
 let send t ~src ~dst msg =
   if not msg.dummy then Cluster.inc_outstanding t.c;
   t.states.(src).last_sent.(dst) <- Sim.now t.c.sim;
-  if msg.dummy then Batcher.push_now t.bat ~src ~dst msg else Batcher.push t.bat ~src ~dst msg
+  Network.send t.net ~src ~dst msg
 
 (* A site that stayed silent towards a child pushes the child's clock with a
    dummy carrying the current site timestamp. *)
@@ -227,10 +222,9 @@ let create_internal ~pipelined (c : Cluster.t) =
   let rank = Array.make m 0 in
   List.iteri (fun i site -> rank.(site) <- i) order;
   let net =
-    Cluster.make_batch_net c ~describe_one:(fun (msg : msg) ->
+    Cluster.make_net c ~describe:(fun (msg : msg) ->
         if msg.dummy then ("dummy", 24) else ("secondary", 32 + (8 * List.length msg.writes)))
   in
-  let bat = Cluster.make_batcher c net in
   let states =
     Array.init m (fun site ->
         let queues = Hashtbl.create 4 in
@@ -247,21 +241,18 @@ let create_internal ~pipelined (c : Cluster.t) =
           turn = Condvar.create ();
         })
   in
-  let t = { c; graph; rank; net; bat; states; pipelined } in
+  let t = { c; graph; rank; net; states; pipelined } in
   for site = 0 to m - 1 do
     let st = states.(site) in
-    Network.set_handler net site (fun ~src batch ->
-        List.iter
-          (fun msg ->
-            match Hashtbl.find_opt st.queues src with
-            | Some q ->
-                Queue.add msg q;
-                Metrics.queue_depth c.metrics ~site
-                  ~queue:(Printf.sprintf "parent:%d" src)
-                  ~depth:(Queue.length q);
-                Condvar.broadcast st.arrivals
-            | None -> invalid_arg "Dag_t: message from a non-parent site")
-          batch);
+    Network.set_handler net site (fun ~src msg ->
+        match Hashtbl.find_opt st.queues src with
+        | Some q ->
+            Queue.add msg q;
+            Metrics.queue_depth c.metrics ~site
+              ~queue:(Printf.sprintf "parent:%d" src)
+              ~depth:(Queue.length q);
+            Condvar.broadcast st.arrivals
+        | None -> invalid_arg "Dag_t: message from a non-parent site");
     let cat = Cluster.profile_cat c "server" in
     if Digraph.pred graph site <> [] then
       Sim.spawn ~cat c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);

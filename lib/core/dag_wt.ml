@@ -2,7 +2,6 @@ module Sim = Repdb_sim.Sim
 module Mailbox = Repdb_sim.Mailbox
 module Tree = Repdb_graph.Tree
 module Network = Repdb_net.Network
-module Batcher = Repdb_net.Batcher
 module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
 
@@ -14,8 +13,7 @@ type msg = { gid : int; writes : int list; origin_commit : float; epoch : int }
 type t = {
   c : Cluster.t;
   mutable tr : Tree.t;
-  net : msg list Network.t; (* one physical message = one coalesced run *)
-  bat : msg Batcher.t;
+  net : msg Network.t;
   mutable in_subtree : Routing.subtree_map;
       (* site -> item bitset -> some replica lives in subtree(site) *)
 }
@@ -27,15 +25,15 @@ let relevant_children t site writes =
   Routing.relevant_children t.in_subtree t.tr site writes
 
 (* Forward a subtransaction to the relevant children; non-blocking, so it can
-   sit inside an atomic commit section. Returns the number of sends. The
-   outstanding token is taken per update at push time, so updates parked in
-   the batcher hold the quiescence/drain machinery open until they flush. *)
+   sit inside an atomic commit section. Returns the number of sends. Each
+   send takes an outstanding token, so in-flight updates hold the
+   quiescence/drain machinery open until they are applied. *)
 let forward t site (msg : msg) =
   let children = relevant_children t site msg.writes in
   List.iter
     (fun child ->
       Cluster.inc_outstanding t.c;
-      Batcher.push t.bat ~src:site ~dst:child msg)
+      Network.send t.net ~src:site ~dst:child msg)
     children;
   List.length children
 
@@ -61,16 +59,12 @@ let process_secondary t site (msg : msg) =
 let applier t site =
   let inbox = Network.inbox t.net site in
   let rec loop () =
-    let _, batch = Mailbox.recv inbox in
+    let _, (msg : msg) = Mailbox.recv inbox in
     (* Dequeue order = receive order (the FIFO the protocol's correctness
-       rests on), and a batch preserves its pushes' order; the trace records
-       it so tests can assert commit order. *)
-    List.iter
-      (fun (msg : msg) ->
-        Metrics.secondary_recv t.c.metrics ~gid:msg.gid ~site;
-        Metrics.queue_depth t.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox);
-        process_secondary t site msg)
-      batch;
+       rests on); the trace records it so tests can assert commit order. *)
+    Metrics.secondary_recv t.c.metrics ~gid:msg.gid ~site;
+    Metrics.queue_depth t.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox);
+    process_secondary t site msg;
     loop ()
   in
   loop ()
@@ -102,9 +96,8 @@ let check_tree (c : Cluster.t) tr =
 
 let create_with_tree (c : Cluster.t) tr =
   check_tree c tr;
-  let net = Cluster.make_batch_net ~describe_one:describe_msg c in
-  let bat = Cluster.make_batcher c net in
-  let t = { c; tr; net; bat; in_subtree = Routing.subtree_replicas c.placement tr } in
+  let net = Cluster.make_net ~describe:describe_msg c in
+  let t = { c; tr; net; in_subtree = Routing.subtree_replicas c.placement tr } in
   (* A reconfiguration — operator-planned or a healer failover — can give any
      site a tree parent later, so under either every site gets an applier
      (idle at roots); without one, spawn exactly as before — spawn counts

@@ -4,7 +4,6 @@ module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Network = Repdb_net.Network
-module Batcher = Repdb_net.Batcher
 module Txn = Repdb_txn.Txn
 
 let name = "lazy-master"
@@ -18,11 +17,7 @@ type msg =
   | Push_ack of { deliver : unit -> unit }
   | Release of { owner : int }
 
-(* Only [Push] messages coalesce (they are the lazy propagation stream); the
-   lock-protocol traffic — read requests, replies, acks, releases — ships via
-   [push_now], which flushes any parked pushes on the pair first so the
-   channel order the lock protocol relies on is preserved. *)
-type t = { c : Cluster.t; net : msg list Network.t; bat : msg Batcher.t; mutable remote : int }
+type t = { c : Cluster.t; net : msg Network.t; mutable remote : int }
 
 let remote_reads t = t.remote
 
@@ -33,7 +28,7 @@ let serve_read t site ~src ~item ~owner ~reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   let respond granted =
-    Batcher.push_now t.bat ~src:site ~dst:src (Read_reply { granted; deliver = reply })
+    Network.send t.net ~src:site ~dst:src (Read_reply { granted; deliver = reply })
   in
   match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Shared with
   | Lock_mgr.Granted ->
@@ -48,7 +43,7 @@ let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
   Cluster.use_cpu c site c.params.cpu_msg;
   let items = Routing.local_replicas c.placement site writes in
   Exec.apply_secondary c ~gid ~site ~origin_commit items;
-  Batcher.push_now t.bat ~src:site ~dst:src (Push_ack { deliver = reply })
+  Network.send t.net ~src:site ~dst:src (Push_ack { deliver = reply })
 
 let server t site =
   let inbox = Network.inbox t.net site in
@@ -71,30 +66,26 @@ let server t site =
             Cluster.dec_outstanding t.c)
   in
   let rec loop () =
-    let src, batch = Mailbox.recv inbox in
-    List.iter (handle src) batch;
+    let src, msg = Mailbox.recv inbox in
+    handle src msg;
     loop ()
   in
   loop ()
 
 let create (c : Cluster.t) =
-  let net = Cluster.make_batch_net c in
-  let t = { c; net; bat = Cluster.make_batcher c net; remote = 0 } in
+  let t = { c; net = Cluster.make_net c; remote = 0 } in
   let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
     Sim.spawn ~cat c.sim (fun () -> server t site)
   done;
   t
 
-(* [batched] only for pushes: the lazy stream may park in the coalescer;
-   synchronous lock traffic always flushes ahead of itself and ships now. *)
-let rpc ?(batched = false) t ~site ~dst msg_of_reply =
+let rpc t ~site ~dst msg_of_reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   Sim.suspend (fun resume ->
       Cluster.inc_outstanding c;
-      if batched then Batcher.push t.bat ~src:site ~dst (msg_of_reply resume)
-      else Batcher.push_now t.bat ~src:site ~dst (msg_of_reply resume))
+      Network.send t.net ~src:site ~dst (msg_of_reply resume))
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
@@ -107,7 +98,7 @@ let submit t (spec : Txn.spec) =
     Hashtbl.iter
       (fun primary () ->
         Cluster.inc_outstanding c;
-        Batcher.push_now t.bat ~src:site ~dst:primary (Release { owner = attempt }))
+        Network.send t.net ~src:site ~dst:primary (Release { owner = attempt }))
       remote_sites
   in
   let rec run = function
@@ -142,7 +133,7 @@ let submit t (spec : Txn.spec) =
       ignore
         (Exec.fan_out c ~site writes (fun dst ->
              ignore
-               (rpc ~batched:true t ~site ~dst (fun resume ->
+               (rpc t ~site ~dst (fun resume ->
                     Push { gid; writes; origin_commit; reply = (fun () -> resume true) }))));
       Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait
         (Sim.now c.sim -. origin_commit);

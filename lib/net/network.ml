@@ -16,10 +16,6 @@ type 'a t = {
   mutable sent : int;
   mutable dropped : int;
   cat : int; (* profiler category for delivery events *)
-  arity : 'a -> int;
-      (* Logical updates carried by one physical message. Always 1 except on
-         batched nets, where counters track updates rather than envelopes so
-         the message metrics stay comparable across batch sizes. *)
   trace : Trace.t;
   describe : ('a -> string * int) option;
   sent_ctr : Stats.counter option;
@@ -27,7 +23,7 @@ type 'a t = {
   drop_ctr : Stats.counter option;
   injector : Fault.injector option;
   inflight_pair : int array;
-      (* Per ordered pair (src * n + dst): units accepted minus units
+      (* Per ordered pair (src * n + dst): messages accepted minus messages
          delivered, so the healer can drain "everything except traffic parked
          behind a crashed or partitioned pair". *)
   fifo_clear : float array array;
@@ -36,7 +32,7 @@ type 'a t = {
          to preserve the FIFO-channel guarantee. *)
 }
 
-let create ~sim ~n_sites ~latency ?(arity = fun _ -> 1) ?(trace = Trace.disabled) ?describe
+let create ~sim ~n_sites ~latency ?(trace = Trace.disabled) ?describe
     ?stats ?injector () =
   if n_sites < 1 then invalid_arg "Network.create: need at least one site";
   let delays =
@@ -54,7 +50,6 @@ let create ~sim ~n_sites ~latency ?(arity = fun _ -> 1) ?(trace = Trace.disabled
     sent = 0;
     dropped = 0;
     cat = Profile.cat (Sim.profile sim) "net";
-    arity;
     trace;
     describe;
     sent_ctr = Option.map (fun s -> Stats.counter s "msg.sent") stats;
@@ -85,14 +80,13 @@ let send t ~src ~dst msg =
   check t src;
   check t dst;
   if src = dst then invalid_arg "Network.send: src = dst";
-  let units = t.arity msg in
-  t.sent <- t.sent + units;
+  t.sent <- t.sent + 1;
   let pair = (src * t.n) + dst in
-  t.inflight_pair.(pair) <- t.inflight_pair.(pair) + units;
-  (match t.sent_ctr with Some c -> Stats.add c ~site:src units | None -> ());
+  t.inflight_pair.(pair) <- t.inflight_pair.(pair) + 1;
+  (match t.sent_ctr with Some c -> Stats.incr c ~site:src | None -> ());
   let deliver () =
-    t.inflight_pair.(pair) <- t.inflight_pair.(pair) - units;
-    (match t.recv_ctr with Some c -> Stats.add c ~site:dst units | None -> ());
+    t.inflight_pair.(pair) <- t.inflight_pair.(pair) - 1;
+    (match t.recv_ctr with Some c -> Stats.incr c ~site:dst | None -> ());
     match t.targets.(dst) with
     | Inbox mb -> Mailbox.send mb (src, msg)
     | Handler f -> f ~src msg

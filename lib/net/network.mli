@@ -18,12 +18,6 @@ type 'a t
     delay in ms for that ordered pair; it is sampled once per pair at
     creation.
 
-    [arity] gives the number of logical updates one physical message carries
-    (default: 1). Batched nets pass the batch length so that the sent and
-    in-flight counters and the per-site stats keep counting logical updates
-    — comparable across batch sizes — while the simulation still schedules
-    one delivery event per physical message.
-
     Observability: when [trace] is enabled, every send and delivery is
     recorded as a [Msg_send] / [Msg_recv] event tagged with the message kind
     and approximate size from [describe] (defaults to [("msg", 0)]); when
@@ -40,7 +34,6 @@ val create :
   sim:Repdb_sim.Sim.t ->
   n_sites:int ->
   latency:(int -> int -> float) ->
-  ?arity:('a -> int) ->
   ?trace:Repdb_obs.Trace.t ->
   ?describe:('a -> string * int) ->
   ?stats:Repdb_obs.Stats.t ->
@@ -69,11 +62,11 @@ val inbox : 'a t -> int -> (int * 'a) Repdb_sim.Mailbox.t
     the inbox. The handler runs at delivery time and must not block. *)
 val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 
-(** Total logical messages sent so far (physical sends weighted by [arity]). *)
+(** Total messages sent so far. *)
 val messages_sent : 'a t -> int
 
-(** [in_flight_matching t ~f] — logical messages sent but not yet delivered
-    on ordered pairs selected by [f ~src ~dst], counted once per update
+(** [in_flight_matching t ~f] — messages sent but not yet delivered
+    on ordered pairs selected by [f ~src ~dst], counted once per message
     regardless of how many faulty transmission attempts it took. The
     healer's failover drain waits for everything except the [parked] pairs
     to reach zero, where [parked]

@@ -44,8 +44,6 @@ type t = {
   reconfig : Repdb_reconfig.Reconfig.plan;
   timeline_every : float;
   profile : bool;
-  batch_size : int;
-  batch_linger_ms : float;
   occ_epoch_ms : float;
   heal : bool;
   heartbeat_every : float;
@@ -88,8 +86,6 @@ let default =
     reconfig = Repdb_reconfig.Reconfig.empty;
     timeline_every = 0.0;
     profile = false;
-    batch_size = 1;
-    batch_linger_ms = 0.0;
     occ_epoch_ms = 10.0;
     heal = false;
     heartbeat_every = 25.0;
@@ -117,13 +113,12 @@ let pp ppf t =
   Fmt.pf ppf
     "@[<v>m=%d n=%d r=%g s=%g b=%g ops=%d threads=%d txns=%d read_op=%g read_txn=%g@ \
      latency=%gms timeout=%gms machines=%d cpu(op=%g commit=%g msg=%g) seed=%d retry=%s@ \
-     deadline=%gms stale_reads=%gms batch=%d/%gms zipf=%g occ_epoch=%gms heal=%s faults=%a@ \
+     deadline=%gms stale_reads=%gms zipf=%g occ_epoch=%gms heal=%s faults=%a@ \
      reconfig=%a@]"
     t.n_sites t.n_items t.replication_prob t.site_prob t.backedge_prob t.ops_per_txn
     t.threads_per_site t.txns_per_thread t.read_op_prob t.read_txn_prob t.latency
     t.lock_timeout t.n_machines t.cpu_op t.cpu_commit t.cpu_msg t.seed
-    (string_of_retry t.retry) t.txn_deadline t.stale_reads t.batch_size t.batch_linger_ms
-    t.zipf_theta t.occ_epoch_ms
+    (string_of_retry t.retry) t.txn_deadline t.stale_reads t.zipf_theta t.occ_epoch_ms
     (if t.heal then
        Printf.sprintf "on(hb=%g,phi=%g,ae=%g)" t.heartbeat_every t.phi_threshold
          t.anti_entropy_every
@@ -180,9 +175,6 @@ let validate t =
     invalid_arg "Params: timeline_every must be >= 0 and finite";
   if t.epoch_period <= 0.0 then invalid_arg "Params: epoch_period must be > 0";
   if t.dummy_idle <= 0.0 then invalid_arg "Params: dummy_idle must be > 0";
-  positive "batch_size" t.batch_size;
-  if t.batch_linger_ms < 0.0 || not (Float.is_finite t.batch_linger_ms) then
-    invalid_arg "Params: batch_linger_ms must be >= 0 and finite";
   if t.occ_epoch_ms <= 0.0 || not (Float.is_finite t.occ_epoch_ms) then
     invalid_arg "Params: occ_epoch_ms must be > 0 and finite";
   if t.heartbeat_every <= 0.0 || not (Float.is_finite t.heartbeat_every) then

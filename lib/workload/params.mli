@@ -102,18 +102,6 @@ type t = {
       (** Enable the wall-clock self-profiler for this run (default
           false). Profiling never affects simulated results, only adds
           wall-time accounting per event category. *)
-  (* Batched propagation *)
-  batch_size : int;
-      (** Maximum updates coalesced into one network message on the lazy
-          propagation paths (dag-wt, dag-t, backedge normals, lazy-master
-          pushes). 1 (the default) sends each update immediately in its own
-          message — the exact pre-batching behavior. *)
-  batch_linger_ms : float;
-      (** How long (simulated ms) a partially filled batch may wait for more
-          updates before it is flushed. 0 (the default) flushes at the end of
-          the simulation instant that opened the batch, so update delivery
-          times are unchanged; > 0 trades propagation latency (bounded by the
-          linger) for fewer, fuller messages. Ignored when [batch_size = 1]. *)
   (* Optimistic concurrency (occ-epoch) *)
   occ_epoch_ms : float;
       (** Epoch boundary period for the occ-epoch protocol, simulated ms
