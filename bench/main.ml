@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5), the extra sweeps implied by Table 1's ranges, our
-   ablations, and a set of Bechamel micro-benchmarks of the core operations.
+   evaluation (Section 5), the extra sweeps implied by Table 1's ranges and
+   our ablations.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig2a fig3b  # selected targets
@@ -189,235 +189,6 @@ let variance () =
     protos;
   Fmt.pr "@."
 
-(* --- micro-benchmarks ----------------------------------------------------------- *)
-
-(* The pre-PR heap, kept verbatim as a baseline so the micro target shows
-   what the structure-of-arrays rewrite of [Repdb_sim.Heap] buys: this
-   version boxes every entry in a record (one allocation per push) and does
-   a three-word swap per level in both sift directions. *)
-module Swap_heap = struct
-  type 'a entry = { time : float; seq : int; value : 'a }
-  type 'a t = { mutable data : 'a entry array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-  let is_empty h = h.len = 0
-  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let push h ~time ~seq value =
-    let entry = { time; seq; value } in
-    let cap = Array.length h.data in
-    if h.len = cap then begin
-      let ndata = Array.make (if cap = 0 then 16 else cap * 2) entry in
-      Array.blit h.data 0 ndata 0 h.len;
-      h.data <- ndata
-    end;
-    h.data.(h.len) <- entry;
-    h.len <- h.len + 1;
-    let rec up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if less h.data.(i) h.data.(parent) then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(parent);
-          h.data.(parent) <- tmp;
-          up parent
-        end
-      end
-    in
-    up (h.len - 1)
-
-  let pop_min h =
-    let min = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest = ref i in
-        if l < h.len && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.len && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest <> i then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          down !smallest
-        end
-      in
-      down 0
-    end;
-    (min.time, min.seq, min.value)
-end
-
-let micro () =
-  let open Bechamel in
-  let module Timestamp = Repdb.Timestamp in
-  let ts_a =
-    Timestamp.of_tuples ~epoch:1
-      [ { Timestamp.site = 0; lts = 3 }; { site = 2; lts = 5 }; { site = 4; lts = 1 } ]
-  in
-  let ts_b =
-    Timestamp.of_tuples ~epoch:1 [ { Timestamp.site = 0; lts = 3 }; { site = 3; lts = 2 } ]
-  in
-  let rng = Repdb_sim.Rng.create 1 in
-  let dag =
-    let g = Repdb_graph.Digraph.create 16 in
-    for _ = 1 to 40 do
-      let u = Repdb_sim.Rng.int rng 16 and v = Repdb_sim.Rng.int rng 16 in
-      if u < v then Repdb_graph.Digraph.add_edge g u v
-    done;
-    g
-  in
-  let heap_rng = Repdb_sim.Rng.create 2 in
-  let swap_heap_rng = Repdb_sim.Rng.create 2 in
-  (* Memoized placement accessors vs the full recompute a reconfiguration
-     step pays: copy_graph/backedges are O(1) field reads since the memos
-     moved into [Placement.make]. *)
-  let placement =
-    Repdb_workload.Placement.generate (Repdb_sim.Rng.create 3)
-      { base with Params.backedge_prob = 0.5; replication_prob = 0.5 }
-  in
-  (* Per-task pool overhead: 256 no-op tasks on a 2-domain pool, so the
-     measured cost is claim/synchronisation, not work. *)
-  let micro_pool = Pool.create ~domains:2 () in
-  let pool_tasks = Array.init 256 Fun.id in
-  (* Propagation path: 256 updates from one source to one destination. The
-     closure builds its own simulator so each run pays send + delivery for
-     every message. *)
-  let propagate =
-    let module Sim = Repdb_sim.Sim in
-    let module Network = Repdb_net.Network in
-    Staged.stage (fun () ->
-        let sim = Sim.create () in
-        let delivered = ref 0 in
-        let net = Network.create ~sim ~n_sites:2 ~latency:(fun _ _ -> 1.0) () in
-        Network.set_handler net 1 (fun ~src:_ _ -> incr delivered);
-        for i = 1 to 256 do
-          Network.send net ~src:0 ~dst:1 i
-        done;
-        Sim.run sim;
-        assert (!delivered = 256))
-  in
-  (* The [Profile.on] guard: the same event churn with the self-profiler
-     disabled (the default — schedulers skip the wrap after one check) and
-     enabled (every closure wrapped, gettimeofday + minor-words sampled). *)
-  let bench_sched profile =
-    let module Sim = Repdb_sim.Sim in
-    Staged.stage (fun () ->
-        let sim = Sim.create ?profile () in
-        let n = ref 0 in
-        let rec tick () =
-          incr n;
-          if !n < 256 then Sim.after sim 1.0 tick
-        in
-        Sim.after sim 1.0 tick;
-        Sim.run sim;
-        assert (!n = 256))
-  in
-  let tests =
-    [
-      Test.make ~name:"Timestamp.compare" (Staged.stage (fun () -> Repdb.Timestamp.compare ts_a ts_b));
-      Test.make ~name:"Rng.next_int64" (Staged.stage (fun () -> Repdb_sim.Rng.next_int64 rng));
-      Test.make ~name:"Tree.of_dag (16 sites)" (Staged.stage (fun () -> Repdb_graph.Tree.of_dag dag));
-      Test.make ~name:"Backedge.minimal_set" (Staged.stage (fun () -> Repdb_graph.Backedge.minimal_set dag));
-      Test.make ~name:"Heap push/pop (SoA hole-sift)"
-        (Staged.stage (fun () ->
-             let h = Repdb_sim.Heap.create () in
-             for seq = 0 to 63 do
-               Repdb_sim.Heap.push h ~time:(Repdb_sim.Rng.float heap_rng) ~seq ()
-             done;
-             while not (Repdb_sim.Heap.is_empty h) do
-               ignore (Repdb_sim.Heap.pop_min h)
-             done));
-      Test.make ~name:"Heap push/pop (record swap)"
-        (Staged.stage (fun () ->
-             let h = Swap_heap.create () in
-             for seq = 0 to 63 do
-               Swap_heap.push h ~time:(Repdb_sim.Rng.float swap_heap_rng) ~seq ()
-             done;
-             while not (Swap_heap.is_empty h) do
-               ignore (Swap_heap.pop_min h)
-             done));
-      Test.make ~name:"Placement.copy_graph (memoized)"
-        (Staged.stage (fun () ->
-             ignore (Repdb_workload.Placement.copy_graph placement);
-             ignore (Repdb_workload.Placement.backedges placement)));
-      Test.make ~name:"Placement.apply_step (memo rebuild)"
-        (Staged.stage (fun () ->
-             ignore
-               (Repdb_workload.Placement.apply_step placement
-                  (Repdb_reconfig.Reconfig.Add_replica { item = 0; site = 1 }))));
-      Test.make ~name:"Pool.map (256 tasks, 2 domains)"
-        (Staged.stage (fun () -> ignore (Pool.map micro_pool pool_tasks ~f:succ)));
-      Test.make ~name:"propagate 256" propagate;
-      Test.make ~name:"256 events (profile off)" (bench_sched None);
-      Test.make ~name:"256 events (profile on)"
-        (bench_sched (Some (Repdb_obs.Profile.create ())));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    Analyze.all ols instance raw
-  in
-  Fmt.pr "== Micro-benchmarks (Bechamel, monotonic clock) ==@.";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ t ] -> Fmt.pr "  %-28s %10.1f ns/run@." name t
-          | _ -> Fmt.pr "  %-28s (no estimate)@." name)
-        results)
-    tests;
-  Pool.shutdown micro_pool;
-  Fmt.pr "@."
-
-(* Validation cost against read/write-set size: one [Validator.validate]
-   call per run. Read and write sets are disjoint, so every run validates
-   clean (the steady-state cost a winner pays) — the writes keep bumping
-   their own items, the reads stay at their seeded versions. *)
-let occ_validate () =
-  let open Bechamel in
-  let module Validator = Repdb_occ.Validator in
-  let bench n =
-    let v = Validator.create () in
-    let reads = List.init n (fun i -> (i, 0)) in
-    let writes = List.init n (fun i -> 4096 + i) in
-    let gid = ref 0 in
-    Staged.stage (fun () ->
-        incr gid;
-        match Validator.validate v { gid = !gid; reads; writes } with
-        | Some _ -> ()
-        | None -> assert false)
-  in
-  let tests =
-    List.map
-      (fun n -> Test.make ~name:(Printf.sprintf "Validator.validate (%d r + %d w)" n n) (bench n))
-      [ 4; 16; 64 ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg [ instance ] test in
-    Analyze.all ols instance raw
-  in
-  Fmt.pr "== OCC validation micro (Bechamel, monotonic clock) ==@.";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ t ] -> Fmt.pr "  %-32s %10.1f ns/run@." name t
-          | _ -> Fmt.pr "  %-32s (no estimate)@." name)
-        results)
-    tests;
-  Fmt.pr "@."
-
 (* --- dispatch ------------------------------------------------------------------- *)
 
 (* Every [Experiment.registry] entry at the CLI's default resolution, plus
@@ -431,7 +202,7 @@ let targets : (string * (unit -> unit)) list =
         | Experiment.Reports rs -> Fmt.pr "%a@." Experiment.pp_reports rs )
   in
   (("table1", table1) :: List.map experiment Experiment.registry)
-  @ [ ("fas", fas); ("variance", variance); ("micro", micro); ("occ-validate", occ_validate) ]
+  @ [ ("fas", fas); ("variance", variance) ]
 
 let () =
   let requested = if requested = [] then List.map fst targets else requested in

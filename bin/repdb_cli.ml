@@ -33,8 +33,7 @@ let params_term =
   in
   let d = Params.default in
   let make sites items r s b ops threads txns read_op read_txn latency timeout seed retry deadline
-      stale check faults reconfig zipf occ_epoch heal heartbeat_every phi_threshold
-      anti_entropy_every =
+      stale check faults reconfig zipf occ_epoch heal phi_threshold =
     {
       d with
       n_sites = sites;
@@ -59,9 +58,7 @@ let params_term =
       zipf_theta = zipf;
       occ_epoch_ms = occ_epoch;
       heal;
-      heartbeat_every;
       phi_threshold;
-      anti_entropy_every;
     }
   in
   const make
@@ -150,25 +147,13 @@ let params_term =
              values from primaries). Requires a protocol with a reconfigure hook; healing \
              $(b,psl) additionally needs $(b,--deadline) so failover drains are bounded. \
              Enables $(b,corrupt@) fault clauses and the timeline's $(b,phi.N) columns.")
-  $ float_flag "heartbeat-every"
-      ~doc:
-        "Heartbeat period (simulated ms) of the failure detector's control plane; also the \
-         suspicion poll interval. Smaller detects faster but tolerates less jitter at a given \
-         $(b,--phi-threshold)."
-      d.heartbeat_every
   $ float_flag "phi-threshold"
       ~doc:
         "φ-accrual suspicion threshold: a site is suspected once a strict majority of up \
-         observers see φ = log10(e) · silence/mean-interarrival above this. At the default \
+         observers see φ = log10(e) · silence/mean-interarrival above this. At the fixed \
          25 ms heartbeat, 8 fires after ≈460 ms of silence; lower detects faster but risks \
          false failovers under latency jitter (costing availability, never consistency)."
       d.phi_threshold
-  $ float_flag "anti-entropy-every"
-      ~doc:
-        "Background anti-entropy period (simulated ms): one (primary, holder) pair per tick is \
-         compared by Merkle digest narrowing and repaired, round-robin over the current \
-         placement."
-      d.anti_entropy_every
 
 (* --- run ------------------------------------------------------------------ *)
 
@@ -260,27 +245,18 @@ let obs_flags =
       & info [ "timeline-every" ] ~docs ~docv:"MS"
           ~doc:"Timeline sampling interval in simulated ms (default 100).")
   in
-  let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ] ~docs
-          ~doc:
-            "Enable the wall-clock self-profiler and print per-event-category execution time \
-             shares (client, net, lock, server, …) and GC deltas after the report. Never \
-             affects simulated results.")
-  in
-  Term.(const (fun t e p -> (t, e, p)) $ timeline $ every $ profile)
+  Term.(const (fun t e -> (t, e)) $ timeline $ every)
 
 (* Fold the telemetry flags into the params: sampling turns on as soon as a
    destination or an explicit interval asks for it. *)
-let apply_obs params (timeline_file, every, profile) =
+let apply_obs params (timeline_file, every) =
   let timeline_every =
     match (timeline_file, every) with
     | None, None -> params.Params.timeline_every
     | _, Some ms -> ms
     | Some _, None -> 100.0
   in
-  { params with Params.timeline_every; profile }
+  { params with Params.timeline_every }
 
 let write_timeline (tl : Repdb_obs.Timeline.t) dest =
   match open_out dest with
@@ -309,13 +285,12 @@ let run_with_trace params protocol (trace_file, trace_capacity) =
       exit 1
 
 let run_cmd =
-  let run params protocol ((trace_file, _) as tf) ((timeline_file, _, profile) as obs) =
+  let run params protocol ((trace_file, _) as tf) ((timeline_file, _) as obs) =
     let params = apply_obs params obs in
     let report = run_with_trace params protocol tf in
     (* With "--trace -" the event stream owns stdout. *)
     let report_ppf = if trace_file = Some "-" then Fmt.stderr else Fmt.stdout in
     Fmt.pf report_ppf "%a@." Repdb.Driver.pp_report report;
-    if profile then Fmt.pf report_ppf "%a@." Repdb_obs.Profile.pp_table report.profile;
     Option.iter (export_trace report) trace_file;
     (match (timeline_file, report.timeline) with
     | Some dest, Some tl -> write_timeline tl dest
@@ -339,13 +314,12 @@ let run_cmd =
 (* --- stats ---------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run params protocol ((trace_file, _) as tf) ((timeline_file, _, profile) as obs) =
+  let run params protocol ((trace_file, _) as tf) ((timeline_file, _) as obs) =
     let params = apply_obs params obs in
     let report = run_with_trace params protocol tf in
     let ppf = if trace_file = Some "-" then Fmt.stderr else Fmt.stdout in
     Fmt.pf ppf "%s, %d sites@." report.protocol report.params.n_sites;
     Fmt.pf ppf "%a@." Repdb.Driver.pp_site_stats report;
-    if profile then Fmt.pf ppf "%a@." Repdb_obs.Profile.pp_table report.profile;
     Option.iter (export_trace report) trace_file;
     match (timeline_file, report.timeline) with
     | Some dest, Some tl -> write_timeline tl dest
@@ -412,13 +386,12 @@ let experiment_cmd =
              (point, protocol) into $(docv) (created if missing). Render each with $(b,repdb \
              report).")
   in
-  let run params exp_name steps csv jobs chunk timeline_dir ((_, every, _) as obs) =
+  let run params exp_name steps csv jobs chunk timeline_dir (_, every) =
     (* [--timeline-dir] turns sampling on for every run of the sweep; a bare
        [--timeline FILE] is meaningless here and ignored in favour of it. *)
     let base =
-      let p = apply_obs params (None, every, false) in
-      let p = if timeline_dir <> None && p.Params.timeline_every = 0.0 then { p with Params.timeline_every = 100.0 } else p in
-      match obs with _, _, profile -> { p with Params.profile }
+      let p = apply_obs params (None, every) in
+      if timeline_dir <> None && p.Params.timeline_every = 0.0 then { p with Params.timeline_every = 100.0 } else p
     in
     let positive flag n =
       if n < 1 then begin
@@ -444,24 +417,6 @@ let experiment_cmd =
                 if csv then print_string (Repdb.Experiment.to_csv fig)
                 else Fmt.pr "%a@." Repdb.Experiment.pp_figure fig
             | Repdb.Experiment.Reports rs -> Fmt.pr "%a@." Repdb.Experiment.pp_reports rs);
-            (if base.Params.profile then
-               let profiles =
-                 match outcome with
-                 | Repdb.Experiment.Figure fig ->
-                     List.concat_map
-                       (fun (pt : Repdb.Experiment.point) ->
-                         List.map
-                           (fun (proto, (r : Repdb.Driver.report)) ->
-                             (Printf.sprintf "%s @ x=%g" proto pt.x, r.profile))
-                           pt.reports)
-                       fig.points
-                 | Repdb.Experiment.Reports rs ->
-                     List.map (fun (label, (r : Repdb.Driver.report)) -> (label, r.profile)) rs
-               in
-               List.iter
-                 (fun (label, prof) ->
-                   Fmt.pr "--- profile: %s ---@.%a@." label Repdb_obs.Profile.pp_table prof)
-                 profiles);
             match timeline_dir with
             | None -> ()
             | Some dir ->

@@ -351,11 +351,10 @@ let make_with_tree (c : Cluster.t) ~retree tr =
      (possibly idle) applier; otherwise, spawn exactly as before — spawn
      counts feed the event tie-break order, and static runs must stay
      byte-identical. *)
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to m - 1 do
     if Epoch.planned c || Tree.parent tr site <> -1 then
-      Sim.spawn ~cat c.sim (fun () -> tree_applier t site);
-    Sim.spawn ~cat c.sim (fun () -> direct_server t site)
+      Sim.spawn c.sim (fun () -> tree_applier t site);
+    Sim.spawn c.sim (fun () -> direct_server t site)
   done;
   t
 

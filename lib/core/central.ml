@@ -74,10 +74,9 @@ let create (c : Cluster.t) =
      primary, so FIFO delivery + in-order application preserves the
      certification order (concurrent application could invert two updates
      that overlap on some items but not others). *)
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> cert_server t site);
-    Sim.spawn ~cat c.sim (fun () -> Exec.update_applier c t.update_net site)
+    Sim.spawn c.sim (fun () -> cert_server t site);
+    Sim.spawn c.sim (fun () -> Exec.update_applier c t.update_net site)
   done;
   t
 

@@ -16,7 +16,6 @@ module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
 module Span = Repdb_obs.Span
 module Timeline = Repdb_obs.Timeline
-module Profile = Repdb_obs.Profile
 
 type epoch = {
   mutable config_epoch : int;
@@ -78,8 +77,7 @@ type t = {
 let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) placement =
   Params.validate params;
   let lat_fn = match latency with Some f -> f | None -> fun _ _ -> params.latency in
-  let profile = if params.profile then Profile.create () else Profile.disabled in
-  let sim = Sim.create ~profile () in
+  let sim = Sim.create () in
   let m = params.n_sites in
   let tr =
     if trace then Trace.create ?capacity:trace_capacity ~clock:(Sim.clock sim) ()
@@ -402,5 +400,3 @@ let schedule_faults t =
           Sim.at t.sim p.until_t (fun () ->
               Metrics.emit t.metrics (Event.Partition_heal { groups })))
         (Fault.schedule inj).partitions
-
-let profile_cat t name = Profile.cat (Sim.profile t.sim) name

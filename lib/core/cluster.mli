@@ -147,9 +147,6 @@ val note_apply : t -> site:int -> item:int -> unit
 (** ms since [item] was last written at [site] (time itself if never). *)
 val staleness : t -> site:int -> item:int -> float
 
-(** Intern a profiler category name (cheap; "other" when disabled). *)
-val profile_cat : t -> string -> int
-
 (** {1 Quiescence accounting} *)
 
 val inc_outstanding : t -> unit

@@ -253,13 +253,12 @@ let create_internal ~pipelined (c : Cluster.t) =
               ~depth:(Queue.length q);
             Condvar.broadcast st.arrivals
         | None -> invalid_arg "Dag_t: message from a non-parent site");
-    let cat = Cluster.profile_cat c "server" in
     if Digraph.pred graph site <> [] then
-      Sim.spawn ~cat c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
+      Sim.spawn c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
     let children = Digraph.succ graph site in
     if children <> [] then begin
-      Sim.spawn ~cat c.sim (fun () -> dummy_timer t site children);
-      if Digraph.pred graph site = [] then Sim.spawn ~cat c.sim (fun () -> epoch_timer t site)
+      Sim.spawn c.sim (fun () -> dummy_timer t site children);
+      if Digraph.pred graph site = [] then Sim.spawn c.sim (fun () -> epoch_timer t site)
     end
   done;
   t

@@ -103,10 +103,9 @@ let create_with_tree (c : Cluster.t) tr =
      (idle at roots); without one, spawn exactly as before — spawn counts
      feed the event tie-break order, and static runs must stay
      byte-identical. *)
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
     if Epoch.planned c || Tree.parent tr site <> -1 then
-      Sim.spawn ~cat c.sim (fun () -> applier t site)
+      Sim.spawn c.sim (fun () -> applier t site)
   done;
   t
 

@@ -10,7 +10,6 @@ module Serializability = Repdb_txn.Serializability
 module Stats = Repdb_obs.Stats
 module Trace = Repdb_obs.Trace
 module Timeline = Repdb_obs.Timeline
-module Profile = Repdb_obs.Profile
 
 type report = {
   protocol : string;
@@ -34,7 +33,6 @@ type report = {
   reconfig_stall : float;
   heal : Heal_exec.summary option;
   timeline : Timeline.t option;
-  profile : Profile.t;
 }
 
 let client (c : Cluster.t) submit gen rng retry_rng ~site =
@@ -98,7 +96,6 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   in
   let proto = P.create c in
   let gen = Generator.create c.rng p c.placement in
-  let cat_client = Cluster.profile_cat c "client" in
   for site = 0 to p.n_sites - 1 do
     for thread = 0 to p.threads_per_site - 1 do
       Cluster.client_started c;
@@ -106,7 +103,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       (* Separate stream for backoff jitter: enabling retries must not shift
          the workload stream, and vice versa. *)
       let retry_rng = Rng.create ((p.seed * 48271) + (site * 131) + thread) in
-      Sim.spawn ~cat:cat_client c.sim (fun () ->
+      Sim.spawn c.sim (fun () ->
           client c (P.submit proto) gen rng retry_rng ~site)
     done
   done;
@@ -122,9 +119,8 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   | Some tl ->
       Timeline.set_meta tl [ ("protocol", P.name); ("seed", string_of_int p.seed) ];
       let every = Timeline.interval tl in
-      let cat_tick = Cluster.profile_cat c "timeline" in
       let rec tick at =
-        Sim.at ~cat:cat_tick c.sim at (fun () ->
+        Sim.at c.sim at (fun () ->
             Metrics.sample c.metrics ~active:c.active_txns
               ~inflight:
                 (List.fold_left (fun acc f -> acc + f (fun ~src:_ ~dst:_ -> true)) 0 c.inflight_fns)
@@ -219,7 +215,6 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     reconfig_stall;
     heal = heal_summary;
     timeline;
-    profile = Sim.profile c.sim;
   }
 
 let run ?placement ?trace ?trace_capacity params protocol =

@@ -48,9 +48,6 @@ type report = {
       (** Fixed-interval telemetry samples; [Some] iff
           [params.timeline_every > 0]. Export with
           {!Repdb_obs.Timeline.to_csv}. *)
-  profile : Repdb_obs.Profile.t;
-      (** The run's wall-clock self-profiler; {!Repdb_obs.Profile.disabled}
-          unless [params.profile]. *)
 }
 
 (** [run ?placement params protocol] — build a cluster (with the given or a

@@ -92,9 +92,8 @@ let create (c : Cluster.t) =
       remote = 0;
     }
   in
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site)
+    Sim.spawn c.sim (fun () -> server t site)
   done;
   t
 

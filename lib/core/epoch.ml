@@ -172,11 +172,10 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
   if Reconfig.is_empty plan then { c; net = None; reconfigure; gen }
   else begin
     let t = { c; net = Some (Cluster.make_net c ~describe:describe_xfer); reconfigure; gen } in
-    let cat = Cluster.profile_cat c "reconfig" in
     for site = 0 to c.params.n_sites - 1 do
-      Sim.spawn ~cat c.sim (fun () -> receive_server t site)
+      Sim.spawn c.sim (fun () -> receive_server t site)
     done;
-    Sim.spawn ~cat c.sim (fun () ->
+    Sim.spawn c.sim (fun () ->
         List.iter
           (fun (ts : Reconfig.timed) ->
             let now = Sim.now c.sim in

@@ -53,6 +53,11 @@ module Event = Repdb_obs.Event
 module Detector = Repdb_heal.Detector
 module Digest_tree = Repdb_heal.Digest_tree
 
+(* Simulated-time periods (ms) of the heartbeat multicast and detector poll,
+   and of the background anti-entropy scan. *)
+let heartbeat_every = 25.0
+let anti_entropy_every = 200.0
+
 (* Control-plane messages. Requests are sent "as" the acting primary (the
    healer impersonates it), so responses route back to the primary's handler,
    which funnels them into the session mailbox. *)
@@ -101,7 +106,6 @@ type t = {
   mutable next_sid : int;
   mutable session_busy : bool;
   session_free : Condvar.t;
-  cat : int;  (* profiler category *)
   hb_sent : Stats.counter;
   hb_recv : Stats.counter;
   suspect_ctr : Stats.counter;
@@ -399,7 +403,7 @@ let start_heartbeats t =
   let c = t.c in
   let m = c.params.n_sites in
   for site = 0 to m - 1 do
-    Sim.spawn ~cat:t.cat c.sim (fun () ->
+    Sim.spawn c.sim (fun () ->
         let rec loop () =
           if not c.stopped then begin
             (* A crashed site is silent; its peers' φ grows. *)
@@ -411,7 +415,7 @@ let start_heartbeats t =
                 end
               done
             end;
-            Sim.delay c.params.heartbeat_every;
+            Sim.delay heartbeat_every;
             loop ()
           end
         in
@@ -436,10 +440,10 @@ let phi_snapshot t () =
 let start_poller t =
   let c = t.c in
   let m = c.params.n_sites in
-  Sim.spawn ~cat:t.cat c.sim (fun () ->
+  Sim.spawn c.sim (fun () ->
       let rec loop () =
         if not c.stopped then begin
-          Sim.delay c.params.heartbeat_every;
+          Sim.delay heartbeat_every;
           if not c.stopped then begin
             let now = Sim.now c.sim in
             for s = 0 to m - 1 do
@@ -461,13 +465,13 @@ let start_poller t =
                 if Trace.on (Metrics.trace c.metrics) then
                   Metrics.emit c.metrics
                     (Event.Suspect { site = s; phi = (phi_snapshot t ()).(s) });
-                Sim.spawn ~cat:t.cat c.sim (fun () -> failover t ~dead:s)
+                Sim.spawn c.sim (fun () -> failover t ~dead:s)
               end
               else if t.suspected.(s) && !over < majority then begin
                 t.suspected.(s) <- false;
                 let since = t.suspect_since.(s) in
                 Metrics.emit c.metrics (Event.Unsuspect { site = s; downtime = now -. since });
-                Sim.spawn ~cat:t.cat c.sim (fun () -> rejoin t ~site:s ~since)
+                Sim.spawn c.sim (fun () -> rejoin t ~site:s ~since)
               end
             done;
             loop ()
@@ -480,10 +484,10 @@ let start_anti_entropy t =
   let c = t.c in
   let m = c.params.n_sites in
   let cursor = ref 0 in
-  Sim.spawn ~cat:t.cat c.sim (fun () ->
+  Sim.spawn c.sim (fun () ->
       let rec loop () =
         if not c.stopped then begin
-          Sim.delay c.params.anti_entropy_every;
+          Sim.delay anti_entropy_every;
           (* Pause the scan during epoch switches: sessions read the
              placement and must not race the swap. *)
           if (not c.stopped) && not (Epoch.switching c) then begin
@@ -514,7 +518,7 @@ let schedule (c : Cluster.t) epoch =
   let now = Sim.now c.sim in
   let dets =
     Array.init m (fun _ ->
-        Array.init m (fun _ -> Detector.create ~hb_every:p.heartbeat_every ~now ()))
+        Array.init m (fun _ -> Detector.create ~hb_every:heartbeat_every ~now ()))
   in
   let stats = Metrics.stats c.metrics in
   let t =
@@ -529,7 +533,6 @@ let schedule (c : Cluster.t) epoch =
       next_sid = 0;
       session_busy = false;
       session_free = Condvar.create ();
-      cat = Cluster.profile_cat c "heal";
       hb_sent = Stats.counter stats "detector.hb_sent";
       hb_recv = Stats.counter stats "detector.hb_recv";
       suspect_ctr = Stats.counter stats "detector.suspect";
@@ -553,7 +556,7 @@ let schedule (c : Cluster.t) epoch =
 let final_sweep t =
   let c = t.c in
   let m = c.params.n_sites in
-  Sim.spawn ~cat:t.cat c.sim (fun () ->
+  Sim.spawn c.sim (fun () ->
       for p = 0 to m - 1 do
         for h = 0 to m - 1 do
           if p <> h then

@@ -9,9 +9,8 @@ type t = { c : Cluster.t; net : Exec.update Network.t }
 
 let create (c : Cluster.t) =
   let net = Cluster.make_net c in
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> Exec.update_applier c net site)
+    Sim.spawn c.sim (fun () -> Exec.update_applier c net site)
   done;
   { c; net }
 

@@ -126,10 +126,9 @@ let create (c : Cluster.t) =
       queues = Array.init c.params.n_sites (fun _ -> ref []);
     }
   in
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () -> Exec.versioned_applier c t.update_net site)
+    Sim.spawn c.sim (fun () -> server t site);
+    Sim.spawn c.sim (fun () -> Exec.versioned_applier c t.update_net site)
   done;
   (* Epoch boundaries are global instants (k * occ_epoch_ms): every site
      flushes at the same boundary, in site order. The ticker keeps firing

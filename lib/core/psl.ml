@@ -63,9 +63,8 @@ let describe_msg = function
 let create (c : Cluster.t) =
   let net = Cluster.make_net ~describe:describe_msg c in
   let t = { c; net; remote = 0 } in
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site)
+    Sim.spawn c.sim (fun () -> server t site)
   done;
   t
 

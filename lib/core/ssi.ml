@@ -112,10 +112,9 @@ let create (c : Cluster.t) =
       remote = 0;
     }
   in
-  let cat = Cluster.profile_cat c "server" in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn ~cat c.sim (fun () -> server t site);
-    Sim.spawn ~cat c.sim (fun () ->
+    Sim.spawn c.sim (fun () -> server t site);
+    Sim.spawn c.sim (fun () ->
         Exec.versioned_applier ~on_install:(append_version t) c t.update_net site)
   done;
   t

@@ -54,6 +54,8 @@ let validate ~n_sites s =
     if v >= n_sites || v < if any then -1 else 0 then
       fail "Fault: %s=%d out of range for %d sites" name v n_sites
   in
+  (* Every float check is written so that NaN fails it. *)
+  let window_ok from_t until_t = from_t >= 0.0 && Float.is_finite until_t && until_t > from_t in
   if not (s.rto > 0.0 && Float.is_finite s.rto) then fail "Fault: rto=%g must be positive" s.rto;
   List.iter
     (fun c ->
@@ -84,16 +86,15 @@ let validate ~n_sites s =
     (fun w ->
       site_ok ~any:true "src" w.src;
       site_ok ~any:true "dst" w.dst;
-      if w.from_t < 0.0 || not (Float.is_finite w.until_t) || w.until_t <= w.from_t then
-        fail "Fault: bad window %g-%g" w.from_t w.until_t;
-      if w.drop_prob < 0.0 || w.drop_prob > 1.0 then
+      if not (window_ok w.from_t w.until_t) then fail "Fault: bad window %g-%g" w.from_t w.until_t;
+      if not (w.drop_prob >= 0.0 && w.drop_prob <= 1.0) then
         fail "Fault: drop probability %g not in [0,1]" w.drop_prob;
       if w.extra_delay < 0.0 || not (Float.is_finite w.extra_delay) then
         fail "Fault: extra delay %g must be >= 0" w.extra_delay)
     s.windows;
   List.iter
     (fun p ->
-      if p.from_t < 0.0 || not (Float.is_finite p.until_t) || p.until_t <= p.from_t then
+      if not (window_ok p.from_t p.until_t) then
         fail "Fault: bad partition window %g-%g" p.from_t p.until_t;
       if List.length p.groups < 2 then
         fail "Fault: partition %g-%g needs at least two groups" p.from_t p.until_t;
@@ -114,7 +115,7 @@ let validate ~n_sites s =
     (fun c ->
       site_ok ~any:false "corrupt site" c.c_site;
       if c.c_at < 0.0 || not (Float.is_finite c.c_at) then fail "Fault: corrupt at %g ms" c.c_at;
-      if c.c_prob <= 0.0 || c.c_prob > 1.0 then
+      if not (c.c_prob > 0.0 && c.c_prob <= 1.0) then
         fail "Fault: corrupt probability %g not in (0,1]" c.c_prob)
     s.corruptions
 

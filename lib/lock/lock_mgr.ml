@@ -2,7 +2,6 @@ module Sim = Repdb_sim.Sim
 module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
-module Profile = Repdb_obs.Profile
 
 type item = int
 type owner = int
@@ -53,7 +52,6 @@ type t = {
   mutable n_timeouts : int;
   mutable n_deadlock_aborts : int;
   site : int; (* tag on emitted events; 0 for stand-alone managers *)
-  cat : int; (* profiler category for timeout timers *)
   on_wait : owner:owner -> dur:float -> unit;
   trace : Trace.t;
   s_acquires : Stats.counter option;
@@ -77,7 +75,6 @@ let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = F
     n_timeouts = 0;
     n_deadlock_aborts = 0;
     site;
-    cat = Profile.cat (Sim.profile sim) "lock";
     on_wait;
     trace;
     s_acquires = Option.map (fun s -> Stats.counter s "lock.acq") stats;
@@ -343,10 +340,10 @@ and wait t req =
     Sim.suspend (fun resume ->
         req.resume <- resume;
         (match t.policy with
-        | `Timeout d -> Sim.after ~cat:t.cat t.sim d (fun () -> fail_request t req Timed_out)
+        | `Timeout d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
         | `Detect fallback ->
             (match fallback with
-            | Some d -> Sim.after ~cat:t.cat t.sim d (fun () -> fail_request t req Timed_out)
+            | Some d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
             | None -> ());
             resolve_deadlocks t req.req_owner))
   in

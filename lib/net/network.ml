@@ -3,7 +3,6 @@ module Mailbox = Repdb_sim.Mailbox
 module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
-module Profile = Repdb_obs.Profile
 module Fault = Repdb_fault.Fault
 
 type 'a target = Inbox of (int * 'a) Mailbox.t | Handler of (src:int -> 'a -> unit)
@@ -15,7 +14,6 @@ type 'a t = {
   mutable targets : 'a target array;
   mutable sent : int;
   mutable dropped : int;
-  cat : int; (* profiler category for delivery events *)
   trace : Trace.t;
   describe : ('a -> string * int) option;
   sent_ctr : Stats.counter option;
@@ -49,7 +47,6 @@ let create ~sim ~n_sites ~latency ?(trace = Trace.disabled) ?describe
     targets = Array.init n_sites (fun _ -> Inbox (Mailbox.create ()));
     sent = 0;
     dropped = 0;
-    cat = Profile.cat (Sim.profile sim) "net";
     trace;
     describe;
     sent_ctr = Option.map (fun s -> Stats.counter s "msg.sent") stats;
@@ -97,10 +94,10 @@ let send t ~src ~dst msg =
   match t.injector with
   | None ->
       if tracing then
-        Sim.after ~cat:t.cat t.sim t.delays.(src).(dst) (fun () ->
+        Sim.after t.sim t.delays.(src).(dst) (fun () ->
             Trace.record t.trace (Event.Msg_recv { src; dst; kind; size });
             deliver ())
-      else Sim.after ~cat:t.cat t.sim t.delays.(src).(dst) deliver
+      else Sim.after t.sim t.delays.(src).(dst) deliver
   | Some inj ->
       (* The acked link computes the whole retransmission plan up front (the
          schedule is static, so future attempt outcomes are known); the clamp
@@ -115,17 +112,17 @@ let send t ~src ~dst msg =
       if tracing then
         List.iter
           (fun at ->
-            Sim.at ~cat:t.cat t.sim at (fun () ->
+            Sim.at t.sim at (fun () ->
                 Trace.record t.trace (Event.Msg_drop { src; dst; kind; size })))
           tm.Fault.dropped;
       let arrive = tm.Fault.depart +. t.delays.(src).(dst) +. tm.Fault.extra in
       let arrive = Float.max arrive t.fifo_clear.(src).(dst) in
       t.fifo_clear.(src).(dst) <- arrive;
       if tracing then
-        Sim.at ~cat:t.cat t.sim arrive (fun () ->
+        Sim.at t.sim arrive (fun () ->
             Trace.record t.trace (Event.Msg_recv { src; dst; kind; size });
             deliver ())
-      else Sim.at ~cat:t.cat t.sim arrive deliver
+      else Sim.at t.sim arrive deliver
 
 let messages_dropped t = t.dropped
 

@@ -8,8 +8,7 @@
     set, so validation order {e is} the serialization order: every ww, wr and
     rw conflict between winners agrees with it.
 
-    Pure and deterministic — also the unit under the [occ-validate] micro
-    bench. *)
+    Pure and deterministic. *)
 
 type txn = {
   gid : int;

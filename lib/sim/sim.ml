@@ -1,5 +1,3 @@
-module Profile = Repdb_obs.Profile
-
 type t = {
   clock : float array;
       (* One-element flat float array: a [mutable clock : float] field in a
@@ -7,7 +5,6 @@ type t = {
   mutable seq : int;
   mutable executed : int;
   events : (unit -> unit) Heap.t;
-  mutable profile : Profile.t;
 }
 
 type _ Effect.t +=
@@ -16,37 +13,23 @@ type _ Effect.t +=
 
 exception Stuck of exn
 
-let create ?(profile = Profile.disabled) () =
-  { clock = [| 0.0 |]; seq = 0; executed = 0; events = Heap.create (); profile }
+let create () = { clock = [| 0.0 |]; seq = 0; executed = 0; events = Heap.create () }
 
 let now t = t.clock.(0)
 let clock t () = t.clock.(0)
 let events_executed t = t.executed
-let profile t = t.profile
-let set_profile t p = t.profile <- p
 
-(* When profiling, every scheduled closure is wrapped so its execution time
-   and allocation are charged to a category: the caller's explicit [?cat],
-   or — for the implicit re-schedules a process performs on its own behalf
-   (delays, suspends) — the category current at schedule time, which is the
-   scheduling process's own. Disabled profiling costs one branch here. *)
-let schedule ?cat t time fn =
+let schedule t time fn =
   t.seq <- t.seq + 1;
-  let fn =
-    if Profile.on t.profile then
-      let cat = match cat with Some c -> c | None -> Profile.current t.profile in
-      Profile.wrap t.profile ~cat fn
-    else fn
-  in
   Heap.push t.events ~time ~seq:t.seq fn
 
-let at ?cat t time fn =
+let at t time fn =
   if time < t.clock.(0) then invalid_arg "Sim.at: time is in the past";
-  schedule ?cat t time fn
+  schedule t time fn
 
-let after ?cat t d fn =
+let after t d fn =
   if d < 0.0 then invalid_arg "Sim.after: negative delay";
-  schedule ?cat t (t.clock.(0) +. d) fn
+  schedule t (t.clock.(0) +. d) fn
 
 (* Run [f] as a process: effects [Delay] and [Suspend] park the computation
    and re-enter through the event heap. The handler is installed deeply, so
@@ -73,23 +56,17 @@ let run_process t f =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let resumed = ref false in
-                  (* The resumer may run under a different category (e.g. a
-                     network delivery waking a client), so pin the
-                     continuation to the suspending process's own. *)
-                  let cat =
-                    if Profile.on t.profile then Some (Profile.current t.profile) else None
-                  in
                   let resume v =
                     if not !resumed then begin
                       resumed := true;
-                      schedule ?cat t t.clock.(0) (fun () -> continue k v)
+                      schedule t t.clock.(0) (fun () -> continue k v)
                     end
                   in
                   register resume)
           | _ -> None);
     }
 
-let spawn ?cat t f = schedule ?cat t t.clock.(0) (fun () -> run_process t f)
+let spawn t f = schedule t t.clock.(0) (fun () -> run_process t f)
 
 let step t =
   if Heap.is_empty t.events then invalid_arg "Sim.step: no scheduled events";

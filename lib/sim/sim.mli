@@ -25,15 +25,8 @@ type _ Effect.t +=
 
 (** {1 Kernel} *)
 
-(** [create ()] returns a fresh simulation with the clock at [0.0].
-    [profile] (default {!Repdb_obs.Profile.disabled}) receives
-    per-event-category execution time when enabled; see {!spawn}'s [cat]. *)
-val create : ?profile:Repdb_obs.Profile.t -> unit -> t
-
-(** The kernel's profiler (the one passed to {!create}). *)
-val profile : t -> Repdb_obs.Profile.t
-
-val set_profile : t -> Repdb_obs.Profile.t -> unit
+(** [create ()] returns a fresh simulation with the clock at [0.0]. *)
+val create : unit -> t
 
 (** Current simulated time (ms). *)
 val now : t -> float
@@ -45,21 +38,15 @@ val clock : t -> unit -> float
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** [spawn t f] schedules process [f] to start at the current time.
-
-    [cat] (a {!Repdb_obs.Profile.cat} id) attributes the work to a profiler
-    category when profiling is enabled. Work a process schedules on its own
-    behalf — delays, suspends, and nested [spawn]/[at]/[after] calls without
-    an explicit [cat] — inherits the process's category, so tagging the
-    top-level processes is enough to attribute the whole run. *)
-val spawn : ?cat:int -> t -> (unit -> unit) -> unit
+(** [spawn t f] schedules process [f] to start at the current time. *)
+val spawn : t -> (unit -> unit) -> unit
 
 (** [at t time f] runs plain callback [f] at absolute [time].
     @raise Invalid_argument if [time] is in the past. *)
-val at : ?cat:int -> t -> float -> (unit -> unit) -> unit
+val at : t -> float -> (unit -> unit) -> unit
 
 (** [after t d f] runs [f] after delay [d >= 0]. *)
-val after : ?cat:int -> t -> float -> (unit -> unit) -> unit
+val after : t -> float -> (unit -> unit) -> unit
 
 (** [step t] executes the single next scheduled event, advancing the clock
     to its timestamp.

@@ -43,12 +43,9 @@ type t = {
   faults : Repdb_fault.Fault.schedule;
   reconfig : Repdb_reconfig.Reconfig.plan;
   timeline_every : float;
-  profile : bool;
   occ_epoch_ms : float;
   heal : bool;
-  heartbeat_every : float;
   phi_threshold : float;
-  anti_entropy_every : float;
 }
 
 let default =
@@ -85,12 +82,9 @@ let default =
     faults = Repdb_fault.Fault.empty;
     reconfig = Repdb_reconfig.Reconfig.empty;
     timeline_every = 0.0;
-    profile = false;
     occ_epoch_ms = 10.0;
     heal = false;
-    heartbeat_every = 25.0;
     phi_threshold = 8.0;
-    anti_entropy_every = 200.0;
   }
 
 let table1 t =
@@ -119,21 +113,22 @@ let pp ppf t =
     t.threads_per_site t.txns_per_thread t.read_op_prob t.read_txn_prob t.latency
     t.lock_timeout t.n_machines t.cpu_op t.cpu_commit t.cpu_msg t.seed
     (string_of_retry t.retry) t.txn_deadline t.stale_reads t.zipf_theta t.occ_epoch_ms
-    (if t.heal then
-       Printf.sprintf "on(hb=%g,phi=%g,ae=%g)" t.heartbeat_every t.phi_threshold
-         t.anti_entropy_every
-     else "off")
+    (if t.heal then Printf.sprintf "on(phi=%g)" t.phi_threshold else "off")
     Repdb_fault.Fault.pp t.faults Repdb_reconfig.Reconfig.pp t.reconfig
 
 let validate t =
-  let prob name v =
-    if v < 0.0 || v > 1.0 then invalid_arg (Printf.sprintf "Params: %s=%g not in [0,1]" name v)
+  let fail fmt = Printf.ksprintf invalid_arg ("Params: " ^^ fmt) in
+  let positive name v = if v <= 0 then fail "%s=%d must be positive" name v in
+  (* Every float check is written so that NaN fails it. *)
+  let finite name v = if not (Float.is_finite v) then fail "%s=%g must be finite" name v in
+  let prob name v = if not (v >= 0.0 && v <= 1.0) then fail "%s=%g not in [0,1]" name v in
+  let nonneg name v =
+    finite name v;
+    if v < 0.0 then fail "%s=%g must be >= 0" name v
   in
-  let positive name v =
-    if v <= 0 then invalid_arg (Printf.sprintf "Params: %s=%d must be positive" name v)
-  in
-  let positive_f name v =
-    if v < 0.0 then invalid_arg (Printf.sprintf "Params: %s=%g must be >= 0" name v)
+  let pos name v =
+    finite name v;
+    if v <= 0.0 then fail "%s=%g must be > 0" name v
   in
   positive "n_sites" t.n_sites;
   positive "n_items" t.n_items;
@@ -149,42 +144,35 @@ let validate t =
   prob "hot_access_prob" t.hot_access_prob;
   prob "hot_item_fraction" t.hot_item_fraction;
   if t.hot_access_prob > 0.0 && t.hot_item_fraction = 0.0 then
-    invalid_arg "Params: hot_item_fraction must be positive when hot_access_prob > 0";
-  if t.zipf_theta < 0.0 || t.zipf_theta >= 1.0 then
-    invalid_arg (Printf.sprintf "Params: zipf_theta=%g not in [0,1)" t.zipf_theta);
-  if t.straggler_factor < 1.0 then invalid_arg "Params: straggler_factor must be >= 1";
-  if t.straggler_machine >= t.n_machines then
-    invalid_arg "Params: straggler_machine out of range";
-  positive_f "latency" t.latency;
-  if t.lock_timeout <= 0.0 then invalid_arg "Params: lock_timeout must be > 0";
-  positive_f "cpu_op" t.cpu_op;
-  positive_f "cpu_commit" t.cpu_commit;
-  positive_f "cpu_msg" t.cpu_msg;
-  positive_f "txn_deadline" t.txn_deadline;
-  if not (Float.is_finite t.txn_deadline) then invalid_arg "Params: txn_deadline must be finite";
-  positive_f "stale_reads" t.stale_reads;
+    fail "hot_item_fraction must be positive when hot_access_prob > 0";
+  if not (t.zipf_theta >= 0.0 && t.zipf_theta < 1.0) then
+    fail "zipf_theta=%g not in [0,1)" t.zipf_theta;
+  finite "straggler_factor" t.straggler_factor;
+  if not (t.straggler_factor >= 1.0) then fail "straggler_factor must be >= 1";
+  if t.straggler_machine >= t.n_machines then fail "straggler_machine out of range";
+  nonneg "latency" t.latency;
+  pos "lock_timeout" t.lock_timeout;
+  nonneg "cpu_op" t.cpu_op;
+  nonneg "cpu_commit" t.cpu_commit;
+  nonneg "cpu_msg" t.cpu_msg;
+  nonneg "txn_deadline" t.txn_deadline;
+  nonneg "stale_reads" t.stale_reads;
   (match t.retry with
   | No_retry -> ()
   | Backoff { base; multiplier; cap; max_retries } ->
-      if base <= 0.0 || not (Float.is_finite base) then
-        invalid_arg "Params: backoff base must be > 0";
-      if multiplier < 1.0 then invalid_arg "Params: backoff multiplier must be >= 1";
-      if cap < base then invalid_arg "Params: backoff cap must be >= base";
-      if max_retries < 0 then invalid_arg "Params: backoff max_retries must be >= 0");
-  if t.timeline_every < 0.0 || not (Float.is_finite t.timeline_every) then
-    invalid_arg "Params: timeline_every must be >= 0 and finite";
-  if t.epoch_period <= 0.0 then invalid_arg "Params: epoch_period must be > 0";
-  if t.dummy_idle <= 0.0 then invalid_arg "Params: dummy_idle must be > 0";
-  if t.occ_epoch_ms <= 0.0 || not (Float.is_finite t.occ_epoch_ms) then
-    invalid_arg "Params: occ_epoch_ms must be > 0 and finite";
-  if t.heartbeat_every <= 0.0 || not (Float.is_finite t.heartbeat_every) then
-    invalid_arg "Params: heartbeat_every must be > 0 and finite";
-  if t.phi_threshold <= 0.0 || not (Float.is_finite t.phi_threshold) then
-    invalid_arg "Params: phi_threshold must be > 0 and finite";
-  if t.anti_entropy_every <= 0.0 || not (Float.is_finite t.anti_entropy_every) then
-    invalid_arg "Params: anti_entropy_every must be > 0 and finite";
-  if t.heal && t.n_sites < 2 then invalid_arg "Params: heal needs at least two sites";
+      pos "backoff base" base;
+      finite "backoff multiplier" multiplier;
+      if not (multiplier >= 1.0) then fail "backoff multiplier must be >= 1";
+      finite "backoff cap" cap;
+      if not (cap >= base) then fail "backoff cap must be >= base";
+      if max_retries < 0 then fail "backoff max_retries must be >= 0");
+  nonneg "timeline_every" t.timeline_every;
+  pos "epoch_period" t.epoch_period;
+  pos "dummy_idle" t.dummy_idle;
+  pos "occ_epoch_ms" t.occ_epoch_ms;
+  pos "phi_threshold" t.phi_threshold;
+  if t.heal && t.n_sites < 2 then fail "heal needs at least two sites";
   if t.faults.corruptions <> [] && not t.heal then
-    invalid_arg "Params: corrupt@ fault clauses need --heal (only anti-entropy can see them)";
+    fail "corrupt@ fault clauses need --heal (only anti-entropy can see them)";
   Repdb_fault.Fault.validate ~n_sites:t.n_sites t.faults;
   Repdb_reconfig.Reconfig.validate ~n_sites:t.n_sites ~n_items:t.n_items t.reconfig

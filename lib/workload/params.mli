@@ -98,10 +98,6 @@ type t = {
   timeline_every : float;
       (** Timeline sampling interval, ms; 0 (the default) disables the
           ticker and the per-run timeline entirely. *)
-  profile : bool;
-      (** Enable the wall-clock self-profiler for this run (default
-          false). Profiling never affects simulated results, only adds
-          wall-time accounting per event category. *)
   (* Optimistic concurrency (occ-epoch) *)
   occ_epoch_ms : float;
       (** Epoch boundary period for the occ-epoch protocol, simulated ms
@@ -113,19 +109,10 @@ type t = {
           failure detector, automatic primary failover through the epoch
           machinery, and background anti-entropy repair. Default false — all
           healing machinery (and its stats/timeline columns) stays off. *)
-  heartbeat_every : float;
-      (** Heartbeat period, simulated ms (default 25): every up site sends a
-          heartbeat to every other site each period; the detector estimates
-          inter-arrival statistics per ordered pair. *)
   phi_threshold : float;
       (** φ-accrual suspicion threshold (default 8). A site is suspected once
           a majority of its peers' φ values for it cross this; lower values
           detect faster but false-positive under latency jitter. *)
-  anti_entropy_every : float;
-      (** Period, simulated ms (default 200), between background
-          digest-exchange repair sessions; each session compares one
-          (primary, replica-holder) pair with Merkle-style range narrowing
-          and ships diffs for mismatching items. *)
 }
 
 val default : t
@@ -136,6 +123,7 @@ val table1 : t -> (string * string * string * string) list
 
 val pp : Format.formatter -> t -> unit
 
-(** Sanity-check ranges (probabilities in [0,1], positive counts...).
+(** Sanity-check ranges (probabilities in [0,1], positive counts, finite
+    floats — NaN and infinity are rejected everywhere).
     @raise Invalid_argument when out of range. *)
 val validate : t -> unit

@@ -81,6 +81,9 @@ let test_spec_errors () =
   invalid "drop@0-100:p=1.5" 3;
   invalid "drop@100-50:p=0.1" 3;
   invalid "rto=0" 3;
+  invalid "drop@1-5:p=nan" 3;
+  invalid "drop@nan-5:p=0.1" 3;
+  invalid "drop@1-nan:p=0.1" 3;
   Fault.validate ~n_sites:3 (parse "crash@100:site=0,down=50;crash@200:site=0")
 
 let test_partition_spec () =
@@ -115,7 +118,9 @@ let test_partition_spec () =
   invalid "partition@0-100:groups=0.1|2" 2 (* site out of range *);
   invalid "partition@0-100:groups=0.1|1.2" 4 (* overlapping groups *);
   invalid "partition@0-100:groups=0.1" 4 (* a split needs two groups *);
-  invalid "partition@100-50:groups=0|1" 4 (* empty window *)
+  invalid "partition@100-50:groups=0|1" 4 (* empty window *);
+  invalid "partition@nan-300:groups=0.1|2.3" 4;
+  invalid "partition@10-inf:groups=0.1|2.3" 4
 
 let test_partition_reachability () =
   let inj = Fault.injector ~n_sites:5 ~seed:1 (parse "partition@100-200:groups=0.1|2.3") in

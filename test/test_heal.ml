@@ -162,6 +162,8 @@ let test_corrupt_spec () =
   invalid "corrupt@600:site=1,p=0" (* p in (0,1] *);
   invalid "corrupt@600:site=1,p=1.5";
   invalid "corrupt@-5:site=1,p=0.5";
+  invalid "corrupt@50:site=2,p=nan";
+  invalid "corrupt@nan:site=2,p=0.5";
   (* A corrupt clause without healing is an operator error: nothing else can
      even see the damage. *)
   match

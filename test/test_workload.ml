@@ -25,7 +25,19 @@ let test_validate () =
   check_invalid "bad prob" { d with replication_prob = 1.5 };
   check_invalid "bad read prob" { d with read_op_prob = -0.1 };
   check_invalid "bad timeout" { d with lock_timeout = 0.0 };
-  check_invalid "bad cpu" { d with cpu_op = -1.0 }
+  check_invalid "bad cpu" { d with cpu_op = -1.0 };
+  (* NaN fails every comparison, so each range check must be written to
+     reject it; infinity is rejected as non-finite. *)
+  check_invalid "nan prob" { d with replication_prob = Float.nan };
+  check_invalid "nan zipf" { d with zipf_theta = Float.nan };
+  check_invalid "nan latency" { d with latency = Float.nan };
+  check_invalid "inf latency" { d with latency = Float.infinity };
+  check_invalid "nan timeout" { d with lock_timeout = Float.nan };
+  check_invalid "inf timeout" { d with lock_timeout = Float.infinity };
+  check_invalid "nan stale reads" { d with stale_reads = Float.nan };
+  check_invalid "inf cpu" { d with cpu_msg = Float.infinity };
+  check_invalid "nan straggler" { d with straggler_factor = Float.nan };
+  check_invalid "nan phi" { d with phi_threshold = Float.nan }
 
 let test_table1 () =
   let rows = Params.table1 d in
