@@ -393,42 +393,45 @@ let experiment_cmd =
       let p = apply_obs params (None, every) in
       if timeline_dir <> None && p.Params.timeline_every = 0.0 then { p with Params.timeline_every = 100.0 } else p
     in
-    let positive flag n =
-      if n < 1 then begin
-        Fmt.epr "error: %s must be positive (got %d)@." flag n;
-        exit 1
-      end
-    in
+    let fail fmt = Fmt.kstr (fun msg -> Fmt.epr "error: %s@." msg; exit 1) fmt in
+    let positive flag n = if n < 1 then fail "%s must be positive (got %d)" flag n in
     positive "--steps" steps;
     Option.iter (positive "--chunk") chunk;
     match Repdb.Experiment.find exp_name with
     | None ->
-        Fmt.epr "unknown experiment %S (try: %s)@." exp_name
-          (String.concat ", " Repdb.Experiment.ids);
-        exit 1
+        fail "unknown experiment %S (try: %s)" exp_name (String.concat ", " Repdb.Experiment.ids)
     | Some entry -> (
+        (* Create the timeline directory up front, so a bad path fails before
+           the sweep rather than after it. *)
+        Option.iter
+          (fun dir ->
+            match Sys.is_directory dir with
+            | true -> ()
+            | false -> fail "cannot create timeline directory: %s: not a directory" dir
+            | exception Sys_error _ -> (
+                try Sys.mkdir dir 0o755
+                with Sys_error msg -> fail "cannot create timeline directory: %s" msg))
+          timeline_dir;
         match with_jobs ?chunk jobs (fun pool -> entry.run ~pool ~base ~steps) with
-        | exception Invalid_argument msg ->
-            Fmt.epr "error: %s@." msg;
-            exit 1
+        | exception Invalid_argument msg -> fail "%s" msg
         | outcome ->
             (match outcome with
             | Repdb.Experiment.Figure fig ->
                 if csv then print_string (Repdb.Experiment.to_csv fig)
-                else Fmt.pr "%a@." Repdb.Experiment.pp_figure fig
+                else begin
+                  Fmt.pr "%a@." Repdb.Experiment.pp_figure fig;
+                  print_string (Repdb.Experiment.render_ascii fig)
+                end
             | Repdb.Experiment.Reports rs -> Fmt.pr "%a@." Repdb.Experiment.pp_reports rs);
             match timeline_dir with
             | None -> ()
             | Some dir ->
-                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                 let files = Repdb.Experiment.timeline_files outcome in
                 List.iter
                   (fun (name, tl) ->
                     let dest = Filename.concat dir (name ^ ".csv") in
                     match open_out dest with
-                    | exception Sys_error msg ->
-                        Fmt.epr "error: cannot write timeline: %s@." msg;
-                        exit 1
+                    | exception Sys_error msg -> fail "cannot write timeline: %s" msg
                     | oc ->
                         Fun.protect
                           ~finally:(fun () -> close_out oc)
@@ -447,7 +450,8 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment"
        ~doc:
-         "Regenerate one of the paper's tables/figures or a sweep. Independent simulations run           on $(b,-j) domains."
+         "Regenerate one of the paper's figures or a sweep. Independent simulations run on \
+          $(b,-j) domains."
        ~man:[ `S Manpage.s_description; exp_list ])
     Term.(
       const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ chunk_term $ timeline_dir
@@ -503,8 +507,8 @@ let report_cmd =
 
 (* --- protocols / table1 ------------------------------------------------------ *)
 
-(* Rendered from [Registry.entries] — the same single source bench/large.exe
-   --protocols uses, so the two listings cannot drift. *)
+(* Rendered from [Registry.entries] — the list [--protocol] resolves names
+   against, so the listing cannot drift from what runs. *)
 let protocols_cmd =
   let run () =
     List.iter

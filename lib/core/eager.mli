@@ -6,8 +6,8 @@
     two-phase commit (prepare/ack, then decide) before releasing anything.
     Serializable by construction, but transaction size grows with the degree
     of replication, so deadlock probability and response time explode as
-    sites are added — the scaling bench reproduces that claim. Not part of
-    the paper's evaluation; included as an ablation baseline. *)
+    sites are added — the [eager-scaling] experiment reproduces that claim.
+    Not part of the paper's evaluation; included as an ablation baseline. *)
 
 include Protocol.S
 

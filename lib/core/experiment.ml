@@ -323,6 +323,41 @@ let sweep_occ ?pool ?(base = Params.default) () =
     ~params_of:(fun theta -> { base with zipf_theta = theta })
     ()
 
+let seed_variance ?pool ?(base = Params.default) () =
+  (* The paper reports single runs; this is the noise band around our shapes:
+     the defaults under five seeds, one point per seed. *)
+  sweep ?pool ~id:"variance" ~title:"Seed variance at the defaults (5 seeds)" ~xlabel:"seed"
+    ~protocols:be_psl
+    ~values:[ 42.0; 43.0; 44.0; 45.0; 46.0 ]
+    ~params_of:(fun s -> { base with seed = int_of_float s })
+    ()
+
+let large_scale ?pool ?(base = Params.default) () =
+  (* Production-size partial replication: 200 sites x 100k items on the
+     compact placement layer. s = 6/m keeps ~3 replicas per replicated item
+     (the candidate pool averages m/2 following sites) while the placement
+     stays genuinely partial. DAG(WT) needs an acyclic copy graph; BackEdge
+     and PSL keep b = 0.2 so their eager paths fire. *)
+  let m = 200 in
+  let params b =
+    {
+      base with
+      Params.n_sites = m;
+      n_items = 100_000;
+      threads_per_site = 1;
+      replication_prob = 0.5;
+      site_prob = min 1.0 (6.0 /. float_of_int m);
+      backedge_prob = b;
+      n_machines = max 3 (m / 8);
+    }
+  in
+  run_labelled ?pool
+    [
+      ("backedge", params 0.2, (module Backedge_proto : Protocol.S));
+      ("dag-wt", params 0.0, (module Dag_wt : Protocol.S));
+      ("psl", params 0.2, (module Psl : Protocol.S));
+    ]
+
 let ordered_backedge name order : Protocol.t =
   (module struct
     type t = Backedge_proto.t
@@ -539,6 +574,8 @@ let registry =
     { exp_id = "partition"; doc = "availability, deadline aborts and stale reads vs partition duration"; run = fig sweep_partition };
     { exp_id = "occ"; doc = "optimistic (occ-epoch, ssi) vs locking vs Zipf contention"; run = fig sweep_occ };
     { exp_id = "heal"; doc = "self-healing MTTR and availability vs detector threshold"; run = fig sweep_heal };
+    { exp_id = "variance"; doc = "BackEdge and PSL throughput at the defaults under seeds 42-46"; run = fig seed_variance };
+    { exp_id = "large"; doc = "BackEdge, DAG(WT) and PSL at 200 sites x 100k items"; run = reports large_scale };
   ]
 
 let ids = List.map (fun e -> e.exp_id) registry

@@ -1,8 +1,8 @@
 (** Experiment harness: one entry per table/figure of the paper's evaluation
     (Section 5), plus the extra sweeps implied by the ranges of Table 1 and
     our own ablations. Each experiment runs the relevant protocols over a
-    parameter sweep and returns printable series; the bench executable and
-    the CLI front these. *)
+    parameter sweep and returns printable series; [repdb experiment] fronts
+    them. *)
 
 module Params = Repdb_workload.Params
 
@@ -141,6 +141,17 @@ val sweep_occ : ?pool:Repdb_par.Pool.t -> ?base:Params.t -> unit -> figure
     detect fast but risk false failovers, high ones sit through the
     outage. *)
 val sweep_heal : ?pool:Repdb_par.Pool.t -> ?base:Params.t -> unit -> figure
+
+(** Seed variance: BackEdge and PSL at the defaults under seeds 42-46 (the x
+    axis is the seed, so [base.seed] is ignored) — the noise band around the
+    single-run figures. *)
+val seed_variance : ?pool:Repdb_par.Pool.t -> ?base:Params.t -> unit -> figure
+
+(** Production-size partial replication on the compact placement layer:
+    BackEdge ([b = 0.2]), DAG(WT) ([b = 0]) and PSL ([b = 0.2]) at 200 sites
+    x 100k items, [r = 0.5], [s = 6/m], one thread per site and
+    [max 3 (m/8)] machines. Site and item counts override [base]. *)
+val large_scale : ?pool:Repdb_par.Pool.t -> ?base:Params.t -> unit -> (string * Driver.report) list
 
 (** {1 Registry} *)
 

@@ -3,7 +3,7 @@
 module type S = sig
   type t
 
-  (** Short name used in reports and benches ("dag-wt", "psl", ...). *)
+  (** Short name used in reports and experiments ("dag-wt", "psl", ...). *)
   val name : string
 
   (** Protocols that never push physical updates to replicas (PSL) opt out of
@@ -35,6 +35,6 @@ end
 
 type t = (module S)
 
-(** All protocols, for iteration in benches: DAG(WT), DAG(T), BackEdge, PSL,
+(** All protocols, for iteration in experiments: DAG(WT), DAG(T), BackEdge, PSL,
     Eager, Naive — see the individual modules. *)
 val name : t -> string

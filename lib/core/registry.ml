@@ -1,6 +1,6 @@
-(* The single source of truth for what protocols exist: [bench/large.exe
-   --protocols], [repdb protocols] and the experiment help all render this
-   list, and a registry test pins it. *)
+(* The single source of truth for what protocols exist: [repdb protocols]
+   renders this list, [--protocol] resolves names against it, and a registry
+   test pins it. *)
 let entries : (Protocol.t * string) list =
   [
     ((module Dag_wt : Protocol.S), "DAG(WT): whole-tree copy-graph ordering, eager in-tree");

@@ -1,8 +1,8 @@
 (** Protocol registry: names to first-class protocol modules.
 
     [entries] is the single source of truth — the CLI protocol help,
-    [bench/large.exe --protocols] and the docs table are all rendered from
-    it, so adding a protocol here is the whole registration step. *)
+    [repdb protocols] and the docs table are all rendered from it, so adding
+    a protocol here is the whole registration step. *)
 
 (** Every protocol with a one-line description, in presentation order. *)
 val entries : (Protocol.t * string) list
@@ -11,7 +11,7 @@ val entries : (Protocol.t * string) list
     Eager, Naive, OCC-epoch, SSI (= [List.map fst entries]). *)
 val all : Protocol.t list
 
-(** Protocols safe on arbitrary copy graphs (what the benchmark sweeps with
+(** Protocols safe on arbitrary copy graphs (what the experiment sweeps with
     [b > 0] may run): BackEdge, PSL, Lazy-master, Central, Eager, Naive,
     OCC-epoch, SSI. *)
 val cyclic_safe : Protocol.t list

@@ -1,6 +1,6 @@
 (** Domain pool for embarrassingly parallel fan-out.
 
-    The experiment harness and the benchmark suite run many independent
+    The experiment harness ([repdb experiment]) runs many independent
     deterministic simulations (one [Driver.run] per protocol per swept
     parameter value). A pool owns [domains - 1] worker domains that, together
     with the calling domain, drain a shared task array by chunked

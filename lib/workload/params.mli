@@ -33,7 +33,7 @@ type t = {
   backedge_prob : float;  (** [b]; default 0.2, range 0–1. *)
   ops_per_txn : int;  (** Default 10. *)
   threads_per_site : int;  (** Default 3, range 1–5. *)
-  txns_per_thread : int;  (** Paper 1000; default here 300 for bench speed. *)
+  txns_per_thread : int;  (** Paper 1000; default here 300 to keep runs fast. *)
   read_op_prob : float;  (** Default 0.7, range 0–1. *)
   read_txn_prob : float;  (** Default 0.5, range 0–1. *)
   hot_access_prob : float;
@@ -118,7 +118,7 @@ type t = {
 val default : t
 
 (** Paper parameter rows as [(name, symbol, default, range)] — the content of
-    Table 1, for the [table1] bench target. *)
+    Table 1, printed by [repdb table1]. *)
 val table1 : t -> (string * string * string * string) list
 
 val pp : Format.formatter -> t -> unit

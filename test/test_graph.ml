@@ -184,6 +184,62 @@ let test_weighted_fas () =
   checkb "valid" true (Backedge.is_backedge_set g fas);
   checkb "cheap side removed" true (Backedge.total_weight fas ~weight <= 2.0)
 
+(* Section 4.2: the backedge-set weight each construction pays, where an
+   edge's weight is how often updates cross it. Both tables are recomputed
+   here and their means are the figures EXPERIMENTS.md reports. *)
+let test_fas_weights () =
+  let module Params = Repdb_workload.Params in
+  let module Placement = Repdb_workload.Placement in
+  let module Rng = Repdb_sim.Rng in
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let mean_at i rows = List.fold_left (fun acc row -> acc +. List.nth row i) 0.0 rows /. 10.0 in
+  let checkf name want got = Alcotest.(check (float 1e-9)) name want got in
+  (* Random placements at b = r = 0.5: the paper's rule (identity site
+     order), the DFS minimal set and the greedy weighted feedback arc set.
+     An edge u -> v weighs the items with their primary at u and a replica
+     at v. *)
+  let uniform seed =
+    let params = { Params.default with backedge_prob = 0.5; replication_prob = 0.5 } in
+    let pl = Placement.generate (Rng.create seed) params in
+    let g = Placement.copy_graph pl in
+    let m = params.n_sites in
+    let counts = Array.make_matrix m m 0 in
+    Array.iteri
+      (fun item u -> Array.iter (fun v -> counts.(u).(v) <- counts.(u).(v) + 1) pl.replicas.(item))
+      pl.primary;
+    let weight u v = float_of_int counts.(u).(v) in
+    List.map
+      (fun set -> Backedge.total_weight set ~weight)
+      [ Backedge.of_order g (Array.init m Fun.id); Backedge.minimal_set g; Backedge.greedy_fas g ~weight ]
+  in
+  let rows = List.map uniform seeds in
+  (* Uniform placements give near-symmetric weights, so the sets tie. *)
+  checkf "uniform: identity order" 101.3 (mean_at 0 rows);
+  checkf "uniform: dfs minimal" 101.3 (mean_at 1 rows);
+  checkf "uniform: greedy fas" 102.8 (mean_at 2 rows);
+  (* Skewed random digraphs (12 vertices, ~30 edges, weights 1..100): where
+     the weighted heuristic pays off. *)
+  let skewed seed =
+    let rng = Rng.create (seed * 131) in
+    let g = Digraph.create 12 in
+    let w = Hashtbl.create 64 in
+    for _ = 1 to 30 do
+      let u = Rng.int rng 12 and v = Rng.int rng 12 in
+      if u <> v then begin
+        Digraph.add_edge g u v;
+        if not (Hashtbl.mem w (u, v)) then
+          Hashtbl.replace w (u, v) (1.0 +. float_of_int (Rng.int rng 100))
+      end
+    done;
+    let weight u v = try Hashtbl.find w (u, v) with Not_found -> 1.0 in
+    List.map
+      (fun set -> Backedge.total_weight set ~weight)
+      [ Backedge.minimal_set g; Backedge.greedy_fas g ~weight ]
+  in
+  let rows = List.map skewed seeds in
+  checkf "skewed: dfs minimal" 261.1 (mean_at 0 rows);
+  checkf "skewed: greedy fas" 175.8 (mean_at 1 rows)
+
 let () =
   Alcotest.run "graph"
     [
@@ -212,6 +268,7 @@ let () =
           Alcotest.test_case "minimal example" `Quick test_minimal_set_example;
           Alcotest.test_case "greedy quality" `Quick test_greedy_fas_quality;
           Alcotest.test_case "weighted" `Quick test_weighted_fas;
+          Alcotest.test_case "fas weights (section 4.2)" `Quick test_fas_weights;
           QCheck_alcotest.to_alcotest prop_minimal_set;
           QCheck_alcotest.to_alcotest prop_greedy_fas_valid;
         ] );

@@ -19,7 +19,7 @@ let checks = Alcotest.(check string)
 (* --- registry: single source of truth ------------------------------------- *)
 
 let test_registry () =
-  (* [entries] drives `repdb protocols`, large.exe's usage and the docs
+  (* [entries] drives `repdb protocols`, the `--protocol` lookup and the docs
      table; [all] must be exactly its protocol column, and the optimistic
      protocols must be registered, findable and cyclic-safe. *)
   checkb "all = map fst entries" true

@@ -312,7 +312,8 @@ let test_experiment_registry () =
     [
       "fig2a"; "fig2b"; "fig3a"; "fig3b"; "resp"; "sites"; "threads"; "latency"; "readtxn";
       "ablation"; "eager-scaling"; "tree-routing"; "deadlock-policy"; "dummy-period"; "hotspot";
-      "straggler"; "site-order"; "faults"; "reconfig"; "partition"; "occ"; "heal";
+      "straggler"; "site-order"; "faults"; "reconfig"; "partition"; "occ"; "heal"; "variance";
+      "large";
     ]
     Repdb.Experiment.ids;
   checki "ids are unique"
