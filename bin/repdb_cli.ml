@@ -280,7 +280,7 @@ let run_with_trace params protocol (trace_file, trace_capacity) =
   | _ -> ());
   match Repdb.Driver.run ~trace:(trace_file <> None) ?trace_capacity params protocol with
   | report -> report
-  | exception Invalid_argument msg ->
+  | exception (Invalid_argument msg | Failure msg) ->
       Fmt.epr "error: %s@." msg;
       exit 1
 
@@ -413,7 +413,7 @@ let experiment_cmd =
                 with Sys_error msg -> fail "cannot create timeline directory: %s" msg))
           timeline_dir;
         match with_jobs ?chunk jobs (fun pool -> entry.run ~pool ~base ~steps) with
-        | exception Invalid_argument msg -> fail "%s" msg
+        | exception (Invalid_argument msg | Failure msg) -> fail "%s" msg
         | outcome ->
             (match outcome with
             | Repdb.Experiment.Figure fig ->

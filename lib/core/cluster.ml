@@ -3,7 +3,6 @@ module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
 module Condvar = Repdb_sim.Condvar
 module Store = Repdb_store.Store
-module Value = Repdb_store.Value
 module Wal = Repdb_store.Wal
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Fault = Repdb_fault.Fault
@@ -12,7 +11,6 @@ module History = Repdb_txn.History
 module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
 module Trace = Repdb_obs.Trace
-module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
 module Span = Repdb_obs.Span
 module Timeline = Repdb_obs.Timeline
@@ -28,6 +26,21 @@ type epoch = {
   switch_hist : Stats.histogram option;
   stall_hist : Stats.histogram option;
   stale_drop_ctr : Stats.counter option; (* "heal.stale_drop", heal only *)
+}
+
+(* Fault-injection state, allocated only when an injector exists; owned by
+   [Fault_exec]. *)
+type faults = {
+  wals : Wal.t array; (* one redo log per site *)
+  site_up : bool array;
+  up_cv : Condvar.t array; (* broadcast when the site restarts *)
+  mutable crashes : int;
+  mutable partitions : int; (* partition windows that have activated *)
+  corrupted : (int * int, unit) Hashtbl.t;
+      (* (site, item) replica copies silently scrambled by a corrupt@ fault
+         clause and not yet repaired; recovery and anti-entropy clear marks. *)
+  mutable corruption_events : int;
+  corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
 
 type t = {
@@ -48,30 +61,17 @@ type t = {
   mutable stopped : bool;
   quiesced : Condvar.t;
   injector : Fault.injector option;
-  wals : Wal.t array; (* one per site when faults are on; [||] otherwise *)
-  site_up : bool array;
-  up_cv : Condvar.t array; (* broadcast when the site restarts *)
-  mutable crashes : int;
-  mutable partitions : int; (* partition windows that have activated *)
+  faults : faults option; (* [Some] iff [injector] is; owned by [Fault_exec] *)
   (* Per-transaction deadline handoff: the client arms it immediately before
      [submit] and the protocol reads it at entry — no blocking point in
      between, so the field never mixes transactions. Infinity = no deadline. *)
   mutable deadline_at : float;
-  (* [site][item] -> simulated time of the last locally applied write; feeds
-     the staleness of partition-time local reads. *)
-  apply_mtime : float array array;
   mutable active_txns : int;
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (* Per network: in-flight messages on pairs selected by the
          predicate — all pairs for the timeline; the weak failover drain
          sums the pairs parked behind a down or partitioned endpoint. *)
-  (* Self-healing (all idle unless [params.heal]) *)
-  corrupted : (int * int, unit) Hashtbl.t;
-      (* (site, item) replica copies silently scrambled by a corrupt@ fault
-         clause and not yet repaired; recovery and anti-entropy clear marks. *)
-  mutable corruption_events : int;
   epoch : epoch; (* owned by [Epoch] *)
-  corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
 
 let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) placement =
@@ -123,22 +123,9 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
   in
   let n_machines = min params.n_machines m in
   let cpus = Array.init n_machines (fun _ -> Resource.create ~capacity:1 ()) in
-  let faulty = not (Fault.is_empty params.faults) in
   let injector =
-    if faulty then Some (Fault.injector ~n_sites:m ~seed:((params.seed * 69069) + 13) params.faults)
-    else None
-  in
-  (* Redo logs are only attached under fault injection: they hook every
-     committed write, and fault-free runs never crash. *)
-  let wals =
-    if faulty then
-      Array.mapi
-        (fun _ store ->
-          let wal = Wal.create () in
-          Wal.attach wal store;
-          wal)
-        stores
-    else [||]
+    if Fault.is_empty params.faults then None
+    else Some (Fault.injector ~n_sites:m ~seed:((params.seed * 69069) + 13) params.faults)
   in
   (* [Stats.pp_table] prints every registered counter and histogram in
      registration order: after the lock counters come these, registered
@@ -156,6 +143,29 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
   in
   let metrics =
     Metrics.create ~sim ~trace:tr ~spans ?timeline ~stale_reads:(params.stale_reads > 0.0) stats
+  in
+  (* Redo logs are only attached under fault injection: they hook every
+     committed write, and fault-free runs never crash. *)
+  let faults =
+    Option.map
+      (fun _ ->
+        {
+          wals =
+            Array.map
+              (fun store ->
+                let wal = Wal.create () in
+                Wal.attach wal store;
+                wal)
+              stores;
+          site_up = Array.make m true;
+          up_cv = Array.init m (fun _ -> Condvar.create ());
+          crashes = 0;
+          partitions = 0;
+          corrupted = Hashtbl.create 16;
+          corruption_events = 0;
+          corrupt_ctr;
+        })
+      injector
   in
   {
     sim;
@@ -175,21 +185,10 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     stopped = false;
     quiesced = Condvar.create ();
     injector;
-    wals;
-    site_up = Array.make m true;
-    up_cv = Array.init m (fun _ -> Condvar.create ());
-    crashes = 0;
-    partitions = 0;
+    faults;
     deadline_at = infinity;
-    (* Only materialized when bounded-staleness reads can consult it: m * n
-       floats is 160 MB at 200 sites x 100k items. *)
-    apply_mtime =
-      (if params.stale_reads > 0.0 then Array.init m (fun _ -> Array.make params.n_items 0.0)
-       else [||]);
     active_txns = 0;
     inflight_fns = [];
-    corrupted = Hashtbl.create 16;
-    corruption_events = 0;
     epoch =
       {
         config_epoch = 0;
@@ -203,7 +202,6 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
         stall_hist;
         stale_drop_ctr;
       };
-    corrupt_ctr;
   }
 
 let create ?trace ?trace_capacity (params : Params.t) =
@@ -248,15 +246,6 @@ let arm_deadline t =
 
 let deadline_at t = t.deadline_at
 
-(* --- bounded-staleness reads ---------------------------------------------- *)
-
-let note_apply t ~site ~item =
-  if Array.length t.apply_mtime > 0 then t.apply_mtime.(site).(item) <- Sim.now t.sim
-
-let staleness t ~site ~item =
-  if Array.length t.apply_mtime > 0 then Sim.now t.sim -. t.apply_mtime.(site).(item)
-  else Sim.now t.sim
-
 let maybe_wake t =
   if t.clients_running = 0 && t.outstanding = 0 then Condvar.broadcast t.quiesced
 
@@ -289,54 +278,6 @@ let await_quiescence t =
   done;
   t.stopped <- true
 
-(* --- fault injection ------------------------------------------------------ *)
-
-let faulty t = Option.is_some t.injector
-let site_up t site = t.site_up.(site)
-
-let await_site_up t site =
-  while not t.site_up.(site) do
-    Condvar.await t.up_cv.(site)
-  done
-
-let crash_site t ~site =
-  t.site_up.(site) <- false;
-  t.crashes <- t.crashes + 1;
-  Metrics.emit t.metrics (Event.Site_crash { site })
-
-let recover_site t ~site ~downtime =
-  let wal = t.wals.(site) in
-  let lost = t.stores.(site) in
-  let recovered = Wal.recover wal ~site in
-  (* The redo log hooks every committed write, so the rebuild must reproduce
-     the pre-crash image exactly; a mismatch means durability is broken and
-     any run that continued from it would be meaningless. The one exception:
-     copies scrambled by a corrupt@ clause, which bypasses the log — there
-     the rebuild holds the true value, so recovery doubles as repair and the
-     mark is cleared. *)
-  let rec_contents = Store.contents recovered and lost_contents = Store.contents lost in
-  let recovery_ok =
-    List.compare_lengths rec_contents lost_contents = 0
-    && List.for_all2
-      (fun (ri, rv) (li, lv) ->
-        ri = li
-        && (Value.equal rv lv
-            ||
-            if Hashtbl.mem t.corrupted (site, ri) then begin
-              Hashtbl.remove t.corrupted (site, ri);
-              true
-            end
-            else false))
-         rec_contents lost_contents
-  in
-  if not recovery_ok then
-    failwith (Printf.sprintf "Cluster: recovery of site %d diverged from its redo log" site);
-  t.stores.(site) <- recovered;
-  Wal.reattach wal recovered;
-  t.site_up.(site) <- true;
-  Metrics.emit t.metrics (Event.Site_recover { site; downtime });
-  Condvar.broadcast t.up_cv.(site)
-
 (* --- epoch-switch drain accounting ------------------------------------------ *)
 
 let txn_started t = t.active_txns <- t.active_txns + 1
@@ -345,58 +286,3 @@ let txn_finished t =
   t.active_txns <- t.active_txns - 1;
   assert (t.active_txns >= 0);
   maybe_drained t
-
-(* Silently scramble replica copies at [site]: each non-primary copy is
-   overwritten with probability [prob] via [Store.restore], which bypasses
-   the redo-log hook — the damage is invisible to WAL recovery and only the
-   anti-entropy digests can find it. Primary copies are never touched (they
-   are the repair source of truth). The RNG is derived from the seed and the
-   clause index alone, so corruption is independent of workload progress. *)
-let corrupt_site t ~site ~prob ~clause =
-  let rng = Rng.create ((t.params.seed * 131071) + (clause * 7919) + 17) in
-  let store = t.stores.(site) in
-  let n = ref 0 in
-  Array.iter
-    (fun item ->
-      if t.placement.Placement.primary.(item) <> site && Rng.float rng < prob then begin
-        let v = Store.read store item in
-        Store.restore store item
-          (Value.write ~writer:(-2) ~payload:(Printf.sprintf "corrupt.%d" clause) v);
-        Hashtbl.replace t.corrupted (site, item) ();
-        incr n
-      end)
-    (Placement.placed_at t.placement site);
-  (match t.corrupt_ctr with Some ctr when !n > 0 -> Stats.add ctr ~site !n | _ -> ());
-  t.corruption_events <- t.corruption_events + 1;
-  Metrics.emit t.metrics (Event.Corrupt { site; items = !n })
-
-let clear_corrupt t ~site ~item = Hashtbl.remove t.corrupted (site, item)
-
-let schedule_faults t =
-  match t.injector with
-  | None -> ()
-  | Some inj ->
-      List.iter
-        (fun (c : Fault.crash) ->
-          Sim.at t.sim c.at (fun () -> crash_site t ~site:c.site);
-          Sim.at t.sim (c.at +. c.down_for) (fun () ->
-              recover_site t ~site:c.site ~downtime:c.down_for))
-        (Fault.schedule inj).crashes;
-      List.iteri
-        (fun clause (co : Fault.corruption) ->
-          Sim.at t.sim co.c_at (fun () ->
-              if t.site_up.(co.c_site) then
-                corrupt_site t ~site:co.c_site ~prob:co.c_prob ~clause))
-        (Fault.schedule inj).corruptions;
-      (* Partitions need no link-level action here — the injector's transmit
-         plans already park cross-cut messages — but the begin/heal instants
-         are counted and traced. *)
-      List.iter
-        (fun (p : Fault.partition) ->
-          let groups = Fault.string_of_groups p.groups in
-          Sim.at t.sim p.from_t (fun () ->
-              t.partitions <- t.partitions + 1;
-              Metrics.emit t.metrics (Event.Partition_begin { groups }));
-          Sim.at t.sim p.until_t (fun () ->
-              Metrics.emit t.metrics (Event.Partition_heal { groups })))
-        (Fault.schedule inj).partitions

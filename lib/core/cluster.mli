@@ -5,7 +5,12 @@
     the access history and the run's telemetry ({!Metrics}) — plus the
     bookkeeping {!Driver} needs to detect quiescence (outstanding in-flight
     work, running clients, the stop flag that shuts periodic processes
-    down). *)
+    down).
+
+    State that only some runs need is declared here but owned elsewhere:
+    {!type-faults} (allocated only under fault injection) by {!Fault_exec},
+    {!type-epoch} by {!Epoch}. The staleness clock of bounded-staleness
+    reads belongs to {!Psl}, the one protocol that reads it. *)
 
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
@@ -43,6 +48,26 @@ type epoch = {
       (** ["heal.stale_drop"]; registered only when [params.heal]. *)
 }
 
+(** Fault-injection state. Allocated only when {!field:injector} is [Some];
+    only {!Fault_exec} reads or writes it. *)
+type faults = {
+  wals : Wal.t array;
+      (** Per-site redo logs, attached at creation: hooking every write has
+          a cost, and fault-free runs never crash. *)
+  site_up : bool array;
+  up_cv : Condvar.t array;  (** Per-site; broadcast when the site restarts. *)
+  mutable crashes : int;  (** Crash events executed so far. *)
+  mutable partitions : int;  (** Partition windows activated so far. *)
+  corrupted : (int * int, unit) Hashtbl.t;
+      (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
+          not yet repaired; cleared by recovery and anti-entropy. *)
+  mutable corruption_events : int;  (** Corruption injections executed. *)
+  corrupt_ctr : Stats.counter option;
+      (** ["corrupt.items"], copies scrambled (cumulative); registered only
+          when [params.heal], with or without faults, so stats tables keep
+          their rows. *)
+}
+
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -65,36 +90,19 @@ type t = {
   quiesced : Condvar.t;  (** Broadcast on transitions relevant to quiescence. *)
   injector : Fault.injector option;
       (** Built from [params.faults] when that schedule is non-empty; drives
-          the networks' drop/delay behaviour and {!schedule_faults}. *)
-  wals : Wal.t array;
-      (** Per-site redo logs, attached at creation — only under fault
-          injection ([[||]] otherwise), since hooking every write has a cost
-          and fault-free runs never crash. *)
-  site_up : bool array;
-  up_cv : Condvar.t array;  (** Per-site; broadcast when the site restarts. *)
-  mutable crashes : int;  (** Crash events executed so far. *)
-  mutable partitions : int;  (** Partition windows activated so far. *)
+          the networks' drop/delay behaviour and {!Fault_exec.schedule}. *)
+  faults : faults option;  (** [Some] exactly when [injector] is. *)
   mutable deadline_at : float;
       (** Absolute deadline of the submit being started, armed by the client
           immediately before [submit]; protocols capture it at entry (there
           is no blocking point in between, so the handoff never mixes
           transactions). [infinity] when deadlines are off. *)
-  apply_mtime : float array array;
-      (** [site][item] — simulated time of the last write applied locally;
-          the staleness clock for partition-time local reads. *)
   mutable active_txns : int;  (** Transaction attempts currently executing. *)
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (** Per network: in-flight messages on the pairs a predicate
           selects — every pair for the timeline, parked ones for the weak
           drain. *)
-  corrupted : (int * int, unit) Hashtbl.t;
-      (** [(site, item)] replica copies scrambled by a [corrupt@] clause and
-          not yet repaired; cleared by recovery and anti-entropy. *)
-  mutable corruption_events : int;  (** Corruption injections executed. *)
   epoch : epoch;
-  corrupt_ctr : Stats.counter option;
-      (** ["corrupt.items"], copies scrambled (cumulative); registered only
-          when [params.heal]. *)
 }
 
 (** [create params] — build the cluster; the placement is drawn from a
@@ -138,15 +146,6 @@ val arm_deadline : t -> unit
 (** The currently armed absolute deadline (ms of simulated time). *)
 val deadline_at : t -> float
 
-(** {1 Bounded-staleness reads} *)
-
-(** Stamp [item]'s local copy at [site] as written now. Called on every
-    applied write (primary and replica). *)
-val note_apply : t -> site:int -> item:int -> unit
-
-(** ms since [item] was last written at [site] (time itself if never). *)
-val staleness : t -> site:int -> item:int -> float
-
 (** {1 Quiescence accounting} *)
 
 val inc_outstanding : t -> unit
@@ -160,30 +159,6 @@ val quiescent : t -> bool
 (** Block until {!quiescent}, then set [stopped]. *)
 val await_quiescence : t -> unit
 
-(** {1 Fault injection}
-
-    Crashes are modelled at the storage and transport boundaries: while a
-    site is down it is unreachable in both directions (the networks' acked
-    links retry around the downtime) and its clients pause before starting
-    new transactions; at restart the volatile store is discarded and rebuilt
-    from the site's redo log. Work the site had already accepted completes —
-    the paper's durability story (DataBlitz redo recovery) covers committed
-    state, not scheduler state. *)
-
-(** Is fault injection active (i.e. [params.faults] non-empty)? *)
-val faulty : t -> bool
-
-val site_up : t -> int -> bool
-
-(** Block until the site is up; returns immediately if it already is.
-    Clients call this before starting each transaction. *)
-val await_site_up : t -> int -> unit
-
-(** Schedule every crash/restart in the fault schedule as simulation events,
-    plus counting/trace marks for each partition begin and heal; no-op
-    without an injector. The driver calls this before starting clients. *)
-val schedule_faults : t -> unit
-
 (** {1 Epoch-switch drain accounting}
 
     {!Epoch} runs every placement change on a drained cluster; these hooks
@@ -195,11 +170,3 @@ val schedule_faults : t -> unit
 val txn_started : t -> unit
 
 val txn_finished : t -> unit
-
-(** {1 Self-healing}
-
-    Hooks used by {!Heal_exec} (the φ-accrual detector, failover coordinator
-    and anti-entropy repairer); all idle unless [params.heal]. *)
-
-(** Clear a corruption mark (the healer repaired or re-verified the copy). *)
-val clear_corrupt : t -> site:int -> item:int -> unit

@@ -40,7 +40,7 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
   for _ = 1 to p.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
-    if Cluster.faulty c then Cluster.await_site_up c site;
+    Fault_exec.await_site_up c site;
     (* An in-progress epoch switch stalls the client here (the mid-run
        throughput dip the reconfig experiment measures). *)
     Epoch.barrier c ~site;
@@ -107,7 +107,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
           client c (P.submit proto) gen rng retry_rng ~site)
     done
   done;
-  Cluster.schedule_faults c;
+  Fault_exec.schedule c;
   let epoch = Epoch.schedule c ~reconfigure:(fun () -> reconfig_hook proto) ~gen in
   let healer = if p.heal then Some (Heal_exec.schedule c epoch) else None in
   (* The timeline ticker: samples every [timeline_every] ms of simulated
@@ -129,18 +129,24 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       in
       tick 0.0);
   Sim.spawn c.sim (fun () -> Cluster.await_quiescence c);
-  let total_txns = p.n_sites * p.threads_per_site * p.txns_per_thread in
+  (* Each of a site's transactions gets 2 s plus a round trip per operation
+     (PSL's remote reads, eager's write-all), so the budget scales with the
+     latency; propagation draining after the last commit gets a hop through
+     every site on top of the fixed 120 s. *)
+  let txns_per_site = float_of_int (p.threads_per_site * p.txns_per_thread) in
+  let per_txn = 2_000.0 +. (2.0 *. p.latency *. float_of_int p.ops_per_txn) in
   let horizon =
     120_000.0
-    +. (2_000.0 *. float_of_int total_txns /. float_of_int p.n_sites)
+    +. (per_txn *. txns_per_site)
+    +. (p.latency *. float_of_int p.n_sites)
     +. Repdb_fault.Fault.last_event p.faults
     +. Repdb_reconfig.Reconfig.last_event p.reconfig
   in
   Sim.run_until c.sim horizon;
   if not (Cluster.quiescent c) then
     failwith
-      (Printf.sprintf "Driver.run: %s failed to quiesce (clients=%d outstanding=%d t=%.0fms)"
-         P.name c.clients_running c.outstanding (Sim.now c.sim));
+      (Printf.sprintf "%s failed to quiesce within %.0f ms of simulated time (clients=%d outstanding=%d)"
+         P.name horizon c.clients_running c.outstanding);
   (* Drain any leftover timer wake-ups past the stop flag. *)
   Sim.run c.sim;
   (* With healing on, one last full anti-entropy sweep after quiescence: the
@@ -207,9 +213,9 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     sim_time = Sim.now c.sim;
     trace = Metrics.trace c.metrics;
     site_stats = stats;
-    crashes = c.crashes;
+    crashes = Fault_exec.crashes c;
     msg_drops = total "msg.drop";
-    partitions = c.partitions;
+    partitions = Fault_exec.partitions c;
     reconfigs;
     state_transfers;
     reconfig_stall;

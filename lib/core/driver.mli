@@ -65,8 +65,10 @@ type report = {
     [Trace.disabled]) are never written ([Trace.record] is a no-op on the
     disabled trace). A caller-supplied [?placement] may be shared across
     concurrent runs: it is read-only after construction.
-    @raise Failure if the system fails to quiesce within a generous horizon
-    (indicates a protocol bug). *)
+    @raise Failure if the system fails to quiesce within a horizon derived
+    from the params: 2 s plus a round trip per operation for each of a
+    site's transactions, plus a drain allowance and the last scheduled
+    fault or reconfiguration (indicates a protocol bug). *)
 val run :
   ?placement:Repdb_workload.Placement.t ->
   ?trace:bool ->

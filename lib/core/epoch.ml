@@ -62,7 +62,7 @@ let stale (c : Cluster.t) ~site ~epoch =
    for the whole outage. *)
 let parked_outstanding (c : Cluster.t) =
   let pred ~src ~dst =
-    (not (Cluster.site_up c src)) || (not (Cluster.site_up c dst))
+    (not (Fault_exec.site_up c src)) || (not (Fault_exec.site_up c dst))
     ||
     match c.injector with
     | Some inj -> not (Fault.reachable inj ~src ~dst ~at:(Sim.now c.sim))

@@ -43,11 +43,7 @@ let acquire_writes c ~gid ~attempt ~site items =
   run_ops c ~gid ~attempt ~site (List.map (fun item -> Txn.Write item) items)
 
 let apply_writes (c : Cluster.t) ~gid ~site items =
-  List.iter
-    (fun item ->
-      Store.apply c.stores.(site) item ~writer:gid ();
-      Cluster.note_apply c ~site ~item)
-    items
+  List.iter (fun item -> Store.apply c.stores.(site) item ~writer:gid ()) items
 
 let commit_cost ?owner (c : Cluster.t) ~site =
   match owner with
@@ -151,7 +147,6 @@ let install_versions ?on_install ?only (c : Cluster.t) ~gid ~site ~commit_ts vwr
         Store.apply c.stores.(site) item ~writer:gid ();
         assert ((Store.read c.stores.(site) item).Value.version = version);
         (match on_install with Some f -> f ~site ~item ~version ~commit_ts | None -> ());
-        Cluster.note_apply c ~site ~item;
         History.record c.history ~site ~item ~gid ~attempt ~version History.W
       end)
     vwrites

@@ -358,16 +358,10 @@ let large_scale ?pool ?(base = Params.default) () =
       ("psl", params 0.2, (module Psl : Protocol.S));
     ]
 
-let ordered_backedge name order : Protocol.t =
-  (module struct
-    type t = Backedge_proto.t
-
-    let name = name
-    let updates_replicas = true
-    let create c = Backedge_proto.create_with_order c order
-    let submit = Backedge_proto.submit
-    let reconfigure = Backedge_proto.reconfigure
-  end : Protocol.S)
+let ordered_backedge order =
+  Protocol.variant ~name:"backedge"
+    ~create:(fun c -> Backedge_proto.create_with_order c order)
+    (module Backedge_proto)
 
 let ablation_site_order ?pool ?(base = Params.default) () =
   let m = base.Params.n_sites in
@@ -398,8 +392,8 @@ let ablation_site_order ?pool ?(base = Params.default) () =
   (* The two runs share [placement] read-only; each builds its own cluster. *)
   let jobs =
     [
-      ("identity-order", ordered_backedge "backedge" (Array.init m Fun.id));
-      ("fas-order", ordered_backedge "backedge" order);
+      ("identity-order", ordered_backedge (Array.init m Fun.id));
+      ("fas-order", ordered_backedge order);
     ]
   in
   let jobs_arr = Array.of_list jobs in

@@ -147,7 +147,7 @@ let handler t site ~src msg =
          failover may target a site that no longer holds the item. *)
       if Placement.has_copy c.placement ~site item then begin
         Store.install c.stores.(site) item value;
-        Cluster.clear_corrupt c ~site ~item;
+        Fault_exec.clear_corrupt c ~site ~item;
         Stats.incr t.repair_ctr ~site;
         Metrics.emit c.metrics (Event.Repair_item { item; src; dst = site })
       end
@@ -197,11 +197,11 @@ let run_session ?(force = false) t ~primary ~holder =
   let screened =
     (not force)
     && (t.suspected.(primary) || t.suspected.(holder)
-       || (not (Cluster.site_up c primary))
-       || (not (Cluster.site_up c holder))
+       || (not (Fault_exec.site_up c primary))
+       || (not (Fault_exec.site_up c holder))
        || not (Network.reachable t.net ~src:primary ~dst:holder))
   in
-  if primary = holder || screened || (force && not (Cluster.site_up c holder)) then None
+  if primary = holder || screened || (force && not (Fault_exec.site_up c holder)) then None
   else begin
     let items =
       Array.to_list (Placement.primaries_at c.placement primary)
@@ -407,7 +407,7 @@ let start_heartbeats t =
         let rec loop () =
           if not c.stopped then begin
             (* A crashed site is silent; its peers' φ grows. *)
-            if Cluster.site_up c site then begin
+            if Fault_exec.site_up c site then begin
               for dst = 0 to m - 1 do
                 if dst <> site then begin
                   Network.send t.net ~src:site ~dst Heartbeat;
@@ -430,7 +430,7 @@ let phi_snapshot t () =
   Array.init m (fun s ->
       let vals = ref [] in
       for o = 0 to m - 1 do
-        if o <> s && Cluster.site_up c o then
+        if o <> s && Fault_exec.site_up c o then
           vals := Detector.phi t.dets.(o).(s) ~now :: !vals
       done;
       match List.sort compare !vals with
@@ -451,7 +451,7 @@ let start_poller t =
                  site files no report. Strict majority of them must agree. *)
               let over = ref 0 and obs = ref 0 in
               for o = 0 to m - 1 do
-                if o <> s && Cluster.site_up c o && not t.suspected.(o) then begin
+                if o <> s && Fault_exec.site_up c o && not t.suspected.(o) then begin
                   incr obs;
                   if Detector.phi t.dets.(o).(s) ~now > c.params.phi_threshold then incr over
                 end
@@ -460,7 +460,7 @@ let start_poller t =
               if (not t.suspected.(s)) && !obs > 0 && !over >= majority then begin
                 t.suspected.(s) <- true;
                 t.suspect_since.(s) <- now;
-                if Cluster.site_up c s then t.false_suspicions <- t.false_suspicions + 1;
+                if Fault_exec.site_up c s then t.false_suspicions <- t.false_suspicions + 1;
                 Stats.incr t.suspect_ctr ~site:s;
                 if Trace.on (Metrics.trace c.metrics) then
                   Metrics.emit c.metrics
@@ -568,6 +568,7 @@ let final_sweep t =
    and promotion totals have no Stats entry. *)
 let summary t : summary =
   let c = t.c in
+  let corruption_events, corrupt_items = Fault_exec.corruption c in
   let total = function Some ctr -> Stats.counter_total ctr | None -> 0 in
   let all = -1 in
   {
@@ -583,8 +584,8 @@ let summary t : summary =
     mttr_max = Stats.histogram_max t.mttr_hist ~site:all;
     failover_mean = Stats.histogram_mean t.failover_hist ~site:all;
     stale_drops = total c.epoch.stale_drop_ctr;
-    corruption_events = c.corruption_events;
-    corrupt_items = total c.corrupt_ctr;
+    corruption_events;
+    corrupt_items;
   }
 
 let pp_summary ppf (s : summary) =

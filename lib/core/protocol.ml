@@ -11,3 +11,11 @@ end
 type t = (module S)
 
 let name (module P : S) = P.name
+
+let variant (type a) ~name:new_name ~create:new_create (module P : S with type t = a) : t =
+  (module struct
+    include P
+
+    let name = new_name
+    let create = new_create
+  end)

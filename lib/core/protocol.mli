@@ -35,6 +35,10 @@ end
 
 type t = (module S)
 
-(** All protocols, for iteration in experiments: DAG(WT), DAG(T), BackEdge, PSL,
-    Eager, Naive — see the individual modules. *)
+(** The protocol's {!S.name}; {!Registry} lists every registered one. *)
 val name : t -> string
+
+(** [variant ~name ~create (module P)] — [P] under another name, built by
+    another constructor (a different tree, site order or applier); [submit],
+    [updates_replicas] and [reconfigure] are [P]'s. *)
+val variant : name:string -> create:(Cluster.t -> 'a) -> (module S with type t = 'a) -> t

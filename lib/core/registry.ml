@@ -29,27 +29,12 @@ let cyclic_safe : Protocol.t list =
     (module Ssi : Protocol.S);
   ]
 
-let dag_t_pipelined : Protocol.t =
-  (module struct
-    type t = Dag_t.t
+let dag_t_pipelined =
+  Protocol.variant ~name:"dag-t-mc" ~create:Dag_t.create_pipelined (module Dag_t)
 
-    let name = "dag-t-mc"
-    let updates_replicas = true
-    let create = Dag_t.create_pipelined
-    let submit = Dag_t.submit
-    let reconfigure = Dag_t.reconfigure
-  end : Protocol.S)
-
-let backedge_general : Protocol.t =
-  (module struct
-    type t = Backedge_proto.t
-
-    let name = "backedge-gen"
-    let updates_replicas = true
-    let create = Backedge_proto.create_general
-    let submit = Backedge_proto.submit
-    let reconfigure = Backedge_proto.reconfigure
-  end : Protocol.S)
+let backedge_general =
+  Protocol.variant ~name:"backedge-gen" ~create:Backedge_proto.create_general
+    (module Backedge_proto)
 
 let variants = [ backedge_general; dag_t_pipelined ]
 

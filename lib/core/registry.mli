@@ -25,7 +25,8 @@ val backedge_general : Protocol.t
     relaxation Section 3.2.3 alludes to. *)
 val dag_t_pipelined : Protocol.t
 
-(** [find name] — look up by {!Protocol.name}; includes "backedge-gen". *)
+(** [find name] — look up by {!Protocol.name}, dashes and case ignored;
+    covers {!all} and the variants "backedge-gen" and "dag-t-mc". *)
 val find : string -> Protocol.t option
 
 val names : string list

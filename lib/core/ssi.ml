@@ -132,7 +132,7 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
     | [] -> if answered then `Exhausted else `Unreachable
     | s :: rest when s = site -> go answered rest
     | s :: rest ->
-        if (not (Cluster.site_up c s)) || not (Network.reachable t.net ~src:site ~dst:s) then
+        if (not (Fault_exec.site_up c s)) || not (Network.reachable t.net ~src:site ~dst:s) then
           go answered rest
         else begin
           t.remote <- t.remote + 1;

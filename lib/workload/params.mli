@@ -76,10 +76,13 @@ type t = {
   stale_reads : float;
       (** PSL only: when > 0, a remote read whose primary is unreachable
           behind a partition falls back to the local replica provided its
-          staleness (ms since the item was last applied locally) is within
-          this bound. Such reads sit outside the 1SR guarantee and are
-          excluded from the checked history; count and max staleness are
-          reported in metrics. 0 (default) disables the fallback. *)
+          staleness is within this bound. Staleness is ms since PSL last
+          committed a write to that copy; PSL applies no updates at replicas,
+          so for a copy it never wrote that is the time since the run
+          started. The clock is allocated by PSL alone, only when this is
+          > 0. Such reads sit outside the 1SR guarantee and are excluded
+          from the checked history; count and max staleness are reported in
+          metrics. 0 (default) disables the fallback. *)
   record_history : bool;  (** Record accesses for the serializability checker. *)
   (* DAG(T) progress machinery *)
   epoch_period : float;  (** Sources bump their epoch every this many ms. *)

@@ -272,9 +272,10 @@ let test_recovery_drill_ran () =
      recovery drill raises on any divergence — reaching quiescence means it
      passed). *)
   let r, c = run_report (module Repdb.Backedge_proto : Repdb.Protocol.S) in
-  checki "both scheduled crashes executed" 2 c.crashes;
+  let f = Option.get c.faults in
+  checki "both scheduled crashes executed" 2 f.crashes;
   checki "report agrees" 2 r.crashes;
-  checkb "sites back up" true (Repdb.Cluster.site_up c 1 && Repdb.Cluster.site_up c 3);
+  checkb "sites back up" true (Repdb.Fault_exec.site_up c 1 && Repdb.Fault_exec.site_up c 3);
   (* The wals are still attached: a fresh recovery reproduces the final
      stores, including post-restart writes. *)
   Array.iteri
@@ -284,7 +285,7 @@ let test_recovery_drill_ran () =
         true
         (Repdb_store.Store.contents (Repdb_store.Wal.recover wal ~site)
         = Repdb_store.Store.contents c.stores.(site)))
-    c.wals
+    f.wals
 
 let test_fault_sweep_deterministic_across_pools () =
   (* The fault sweep's CSV must be identical sequentially and on a domain
@@ -333,12 +334,12 @@ let test_partition_crash_retry_deterministic () =
 
 let test_no_faults_is_noop () =
   (* An empty schedule must leave the fault machinery entirely out of the
-     path: no injector, no wals, and a report identical to the seed's
-     fault-free behaviour. *)
+     path: no injector, no fault state (so no wals), and a report identical
+     to the seed's fault-free behaviour. *)
   let params = { fault_params with Params.faults = Fault.empty } in
   let r, c = run_report ~params (module Repdb.Backedge_proto : Repdb.Protocol.S) in
-  checkb "no injector" false (Repdb.Cluster.faulty c);
-  checki "no wals attached" 0 (Array.length c.wals);
+  checkb "no injector" true (c.injector = None);
+  checkb "no fault state" true (c.faults = None);
   checki "no crashes" 0 r.crashes;
   checki "no drops" 0 r.msg_drops
 

@@ -288,7 +288,7 @@ let test_corruption_repair () =
   checki "one corruption event" 1 h.corruption_events;
   checkb "copies were scrambled" true (h.corrupt_items >= 1);
   checkb "repairs shipped" true (h.repaired_items >= 1);
-  checki "all corruption marks cleared" 0 (Hashtbl.length c.corrupted);
+  checki "all corruption marks cleared" 0 (Hashtbl.length (Option.get c.faults).corrupted);
   checki "no suspicion from corruption alone" 0 h.suspicions;
   match r.divergent with
   | Some [] -> ()
@@ -361,7 +361,7 @@ let test_crash_mid_state_transfer () =
   (* The WAL replays the partial transfer: a fresh recovery of the crashed
      destination reproduces its final store, transferred item included. *)
   checkb "wal replay reproduces the store" true
-    (Store.contents (Repdb_store.Wal.recover c.wals.(3) ~site:3)
+    (Store.contents (Repdb_store.Wal.recover (Option.get c.faults).wals.(3) ~site:3)
     = Store.contents c.stores.(3));
   let s1', _, _ = show () in
   checks "byte-identical across repeats" s1 s1';
