@@ -28,13 +28,16 @@ type access = {
           to version-derived edges for that log. *)
 }
 
+(** [create ~n_sites ()] — an empty history for sites [0 .. n_sites-1]. *)
 val create : ?enabled:bool -> n_sites:int -> unit -> t
 
 val enabled : t -> bool
 
 (** [record t ~site ~item ~gid ~attempt ?version kind] appends an access to
     the per-(site, item) log. Multi-version protocols pass [?version]; see
-    {!access}. No-op when disabled. *)
+    {!access}. No-op when disabled.
+    @raise Invalid_argument if [site] is not below [n_sites] or [item] is
+    negative. *)
 val record :
   t -> site:int -> item:int -> gid:int -> attempt:int -> ?version:int -> kind -> unit
 
@@ -46,7 +49,12 @@ val discard_attempt : t -> attempt:int -> unit
     filtered out, in execution order. *)
 val committed_log : t -> site:int -> item:int -> access list
 
-(** All (site, item) pairs with a non-empty log. *)
+(** Every non-empty log's committed accesses, one array per (site, item) in
+    execution order, the logs in no particular order; logs whose accesses
+    were all discarded are left out. The checker's input. *)
+val committed_logs : t -> access array list
+
+(** All (site, item) pairs with a non-empty log, ascending. *)
 val touched : t -> (int * int) list
 
 (** Distinct gids with at least one committed access. *)

@@ -126,6 +126,46 @@ let test_same_txn_no_self_edge () =
   checki "no self edges" 0 (Digraph.n_edges g);
   checkb "serializable" true (serializable_check h)
 
+(* Versioned logs with gaps: edges come from the versions read and
+   installed, not from log positions. [versioned_edges] records the
+   (gid, kind, version) accesses in one log and lists the conflict graph's
+   edges as gid pairs. *)
+let versioned_edges accesses =
+  let h = History.create ~n_sites:1 () in
+  List.iter
+    (fun (gid, kind, version) -> History.record h ~site:0 ~item:0 ~gid ~attempt:gid ~version kind)
+    accesses;
+  let g, gids = Serializability.conflict_graph h in
+  List.map (fun (u, v) -> (gids.(u), gids.(v))) (Digraph.edges g)
+
+let test_versioned_read_of_installed_version () =
+  Alcotest.(check (list (pair int int)))
+    "ww 1->3, wr 1->2, rw 2->3" [ (1, 2); (1, 3); (2, 3) ]
+    (versioned_edges [ (1, History.W, 1); (3, History.W, 2); (2, History.R, 1) ])
+
+let test_versioned_read_of_missing_version () =
+  (* v2 was never installed here: its reader precedes v3's writer, and no
+     writer precedes the reader. *)
+  Alcotest.(check (list (pair int int)))
+    "ww 1->3, rw 2->3" [ (1, 3); (2, 3) ]
+    (versioned_edges [ (1, History.W, 1); (3, History.W, 3); (2, History.R, 2) ])
+
+let test_versioned_read_past_last () =
+  Alcotest.(check (list (pair int int)))
+    "no edges" [] (versioned_edges [ (1, History.W, 1); (2, History.R, 5) ])
+
+let test_versioned_reinstalled_version () =
+  Alcotest.(check (list (pair int int)))
+    "the later writer of v1 counts" [ (2, 3) ]
+    (versioned_edges [ (1, History.W, 1); (2, History.W, 1); (3, History.R, 1) ])
+
+let test_versioned_read_of_initial () =
+  (* Version 0 is the initial value, written by no transaction in the log. *)
+  Alcotest.(check (list (pair int int)))
+    "rw 1->2 only" [ (1, 2) ]
+    (versioned_edges [ (2, History.W, 1); (1, History.R, 0) ]);
+  Alcotest.(check (list (pair int int))) "lone reader" [] (versioned_edges [ (1, History.R, 0) ])
+
 (* Brute-force cross-check: the checker's verdict must match an exhaustive
    search for a serial order consistent with *every* conflicting pair (the
    checker itself only materialises a reduced edge set; this property test
@@ -165,17 +205,57 @@ let brute_force_serializable h =
       List.for_all (fun (a, b) -> List.assoc a index < List.assoc b index) pairs)
     (all_permutations gids)
 
+(* Gids are scaled so that the vertex numbering differs from the gids
+   (x1000: sparse but still a flat index) and so that the range is too wide
+   for a flat index (x2^40: the hash-table fallback). Each op runs in one of
+   two attempts of its gid, and a random subset of attempts is discarded. *)
+let gen_history ~n_ops ~versions =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 n_ops)
+         (tup5 (int_range 0 2) (int_range 0 3) (int_range 1 4) bool
+            (if versions then opt ~ratio:0.5 (int_range 0 3) else pure None)))
+      (pair (oneofl [ 1; 1000; 1 lsl 40 ]) (list_size (int_range 0 3) (int_range 0 9))))
+
+let build_history (ops, (scale, discarded)) =
+  let h = History.create ~n_sites:3 () in
+  List.iteri
+    (fun i (site, item, gid, is_write, version) ->
+      History.record h ~site ~item ~gid:(gid * scale) ~attempt:((2 * gid) + (i mod 2)) ?version
+        (if is_write then History.W else History.R))
+    ops;
+  List.iter (fun attempt -> History.discard_attempt h ~attempt) discarded;
+  h
+
 let prop_checker_matches_brute_force =
   QCheck2.Test.make ~name:"checker matches brute force on tiny histories" ~count:400
-    QCheck2.Gen.(list_size (int_range 0 12) (tup4 (int_range 0 2) (int_range 0 3) (int_range 1 4) bool))
-    (fun ops ->
-      let h = History.create ~n_sites:3 () in
-      List.iter
-        (fun (site, item, gid, is_write) ->
-          record h ~site ~item ~gid (if is_write then History.W else History.R))
-        ops;
-      let checker = serializable_check h in
-      checker = brute_force_serializable h)
+    (gen_history ~n_ops:12 ~versions:false)
+    (fun input ->
+      let h = build_history input in
+      serializable_check h = brute_force_serializable h)
+
+(* The vertices are the committed gids in ascending order. The witness is
+   the cycle the reference DFS finds on the conflict graph, and every step
+   of it, wrapping around, is an edge of that graph. *)
+let prop_witness_is_reference_cycle =
+  QCheck2.Test.make ~name:"witness is Digraph.find_cycle's cycle" ~count:600
+    (gen_history ~n_ops:20 ~versions:true)
+    (fun input ->
+      let h = build_history input in
+      let g, gids = Serializability.conflict_graph h in
+      Array.to_list gids = History.committed_gids h
+      &&
+      match (Serializability.check h, Digraph.find_cycle g) with
+      | Serializability.Serializable, None -> true
+      | Serializability.Not_serializable c, Some vs ->
+          let vertex gid =
+            let rec find v = if gids.(v) = gid then v else find (v + 1) in
+            find 0
+          in
+          let vs' = List.map vertex c in
+          let next = List.tl vs' @ [ List.hd vs' ] in
+          c = List.map (fun v -> gids.(v)) vs && List.for_all2 (Digraph.has_edge g) vs' next
+      | _ -> false)
 
 let () =
   Alcotest.run "txn"
@@ -197,6 +277,14 @@ let () =
           Alcotest.test_case "reads commute" `Quick test_reads_commute;
           Alcotest.test_case "conflict graph edges" `Quick test_conflict_graph_edges;
           Alcotest.test_case "no self edges" `Quick test_same_txn_no_self_edge;
+          Alcotest.test_case "versioned read of an installed version" `Quick
+            test_versioned_read_of_installed_version;
+          Alcotest.test_case "versioned read of a missing version" `Quick
+            test_versioned_read_of_missing_version;
+          Alcotest.test_case "versioned read past the last version" `Quick test_versioned_read_past_last;
+          Alcotest.test_case "versioned read of the initial version" `Quick test_versioned_read_of_initial;
+          Alcotest.test_case "version installed twice" `Quick test_versioned_reinstalled_version;
           QCheck_alcotest.to_alcotest prop_checker_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_witness_is_reference_cycle;
         ] );
     ]
