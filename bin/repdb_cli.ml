@@ -200,28 +200,17 @@ let export_trace (report : Repdb.Driver.report) dest =
           (Repdb_obs.Trace.length report.trace)
           dest
           (let d = Repdb_obs.Trace.dropped report.trace in
-           if d > 0 then Printf.sprintf " (%d oldest dropped; raise --trace-capacity)" d
-           else "")
+           if d > 0 then Printf.sprintf " (%d oldest dropped)" d else "")
 
-let trace_flags =
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Collect a structured event trace. $(docv) of $(b,-) streams JSONL to stdout (the \
-             report moves to stderr); a name ending in $(b,.jsonl) writes JSONL; anything else \
-             writes Chrome trace_event JSON for chrome://tracing / Perfetto.")
-  in
-  let capacity =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-capacity" ] ~docv:"N"
-          ~doc:"Trace ring-buffer capacity in events (default 2^20); oldest events drop first.")
-  in
-  Term.(const (fun f c -> (f, c)) $ trace_file $ capacity)
+let trace_flag =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Collect a structured event trace. $(docv) of $(b,-) streams JSONL to stdout (the \
+           report moves to stderr); a name ending in $(b,.jsonl) writes JSONL; anything else \
+           writes Chrome trace_event JSON for chrome://tracing / Perfetto.")
 
 (* --- telemetry flags ------------------------------------------------------ *)
 
@@ -272,22 +261,17 @@ let write_timeline (tl : Repdb_obs.Timeline.t) dest =
           else Repdb_obs.Timeline.to_csv tl (output_string oc));
       Fmt.epr "timeline: wrote %d samples to %s@." (Repdb_obs.Timeline.length tl) dest
 
-let run_with_trace params protocol (trace_file, trace_capacity) =
-  (match trace_capacity with
-  | Some n when n < 1 ->
-      Fmt.epr "error: --trace-capacity must be positive (got %d)@." n;
-      exit 1
-  | _ -> ());
-  match Repdb.Driver.run ~trace:(trace_file <> None) ?trace_capacity params protocol with
+let run_with_trace params protocol trace_file =
+  match Repdb.Driver.run ~trace:(trace_file <> None) params protocol with
   | report -> report
   | exception (Invalid_argument msg | Failure msg) ->
       Fmt.epr "error: %s@." msg;
       exit 1
 
 let run_cmd =
-  let run params protocol ((trace_file, _) as tf) ((timeline_file, _) as obs) =
+  let run params protocol trace_file ((timeline_file, _) as obs) =
     let params = apply_obs params obs in
-    let report = run_with_trace params protocol tf in
+    let report = run_with_trace params protocol trace_file in
     (* With "--trace -" the event stream owns stdout. *)
     let report_ppf = if trace_file = Some "-" then Fmt.stderr else Fmt.stdout in
     Fmt.pf report_ppf "%a@." Repdb.Driver.pp_report report;
@@ -309,14 +293,14 @@ let run_cmd =
        ~doc:
          "Run one protocol on one parameter setting and print the report. Exits 1 when the \
           history is not serializable or replicas diverged.")
-    Term.(const run $ params_term $ protocol_term $ trace_flags $ obs_flags)
+    Term.(const run $ params_term $ protocol_term $ trace_flag $ obs_flags)
 
 (* --- stats ---------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run params protocol ((trace_file, _) as tf) ((timeline_file, _) as obs) =
+  let run params protocol trace_file ((timeline_file, _) as obs) =
     let params = apply_obs params obs in
-    let report = run_with_trace params protocol tf in
+    let report = run_with_trace params protocol trace_file in
     let ppf = if trace_file = Some "-" then Fmt.stderr else Fmt.stdout in
     Fmt.pf ppf "%s, %d sites@." report.protocol report.params.n_sites;
     Fmt.pf ppf "%a@." Repdb.Driver.pp_site_stats report;
@@ -330,7 +314,7 @@ let stats_cmd =
        ~doc:
          "Run one protocol and print the per-site counter/histogram table (lock traffic, \
           message counts, response and propagation percentiles per site).")
-    Term.(const run $ params_term $ protocol_term $ trace_flags $ obs_flags)
+    Term.(const run $ params_term $ protocol_term $ trace_flag $ obs_flags)
 
 (* --- experiment ------------------------------------------------------------ *)
 

@@ -204,9 +204,9 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
       };
   }
 
-let create ?trace ?trace_capacity (params : Params.t) =
+let create ?trace (params : Params.t) =
   let placement_rng = Rng.create params.seed in
-  create_with ?trace ?trace_capacity params (Placement.generate placement_rng params)
+  create_with ?trace params (Placement.generate placement_rng params)
 
 let fresh_gid t =
   t.next_gid <- t.next_gid + 1;

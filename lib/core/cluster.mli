@@ -107,14 +107,15 @@ type t = {
 
 (** [create params] — build the cluster; the placement is drawn from a
     generator derived from [params.seed]. Pass [~trace:true] to collect a
-    structured event trace (ring of [trace_capacity] events, default 2^20)
+    structured event trace (a ring of 2^20 events; the oldest drop first)
     into {!Metrics.trace}; the per-site stats registry is always on. *)
-val create : ?trace:bool -> ?trace_capacity:int -> Params.t -> t
+val create : ?trace:bool -> Params.t -> t
 
 (** [create_with ?latency params placement] — same but with a fixed placement
     (used by examples and tests that need a hand-built copy graph), and
     optionally a per-pair latency function (e.g. to model one slow link, the
-    condition that exposes Example 1.1 under indiscriminate propagation). *)
+    condition that exposes Example 1.1 under indiscriminate propagation).
+    [trace_capacity] sizes the trace ring (default 2^20). *)
 val create_with :
   ?latency:(int -> int -> float) -> ?trace:bool -> ?trace_capacity:int -> Params.t -> Placement.t -> t
 

@@ -81,8 +81,14 @@ let cyclic = "copy graph has a cycle (use the BackEdge protocol)"
 
 (* Besides the initial graph, replay the operator plan so that a step making
    the graph cyclic is refused before any event runs, not at its switch.
-   Failover placements stay acyclic by construction ([Heal_exec.promote]). *)
+   Failover placements stay acyclic by construction ([Heal_exec.promote]),
+   but a plan step after a failover can still close a cycle the replay
+   cannot see, so healing with a plan is refused outright. *)
 let check_tree (c : Cluster.t) tr =
+  if c.params.heal && not (Repdb_reconfig.Reconfig.is_empty c.params.reconfig) then
+    invalid_arg
+      "Dag_wt: healing with a reconfiguration plan is unsupported (a failover can make a later \
+       plan step cyclic)";
   let g = dag_of c.placement ~why:cyclic in
   ignore
     (List.fold_left

@@ -223,11 +223,11 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     timeline;
   }
 
-let run ?placement ?trace ?trace_capacity params protocol =
+let run ?placement ?trace params protocol =
   let c =
     match placement with
-    | Some pl -> Cluster.create_with ?trace ?trace_capacity params pl
-    | None -> Cluster.create ?trace ?trace_capacity params
+    | Some pl -> Cluster.create_with ?trace params pl
+    | None -> Cluster.create ?trace params
   in
   run_on c protocol
 

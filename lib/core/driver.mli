@@ -72,7 +72,6 @@ type report = {
 val run :
   ?placement:Repdb_workload.Placement.t ->
   ?trace:bool ->
-  ?trace_capacity:int ->
   Repdb_workload.Params.t ->
   Protocol.t ->
   report

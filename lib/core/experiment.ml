@@ -3,341 +3,113 @@ module Pool = Repdb_par.Pool
 
 type point = { x : float; reports : (string * Driver.report) list }
 type figure = { id : string; title : string; xlabel : string; points : point list }
+type outcome = Figure of figure | Reports of (string * Driver.report) list
 
-let be_psl : Protocol.t list = [ (module Backedge_proto : Protocol.S); (module Psl : Protocol.S) ]
+type entry = {
+  exp_id : string;
+  doc : string;
+  run : pool:Pool.t option -> base:Params.t -> steps:int -> outcome;
+}
 
-(* Every fan-out below goes through [run_tasks]: an array of independent
-   thunks (each one a self-contained [Driver.run] — own [Sim.t], [Rng],
-   cluster, trace) evaluated either sequentially or on the pool. [Pool.map]
-   lands results by input index, so the two paths produce identical arrays;
-   see the determinism test in [test/test_par.ml]. *)
-let run_tasks ?pool tasks =
-  match pool with
-  | None -> Array.map (fun task -> task ()) tasks
-  | Some pool -> Pool.map pool tasks ~f:(fun task -> task ())
-
-(* Run [(label, params, protocol)] tasks and pair labels with reports. *)
-let run_labelled ?pool jobs =
+(* The one fan-out. Each job is a self-contained [Driver.run] (own [Sim.t],
+   [Rng], cluster and trace) run in the caller or on the pool; [Pool.map]
+   lands results by input index, so both paths return the same list (see
+   the determinism test in [test/test_par.ml]). *)
+let run_jobs pool jobs =
   let jobs = Array.of_list jobs in
-  let reports =
-    run_tasks ?pool (Array.map (fun (_, params, p) -> fun () -> Driver.run params p) jobs)
-  in
-  Array.to_list (Array.map2 (fun (label, _, _) r -> (label, r)) jobs reports)
+  let run (label, job) = (label, job ()) in
+  Array.to_list
+    (match pool with None -> Array.map run jobs | Some pool -> Pool.map pool jobs ~f:run)
 
-let run_point ?pool params protocols x =
-  let reports =
-    run_labelled ?pool (List.map (fun p -> (Protocol.name p, params, p)) protocols)
-  in
-  { x; reports }
+let job ?placement label params p = (label, fun () -> Driver.run ?placement params p)
+let each params protocols = List.map (fun p -> job (Protocol.name p) params p) protocols
 
-let sweep ?pool ~id ~title ~xlabel ~protocols ~values ~params_of () =
-  (* One task per protocol x x-value pair, row-major by point so the grid
-     reassembles in figure order whatever the parallel interleaving was. *)
-  let protos = Array.of_list protocols in
-  let xs = Array.of_list values in
-  let np = Array.length protos in
-  let tasks =
-    Array.init
-      (Array.length xs * np)
-      (fun i ->
-        let x = xs.(i / np) and p = protos.(i mod np) in
-        fun () -> Driver.run (params_of x) p)
+(* A swept figure: every protocol at every x of [values steps], run on
+   [params_of base x]. The jobs go out row-major by point and come back
+   regrouped in figure order. *)
+let sweep exp_id doc ~xlabel ~values protocols params_of =
+  let run ~pool ~base ~steps =
+    let xs = values steps in
+    let reports = run_jobs pool (List.concat_map (fun x -> each (params_of base x) protocols) xs) in
+    let n = List.length protocols in
+    let points =
+      List.mapi (fun i x -> { x; reports = List.filteri (fun j _ -> j / n = i) reports }) xs
+    in
+    Figure { id = exp_id; title = doc; xlabel; points }
   in
-  let reports = run_tasks ?pool tasks in
-  let points =
-    List.init (Array.length xs) (fun xi ->
-        {
-          x = xs.(xi);
-          reports =
-            List.init np (fun pi -> (Protocol.name protos.(pi), reports.((xi * np) + pi)));
-        })
-  in
-  { id; title; xlabel; points }
+  { exp_id; doc; run }
+
+(* A flat report list: [jobs base] are the labelled runs. *)
+let report_list exp_id doc jobs =
+  { exp_id; doc; run = (fun ~pool ~base ~steps:_ -> Reports (run_jobs pool (jobs base))) }
 
 let probs steps = List.init (steps + 1) (fun i -> float_of_int i /. float_of_int steps)
+let fixed xs _steps = xs
+let backedge : Protocol.t = (module Backedge_proto)
+let psl : Protocol.t = (module Psl)
+let dag_wt : Protocol.t = (module Dag_wt)
+let central : Protocol.t = (module Central)
+let be_psl = [ backedge; psl ]
+let be_dag_psl = [ backedge; dag_wt; psl ]
 
-let fig2a ?pool ?(base = Params.default) ?(steps = 10) () =
-  sweep ?pool ~id:"fig2a" ~title:"Throughput vs backedge probability (Figure 2a)"
-    ~xlabel:"backedge probability b" ~protocols:be_psl ~values:(probs steps)
-    ~params_of:(fun b -> { base with backedge_prob = b })
-    ()
+(* b = 0 keeps the copy graph a DAG, so DAG(WT) and DAG(T) apply. *)
+let acyclic base = { base with Params.backedge_prob = 0.0 }
 
-let fig2b ?pool ?(base = Params.default) ?(steps = 10) () =
-  sweep ?pool ~id:"fig2b" ~title:"Throughput vs replication probability (Figure 2b)"
-    ~xlabel:"replication probability r" ~protocols:be_psl ~values:(probs steps)
-    ~params_of:(fun r -> { base with replication_prob = r })
-    ()
-
+(* Figure 3's write-heavy extreme: r = 0.5, no read-only transactions. *)
 let extreme base = { base with Params.replication_prob = 0.5; read_txn_prob = 0.0 }
 
-let fig3a ?pool ?(base = Params.default) ?(steps = 10) () =
-  let base = { (extreme base) with backedge_prob = 0.0 } in
-  sweep ?pool ~id:"fig3a" ~title:"Throughput vs read-op probability, b=0 (Figure 3a)"
-    ~xlabel:"read operation probability" ~protocols:be_psl ~values:(probs steps)
-    ~params_of:(fun p -> { base with read_op_prob = p })
-    ()
-
-let fig3b ?pool ?(base = Params.default) ?(steps = 10) () =
-  let base = { (extreme base) with backedge_prob = 1.0 } in
-  sweep ?pool ~id:"fig3b" ~title:"Throughput vs read-op probability, b=1 (Figure 3b)"
-    ~xlabel:"read operation probability" ~protocols:be_psl ~values:(probs steps)
-    ~params_of:(fun p -> { base with read_op_prob = p })
-    ()
-
-let response_times ?pool ?(base = Params.default) () =
-  run_labelled ?pool (List.map (fun p -> (Protocol.name p, base, p)) be_psl)
-
-let sweep_sites ?pool ?(base = Params.default) () =
-  sweep ?pool ~id:"sites" ~title:"Throughput vs number of sites" ~xlabel:"sites m" ~protocols:be_psl
-    ~values:[ 3.0; 6.0; 9.0; 12.0; 15.0 ]
-    ~params_of:(fun m -> { base with n_sites = int_of_float m })
-    ()
-
-let sweep_threads ?pool ?(base = Params.default) () =
-  sweep ?pool ~id:"threads" ~title:"Throughput vs threads per site" ~xlabel:"threads/site"
-    ~protocols:be_psl
-    ~values:[ 1.0; 2.0; 3.0; 4.0; 5.0 ]
-    ~params_of:(fun k -> { base with threads_per_site = int_of_float k })
-    ()
-
-let sweep_latency ?pool ?(base = Params.default) () =
-  sweep ?pool ~id:"latency" ~title:"Throughput vs network latency" ~xlabel:"latency (ms)"
-    ~protocols:be_psl
-    ~values:[ 0.15; 1.0; 5.0; 20.0; 50.0; 100.0 ]
-    ~params_of:(fun l -> { base with latency = l })
-    ()
-
-let sweep_read_txn ?pool ?(base = Params.default) ?(steps = 5) () =
-  sweep ?pool ~id:"readtxn" ~title:"Throughput vs read-transaction probability"
-    ~xlabel:"read transaction probability" ~protocols:be_psl ~values:(probs steps)
-    ~params_of:(fun p -> { base with read_txn_prob = p })
-    ()
-
-let ablation_protocols ?pool ?(base = Params.default) () =
-  let params = { base with Params.backedge_prob = 0.0 } in
-  run_labelled ?pool
-    (List.map (fun p -> (Protocol.name p, params, p)) (Registry.all @ [ Registry.dag_t_pipelined ]))
-
-let ablation_eager_scaling ?pool ?(base = Params.default) () =
-  let protocols : Protocol.t list =
-    [
-      (module Eager : Protocol.S);
-      (module Central : Protocol.S);
-      (module Lazy_master : Protocol.S);
-      (module Backedge_proto : Protocol.S);
-      (module Psl : Protocol.S);
-    ]
-  in
-  sweep ?pool ~id:"eager-scaling" ~title:"Eager / central-cert / lazy-master vs lazy as sites grow"
-    ~xlabel:"sites m" ~protocols
-    ~values:[ 3.0; 6.0; 9.0; 12.0; 15.0 ]
-    ~params_of:(fun m -> { base with n_sites = int_of_float m })
-    ()
-
-let ablation_tree_routing ?pool ?(base = Params.default) ?(steps = 5) () =
-  let protocols : Protocol.t list = [ (module Backedge_proto : Protocol.S); Registry.backedge_general ] in
-  sweep ?pool ~id:"tree-routing" ~title:"BackEdge: chain tree vs general per-component tree"
-    ~xlabel:"backedge probability b" ~protocols ~values:(probs steps)
-    ~params_of:(fun b -> { base with backedge_prob = b })
-    ()
-
-let ablation_deadlock_policy ?pool ?(base = Params.default) () =
-  run_labelled ?pool
-    (List.concat_map
-       (fun (label, policy) ->
-         let params = { base with Params.deadlock_policy = policy } in
-         List.map (fun p -> (Protocol.name p ^ "/" ^ label, params, p)) be_psl)
-       [ ("timeout", `Timeout); ("detect", `Detect) ])
-
-let ablation_dummy_period ?pool ?(base = Params.default) () =
-  let base = { base with Params.backedge_prob = 0.0 } in
-  sweep ?pool ~id:"dummy-period" ~title:"DAG(T): propagation delay vs dummy idle threshold"
-    ~xlabel:"dummy idle threshold (ms)"
-    ~protocols:[ (module Dag_t : Protocol.S) ]
-    ~values:[ 10.0; 25.0; 50.0; 100.0; 200.0 ]
-    ~params_of:(fun d -> { base with dummy_idle = d; epoch_period = 2.0 *. d })
-    ()
-
-let ablation_hotspot ?pool ?(base = Params.default) () =
-  sweep ?pool ~id:"hotspot" ~title:"Hotspot skew: throughput vs hot-access probability"
-    ~xlabel:"hot access probability (hot set = 20% of the pool)" ~protocols:be_psl
-    ~values:[ 0.0; 0.3; 0.5; 0.7; 0.9 ]
-    ~params_of:(fun h -> { base with hot_access_prob = h })
-    ()
-
-let ablation_straggler ?pool ?(base = Params.default) () =
-  let protocols : Protocol.t list =
-    [ (module Backedge_proto : Protocol.S); (module Psl : Protocol.S); (module Central : Protocol.S) ]
-  in
-  sweep ?pool ~id:"straggler" ~title:"Straggler machine: throughput vs CPU slowdown of machine 0"
-    ~xlabel:"straggler slowdown factor" ~protocols
-    ~values:[ 1.0; 2.0; 4.0; 8.0 ]
-    ~params_of:(fun f -> { base with straggler_machine = 0; straggler_factor = f })
-    ()
-
-let sweep_faults ?pool ?(base = Params.default) () =
-  (* b = 0 keeps the copy graph a DAG so DAG(WT) is applicable alongside the
-     hybrid and PSL. The x axis is the number of injected crashes; each point
-     draws its crash instants/downtimes from [Fault.synthetic] on the run
-     seed, so the whole figure is deterministic in [base]. Convergence lag
-     under faults shows up in the avg_propagation column. *)
-  let base = { base with Params.backedge_prob = 0.0 } in
-  let protocols : Protocol.t list =
-    [ (module Backedge_proto : Protocol.S); (module Dag_wt : Protocol.S); (module Psl : Protocol.S) ]
-  in
-  sweep ?pool ~id:"faults" ~title:"Throughput and propagation lag vs injected crash count"
-    ~xlabel:"site crashes injected" ~protocols
-    ~values:[ 0.0; 1.0; 2.0; 4.0; 8.0 ]
-    ~params_of:(fun k ->
-      {
-        base with
-        faults =
-          Repdb_fault.Fault.synthetic ~n_sites:base.n_sites ~seed:base.seed
-            ~n_crashes:(int_of_float k) ();
-      })
-    ()
-
-let sweep_reconfig ?pool ?(base = Params.default) () =
-  (* b = 0 keeps the copy graph a DAG so DAG(WT) stays applicable alongside
-     the hybrid and PSL (and so synthetic add/drop/rebalance steps cannot
-     make it cyclic). The x axis is the number of reconfiguration steps
-     executed mid-run; each point draws its plan from [Reconfig.synthetic]
-     on the run seed, so the whole figure is deterministic in [base]. The
-     mid-run throughput dip shows up in the reconfig_stall_ms column (and
-     through it in throughput_per_site). *)
-  let base = { base with Params.backedge_prob = 0.0 } in
-  let protocols : Protocol.t list =
-    [ (module Backedge_proto : Protocol.S); (module Dag_wt : Protocol.S); (module Psl : Protocol.S) ]
-  in
-  sweep ?pool ~id:"reconfig" ~title:"Throughput and switch cost vs online reconfigurations"
-    ~xlabel:"reconfiguration steps executed" ~protocols
-    ~values:[ 0.0; 1.0; 2.0; 4.0; 8.0 ]
-    ~params_of:(fun k ->
-      {
-        base with
-        reconfig =
-          Repdb_reconfig.Reconfig.synthetic ~n_sites:base.n_sites ~n_items:base.n_items
-            ~seed:base.seed ~n_steps:(int_of_float k) ();
-      })
-    ()
-
-let sweep_partition ?pool ?(base = Params.default) () =
-  (* Availability under a clean two-way network split: deadlines keep parked
-     eager work bounded, backoff retry lets clients ride the partition out,
-     and PSL's bounded-staleness fallback serves reads locally meanwhile. The
-     x axis is the partition duration; 0 means no partition (the baseline).
-     b = 0 keeps DAG(WT) applicable alongside the hybrid and PSL. Everything
-     is derived from [base], so the whole figure is deterministic. *)
+(* A clean two-way split of the sites (first half vs second half) from
+   t = 100 ms lasting [d] ms; [d = 0] is the unpartitioned baseline. A
+   250 ms deadline bounds parked eager work, backoff retry lets clients ride
+   the split out and PSL serves 60 s bounded-stale reads locally meanwhile. *)
+let partitioned base d =
   let base =
     {
-      base with
-      Params.backedge_prob = 0.0;
+      (acyclic base) with
       txn_deadline = 250.0;
       retry = Params.default_backoff;
       stale_reads = 60_000.0;
     }
   in
-  let m = base.Params.n_sites in
-  let near = List.init (m / 2) Fun.id in
-  let far = List.init (m - (m / 2)) (fun i -> (m / 2) + i) in
-  let protocols : Protocol.t list =
-    [ (module Backedge_proto : Protocol.S); (module Dag_wt : Protocol.S); (module Psl : Protocol.S) ]
-  in
-  sweep ?pool ~id:"partition" ~title:"Availability under a network partition vs its duration"
-    ~xlabel:"partition duration (ms)" ~protocols
-    ~values:[ 0.0; 250.0; 500.0; 1000.0; 2000.0 ]
-    ~params_of:(fun d ->
-      if d <= 0.0 then base
-      else
-        {
-          base with
-          faults =
-            {
-              Repdb_fault.Fault.empty with
-              partitions = [ { from_t = 100.0; until_t = 100.0 +. d; groups = [ near; far ] } ];
-            };
-        })
-    ()
-
-let sweep_heal ?pool ?(base = Params.default) () =
-  (* Self-healing MTTR vs detector threshold. Every point runs the same
-     crash-the-primary-plus-corruption schedule with healing on and no
-     operator-scheduled recovery: site 1 (a primary for ~1/m of the items)
-     crashes mid-run and silent corruption scrambles site 2's replica copies;
-     the healer must detect, fail over, and repair on its own. The x axis is
-     the φ suspicion threshold: low values detect fast but risk false
-     failovers under latency jitter, high values sit through long outages —
-     the availability trade-off the mttr_ms/unavail_ms columns quantify.
-     b = 0 keeps DAG(WT) applicable; deadline + retry keep the weak drain
-     bounded (PSL's synchronous remote reads need the deadline) and let
-     clients ride the outage out. *)
-  let base =
+  let m = base.n_sites in
+  let near = List.init (m / 2) Fun.id and far = List.init (m - (m / 2)) (fun i -> (m / 2) + i) in
+  if d <= 0.0 then base
+  else
     {
       base with
-      Params.backedge_prob = 0.0;
-      heal = true;
-      txn_deadline = 400.0;
-      retry = Params.default_backoff;
-      txns_per_thread = max base.txns_per_thread 200;
       faults =
         {
           Repdb_fault.Fault.empty with
-          crashes = [ { site = 1; at = 400.0; down_for = 800.0 } ];
-          corruptions = [ { c_site = 2; c_at = 600.0; c_prob = 0.3 } ];
+          partitions = [ { from_t = 100.0; until_t = 100.0 +. d; groups = [ near; far ] } ];
         };
     }
-  in
-  let protocols : Protocol.t list =
-    [ (module Backedge_proto : Protocol.S); (module Dag_wt : Protocol.S); (module Psl : Protocol.S) ]
-  in
-  sweep ?pool ~id:"heal" ~title:"Self-healing: MTTR and availability vs detector threshold"
-    ~xlabel:"phi suspicion threshold" ~protocols
-    ~values:[ 2.0; 4.0; 8.0; 16.0; 32.0 ]
-    ~params_of:(fun phi -> { base with phi_threshold = phi })
-    ()
 
-let sweep_occ ?pool ?(base = Params.default) () =
-  (* Optimistic vs locking under contention. The x axis is the Zipf skew of
-     item selection: at theta = 0 access is uniform and optimistic execution
-     wins on commit rate (no lock waits, the epoch batch amortizes the
-     certification round trip); as theta grows the hottest items concentrate
-    the read/write sets and the optimistic protocols pay with validation
-     aborts instead of lock waits — the crossover the CSV abort-reason
-     breakdown (aborts_validation_failed, aborts_first_committer_lost,
-     aborts_dangerous_structure vs aborts_lock_timeout/aborts_deadlock)
-     makes visible. b = 0 keeps DAG(WT) applicable as a lock-based
-     reference. Everything derives from [base]: deterministic. *)
-  let base = { base with Params.backedge_prob = 0.0 } in
-  let protocols : Protocol.t list =
-    [
-      (module Occ_epoch : Protocol.S);
-      (module Ssi : Protocol.S);
-      (module Backedge_proto : Protocol.S);
-      (module Dag_wt : Protocol.S);
-      (module Psl : Protocol.S);
-    ]
-  in
-  sweep ?pool ~id:"occ" ~title:"Optimistic vs locking: throughput and abort mix vs Zipf skew"
-    ~xlabel:"zipf skew theta (item selection)" ~protocols
-    ~values:[ 0.0; 0.5; 0.7; 0.9; 0.99 ]
-    ~params_of:(fun theta -> { base with zipf_theta = theta })
-    ()
+(* Site 1 (a primary for ~1/m of the items) crashes mid-run and corruption
+   scrambles site 2's replica copies, with healing on and no operator
+   recovery: the healer must detect, fail over and repair on its own at
+   suspicion threshold [phi]. Deadline + retry keep the failover drain
+   bounded (PSL's synchronous remote reads need the deadline). *)
+let healing base phi =
+  {
+    (acyclic base) with
+    heal = true;
+    phi_threshold = phi;
+    txn_deadline = 400.0;
+    retry = Params.default_backoff;
+    txns_per_thread = max base.Params.txns_per_thread 200;
+    faults =
+      {
+        Repdb_fault.Fault.empty with
+        crashes = [ { site = 1; at = 400.0; down_for = 800.0 } ];
+        corruptions = [ { c_site = 2; c_at = 600.0; c_prob = 0.3 } ];
+      };
+  }
 
-let seed_variance ?pool ?(base = Params.default) () =
-  (* The paper reports single runs; this is the noise band around our shapes:
-     the defaults under five seeds, one point per seed. *)
-  sweep ?pool ~id:"variance" ~title:"Seed variance at the defaults (5 seeds)" ~xlabel:"seed"
-    ~protocols:be_psl
-    ~values:[ 42.0; 43.0; 44.0; 45.0; 46.0 ]
-    ~params_of:(fun s -> { base with seed = int_of_float s })
-    ()
-
-let large_scale ?pool ?(base = Params.default) () =
-  (* Production-size partial replication: 200 sites x 100k items on the
-     compact placement layer. s = 6/m keeps ~3 replicas per replicated item
-     (the candidate pool averages m/2 following sites) while the placement
-     stays genuinely partial. DAG(WT) needs an acyclic copy graph; BackEdge
-     and PSL keep b = 0.2 so their eager paths fire. *)
+(* 200 sites x 100k items on the compact placement layer. s = 6/m keeps
+   ~3 replicas per replicated item while the placement stays partial;
+   BackEdge and PSL keep b = 0.2 so their eager paths fire, DAG(WT) needs
+   b = 0. Site and item counts override [base]. *)
+let large base =
   let m = 200 in
   let params b =
     {
@@ -351,19 +123,15 @@ let large_scale ?pool ?(base = Params.default) () =
       n_machines = max 3 (m / 8);
     }
   in
-  run_labelled ?pool
-    [
-      ("backedge", params 0.2, (module Backedge_proto : Protocol.S));
-      ("dag-wt", params 0.0, (module Dag_wt : Protocol.S));
-      ("psl", params 0.2, (module Psl : Protocol.S));
-    ]
+  [ job "backedge" (params 0.2) backedge; job "dag-wt" (params 0.0) dag_wt; job "psl" (params 0.2) psl ]
 
-let ordered_backedge order =
-  Protocol.variant ~name:"backedge"
-    ~create:(fun c -> Backedge_proto.create_with_order c order)
-    (module Backedge_proto)
-
-let ablation_site_order ?pool ?(base = Params.default) () =
+(* Section 4.2 in protocol form: a hub site (numbered last) replicates 30
+   reference items to every spoke, each spoke owns 10 local items. Under
+   the identity order every copy-graph edge is a backedge and each hub
+   update runs the eager path; the order derived from a greedy feedback
+   arc set puts the hub first and makes the whole graph forward. Both runs
+   share [placement] read-only; each builds its own cluster. *)
+let site_order base =
   let m = base.Params.n_sites in
   let hub = m - 1 in
   let n_reference = 30 and n_local = 10 in
@@ -380,28 +148,155 @@ let ablation_site_order ?pool ?(base = Params.default) () =
     done
   done;
   let placement = Repdb_workload.Placement.make ~n_sites:m ~n_items ~primary ~replicas in
-  let params = { base with Params.n_items } in
-  (* FAS-derived order: peel the copy graph with the weighted greedy
-     heuristic; here it simply puts the hub before its spokes. *)
   let g = Repdb_workload.Placement.copy_graph placement in
   let fas = Repdb_graph.Backedge.greedy_fas g ~weight:(fun _ _ -> 1.0) in
-  let gdag = Repdb_graph.Digraph.remove_edges g fas in
   let order =
-    match Repdb_graph.Digraph.topo_sort gdag with Some o -> Array.of_list o | None -> assert false
+    match Repdb_graph.Digraph.topo_sort (Repdb_graph.Digraph.remove_edges g fas) with
+    | Some o -> Array.of_list o
+    | None -> assert false
   in
-  (* The two runs share [placement] read-only; each builds its own cluster. *)
-  let jobs =
-    [
-      ("identity-order", ordered_backedge (Array.init m Fun.id));
-      ("fas-order", ordered_backedge order);
-    ]
+  let ordered order =
+    Protocol.variant ~name:"backedge"
+      ~create:(fun c -> Backedge_proto.create_with_order c order)
+      (module Backedge_proto)
   in
-  let jobs_arr = Array.of_list jobs in
-  let reports =
-    run_tasks ?pool
-      (Array.map (fun (_, proto) -> fun () -> Driver.run ~placement params proto) jobs_arr)
-  in
-  Array.to_list (Array.map2 (fun (label, _) r -> (label, r)) jobs_arr reports)
+  let params = { base with Params.n_items } in
+  [
+    job ~placement "identity-order" params (ordered (Array.init m Fun.id));
+    job ~placement "fas-order" params (ordered order);
+  ]
+
+(* --- registry --------------------------------------------------------------
+   One row per experiment. The CLI's `experiment` subcommand derives both its
+   help text and its dispatch from this list, so the two cannot drift
+   (test_reconfig pins the ids). Only the probability sweeps use [steps]. *)
+
+let registry =
+  [
+    sweep "fig2a" "throughput vs backedge probability (Figure 2a)"
+      ~xlabel:"backedge probability b" ~values:probs be_psl (fun base b ->
+        { base with backedge_prob = b });
+    sweep "fig2b" "throughput vs replication probability (Figure 2b)"
+      ~xlabel:"replication probability r" ~values:probs be_psl (fun base r ->
+        { base with replication_prob = r });
+    sweep "fig3a" "throughput vs read-op probability, b=0 (Figure 3a)"
+      ~xlabel:"read operation probability" ~values:probs be_psl (fun base p ->
+        { (extreme base) with backedge_prob = 0.0; read_op_prob = p });
+    sweep "fig3b" "throughput vs read-op probability, b=1 (Figure 3b)"
+      ~xlabel:"read operation probability" ~values:probs be_psl (fun base p ->
+        { (extreme base) with backedge_prob = 1.0; read_op_prob = p });
+    (* Section 5.3.4. *)
+    report_list "resp" "response times and propagation delay at the defaults" (fun base ->
+        each base be_psl);
+    (* Table 1's ranges (the tech report's sweeps). *)
+    sweep "sites" "throughput vs number of sites" ~xlabel:"sites m"
+      ~values:(fixed [ 3.0; 6.0; 9.0; 12.0; 15.0 ])
+      be_psl
+      (fun base m -> { base with n_sites = int_of_float m });
+    sweep "threads" "throughput vs threads per site" ~xlabel:"threads/site"
+      ~values:(fixed [ 1.0; 2.0; 3.0; 4.0; 5.0 ])
+      be_psl
+      (fun base k -> { base with threads_per_site = int_of_float k });
+    sweep "latency" "throughput vs network latency" ~xlabel:"latency (ms)"
+      ~values:(fixed [ 0.15; 1.0; 5.0; 20.0; 50.0; 100.0 ])
+      be_psl
+      (fun base l -> { base with latency = l });
+    sweep "readtxn" "throughput vs read-transaction probability"
+      ~xlabel:"read transaction probability" ~values:probs be_psl (fun base p ->
+        { base with read_txn_prob = p });
+    (* Ablations. *)
+    report_list "ablation" "all protocols at the defaults (b=0)" (fun base ->
+        each (acyclic base) (Registry.all @ [ Registry.dag_t_pipelined ]));
+    (* The introduction's "eager does not scale" and Section 1.2's "the
+       central site becomes a bottleneck". *)
+    sweep "eager-scaling" "eager/central/lazy-master vs lazy as sites grow" ~xlabel:"sites m"
+      ~values:(fixed [ 3.0; 6.0; 9.0; 12.0; 15.0 ])
+      [ (module Eager); central; (module Lazy_master); backedge; psl ]
+      (fun base m -> { base with n_sites = int_of_float m });
+    (* Section 5.1 expects the general per-component tree to win. *)
+    sweep "tree-routing" "BackEdge chain tree vs general per-component tree"
+      ~xlabel:"backedge probability b" ~values:probs [ backedge; Registry.backedge_general ]
+      (fun base b -> { base with backedge_prob = b });
+    (* The paper's 50 ms timeout vs local waits-for-graph detection (the
+       timeout stays as a distributed-deadlock backstop). *)
+    report_list "deadlock-policy" "timeout vs waits-for-graph deadlock handling" (fun base ->
+        List.concat_map
+          (fun (label, policy) ->
+            List.map
+              (fun p ->
+                job (Protocol.name p ^ "/" ^ label) { base with Params.deadlock_policy = policy } p)
+              be_psl)
+          [ ("timeout", `Timeout); ("detect", `Detect) ]);
+    (* The cost of Section 3.3's progress machinery. *)
+    sweep "dummy-period" "DAG(T) propagation delay vs dummy idle threshold"
+      ~xlabel:"dummy idle threshold (ms)"
+      ~values:(fixed [ 10.0; 25.0; 50.0; 100.0; 200.0 ])
+      [ (module Dag_t) ]
+      (fun base d -> { (acyclic base) with dummy_idle = d; epoch_period = 2.0 *. d });
+    sweep "hotspot" "throughput vs hot-access probability"
+      ~xlabel:"hot access probability (hot set = 20% of the pool)"
+      ~values:(fixed [ 0.0; 0.3; 0.5; 0.7; 0.9 ])
+      be_psl
+      (fun base h -> { base with hot_access_prob = h });
+    (* The certifier's central site lives on the straggler. *)
+    sweep "straggler" "throughput vs CPU slowdown of machine 0" ~xlabel:"straggler slowdown factor"
+      ~values:(fixed [ 1.0; 2.0; 4.0; 8.0 ])
+      [ backedge; psl; central ]
+      (fun base f -> { base with straggler_machine = 0; straggler_factor = f });
+    report_list "site-order" "BackEdge identity order vs FAS-derived order" site_order;
+    (* Extensions. Crash instants and downtimes, and reconfiguration plans,
+       are drawn from the run seed: every figure is deterministic in [base]. *)
+    sweep "faults" "throughput and propagation lag vs injected crashes"
+      ~xlabel:"site crashes injected"
+      ~values:(fixed [ 0.0; 1.0; 2.0; 4.0; 8.0 ])
+      be_dag_psl
+      (fun base k ->
+        {
+          (acyclic base) with
+          faults =
+            Repdb_fault.Fault.synthetic ~n_sites:base.n_sites ~seed:base.seed
+              ~n_crashes:(int_of_float k) ();
+        });
+    (* The mid-run throughput dip lands in the reconfig_stall_ms column. *)
+    sweep "reconfig" "throughput and switch cost vs online reconfigurations"
+      ~xlabel:"reconfiguration steps executed"
+      ~values:(fixed [ 0.0; 1.0; 2.0; 4.0; 8.0 ])
+      be_dag_psl
+      (fun base k ->
+        {
+          (acyclic base) with
+          reconfig =
+            Repdb_reconfig.Reconfig.synthetic ~n_sites:base.n_sites ~n_items:base.n_items
+              ~seed:base.seed ~n_steps:(int_of_float k) ();
+        });
+    sweep "partition" "availability, deadline aborts and stale reads vs partition duration"
+      ~xlabel:"partition duration (ms)"
+      ~values:(fixed [ 0.0; 250.0; 500.0; 1000.0; 2000.0 ])
+      be_dag_psl partitioned;
+    (* Optimistic execution wins on commit rate at low skew and pays with
+       validation aborts instead of lock waits under heavy skew: the
+       per-reason aborts_* columns show the crossover. *)
+    sweep "occ" "optimistic (occ-epoch, ssi) vs locking vs Zipf contention"
+      ~xlabel:"zipf skew theta (item selection)"
+      ~values:(fixed [ 0.0; 0.5; 0.7; 0.9; 0.99 ])
+      [ (module Occ_epoch); (module Ssi); backedge; dag_wt; psl ]
+      (fun base theta -> { (acyclic base) with zipf_theta = theta });
+    (* Low thresholds detect fast but risk false failovers; high ones sit
+       through the outage (the mttr_ms / unavail_ms columns). *)
+    sweep "heal" "self-healing MTTR and availability vs detector threshold"
+      ~xlabel:"phi suspicion threshold"
+      ~values:(fixed [ 2.0; 4.0; 8.0; 16.0; 32.0 ])
+      be_dag_psl healing;
+    (* The noise band around the single-run figures; [base.seed] is ignored. *)
+    sweep "variance" "BackEdge and PSL throughput at the defaults under seeds 42-46" ~xlabel:"seed"
+      ~values:(fixed [ 42.0; 43.0; 44.0; 45.0; 46.0 ])
+      be_psl
+      (fun base s -> { base with seed = int_of_float s });
+    report_list "large" "BackEdge, DAG(WT) and PSL at 200 sites x 100k items" large;
+  ]
+
+let ids = List.map (fun e -> e.exp_id) registry
+let find id = List.find_opt (fun e -> e.exp_id = id) registry
 
 let pp_point ppf (pt : point) =
   List.iter
@@ -525,55 +420,6 @@ let to_csv fig =
         pt.reports)
     fig.points;
   Buffer.contents buf
-
-(* --- registry --------------------------------------------------------------
-   The CLI's `experiment` subcommand derives both its help text and its
-   dispatch from this list, so the two cannot drift (test_reconfig checks
-   they agree with [ids]). Runners that have no [?steps] knob ignore it. *)
-
-type outcome = Figure of figure | Reports of (string * Driver.report) list
-
-type entry = {
-  exp_id : string;
-  doc : string;
-  run : pool:Pool.t option -> base:Params.t -> steps:int -> outcome;
-}
-
-let registry =
-  let fig f = fun ~pool ~base ~steps:_ -> Figure (f ?pool ?base:(Some base) ()) in
-  let fig_steps f =
-    fun ~pool ~base ~steps -> Figure (f ?pool ?base:(Some base) ?steps:(Some steps) ())
-  in
-  let reports f = fun ~pool ~base ~steps:_ -> Reports (f ?pool ?base:(Some base) ()) in
-  [
-    { exp_id = "fig2a"; doc = "throughput vs backedge probability (Figure 2a)"; run = fig_steps fig2a };
-    { exp_id = "fig2b"; doc = "throughput vs replication probability (Figure 2b)"; run = fig_steps fig2b };
-    { exp_id = "fig3a"; doc = "throughput vs read-op probability, b=0 (Figure 3a)"; run = fig_steps fig3a };
-    { exp_id = "fig3b"; doc = "throughput vs read-op probability, b=1 (Figure 3b)"; run = fig_steps fig3b };
-    { exp_id = "resp"; doc = "response times and propagation delay at the defaults"; run = reports response_times };
-    { exp_id = "sites"; doc = "throughput vs number of sites"; run = fig sweep_sites };
-    { exp_id = "threads"; doc = "throughput vs threads per site"; run = fig sweep_threads };
-    { exp_id = "latency"; doc = "throughput vs network latency"; run = fig sweep_latency };
-    { exp_id = "readtxn"; doc = "throughput vs read-transaction probability"; run = fig_steps sweep_read_txn };
-    { exp_id = "ablation"; doc = "all protocols at the defaults (b=0)"; run = reports ablation_protocols };
-    { exp_id = "eager-scaling"; doc = "eager/central/lazy-master vs lazy as sites grow"; run = fig ablation_eager_scaling };
-    { exp_id = "tree-routing"; doc = "BackEdge chain tree vs general per-component tree"; run = fig_steps ablation_tree_routing };
-    { exp_id = "deadlock-policy"; doc = "timeout vs waits-for-graph deadlock handling"; run = reports ablation_deadlock_policy };
-    { exp_id = "dummy-period"; doc = "DAG(T) propagation delay vs dummy idle threshold"; run = fig ablation_dummy_period };
-    { exp_id = "hotspot"; doc = "throughput vs hot-access probability"; run = fig ablation_hotspot };
-    { exp_id = "straggler"; doc = "throughput vs CPU slowdown of machine 0"; run = fig ablation_straggler };
-    { exp_id = "site-order"; doc = "BackEdge identity order vs FAS-derived order"; run = reports ablation_site_order };
-    { exp_id = "faults"; doc = "throughput and propagation lag vs injected crashes"; run = fig sweep_faults };
-    { exp_id = "reconfig"; doc = "throughput and switch cost vs online reconfigurations"; run = fig sweep_reconfig };
-    { exp_id = "partition"; doc = "availability, deadline aborts and stale reads vs partition duration"; run = fig sweep_partition };
-    { exp_id = "occ"; doc = "optimistic (occ-epoch, ssi) vs locking vs Zipf contention"; run = fig sweep_occ };
-    { exp_id = "heal"; doc = "self-healing MTTR and availability vs detector threshold"; run = fig sweep_heal };
-    { exp_id = "variance"; doc = "BackEdge and PSL throughput at the defaults under seeds 42-46"; run = fig seed_variance };
-    { exp_id = "large"; doc = "BackEdge, DAG(WT) and PSL at 200 sites x 100k items"; run = reports large_scale };
-  ]
-
-let ids = List.map (fun e -> e.exp_id) registry
-let find id = List.find_opt (fun e -> e.exp_id = id) registry
 
 (* Per-run timelines collected by an outcome (present when the base params
    had [timeline_every > 0]), each under a filesystem-safe basename. *)

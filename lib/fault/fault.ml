@@ -155,9 +155,14 @@ let req_field opts key parse =
   | Some v -> parse key v
   | None -> Error (Printf.sprintf "faults: missing %s=..." key)
 
-(* "T1-T2" *)
+(* "T1-T2": the separator is the first '-' that is not an exponent's sign. *)
 let parse_span s =
-  match String.index_opt s '-' with
+  let rec sep i =
+    match String.index_from_opt s i '-' with
+    | Some j when j > 0 && (s.[j - 1] = 'e' || s.[j - 1] = 'E') -> sep (j + 1)
+    | found -> found
+  in
+  match sep 0 with
   | Some i ->
       let* a = parse_float "window start" (String.sub s 0 i) in
       let* b = parse_float "window end" (String.sub s (i + 1) (String.length s - i - 1)) in
@@ -256,17 +261,32 @@ let of_string spec =
           (List.rev s.corruptions);
     }
 
+(* The shortest of %.15g/%.16g/%.17g that parses back to [f], so that
+   [of_string (to_string s) = Ok s]; a hand-written 1037.31 prints as such. *)
+let fmt_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let to_string s =
   let buf = Buffer.create 64 in
   let clause fmt =
     if Buffer.length buf > 0 then Buffer.add_char buf ';';
     Printf.ksprintf (Buffer.add_string buf) fmt
   in
-  List.iter (fun c -> clause "crash@%g:site=%d,down=%g" c.at c.site c.down_for) s.crashes;
   List.iter
-    (fun p -> clause "partition@%g-%g:groups=%s" p.from_t p.until_t (string_of_groups p.groups))
+    (fun c -> clause "crash@%s:site=%d,down=%s" (fmt_float c.at) c.site (fmt_float c.down_for))
+    s.crashes;
+  List.iter
+    (fun p ->
+      clause "partition@%s-%s:groups=%s" (fmt_float p.from_t) (fmt_float p.until_t)
+        (string_of_groups p.groups))
     s.partitions;
-  List.iter (fun c -> clause "corrupt@%g:site=%d,p=%g" c.c_at c.c_site c.c_prob) s.corruptions;
+  List.iter
+    (fun c -> clause "corrupt@%s:site=%d,p=%s" (fmt_float c.c_at) c.c_site (fmt_float c.c_prob))
+    s.corruptions;
   List.iter
     (fun w ->
       let pair () =
@@ -274,11 +294,13 @@ let to_string s =
         ^ if w.dst >= 0 then Printf.sprintf ",dst=%d" w.dst else ""
       in
       if w.drop_prob > 0.0 then
-        clause "drop@%g-%g:p=%g%s" w.from_t w.until_t w.drop_prob (pair ());
+        clause "drop@%s-%s:p=%s%s" (fmt_float w.from_t) (fmt_float w.until_t)
+          (fmt_float w.drop_prob) (pair ());
       if w.extra_delay > 0.0 then
-        clause "delay@%g-%g:add=%g%s" w.from_t w.until_t w.extra_delay (pair ()))
+        clause "delay@%s-%s:add=%s%s" (fmt_float w.from_t) (fmt_float w.until_t)
+          (fmt_float w.extra_delay) (pair ()))
     s.windows;
-  if s.rto <> default_rto then clause "rto=%g" s.rto;
+  if s.rto <> default_rto then clause "rto=%s" (fmt_float s.rto);
   Buffer.contents buf
 
 let pp ppf s =

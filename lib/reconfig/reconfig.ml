@@ -110,6 +110,15 @@ let of_string spec =
   in
   Ok { steps = sort_steps steps }
 
+(* The shortest of %.15g/%.16g/%.17g that parses back to [f], so that
+   [of_string (to_string s) = Ok s]; a hand-written 1037.31 prints as such. *)
+let fmt_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let to_string p =
   let buf = Buffer.create 64 in
   let clause fmt =
@@ -119,10 +128,10 @@ let to_string p =
   List.iter
     (fun t ->
       match t.step with
-      | Add_replica { item; site } -> clause "add@%g:item=%d,site=%d" t.at item site
-      | Drop_replica { item; site } -> clause "drop@%g:item=%d,site=%d" t.at item site
+      | Add_replica { item; site } -> clause "add@%s:item=%d,site=%d" (fmt_float t.at) item site
+      | Drop_replica { item; site } -> clause "drop@%s:item=%d,site=%d" (fmt_float t.at) item site
       | Rebalance_site { from_site; to_site } ->
-          clause "rebalance@%g:from=%d,to=%d" t.at from_site to_site)
+          clause "rebalance@%s:from=%d,to=%d" (fmt_float t.at) from_site to_site)
     p.steps;
   Buffer.contents buf
 

@@ -295,7 +295,7 @@ let test_cluster_straggler () =
 let tiny = { Params.default with n_sites = 3; n_items = 12; threads_per_site = 1; txns_per_thread = 5 }
 
 let test_experiment_figure_structure () =
-  let fig = Repdb.Experiment.fig2a ~base:tiny ~steps:2 () in
+  let fig = Experiments.figure ~steps:2 "fig2a" tiny in
   checki "three points" 3 (List.length fig.points);
   List.iter
     (fun (pt : Repdb.Experiment.point) ->
@@ -305,7 +305,7 @@ let test_experiment_figure_structure () =
   checki "csv lines" (1 + (3 * 2)) (List.length (String.split_on_char '\n' (String.trim csv)))
 
 let test_experiment_tree_routing_runs () =
-  let fig = Repdb.Experiment.ablation_tree_routing ~base:tiny ~steps:1 () in
+  let fig = Experiments.figure ~steps:1 "tree-routing" tiny in
   checki "two points" 2 (List.length fig.points)
 
 let () =

@@ -54,6 +54,65 @@ let test_spec_roundtrip () =
       checkb (Printf.sprintf "%S round-trips" spec) true (s = s'))
     specs
 
+(* Any finite non-negative time, including ones %g would round and ones
+   printed with an exponent. *)
+let gen_time =
+  QCheck.Gen.(
+    oneof [ float_bound_inclusive 5000.0; float_bound_inclusive 1e-3; float_bound_inclusive 1e12 ])
+
+(* A schedule in the canonical form [of_string] returns: every clause kind,
+   crashes and corruptions in its sort order, each window a drop or a delay. *)
+let gen_schedule =
+  let open QCheck.Gen in
+  let site = int_bound 64 and endpoint = int_range (-1) 64 in
+  let span = pair gen_time gen_time in
+  let prob = float_range 1e-9 1.0 in
+  let crash = map3 (fun site at down_for -> { Fault.site; at; down_for }) site gen_time gen_time in
+  let window =
+    map3
+      (fun (src, dst) (from_t, until_t) (drop, p) ->
+        {
+          Fault.src;
+          dst;
+          from_t;
+          until_t;
+          drop_prob = (if drop then p else 0.0);
+          extra_delay = (if drop then 0.0 else p);
+        })
+      (pair endpoint endpoint) span (pair bool prob)
+  in
+  let partition =
+    map2
+      (fun (from_t, until_t) groups -> { Fault.from_t; until_t; groups })
+      span
+      (list_size (int_range 1 3) (list_size (int_range 1 4) site))
+  in
+  let corruption =
+    map3 (fun c_site c_at c_prob -> { Fault.c_site; c_at; c_prob }) site gen_time prob
+  in
+  let few g = list_size (int_bound 3) g in
+  map3
+    (fun (crashes, windows) (partitions, corruptions) rto ->
+      {
+        Fault.crashes =
+          List.sort (fun (a : Fault.crash) b -> compare (a.at, a.site) (b.at, b.site)) crashes;
+        windows;
+        partitions;
+        corruptions =
+          List.sort
+            (fun (a : Fault.corruption) b -> compare (a.c_at, a.c_site) (b.c_at, b.c_site))
+            corruptions;
+        rto;
+      })
+    (pair (few crash) (few window))
+    (pair (few partition) (few corruption))
+    (oneof [ return Fault.empty.rto; float_range 0.1 100.0 ])
+
+let prop_spec_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string s) = Ok s" ~count:500
+    (QCheck.make ~print:Fault.to_string gen_schedule)
+    (fun s -> Fault.of_string (Fault.to_string s) = Ok s)
+
 let test_spec_errors () =
   let bad spec =
     match Fault.of_string spec with
@@ -292,10 +351,10 @@ let test_fault_sweep_deterministic_across_pools () =
      pool — fault draws are per-run state, so parallel interleaving cannot
      leak into results. *)
   let base = { fault_params with Params.faults = Fault.empty; txns_per_thread = 8 } in
-  let seq = Repdb.Experiment.to_csv (Repdb.Experiment.sweep_faults ~base ()) in
+  let seq = Experiments.output "faults" base in
   let par =
     Repdb_par.Pool.with_pool ~domains:2 (fun pool ->
-        Repdb.Experiment.to_csv (Repdb.Experiment.sweep_faults ~pool ~base ()))
+        Experiments.output ~pool "faults" base)
   in
   checks "sequential = pooled" seq par
 
@@ -350,6 +409,7 @@ let () =
         [
           Alcotest.test_case "spec parse" `Quick test_spec_parse;
           Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
           Alcotest.test_case "spec errors" `Quick test_spec_errors;
           Alcotest.test_case "partition spec and last_event" `Quick test_partition_spec;
           Alcotest.test_case "partition reachability" `Quick test_partition_reachability;

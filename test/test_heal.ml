@@ -313,10 +313,10 @@ let test_heal_deterministic () =
 
 let test_sweep_heal_deterministic_across_pools () =
   let base = { heal_params with Params.txns_per_thread = 8; faults = Fault.empty } in
-  let seq = Repdb.Experiment.to_csv (Repdb.Experiment.sweep_heal ~base ()) in
+  let seq = Experiments.output "heal" base in
   let par =
     Repdb_par.Pool.with_pool ~domains:2 (fun pool ->
-        Repdb.Experiment.to_csv (Repdb.Experiment.sweep_heal ~pool ~base ()))
+        Experiments.output ~pool "heal" base)
   in
   checks "sequential = pooled" seq par
 

@@ -269,17 +269,17 @@ let sweep_base =
   { Params.default with n_sites = 4; n_items = 200; threads_per_site = 3; txns_per_thread = 8 }
 
 let test_sweep_csv_identical () =
-  let seq = Repdb.Experiment.to_csv (Repdb.Experiment.sweep_occ ~base:sweep_base ()) in
+  let seq = Experiments.output "occ" sweep_base in
   checks "identical across repeats" seq
-    (Repdb.Experiment.to_csv (Repdb.Experiment.sweep_occ ~base:sweep_base ()));
+    (Experiments.output "occ" sweep_base);
   let par =
     Repdb_par.Pool.with_pool ~domains:2 (fun pool ->
-        Repdb.Experiment.to_csv (Repdb.Experiment.sweep_occ ~pool ~base:sweep_base ()))
+        Experiments.output ~pool "occ" sweep_base)
   in
   checks "identical across -j levels" seq par
 
 let test_sweep_crossover () =
-  let fig = Repdb.Experiment.sweep_occ ~base:sweep_base () in
+  let fig = Experiments.figure "occ" sweep_base in
   let report ~x ~proto =
     let pt = List.find (fun (p : Repdb.Experiment.point) -> p.x = x) fig.points in
     List.assoc proto pt.reports

@@ -3,7 +3,6 @@
 
 module Pool = Repdb_par.Pool
 module Params = Repdb_workload.Params
-module Experiment = Repdb.Experiment
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -120,19 +119,28 @@ let test_experiment_determinism () =
      The figure CSV captures every reported metric to full precision, so a
      single diverging event anywhere in any simulation would show up. *)
   let base = { Params.default with txns_per_thread = 5 } in
-  let seq = Experiment.fig2a ~base ~steps:2 () in
-  let par = Pool.with_pool ~domains:4 (fun pool -> Experiment.fig2a ~pool ~base ~steps:2 ()) in
-  check Alcotest.string "fig2a csv identical under -j 4" (Experiment.to_csv seq)
-    (Experiment.to_csv par)
+  let seq = Experiments.output ~steps:2 "fig2a" base in
+  let par = Pool.with_pool ~domains:4 (fun pool -> Experiments.output ~pool ~steps:2 "fig2a" base) in
+  check Alcotest.string "fig2a csv identical under -j 4" seq par
 
 let test_reports_determinism () =
   let base = { Params.default with txns_per_thread = 5 } in
-  let summary rs =
-    Fmt.str "%a" Experiment.pp_reports rs
-  in
-  let seq = Experiment.response_times ~base () in
-  let par = Pool.with_pool ~domains:3 (fun pool -> Experiment.response_times ~pool ~base ()) in
-  check Alcotest.string "response_times identical under -j 3" (summary seq) (summary par)
+  let seq = Experiments.output "resp" base in
+  let par = Pool.with_pool ~domains:3 (fun pool -> Experiments.output ~pool "resp" base) in
+  check Alcotest.string "resp reports identical under -j 3" seq par
+
+let test_registry_determinism () =
+  (* Every entry on the single fan-out path, site-order's shared placement
+     and deadlock-policy's relabelled jobs included, at a tiny base. [large]
+     and [heal] are too slow here; their sweep-specific tests cover them. *)
+  let base = { Params.default with n_sites = 4; txns_per_thread = 2 } in
+  let ids = List.filter (fun id -> id <> "large" && id <> "heal") Repdb.Experiment.ids in
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun id ->
+          check Alcotest.string (id ^ " identical under -j 2") (Experiments.output id base)
+            (Experiments.output ~pool id base))
+        ids)
 
 let () =
   Alcotest.run "par"
@@ -157,5 +165,6 @@ let () =
         [
           Alcotest.test_case "fig2a -j1 == -j4" `Quick test_experiment_determinism;
           Alcotest.test_case "reports -j1 == -j3" `Quick test_reports_determinism;
+          Alcotest.test_case "every registry entry -j1 == -j2" `Quick test_registry_determinism;
         ] );
     ]

@@ -163,12 +163,12 @@ let test_sweep_csv_identical () =
   let base =
     { Params.default with n_sites = 4; n_items = 24; threads_per_site = 1; txns_per_thread = 6 }
   in
-  let seq = Repdb.Experiment.to_csv (Repdb.Experiment.sweep_partition ~base ()) in
+  let seq = Experiments.output "partition" base in
   checks "identical across repeats" seq
-    (Repdb.Experiment.to_csv (Repdb.Experiment.sweep_partition ~base ()));
+    (Experiments.output "partition" base);
   let par =
     Repdb_par.Pool.with_pool ~domains:2 (fun pool ->
-        Repdb.Experiment.to_csv (Repdb.Experiment.sweep_partition ~pool ~base ()))
+        Experiments.output ~pool "partition" base)
   in
   checks "identical across -j levels" seq par;
   checkb "new columns present" true

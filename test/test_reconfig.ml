@@ -59,6 +59,32 @@ let test_spec_roundtrip () =
       checkb (Printf.sprintf "%S round-trips" spec) true (p = p'))
     specs
 
+(* A plan in canonical form over every step kind; times include ones %g
+   would round and ones printed with an exponent. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let time =
+    oneof [ float_bound_inclusive 5000.0; float_bound_inclusive 1e-3; float_bound_inclusive 1e12 ]
+  in
+  let n = int_bound 1000 in
+  let step =
+    oneof
+      [
+        map2 (fun item site -> Reconfig.Add_replica { item; site }) n n;
+        map2 (fun item site -> Reconfig.Drop_replica { item; site }) n n;
+        map2 (fun from_site to_site -> Reconfig.Rebalance_site { from_site; to_site }) n n;
+      ]
+  in
+  let canonical (a : Reconfig.timed) (b : Reconfig.timed) = compare (a.at, a.step) (b.at, b.step) in
+  map
+    (fun steps -> { Reconfig.steps = List.sort canonical steps })
+    (list_size (int_bound 6) (map2 (fun at step -> { Reconfig.at; step }) time step))
+
+let prop_spec_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string p) = Ok p" ~count:500
+    (QCheck.make ~print:Reconfig.to_string gen_plan)
+    (fun p -> Reconfig.of_string (Reconfig.to_string p) = Ok p)
+
 let test_spec_errors () =
   let bad spec =
     match Reconfig.of_string spec with
@@ -199,23 +225,26 @@ let test_added_replica_converges () =
     ]
 
 let test_cyclic_plan_refused () =
-  (* Item 2's primary is site 2; a replica at site 0 closes a cycle with the
-     forward edges, so DAG(WT) must refuse the plan at creation rather than
-     get stuck at the switch. *)
+  (* DAG(WT) must refuse, at creation rather than stuck at a switch:
+     - a plan whose step closes a cycle (item 2's primary is site 2; a
+       replica at site 0 closes a cycle with the forward edges);
+     - any plan under healing, even an acyclic one: a failover promotion
+       before a later step can make the graph cyclic. *)
   let params =
-    {
-      Params.default with
-      n_sites = 4;
-      n_items = 8;
-      txns_per_thread = 5;
-      reconfig = parse "add@50:item=2,site=0";
-    }
+    { Params.default with n_sites = 4; n_items = 8; txns_per_thread = 5 }
   in
-  let c = Repdb.Cluster.create params in
-  (match Driver.run_on c (module Repdb.Dag_wt : Repdb.Protocol.S) with
-  | _ -> Alcotest.fail "cyclic plan accepted"
-  | exception Invalid_argument _ -> ());
-  checki "no event ran" 0 (Repdb_sim.Sim.events_executed c.sim)
+  List.iter
+    (fun (what, params) ->
+      let c = Repdb.Cluster.create params in
+      (match Driver.run_on c (module Repdb.Dag_wt : Repdb.Protocol.S) with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ());
+      checki (what ^ ": no event ran") 0 (Repdb_sim.Sim.events_executed c.sim))
+    [
+      ("cyclic plan", { params with reconfig = parse "add@50:item=2,site=0" });
+      ( "plan under healing",
+        { params with backedge_prob = 0.0; heal = true; reconfig = parse "add@87:item=3,site=1" } );
+    ]
 
 let test_deterministic_repeats () =
   (* Byte-identical reports across repeats, stall times and all. *)
@@ -229,10 +258,10 @@ let test_sweep_deterministic_across_pools () =
   (* The reconfig sweep's CSV must be identical sequentially and on a domain
      pool: each run owns its coordinator, transfer network and RNG streams. *)
   let base = { reconfig_params with Params.reconfig = Reconfig.empty; txns_per_thread = 8 } in
-  let seq = Repdb.Experiment.to_csv (Repdb.Experiment.sweep_reconfig ~base ()) in
+  let seq = Experiments.output "reconfig" base in
   let par =
     Repdb_par.Pool.with_pool ~domains:2 (fun pool ->
-        Repdb.Experiment.to_csv (Repdb.Experiment.sweep_reconfig ~pool ~base ()))
+        Experiments.output ~pool "reconfig" base)
   in
   checks "sequential = pooled" seq par
 
@@ -336,6 +365,7 @@ let () =
         [
           Alcotest.test_case "spec parse" `Quick test_spec_parse;
           Alcotest.test_case "spec round-trip" `Quick test_spec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
           Alcotest.test_case "spec errors" `Quick test_spec_errors;
           Alcotest.test_case "synthetic" `Quick test_synthetic;
         ] );

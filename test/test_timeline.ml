@@ -117,7 +117,7 @@ let test_sweep_timelines_identical () =
   in
   let collect ?pool () =
     render_files
-      (Experiment.timeline_files (Experiment.Figure (Experiment.sweep_partition ?pool ~base ())))
+      (Experiment.timeline_files (Experiments.run ?pool "partition" base))
   in
   let seq = collect () in
   checkb "sweep collected timelines" true (String.length seq > 0);
