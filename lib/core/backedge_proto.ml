@@ -464,7 +464,7 @@ let commit_primary t ~site ~attempt ~gid ~writes ~targets =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
+  let deadline_at = Cluster.deadline c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
   Metrics.txn_begin c.metrics ~gid ~attempt ~site;

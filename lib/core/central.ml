@@ -88,9 +88,7 @@ let certify t ~site ~reads ~writes =
   end
   else begin
     Cluster.use_cpu c site c.params.cpu_msg;
-    Sim.suspend (fun resume ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst:central_site (Certify { reads; writes; reply = resume }))
+    Exec.request c t.net ~src:site ~dst:central_site (fun reply -> Certify { reads; writes; reply })
   end
 
 let submit t (spec : Txn.spec) =

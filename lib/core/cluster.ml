@@ -18,7 +18,6 @@ module Timeline = Repdb_obs.Timeline
 type epoch = {
   mutable config_epoch : int;
   mutable reconfiguring : bool;
-  drained : Condvar.t; (* broadcast when active_txns = outstanding = 0 *)
   resume : Condvar.t; (* broadcast when the epoch switch completes *)
   mutable reconfigs : int;
   mutable state_transfers : int;
@@ -43,6 +42,21 @@ type faults = {
   corrupt_ctr : Stats.counter option; (* "corrupt.items", heal only *)
 }
 
+(* Run state: what the driver and the epoch drains wait on. Only the
+   functions below read or write it. *)
+type run = {
+  mutable outstanding : int; (* in-flight messages / pending remote work *)
+  mutable clients_running : int;
+  mutable active_txns : int; (* transaction attempts executing *)
+  mutable stopped : bool;
+  quiesced : Condvar.t; (* broadcast when [quiescent] may have become true *)
+  drained : Condvar.t; (* broadcast when [drained] may have become true *)
+  mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
+      (* Per network: in-flight messages on pairs selected by the
+         predicate. *)
+  mutable retries_exhausted : int;
+}
+
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -56,21 +70,9 @@ type t = {
   rng : Rng.t;
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable outstanding : int;
-  mutable clients_running : int;
-  mutable stopped : bool;
-  quiesced : Condvar.t;
   injector : Fault.injector option;
   faults : faults option; (* [Some] iff [injector] is; owned by [Fault_exec] *)
-  (* Per-transaction deadline handoff: the client arms it immediately before
-     [submit] and the protocol reads it at entry — no blocking point in
-     between, so the field never mixes transactions. Infinity = no deadline. *)
-  mutable deadline_at : float;
-  mutable active_txns : int;
-  mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
-      (* Per network: in-flight messages on pairs selected by the
-         predicate — all pairs for the timeline; the weak failover drain
-         sums the pairs parked behind a down or partitioned endpoint. *)
+  run : run;
   epoch : epoch; (* owned by [Epoch] *)
 }
 
@@ -180,20 +182,23 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
     rng = Rng.create (params.seed * 31 + 7);
     next_gid = 0;
     next_attempt = 0;
-    outstanding = 0;
-    clients_running = 0;
-    stopped = false;
-    quiesced = Condvar.create ();
     injector;
     faults;
-    deadline_at = infinity;
-    active_txns = 0;
-    inflight_fns = [];
+    run =
+      {
+        outstanding = 0;
+        clients_running = 0;
+        active_txns = 0;
+        stopped = false;
+        quiesced = Condvar.create ();
+        drained = Condvar.create ();
+        inflight_fns = [];
+        retries_exhausted = 0;
+      };
     epoch =
       {
         config_epoch = 0;
         reconfiguring = false;
-        drained = Condvar.create ();
         resume = Condvar.create ();
         reconfigs = 0;
         state_transfers = 0;
@@ -235,54 +240,81 @@ let make_net ?describe t =
       ~trace:(Metrics.trace t.metrics) ?describe ~stats:(Metrics.stats t.metrics)
       ?injector:t.injector ()
   in
-  t.inflight_fns <- (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.inflight_fns;
+  t.run.inflight_fns <-
+    (fun f -> Repdb_net.Network.in_flight_matching net ~f) :: t.run.inflight_fns;
   net
 
-(* --- per-transaction deadlines -------------------------------------------- *)
+let deadline t =
+  if t.params.txn_deadline > 0.0 then Sim.now t.sim +. t.params.txn_deadline else infinity
 
-let arm_deadline t =
-  t.deadline_at <-
-    (if t.params.txn_deadline > 0.0 then Sim.now t.sim +. t.params.txn_deadline else infinity)
+(* --- run state ---------------------------------------------------------------- *)
 
-let deadline_at t = t.deadline_at
+let quiescent t = t.run.clients_running = 0 && t.run.outstanding = 0
 
-let maybe_wake t =
-  if t.clients_running = 0 && t.outstanding = 0 then Condvar.broadcast t.quiesced
+let in_flight ?(only = fun ~src:_ ~dst:_ -> true) t =
+  List.fold_left (fun acc f -> acc + f only) 0 t.run.inflight_fns
 
-(* The one place outside [Epoch] that touches its state: a strong drain
-   waits for this broadcast. *)
-let maybe_drained t =
-  if t.epoch.reconfiguring && t.active_txns = 0 && t.outstanding = 0 then
-    Condvar.broadcast t.epoch.drained
+let drained ?parked t =
+  t.run.active_txns = 0
+  && t.run.outstanding - (match parked with None -> 0 | Some only -> in_flight ~only t) <= 0
 
-let inc_outstanding t = t.outstanding <- t.outstanding + 1
+let maybe_wake t = if quiescent t then Condvar.broadcast t.run.quiesced
+
+(* Only a strong drain waits on [drained], so outside an epoch switch the
+   queue is empty and the broadcast does nothing. *)
+let maybe_drained t = if drained t then Condvar.broadcast t.run.drained
+
+let inc_outstanding t = t.run.outstanding <- t.run.outstanding + 1
 
 let dec_outstanding t =
-  t.outstanding <- t.outstanding - 1;
-  assert (t.outstanding >= 0);
+  t.run.outstanding <- t.run.outstanding - 1;
+  assert (t.run.outstanding >= 0);
   maybe_wake t;
   maybe_drained t
 
-let client_started t = t.clients_running <- t.clients_running + 1
+let client_started t = t.run.clients_running <- t.run.clients_running + 1
 
 let client_finished t =
-  t.clients_running <- t.clients_running - 1;
-  assert (t.clients_running >= 0);
+  t.run.clients_running <- t.run.clients_running - 1;
+  assert (t.run.clients_running >= 0);
   maybe_wake t
-
-let quiescent t = t.clients_running = 0 && t.outstanding = 0
 
 let await_quiescence t =
   while not (quiescent t) do
-    Condvar.await t.quiesced
+    Condvar.await t.run.quiesced
   done;
-  t.stopped <- true
+  t.run.stopped <- true
 
-(* --- epoch-switch drain accounting ------------------------------------------ *)
+let stopped t = t.run.stopped
 
-let txn_started t = t.active_txns <- t.active_txns + 1
+let rec every t period f =
+  if not t.run.stopped then begin
+    Sim.delay period;
+    if not t.run.stopped then begin
+      f ();
+      every t period f
+    end
+  end
+
+let busy t =
+  let r = t.run in
+  [ ("clients", r.clients_running); ("outstanding", r.outstanding); ("active_txns", r.active_txns) ]
+  |> List.filter_map (fun (name, n) -> if n = 0 then None else Some (Printf.sprintf "%s=%d" name n))
+  |> String.concat " "
+
+let txn_started t = t.run.active_txns <- t.run.active_txns + 1
 
 let txn_finished t =
-  t.active_txns <- t.active_txns - 1;
-  assert (t.active_txns >= 0);
+  t.run.active_txns <- t.run.active_txns - 1;
+  assert (t.run.active_txns >= 0);
   maybe_drained t
+
+let active_txns t = t.run.active_txns
+
+let await_drained t =
+  while not (drained t) do
+    Condvar.await t.run.drained
+  done
+
+let exhaust_retries t = t.run.retries_exhausted <- t.run.retries_exhausted + 1
+let retries_exhausted t = t.run.retries_exhausted

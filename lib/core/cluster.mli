@@ -3,9 +3,10 @@
     A cluster bundles the substrate a protocol runs on — simulation kernel,
     per-site stores and lock managers, per-machine CPUs, the data placement,
     the access history and the run's telemetry ({!Metrics}) — plus the
-    bookkeeping {!Driver} needs to detect quiescence (outstanding in-flight
-    work, running clients, the stop flag that shuts periodic processes
-    down).
+    run state ({!type-run}): the counters {!Driver} waits on for quiescence
+    and {!Epoch} drains on, and the stop flag that shuts periodic processes
+    down. Only this module reads those counters; everyone else asks
+    {!quiescent}, {!drained} and {!in_flight}.
 
     State that only some runs need is declared here but owned elsewhere:
     {!type-faults} (allocated only under fault injection) by {!Fault_exec},
@@ -25,16 +26,12 @@ module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
 module Stats = Repdb_obs.Stats
 
-(** Epoch-switch state. Only {!Epoch} reads or writes it, except that
-    {!dec_outstanding} and {!txn_finished} broadcast [drained]. *)
+(** Epoch-switch state. Only {!Epoch} reads or writes it. *)
 type epoch = {
   mutable config_epoch : int;
       (** Bumped once per executed switch. Propagation messages carry the
           epoch they were routed under. *)
   mutable reconfiguring : bool;  (** A switch is in progress. *)
-  drained : Condvar.t;
-      (** Broadcast (while reconfiguring) when [active_txns] and
-          [outstanding] both reach 0. *)
   resume : Condvar.t;  (** Broadcast when the switch completes. *)
   mutable reconfigs : int;  (** Operator plan steps executed so far. *)
   mutable state_transfers : int;  (** Item values bulk-copied to new copies. *)
@@ -68,6 +65,10 @@ type faults = {
           their rows. *)
 }
 
+(** Run state (quiescence and drain counters, stop flag, exhausted retries);
+    read it through the functions below. *)
+type run
+
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -84,24 +85,11 @@ type t = {
   rng : Rng.t;  (** Workload stream; derived from [params.seed]. *)
   mutable next_gid : int;
   mutable next_attempt : int;
-  mutable outstanding : int;  (** In-flight messages / pending remote work. *)
-  mutable clients_running : int;
-  mutable stopped : bool;  (** Set once quiescent; periodic processes exit. *)
-  quiesced : Condvar.t;  (** Broadcast on transitions relevant to quiescence. *)
   injector : Fault.injector option;
       (** Built from [params.faults] when that schedule is non-empty; drives
           the networks' drop/delay behaviour and {!Fault_exec.schedule}. *)
   faults : faults option;  (** [Some] exactly when [injector] is. *)
-  mutable deadline_at : float;
-      (** Absolute deadline of the submit being started, armed by the client
-          immediately before [submit]; protocols capture it at entry (there
-          is no blocking point in between, so the handoff never mixes
-          transactions). [infinity] when deadlines are off. *)
-  mutable active_txns : int;  (** Transaction attempts currently executing. *)
-  mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
-      (** Per network: in-flight messages on the pairs a predicate
-          selects — every pair for the timeline, parked ones for the weak
-          drain. *)
+  run : run;
   epoch : epoch;
 }
 
@@ -137,17 +125,15 @@ val latency_fn : t -> int -> int -> float
     messages with a kind and an approximate size in bytes. *)
 val make_net : ?describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
 
-(** {1 Per-transaction deadlines} *)
+(** [deadline t] — the absolute deadline (ms of simulated time) of a
+    transaction attempt starting now: now + [params.txn_deadline], or
+    [infinity] when deadlines are off. A protocol's [submit] reads it as its
+    first action, at the instant the driver's client starts the attempt. *)
+val deadline : t -> float
 
-(** Arm {!field:deadline_at} for the submit about to start: now +
-    [params.txn_deadline], or [infinity] when deadlines are disabled. Called
-    by the driver's client immediately before each attempt. *)
-val arm_deadline : t -> unit
+(** {1 Quiescence}
 
-(** The currently armed absolute deadline (ms of simulated time). *)
-val deadline_at : t -> float
-
-(** {1 Quiescence accounting} *)
+    One outstanding token per message or piece of remote work in flight. *)
 
 val inc_outstanding : t -> unit
 val dec_outstanding : t -> unit
@@ -157,10 +143,26 @@ val client_finished : t -> unit
 (** [quiescent t] — no clients running and nothing outstanding. *)
 val quiescent : t -> bool
 
-(** Block until {!quiescent}, then set [stopped]. *)
+(** Block until {!quiescent}, then set the stop flag. *)
 val await_quiescence : t -> unit
 
-(** {1 Epoch-switch drain accounting}
+(** Set once quiescent; periodic processes stop rescheduling. *)
+val stopped : t -> bool
+
+(** [every t period f] — until the stop flag is set: wait [period] ms, then
+    run [f] (which may block). The loop of a periodic process. *)
+val every : t -> float -> (unit -> unit) -> unit
+
+(** The run-state counters that are still non-zero, as [name=value] pairs
+    separated by spaces ([""] when all are zero): what keeps a run from
+    quiescing. *)
+val busy : t -> string
+
+(** [in_flight ?only t] — messages in flight over every network built by
+    {!make_net}, on the ordered site pairs [only] selects (default: all). *)
+val in_flight : ?only:(src:int -> dst:int -> bool) -> t -> int
+
+(** {1 Epoch-switch drains}
 
     {!Epoch} runs every placement change on a drained cluster; these hooks
     keep the count it drains on. *)
@@ -171,3 +173,20 @@ val await_quiescence : t -> unit
 val txn_started : t -> unit
 
 val txn_finished : t -> unit
+
+(** Transaction attempts currently executing. *)
+val active_txns : t -> int
+
+(** [drained ?parked t] — no attempt executing and nothing outstanding
+    apart from the messages in flight on the pairs [parked] selects (the
+    weak drain ignores traffic parked behind a down or partitioned
+    endpoint). *)
+val drained : ?parked:(src:int -> dst:int -> bool) -> t -> bool
+
+(** Block until [drained t] (the strong drain). *)
+val await_drained : t -> unit
+
+(** Count one transaction that used up its [max_retries], and read the count. *)
+val exhaust_retries : t -> unit
+
+val retries_exhausted : t -> int

@@ -180,9 +180,7 @@ let send t ~src ~dst msg =
 let dummy_timer t site children =
   let c = t.c in
   let st = t.states.(site) in
-  let rec loop () =
-    Sim.delay c.params.dummy_idle;
-    if not c.stopped then begin
+  Cluster.every c c.params.dummy_idle (fun () ->
       List.iter
         (fun child ->
           if Sim.now c.sim -. st.last_sent.(child) >= c.params.dummy_idle then begin
@@ -190,26 +188,16 @@ let dummy_timer t site children =
             send t ~src:site ~dst:child
               { ts = st.ts; gid = 0; writes = []; dummy = true; origin_commit = Sim.now c.sim }
           end)
-        children;
-      loop ()
-    end
-  in
-  loop ()
+        children)
 
 (* Sources advance the global epoch (Section 3.3). *)
 let epoch_timer t site =
   let c = t.c in
   let st = t.states.(site) in
-  let rec loop () =
-    Sim.delay c.params.epoch_period;
-    if not c.stopped then begin
+  Cluster.every c c.params.epoch_period (fun () ->
       st.ts <- Timestamp.with_epoch st.ts (Timestamp.epoch st.ts + 1);
       Metrics.emit c.metrics
-        (Repdb_obs.Event.Epoch_advance { site; epoch = Timestamp.epoch st.ts });
-      loop ()
-    end
-  in
-  loop ()
+        (Repdb_obs.Event.Epoch_advance { site; epoch = Timestamp.epoch st.ts }))
 
 let create_internal ~pipelined (c : Cluster.t) =
   let graph = Placement.copy_graph c.placement in

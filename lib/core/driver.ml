@@ -31,6 +31,7 @@ type report = {
   reconfigs : int;
   state_transfers : int;
   reconfig_stall : float;
+  retries_exhausted : int;
   heal : Heal_exec.summary option;
   timeline : Timeline.t option;
 }
@@ -59,7 +60,6 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
         spec_epoch := Epoch.current c
       end;
       Cluster.txn_started c;
-      Cluster.arm_deadline c;
       let outcome = submit !spec in
       Cluster.txn_finished c;
       Metrics.outcome c.metrics ~site ~response:(Sim.now c.sim -. start) outcome;
@@ -73,6 +73,7 @@ let client (c : Cluster.t) submit gen rng retry_rng ~site =
           Sim.delay think;
           Metrics.think c.metrics ~site think;
           attempt (n_failed + 1)
+      | Txn.Aborted _, Params.Backoff _ -> Cluster.exhaust_retries c
       | _ -> ()
     in
     attempt 0
@@ -121,11 +122,9 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
       let every = Timeline.interval tl in
       let rec tick at =
         Sim.at c.sim at (fun () ->
-            Metrics.sample c.metrics ~active:c.active_txns
-              ~inflight:
-                (List.fold_left (fun acc f -> acc + f (fun ~src:_ ~dst:_ -> true)) 0 c.inflight_fns)
+            Metrics.sample c.metrics ~active:(Cluster.active_txns c) ~inflight:(Cluster.in_flight c)
               ~locks:c.locks;
-            if not c.stopped then tick (at +. every))
+            if not (Cluster.stopped c) then tick (at +. every))
       in
       tick 0.0);
   Sim.spawn c.sim (fun () -> Cluster.await_quiescence c);
@@ -145,8 +144,8 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
   Sim.run_until c.sim horizon;
   if not (Cluster.quiescent c) then
     failwith
-      (Printf.sprintf "%s failed to quiesce within %.0f ms of simulated time (clients=%d outstanding=%d)"
-         P.name horizon c.clients_running c.outstanding);
+      (Printf.sprintf "%s failed to quiesce within %.0f ms of simulated time (%s)" P.name horizon
+         (Cluster.busy c));
   (* Drain any leftover timer wake-ups past the stop flag. *)
   Sim.run c.sim;
   (* With healing on, one last full anti-entropy sweep after quiescence: the
@@ -219,6 +218,7 @@ let run_on (c : Cluster.t) (module P : Protocol.S) =
     reconfigs;
     state_transfers;
     reconfig_stall;
+    retries_exhausted = Cluster.retries_exhausted c;
     heal = heal_summary;
     timeline;
   }
@@ -232,11 +232,13 @@ let run ?placement ?trace params protocol =
   run_on c protocol
 
 let pp_report ppf r =
-  Fmt.pf ppf "@[<v>[%s] %a@ %a@ %a@ copy-graph edges=%d backedges=%d replicas=%d@ locks: %d acquires, %d waits, %d timeouts, %d deadlock aborts@ %a%a%a%a%a@]"
+  Fmt.pf ppf "@[<v>[%s] %a@ %a@ %a@ copy-graph edges=%d backedges=%d replicas=%d@ locks: %d acquires, %d waits, %d timeouts, %d deadlock aborts@ %a%a%a%a%a%a@]"
     r.protocol Params.pp r.params Metrics.pp_summary r.summary Metrics.pp_per_site r.summary
     r.copy_graph_edges r.n_backedges
     r.n_replicas r.lock_stats.acquires r.lock_stats.waits r.lock_stats.timeouts
     r.lock_stats.deadlock_aborts
+    (fun ppf n -> if n > 0 then Fmt.pf ppf "retries exhausted: %d@ " n)
+    r.retries_exhausted
     (fun ppf r ->
       if not (Repdb_fault.Fault.is_empty r.params.faults) then
         Fmt.pf ppf "faults: %d crashes survived, %d dropped transmissions, %d partitions@ "

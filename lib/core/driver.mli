@@ -8,8 +8,8 @@
     faces the identical workload; retry backoff jitter comes from a second,
     independent per-thread stream, so enabling
     {!Repdb_workload.Params.retry_policy} retries does not shift the
-    workload draws. When [txn_deadline > 0] the client arms a fresh deadline
-    ({!Cluster.arm_deadline}) immediately before every submit attempt. *)
+    workload draws. When [txn_deadline > 0] every submit attempt gets a
+    fresh deadline ({!Cluster.deadline}, read by the protocol at entry). *)
 
 type report = {
   protocol : string;
@@ -41,6 +41,9 @@ type report = {
   reconfig_stall : float;
       (** Total simulated ms clients spent stalled at the epoch barrier —
           the run's aggregate mid-run throughput dip. *)
+  retries_exhausted : int;
+      (** Transactions still aborted after [max_retries] retries; 0 without
+          a retry policy. {!pp_report} prints it only when non-zero. *)
   heal : Heal_exec.summary option;
       (** Self-healing totals (suspicions, failovers, MTTR, repairs);
           [Some] iff [params.heal]. *)

@@ -97,13 +97,6 @@ let create (c : Cluster.t) =
   done;
   t
 
-let rpc t ~site ~dst msg_of_reply =
-  let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  Sim.suspend (fun resume ->
-      Cluster.inc_outstanding c;
-      Network.send t.net ~src:site ~dst (msg_of_reply resume))
-
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
@@ -126,7 +119,10 @@ let submit t (spec : Txn.spec) =
         let dst = reps.(i) in
         t.remote <- t.remote + 1;
         Hashtbl.replace participants dst ();
-        if rpc t ~site ~dst (fun reply -> Wlock_request { item; owner = attempt; reply }) then begin
+        Cluster.use_cpu c site c.params.cpu_msg;
+        if Exec.request c t.net ~src:site ~dst (fun reply ->
+               Wlock_request { item; owner = attempt; reply })
+        then begin
           Cluster.use_cpu c site c.params.cpu_msg;
           go (i + 1)
         end
@@ -154,7 +150,9 @@ let submit t (spec : Txn.spec) =
   | Ok () ->
       (* Phase 1: prepare round to every participant. *)
       Hashtbl.iter
-        (fun dst () -> ignore (rpc t ~site ~dst (fun resume -> Prepare { owner = attempt; reply = (fun () -> resume true) })))
+        (fun dst () ->
+          Cluster.use_cpu c site c.params.cpu_msg;
+          Exec.request c t.net ~src:site ~dst (fun reply -> Prepare { owner = attempt; reply }))
         participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = List.sort_uniq compare (Txn.writes spec) in

@@ -57,31 +57,25 @@ let stale (c : Cluster.t) ~site ~epoch =
 
 (* --- drains ---------------------------------------------------------------- *)
 
-(* In-flight messages the weak drain ignores: traffic on a pair with a down
-   endpoint or an active partition between them, which the acked links park
-   for the whole outage. *)
-let parked_outstanding (c : Cluster.t) =
-  let pred ~src ~dst =
-    (not (Fault_exec.site_up c src)) || (not (Fault_exec.site_up c dst))
-    ||
-    match c.injector with
-    | Some inj -> not (Fault.reachable inj ~src ~dst ~at:(Sim.now c.sim))
-    | None -> false
-  in
-  List.fold_left (fun acc f -> acc + f pred) 0 c.inflight_fns
+(* Pairs whose in-flight messages the weak drain ignores: a down endpoint
+   or an active partition between them, which the acked links park for the
+   whole outage. *)
+let parked (c : Cluster.t) ~src ~dst =
+  (not (Fault_exec.site_up c src)) || (not (Fault_exec.site_up c dst))
+  ||
+  match c.injector with
+  | Some inj -> not (Fault.reachable inj ~src ~dst ~at:(Sim.now c.sim))
+  | None -> false
 
 (* Clients are already stalled at the barrier; attempts in progress finish
    bounded by their own timeouts — which is why healing a blocking protocol
    (PSL) requires a transaction deadline. The weak drain re-checks after a
    settle delay so traffic deliverable at the poll instant actually lands. *)
 let drain (c : Cluster.t) = function
-  | Strong ->
-      while not (c.active_txns = 0 && c.outstanding = 0) do
-        Condvar.await c.epoch.drained
-      done
+  | Strong -> Cluster.await_drained c
   | Weak ->
       let settle = Float.max 1.0 (2.0 *. c.params.latency) in
-      let drained () = c.active_txns = 0 && c.outstanding - parked_outstanding c <= 0 in
+      let drained () = Cluster.drained ~parked:(parked c) c in
       let rec go () =
         let was = drained () in
         Sim.delay settle;

@@ -13,6 +13,16 @@
 
 module Txn = Repdb_txn.Txn
 
+(** [request ?deadline c net ~src ~dst msg] — take an outstanding token,
+    send [msg reply] from [src] to [dst] and block until [reply v] is
+    called; returns [v]. With [~deadline:(at, expired)], [at] finite, a timer
+    returns [expired] at [at] unless the reply came first. The caller charges
+    its CPU and checks the deadline before; the reply path gives the token
+    back. *)
+val request :
+  ?deadline:float * 'r -> Cluster.t -> 'm Repdb_net.Network.t -> src:int -> dst:int ->
+  (('r -> unit) -> 'm) -> 'r
+
 (** [run_ops ?on_read c ~gid ~attempt ~site ops] executes [ops] locally: for
     each operation, acquire the lock, charge [cpu_op], record the access;
     every value read is passed to [on_read]. On lock failure returns

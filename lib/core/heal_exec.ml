@@ -356,7 +356,7 @@ let failover t ~dead =
   let c = t.c in
   let t0 = ref 0.0 and promoted = ref 0 in
   let admit () =
-    let valid = (not c.stopped) && t.suspected.(dead) in
+    let valid = (not (Cluster.stopped c)) && t.suspected.(dead) in
     if valid then begin
       t0 := Sim.now c.sim;
       Metrics.emit c.metrics (Event.Failover_begin { site = dead; epoch = Epoch.current c + 1 })
@@ -368,7 +368,7 @@ let failover t ~dead =
     promoted := n;
     if n > 0 then Some np else None
   in
-  if (not c.stopped) && Epoch.switch t.epoch Epoch.Weak ~admit next then begin
+  if (not (Cluster.stopped c)) && Epoch.switch t.epoch Epoch.Weak ~admit next then begin
     let duration = Sim.now c.sim -. !t0 in
     (* A switch whose promotion declined moved no primary: not a failover. *)
     if !promoted > 0 then begin
@@ -403,23 +403,19 @@ let start_heartbeats t =
   let c = t.c in
   let m = c.params.n_sites in
   for site = 0 to m - 1 do
-    Sim.spawn c.sim (fun () ->
-        let rec loop () =
-          if not c.stopped then begin
-            (* A crashed site is silent; its peers' φ grows. *)
-            if Fault_exec.site_up c site then begin
-              for dst = 0 to m - 1 do
-                if dst <> site then begin
-                  Network.send t.net ~src:site ~dst Heartbeat;
-                  Stats.incr t.hb_sent ~site
-                end
-              done
-            end;
-            Sim.delay heartbeat_every;
-            loop ()
+    let beat () =
+      (* A crashed site is silent; its peers' φ grows. *)
+      if Fault_exec.site_up c site then
+        for dst = 0 to m - 1 do
+          if dst <> site then begin
+            Network.send t.net ~src:site ~dst Heartbeat;
+            Stats.incr t.hb_sent ~site
           end
-        in
-        loop ())
+        done
+    in
+    Sim.spawn c.sim (fun () ->
+        beat ();
+        Cluster.every c heartbeat_every beat)
   done
 
 (* Median φ per subject over up observers — the timeline's phi.N columns. *)
@@ -441,67 +437,52 @@ let start_poller t =
   let c = t.c in
   let m = c.params.n_sites in
   Sim.spawn c.sim (fun () ->
-      let rec loop () =
-        if not c.stopped then begin
-          Sim.delay heartbeat_every;
-          if not c.stopped then begin
-            let now = Sim.now c.sim in
-            for s = 0 to m - 1 do
-              (* Observers: up, unsuspected peers — a silent or distrusted
-                 site files no report. Strict majority of them must agree. *)
-              let over = ref 0 and obs = ref 0 in
-              for o = 0 to m - 1 do
-                if o <> s && Fault_exec.site_up c o && not t.suspected.(o) then begin
-                  incr obs;
-                  if Detector.phi t.dets.(o).(s) ~now > c.params.phi_threshold then incr over
-                end
-              done;
-              let majority = (!obs / 2) + 1 in
-              if (not t.suspected.(s)) && !obs > 0 && !over >= majority then begin
-                t.suspected.(s) <- true;
-                t.suspect_since.(s) <- now;
-                if Fault_exec.site_up c s then t.false_suspicions <- t.false_suspicions + 1;
-                Stats.incr t.suspect_ctr ~site:s;
-                if Trace.on (Metrics.trace c.metrics) then
-                  Metrics.emit c.metrics
-                    (Event.Suspect { site = s; phi = (phi_snapshot t ()).(s) });
-                Sim.spawn c.sim (fun () -> failover t ~dead:s)
-              end
-              else if t.suspected.(s) && !over < majority then begin
-                t.suspected.(s) <- false;
-                let since = t.suspect_since.(s) in
-                Metrics.emit c.metrics (Event.Unsuspect { site = s; downtime = now -. since });
-                Sim.spawn c.sim (fun () -> rejoin t ~site:s ~since)
+      Cluster.every c heartbeat_every (fun () ->
+          let now = Sim.now c.sim in
+          for s = 0 to m - 1 do
+            (* Observers: up, unsuspected peers — a silent or distrusted
+               site files no report. Strict majority of them must agree. *)
+            let over = ref 0 and obs = ref 0 in
+            for o = 0 to m - 1 do
+              if o <> s && Fault_exec.site_up c o && not t.suspected.(o) then begin
+                incr obs;
+                if Detector.phi t.dets.(o).(s) ~now > c.params.phi_threshold then incr over
               end
             done;
-            loop ()
-          end
-        end
-      in
-      loop ())
+            let majority = (!obs / 2) + 1 in
+            if (not t.suspected.(s)) && !obs > 0 && !over >= majority then begin
+              t.suspected.(s) <- true;
+              t.suspect_since.(s) <- now;
+              if Fault_exec.site_up c s then t.false_suspicions <- t.false_suspicions + 1;
+              Stats.incr t.suspect_ctr ~site:s;
+              if Trace.on (Metrics.trace c.metrics) then
+                Metrics.emit c.metrics
+                  (Event.Suspect { site = s; phi = (phi_snapshot t ()).(s) });
+              Sim.spawn c.sim (fun () -> failover t ~dead:s)
+            end
+            else if t.suspected.(s) && !over < majority then begin
+              t.suspected.(s) <- false;
+              let since = t.suspect_since.(s) in
+              Metrics.emit c.metrics (Event.Unsuspect { site = s; downtime = now -. since });
+              Sim.spawn c.sim (fun () -> rejoin t ~site:s ~since)
+            end
+          done))
 
 let start_anti_entropy t =
   let c = t.c in
   let m = c.params.n_sites in
   let cursor = ref 0 in
   Sim.spawn c.sim (fun () ->
-      let rec loop () =
-        if not c.stopped then begin
-          Sim.delay anti_entropy_every;
+      Cluster.every c anti_entropy_every (fun () ->
           (* Pause the scan during epoch switches: sessions read the
              placement and must not race the swap. *)
-          if (not c.stopped) && not (Epoch.switching c) then begin
+          if not (Epoch.switching c) then
             match pairs_of c.placement m with
             | [] -> ()
             | pairs ->
                 let p, h = List.nth pairs (!cursor mod List.length pairs) in
                 incr cursor;
-                ignore (with_session t (fun () -> run_session t ~primary:p ~holder:h))
-          end;
-          if not c.stopped then loop ()
-        end
-      in
-      loop ())
+                ignore (with_session t (fun () -> run_session t ~primary:p ~holder:h))))
 
 (* --- Lifecycle ------------------------------------------------------------ *)
 

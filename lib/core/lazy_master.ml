@@ -79,13 +79,6 @@ let create (c : Cluster.t) =
   done;
   t
 
-let rpc t ~site ~dst msg_of_reply =
-  let c = t.c in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  Sim.suspend (fun resume ->
-      Cluster.inc_outstanding c;
-      Network.send t.net ~src:site ~dst (msg_of_reply resume))
-
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
@@ -106,7 +99,9 @@ let submit t (spec : Txn.spec) =
         let primary = c.placement.primary.(item) in
         t.remote <- t.remote + 1;
         Hashtbl.replace remote_sites primary ();
-        if rpc t ~site ~dst:primary (fun reply -> Read_request { item; owner = attempt; reply })
+        Cluster.use_cpu c site c.params.cpu_msg;
+        if Exec.request c t.net ~src:site ~dst:primary (fun reply ->
+               Read_request { item; owner = attempt; reply })
         then begin
           (* Read the local replica under the primary's lock. *)
           Cluster.use_cpu c site c.params.cpu_op;
@@ -126,14 +121,14 @@ let submit t (spec : Txn.spec) =
       let writes = List.sort_uniq compare (Txn.writes spec) in
       Exec.commit_cost ~owner:attempt c ~site;
       Exec.apply_writes c ~gid ~site writes;
-      (* Push the updates one replica site at a time (each rpc charges its
+      (* Push the updates one replica site at a time (each push charges its
          own message) and hold every lock until all replicas ack. *)
       let origin_commit = Sim.now c.sim in
       ignore
         (Exec.fan_out c ~site writes (fun dst ->
-             ignore
-               (rpc t ~site ~dst (fun resume ->
-                    Push { gid; writes; origin_commit; reply = (fun () -> resume true) }))));
+             Cluster.use_cpu c site c.params.cpu_msg;
+             Exec.request c t.net ~src:site ~dst (fun reply ->
+                 Push { gid; writes; origin_commit; reply })));
       Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait
         (Sim.now c.sim -. origin_commit);
       Metrics.txn_commit c.metrics ~gid ~site;

@@ -138,7 +138,7 @@ let create (c : Cluster.t) =
   for site = 0 to c.params.n_sites - 1 do
     let rec tick at =
       Sim.at c.sim at (fun () ->
-          if not c.stopped then begin
+          if not (Cluster.stopped c) then begin
             if !(t.queues.(site)) <> [] then Sim.spawn c.sim (fun () -> flush t site);
             tick (at +. period)
           end)
@@ -150,7 +150,7 @@ let create (c : Cluster.t) =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
+  let deadline_at = Cluster.deadline c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
   Metrics.txn_begin c.metrics ~gid ~attempt ~site;

@@ -83,7 +83,7 @@ let create (c : Cluster.t) =
   t
 
 (* Blocking remote read: ask the primary for the shared lock and the current
-   value. Honours the armed transaction deadline: a timer resumes the waiter
+   value. Honours the transaction deadline: a timer resumes the waiter
    with [`Deadline] (resumption is one-shot, so a late grant or denial is
    ignored — the Release sent at abort releases any lock the primary granted
    meanwhile, and [release_all] also cancels a still-pending wait there). *)
@@ -93,17 +93,14 @@ let remote_read t ~site ~primary ~item ~owner ~deadline_at =
   Cluster.use_cpu c site c.params.cpu_msg;
   if Sim.now c.sim >= deadline_at then `Deadline
   else
-    Sim.suspend (fun resume ->
-        Cluster.inc_outstanding c;
-        if deadline_at < infinity then Sim.at c.sim deadline_at (fun () -> resume `Deadline);
-        Network.send t.net ~src:site ~dst:primary
-          (Read_request
-             { item; owner; reply = (fun granted -> resume (if granted then `Granted else `Denied)) }))
+    Exec.request c t.net ~src:site ~dst:primary ~deadline:(deadline_at, `Deadline) (fun resume ->
+        Read_request
+          { item; owner; reply = (fun granted -> resume (if granted then `Granted else `Denied)) })
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
+  let deadline_at = Cluster.deadline c in
   (* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
      remote primaries record history under it directly. *)
   let gid = Cluster.fresh_gid c in

@@ -138,21 +138,14 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
           t.remote <- t.remote + 1;
           Cluster.use_cpu c site c.params.cpu_msg;
           if Sim.now c.sim >= deadline_at then `Deadline
-          else begin
-            let reply =
-              Sim.suspend (fun resume ->
-                  Cluster.inc_outstanding c;
-                  if deadline_at < infinity then
-                    Sim.at c.sim deadline_at (fun () -> resume `Deadline);
-                  Network.send t.net ~src:site ~dst:s
-                    (Snap_request
-                       { item; ts = begin_ts; gid; attempt; reply = (fun v -> resume (`V v)) }))
-            in
-            match reply with
+          else
+            match
+              Exec.request c t.net ~src:site ~dst:s ~deadline:(deadline_at, `Deadline) (fun resume ->
+                  Snap_request { item; ts = begin_ts; gid; attempt; reply = (fun v -> resume (`V v)) })
+            with
             | `V (Some v) -> `Got v
             | `V None -> go true rest
             | `Deadline -> `Deadline
-          end
         end
   in
   go false candidates
@@ -160,7 +153,7 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let site = spec.origin in
-  let deadline_at = Cluster.deadline_at c in
+  let deadline_at = Cluster.deadline c in
   let gid = Cluster.fresh_gid c in
   let attempt = Cluster.fresh_attempt c in
   Metrics.txn_begin c.metrics ~gid ~attempt ~site;
@@ -227,12 +220,8 @@ let submit t (spec : Txn.spec) =
           end
           else begin
             Cluster.use_cpu c site c.params.cpu_msg;
-            Sim.suspend (fun resume ->
-                Cluster.inc_outstanding c;
-                if deadline_at < infinity then
-                  Sim.at c.sim deadline_at (fun () -> resume `Deadline);
-                Network.send t.net ~src:site ~dst:certifier_site
-                  (Certify { txn; reply = (fun v -> resume (`Verdict v)) }))
+            Exec.request c t.net ~src:site ~dst:certifier_site ~deadline:(deadline_at, `Deadline)
+              (fun resume -> Certify { txn; reply = (fun v -> resume (`Verdict v)) })
           end
         in
         Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);

@@ -1,4 +1,5 @@
 module Rng = Repdb_sim.Rng
+module Clauses = Repdb_clauses.Clauses
 
 type crash = { site : int; at : float; down_for : float }
 
@@ -123,38 +124,6 @@ let validate ~n_sites s =
 
 let ( let* ) = Result.bind
 
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "faults: %s is not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "faults: %s is not an integer: %S" name v)
-
-(* "k1=v1,k2=v2" -> assoc list *)
-let parse_opts s =
-  let parts = if s = "" then [] else String.split_on_char ',' s in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      match String.index_opt part '=' with
-      | Some i ->
-          let k = String.sub part 0 i
-          and v = String.sub part (i + 1) (String.length part - i - 1) in
-          Ok ((k, v) :: acc)
-      | None -> Error (Printf.sprintf "faults: expected key=value, got %S" part))
-    (Ok []) parts
-
-let opt_field opts key ~default parse =
-  match List.assoc_opt key opts with Some v -> parse key v | None -> Ok default
-
-let req_field opts key parse =
-  match List.assoc_opt key opts with
-  | Some v -> parse key v
-  | None -> Error (Printf.sprintf "faults: missing %s=..." key)
-
 (* "T1-T2": the separator is the first '-' that is not an exponent's sign. *)
 let parse_span s =
   let rec sep i =
@@ -164,144 +133,98 @@ let parse_span s =
   in
   match sep 0 with
   | Some i ->
-      let* a = parse_float "window start" (String.sub s 0 i) in
-      let* b = parse_float "window end" (String.sub s (i + 1) (String.length s - i - 1)) in
+      let* a = Clauses.float "window start" (String.sub s 0 i) in
+      let* b = Clauses.float "window end" (String.sub s (i + 1) (String.length s - i - 1)) in
       Ok (a, b)
-  | None -> Error (Printf.sprintf "faults: expected T1-T2, got %S" s)
+  | None -> Error (Printf.sprintf "expected T1-T2, got %S" s)
 
 (* "0.1.2|3.4.5" -> [[0;1;2];[3;4;5]] *)
 let parse_groups _name v =
-  let group g =
-    String.split_on_char '.' g
-    |> List.fold_left
-         (fun acc site ->
-           let* acc = acc in
-           let* site = parse_int "partition site" site in
-           Ok (site :: acc))
-         (Ok [])
-    |> Result.map List.rev
-  in
-  String.split_on_char '|' v
-  |> List.fold_left
-       (fun acc g ->
-         let* acc = acc in
-         let* g = group g in
-         Ok (g :: acc))
-       (Ok [])
-  |> Result.map List.rev
+  let group g = Clauses.all (Clauses.int "partition site") (String.split_on_char '.' g) in
+  Clauses.all group (String.split_on_char '|' v)
 
-let parse_clause acc clause =
-  let head, opts_s =
-    match String.index_opt clause ':' with
-    | Some i -> (String.sub clause 0 i, String.sub clause (i + 1) (String.length clause - i - 1))
-    | None -> (clause, "")
-  in
-  let* opts = parse_opts opts_s in
-  match String.index_opt head '@' with
-  | Some i -> (
-      let kind = String.sub head 0 i
-      and arg = String.sub head (i + 1) (String.length head - i - 1) in
-      match kind with
+let parse_clause acc (c : Clauses.clause) =
+  match c.arg with
+  | Some arg -> (
+      match c.kind with
       | "crash" ->
-          let* at = parse_float "crash time" arg in
-          let* site = req_field opts "site" parse_int in
-          let* down_for = opt_field opts "down" ~default:default_down parse_float in
+          let* at = Clauses.float "crash time" arg in
+          let* site = Clauses.req c "site" Clauses.int in
+          let* down_for = Clauses.opt c "down" ~default:default_down Clauses.float in
           Ok { acc with crashes = { site; at; down_for } :: acc.crashes }
-      | "drop" ->
+      | ("drop" | "delay") as kind ->
           let* from_t, until_t = parse_span arg in
-          let* drop_prob = req_field opts "p" parse_float in
-          let* src = opt_field opts "src" ~default:(-1) parse_int in
-          let* dst = opt_field opts "dst" ~default:(-1) parse_int in
-          Ok
-            {
-              acc with
-              windows = { src; dst; from_t; until_t; drop_prob; extra_delay = 0.0 } :: acc.windows;
-            }
-      | "delay" ->
-          let* from_t, until_t = parse_span arg in
-          let* extra_delay = req_field opts "add" parse_float in
-          let* src = opt_field opts "src" ~default:(-1) parse_int in
-          let* dst = opt_field opts "dst" ~default:(-1) parse_int in
-          Ok
-            {
-              acc with
-              windows = { src; dst; from_t; until_t; drop_prob = 0.0; extra_delay } :: acc.windows;
-            }
+          let* drop_prob, extra_delay =
+            if kind = "drop" then Result.map (fun p -> (p, 0.0)) (Clauses.req c "p" Clauses.float)
+            else Result.map (fun d -> (0.0, d)) (Clauses.req c "add" Clauses.float)
+          in
+          let* src = Clauses.opt c "src" ~default:(-1) Clauses.int in
+          let* dst = Clauses.opt c "dst" ~default:(-1) Clauses.int in
+          let w = { src; dst; from_t; until_t; drop_prob; extra_delay } in
+          Ok { acc with windows = w :: acc.windows }
       | "partition" ->
           let* from_t, until_t = parse_span arg in
-          let* groups = req_field opts "groups" parse_groups in
+          let* groups = Clauses.req c "groups" parse_groups in
           Ok { acc with partitions = { from_t; until_t; groups } :: acc.partitions }
       | "corrupt" ->
-          let* c_at = parse_float "corrupt time" arg in
-          let* c_site = req_field opts "site" parse_int in
-          let* c_prob = req_field opts "p" parse_float in
+          let* c_at = Clauses.float "corrupt time" arg in
+          let* c_site = Clauses.req c "site" Clauses.int in
+          let* c_prob = Clauses.req c "p" Clauses.float in
           Ok { acc with corruptions = { c_site; c_at; c_prob } :: acc.corruptions }
-      | other -> Error (Printf.sprintf "faults: unknown clause %S" other))
+      | other -> Error (Printf.sprintf "unknown clause %S" other))
   | None -> (
-      match String.index_opt head '=' with
-      | Some i when String.sub head 0 i = "rto" ->
-          let* rto = parse_float "rto" (String.sub head (i + 1) (String.length head - i - 1)) in
+      match String.index_opt c.kind '=' with
+      | Some i when String.sub c.kind 0 i = "rto" ->
+          let* rto =
+            Clauses.float "rto" (String.sub c.kind (i + 1) (String.length c.kind - i - 1))
+          in
           Ok { acc with rto }
-      | _ -> Error (Printf.sprintf "faults: unknown clause %S" clause))
+      | _ -> Error (Printf.sprintf "unknown clause %S" c.text))
+
+let sort_crashes = List.sort (fun a b -> compare (a.at, a.site) (b.at, b.site))
+let sort_corruptions = List.sort (fun a b -> compare (a.c_at, a.c_site) (b.c_at, b.c_site))
 
 let of_string spec =
-  let clauses =
-    String.split_on_char ';' spec |> List.map String.trim |> List.filter (fun s -> s <> "")
-  in
-  let* s = List.fold_left (fun acc c -> Result.bind acc (fun acc -> parse_clause acc c)) (Ok empty) clauses in
+  let* s = Clauses.parse ~prefix:"faults" parse_clause empty spec in
   Ok
     {
       s with
-      crashes = List.sort (fun a b -> compare (a.at, a.site) (b.at, b.site)) (List.rev s.crashes);
+      crashes = sort_crashes (List.rev s.crashes);
       windows = List.rev s.windows;
       partitions = List.rev s.partitions;
-      corruptions =
-        List.sort
-          (fun a b -> compare (a.c_at, a.c_site) (b.c_at, b.c_site))
-          (List.rev s.corruptions);
+      corruptions = sort_corruptions (List.rev s.corruptions);
     }
 
-(* The shortest of %.15g/%.16g/%.17g that parses back to [f], so that
-   [of_string (to_string s) = Ok s]; a hand-written 1037.31 prints as such. *)
-let fmt_float f =
-  let s = Printf.sprintf "%.15g" f in
-  if float_of_string s = f then s
-  else
-    let s = Printf.sprintf "%.16g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let to_string s =
-  let buf = Buffer.create 64 in
-  let clause fmt =
-    if Buffer.length buf > 0 then Buffer.add_char buf ';';
-    Printf.ksprintf (Buffer.add_string buf) fmt
+  let f = Clauses.fmt_float in
+  let span from_t until_t = f from_t ^ "-" ^ f until_t in
+  let pair (w : window) =
+    (if w.src >= 0 then [ ("src", string_of_int w.src) ] else [])
+    @ if w.dst >= 0 then [ ("dst", string_of_int w.dst) ] else []
   in
-  List.iter
-    (fun c -> clause "crash@%s:site=%d,down=%s" (fmt_float c.at) c.site (fmt_float c.down_for))
-    s.crashes;
-  List.iter
-    (fun p ->
-      clause "partition@%s-%s:groups=%s" (fmt_float p.from_t) (fmt_float p.until_t)
-        (string_of_groups p.groups))
-    s.partitions;
-  List.iter
-    (fun c -> clause "corrupt@%s:site=%d,p=%s" (fmt_float c.c_at) c.c_site (fmt_float c.c_prob))
-    s.corruptions;
-  List.iter
-    (fun w ->
-      let pair () =
-        (if w.src >= 0 then Printf.sprintf ",src=%d" w.src else "")
-        ^ if w.dst >= 0 then Printf.sprintf ",dst=%d" w.dst else ""
-      in
-      if w.drop_prob > 0.0 then
-        clause "drop@%s-%s:p=%s%s" (fmt_float w.from_t) (fmt_float w.until_t)
-          (fmt_float w.drop_prob) (pair ());
-      if w.extra_delay > 0.0 then
-        clause "delay@%s-%s:add=%s%s" (fmt_float w.from_t) (fmt_float w.until_t)
-          (fmt_float w.extra_delay) (pair ()))
-    s.windows;
-  if s.rto <> default_rto then clause "rto=%s" (fmt_float s.rto);
-  Buffer.contents buf
+  let window (w : window) kind (k, v) =
+    if v > 0.0 then [ Clauses.print kind ~arg:(span w.from_t w.until_t) ((k, f v) :: pair w) ]
+    else []
+  in
+  Clauses.join
+    (List.map
+       (fun c ->
+         Clauses.print "crash" ~arg:(f c.at) [ ("site", string_of_int c.site); ("down", f c.down_for) ])
+       s.crashes
+    @ List.map
+        (fun p ->
+          Clauses.print "partition" ~arg:(span p.from_t p.until_t)
+            [ ("groups", string_of_groups p.groups) ])
+        s.partitions
+    @ List.map
+        (fun c ->
+          Clauses.print "corrupt" ~arg:(f c.c_at)
+            [ ("site", string_of_int c.c_site); ("p", f c.c_prob) ])
+        s.corruptions
+    @ List.concat_map
+        (fun w -> window w "drop" ("p", w.drop_prob) @ window w "delay" ("add", w.extra_delay))
+        s.windows
+    @ if s.rto <> default_rto then [ "rto=" ^ f s.rto ] else [])
 
 let pp ppf s =
   if is_empty s then Fmt.string ppf "(none)" else Fmt.string ppf (to_string s)
@@ -339,9 +262,8 @@ let synthetic ~n_sites ~seed ~n_crashes ?(n_corruptions = 0) ?(mean_downtime = 3
   done;
   {
     empty with
-    crashes = List.sort (fun a b -> compare (a.at, a.site) (b.at, b.site)) !crashes;
-    corruptions =
-      List.sort (fun a b -> compare (a.c_at, a.c_site) (b.c_at, b.c_site)) !corruptions;
+    crashes = sort_crashes !crashes;
+    corruptions = sort_corruptions !corruptions;
   }
 
 (* --- injection ------------------------------------------------------------ *)

@@ -1,4 +1,5 @@
 module Rng = Repdb_sim.Rng
+module Clauses = Repdb_clauses.Clauses
 
 type step =
   | Add_replica of { item : int; site : int }
@@ -40,100 +41,47 @@ let validate ~n_sites ~n_items p =
 
 let ( let* ) = Result.bind
 
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "reconfig: %s is not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "reconfig: %s is not an integer: %S" name v)
-
-(* "k1=v1,k2=v2" -> assoc list *)
-let parse_opts s =
-  let parts = if s = "" then [] else String.split_on_char ',' s in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      match String.index_opt part '=' with
-      | Some i ->
-          let k = String.sub part 0 i
-          and v = String.sub part (i + 1) (String.length part - i - 1) in
-          Ok ((k, v) :: acc)
-      | None -> Error (Printf.sprintf "reconfig: expected key=value, got %S" part))
-    (Ok []) parts
-
-let req_field opts key parse =
-  match List.assoc_opt key opts with
-  | Some v -> parse key v
-  | None -> Error (Printf.sprintf "reconfig: missing %s=..." key)
-
-let parse_clause acc clause =
-  let head, opts_s =
-    match String.index_opt clause ':' with
-    | Some i -> (String.sub clause 0 i, String.sub clause (i + 1) (String.length clause - i - 1))
-    | None -> (clause, "")
-  in
-  let* opts = parse_opts opts_s in
-  match String.index_opt head '@' with
-  | Some i -> (
-      let kind = String.sub head 0 i
-      and arg = String.sub head (i + 1) (String.length head - i - 1) in
-      let* at = parse_float "trigger time" arg in
-      match kind with
-      | "add" ->
-          let* item = req_field opts "item" parse_int in
-          let* site = req_field opts "site" parse_int in
-          Ok ({ at; step = Add_replica { item; site } } :: acc)
-      | "drop" ->
-          let* item = req_field opts "item" parse_int in
-          let* site = req_field opts "site" parse_int in
-          Ok ({ at; step = Drop_replica { item; site } } :: acc)
-      | "rebalance" ->
-          let* from_site = req_field opts "from" parse_int in
-          let* to_site = req_field opts "to" parse_int in
-          Ok ({ at; step = Rebalance_site { from_site; to_site } } :: acc)
-      | other -> Error (Printf.sprintf "reconfig: unknown clause %S" other))
-  | None -> Error (Printf.sprintf "reconfig: unknown clause %S" clause)
+let parse_clause acc (c : Clauses.clause) =
+  match c.arg with
+  | Some arg -> (
+      let* at = Clauses.float "trigger time" arg in
+      let pair k1 k2 =
+        let* a = Clauses.req c k1 Clauses.int in
+        let* b = Clauses.req c k2 Clauses.int in
+        Ok (a, b)
+      in
+      let* step =
+        match c.kind with
+        | "add" -> Result.map (fun (item, site) -> Add_replica { item; site }) (pair "item" "site")
+        | "drop" -> Result.map (fun (item, site) -> Drop_replica { item; site }) (pair "item" "site")
+        | "rebalance" ->
+            Result.map (fun (from_site, to_site) -> Rebalance_site { from_site; to_site }) (pair "from" "to")
+        | other -> Error (Printf.sprintf "unknown clause %S" other)
+      in
+      Ok ({ at; step } :: acc))
+  | None -> Error (Printf.sprintf "unknown clause %S" c.text)
 
 (* Canonical step order: trigger time, ties broken structurally, so parsing,
    [synthetic] and [to_string] all agree on one deterministic sequence. *)
 let sort_steps steps = List.sort (fun a b -> compare (a.at, a.step) (b.at, b.step)) steps
 
 let of_string spec =
-  let clauses =
-    String.split_on_char ';' spec |> List.map String.trim |> List.filter (fun s -> s <> "")
-  in
-  let* steps =
-    List.fold_left (fun acc c -> Result.bind acc (fun acc -> parse_clause acc c)) (Ok []) clauses
-  in
+  let* steps = Clauses.parse ~prefix:"reconfig" parse_clause [] spec in
   Ok { steps = sort_steps steps }
 
-(* The shortest of %.15g/%.16g/%.17g that parses back to [f], so that
-   [of_string (to_string s) = Ok s]; a hand-written 1037.31 prints as such. *)
-let fmt_float f =
-  let s = Printf.sprintf "%.15g" f in
-  if float_of_string s = f then s
-  else
-    let s = Printf.sprintf "%.16g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let to_string p =
-  let buf = Buffer.create 64 in
-  let clause fmt =
-    if Buffer.length buf > 0 then Buffer.add_char buf ';';
-    Printf.ksprintf (Buffer.add_string buf) fmt
-  in
-  List.iter
-    (fun t ->
-      match t.step with
-      | Add_replica { item; site } -> clause "add@%s:item=%d,site=%d" (fmt_float t.at) item site
-      | Drop_replica { item; site } -> clause "drop@%s:item=%d,site=%d" (fmt_float t.at) item site
-      | Rebalance_site { from_site; to_site } ->
-          clause "rebalance@%s:from=%d,to=%d" (fmt_float t.at) from_site to_site)
-    p.steps;
-  Buffer.contents buf
+  Clauses.join
+    (List.map
+       (fun t ->
+         let kind, (k1, v1), (k2, v2) =
+           match t.step with
+           | Add_replica { item; site } -> ("add", ("item", item), ("site", site))
+           | Drop_replica { item; site } -> ("drop", ("item", item), ("site", site))
+           | Rebalance_site { from_site; to_site } -> ("rebalance", ("from", from_site), ("to", to_site))
+         in
+         Clauses.print kind ~arg:(Clauses.fmt_float t.at)
+           [ (k1, string_of_int v1); (k2, string_of_int v2) ])
+       p.steps)
 
 let pp ppf p = if is_empty p then Fmt.string ppf "(none)" else Fmt.string ppf (to_string p)
 

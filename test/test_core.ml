@@ -290,6 +290,81 @@ let test_cluster_straggler () =
   checkf "slow machine" 40.0 !t0;
   checkf "normal machine" 10.0 !t1
 
+let test_cluster_deadline () =
+  let c = Cluster.create_with small_params placement in
+  checkb "no deadline" true (Cluster.deadline c = infinity);
+  let c = Cluster.create_with { small_params with Params.txn_deadline = 50.0 } placement in
+  let at = ref nan in
+  Sim.spawn c.sim (fun () ->
+      Sim.delay 7.0;
+      at := Cluster.deadline c);
+  Sim.run c.sim;
+  checkf "now + txn_deadline" 57.0 !at
+
+let test_cluster_drained () =
+  let c = Cluster.create_with small_params placement in
+  let net : int Repdb_net.Network.t = Cluster.make_net c in
+  checkb "drained at start" true (Cluster.drained c);
+  Cluster.txn_started c;
+  checkb "attempt executing" false (Cluster.drained c);
+  Alcotest.(check string) "busy" "active_txns=1" (Cluster.busy c);
+  Cluster.txn_finished c;
+  Sim.spawn c.sim (fun () ->
+      Cluster.inc_outstanding c;
+      Repdb_net.Network.send net ~src:0 ~dst:1 42;
+      checki "in flight" 1 (Cluster.in_flight c);
+      checkb "message out" false (Cluster.drained c);
+      checkb "parked on 0->1" true (Cluster.drained ~parked:(fun ~src ~dst:_ -> src = 0) c);
+      checkb "not parked on 1->0" false (Cluster.drained ~parked:(fun ~src ~dst:_ -> src = 1) c);
+      ignore (Repdb_sim.Mailbox.recv (Repdb_net.Network.inbox net 1));
+      Cluster.dec_outstanding c;
+      checkb "drained after delivery" true (Cluster.drained c));
+  Sim.run c.sim;
+  Alcotest.(check string) "nothing busy" "" (Cluster.busy c)
+
+let contains ~affix s =
+  let n = String.length affix in
+  let rec go i = i + n <= String.length s && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* A token nobody gives back keeps the run from quiescing; the error names
+   the counter that is stuck, and only that one. *)
+let test_driver_names_stuck_counter () =
+  let c = Cluster.create_with { small_params with Params.txns_per_thread = 2 } placement in
+  Cluster.inc_outstanding c;
+  match Repdb.Driver.run_on c (module Repdb.Backedge_proto) with
+  | _ -> Alcotest.fail "expected the run to fail to quiesce"
+  | exception Failure msg ->
+      checkb ("names outstanding=1 alone: " ^ msg) true (contains ~affix:"(outstanding=1)" msg)
+
+(* Site 1 reads item 0 through PSL's remote read, which a 0.01 ms deadline
+   never allows: those transactions abort on every attempt and give up after
+   [max_retries]; every other transaction commits. *)
+let test_driver_counts_exhausted_retries () =
+  let run retry =
+    let params =
+      {
+        small_params with
+        Params.threads_per_site = 1;
+        txns_per_thread = 4;
+        txn_deadline = 0.01;
+        retry;
+      }
+    in
+    Repdb.Driver.run_on (Cluster.create_with params placement) (module Repdb.Psl)
+  in
+  let r = run (Params.Backoff { base = 1.0; multiplier = 2.0; cap = 4.0; max_retries = 2 }) in
+  checkb "some exhausted" true (r.retries_exhausted > 0);
+  checki "each transaction commits or exhausts" 8 (r.summary.commits + r.retries_exhausted);
+  checki "three attempts per exhausted transaction" (3 * r.retries_exhausted) r.summary.aborts;
+  let report = Fmt.str "%a" Repdb.Driver.pp_report r in
+  let line = Printf.sprintf "retries exhausted: %d" r.retries_exhausted in
+  checkb "printed" true (contains ~affix:line report);
+  let r = run Params.No_retry in
+  checki "none without a retry policy" 0 r.retries_exhausted;
+  checkb "not printed" false
+    (contains ~affix:"retries exhausted" (Fmt.str "%a" Repdb.Driver.pp_report r))
+
 (* --- experiment plumbing ---------------------------------------------------- *)
 
 let tiny = { Params.default with n_sites = 3; n_items = 12; threads_per_site = 1; txns_per_thread = 5 }
@@ -339,6 +414,13 @@ let () =
           Alcotest.test_case "quiescence accounting" `Quick test_cluster_quiescence_accounting;
           Alcotest.test_case "deadlock policy param" `Quick test_cluster_deadlock_policy_param;
           Alcotest.test_case "straggler machine" `Quick test_cluster_straggler;
+          Alcotest.test_case "derived deadline" `Quick test_cluster_deadline;
+          Alcotest.test_case "drain predicate" `Quick test_cluster_drained;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "names the stuck counter" `Quick test_driver_names_stuck_counter;
+          Alcotest.test_case "counts exhausted retries" `Quick test_driver_counts_exhausted_retries;
         ] );
       ( "experiment",
         [

@@ -51,12 +51,10 @@ let test_backedge_fail_fast () =
   let first = ref None and first_at = ref nan in
   let second = ref None in
   Sim.spawn c.sim (fun () ->
-      Repdb.Cluster.arm_deadline c;
       first := Some (Repdb.Backedge_proto.submit t { Txn.origin = 1; ops = [ Txn.Write 0 ] });
       first_at := Sim.now c.sim);
   Sim.spawn c.sim (fun () ->
       Sim.delay 1500.0;
-      Repdb.Cluster.arm_deadline c;
       second := Some (Repdb.Backedge_proto.submit t { Txn.origin = 1; ops = [ Txn.Write 0 ] }));
   Sim.run c.sim;
   (match !first with
@@ -75,7 +73,6 @@ let test_backedge_deadline_exceeded () =
   let c, t = two_site_cluster ~deadline:50.0 "partition@1-2000:groups=0|1" in
   let outcome = ref None and at = ref nan in
   Sim.spawn c.sim (fun () ->
-      Repdb.Cluster.arm_deadline c;
       outcome := Some (Repdb.Backedge_proto.submit t { Txn.origin = 1; ops = [ Txn.Write 0 ] });
       at := Sim.now c.sim);
   Sim.run c.sim;

@@ -486,6 +486,41 @@ let test_central_accepts_fresh_read () =
   Alcotest.check outcome "fresh read accepted" Txn.Committed !o;
   checki "two certifications" 2 (Repdb.Central.certified p)
 
+(* --- BackEdge = DAG(WT) on an acyclic copy graph ----------------------------
+
+   With b=0 the copy graph has no backedges, so BackEdge never runs an eager
+   phase and must behave exactly like DAG(WT): same summary, same end time,
+   same serializability verdict, and the same simulated events apart from
+   the spawn of BackEdge's per-site direct-message server, which stays idle. *)
+
+let test_backedge_matches_dag_wt () =
+  let variants =
+    [
+      ("default", Fun.id);
+      ("4 sites", fun p -> { p with Params.n_sites = 4 });
+      ("r=0.5", fun p -> { p with Params.replication_prob = 0.5 });
+      ("16 sites, s=0.2", fun p -> { p with Params.n_sites = 16; site_prob = 0.2 });
+      ("zipf 0.9", fun p -> { p with Params.zipf_theta = 0.9 });
+    ]
+  in
+  List.iter
+    (fun (name, variant) ->
+      for seed = 1 to 3 do
+        let params =
+          variant
+            { Params.default with backedge_prob = 0.0; txns_per_thread = 40; record_history = true; seed }
+        in
+        let be = Driver.run params (module Repdb.Backedge_proto) in
+        let dw = Driver.run params (module Repdb.Dag_wt) in
+        let case what = Printf.sprintf "%s, seed %d: %s" name seed what in
+        checkb (case "summary") true (compare be.summary dw.summary = 0);
+        checki (case "sim_events") (dw.sim_events + params.n_sites) be.sim_events;
+        checkb (case "sim_time") true (be.sim_time = dw.sim_time);
+        checkb (case "verdict") true (be.serializability = dw.serializability);
+        checkb (case "serializable") true (be.serializability = Some Serializability.Serializable)
+      done)
+    variants
+
 let () =
   Alcotest.run "protocols"
     [
@@ -506,6 +541,7 @@ let () =
           Alcotest.test_case "general tree serializes" `Quick test_backedge_general_tree;
           Alcotest.test_case "custom site order" `Quick test_backedge_with_order;
           Alcotest.test_case "rejects incomparable tree" `Quick test_backedge_rejects_incomparable_tree;
+          Alcotest.test_case "matches dag-wt at b=0" `Quick test_backedge_matches_dag_wt;
         ] );
       ( "dag-wt",
         [
