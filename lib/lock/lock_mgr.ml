@@ -26,9 +26,14 @@ type request = {
    reversed into [q_front] when the front runs dry). Every operation is O(1)
    amortized — the old single-list [queue @ [req]] append was O(n) per
    enqueue, O(n^2) under hot-key contention. [n_live] counts `Waiting
-   requests so emptiness checks never walk the queue. *)
+   requests so emptiness checks never walk the queue.
+
+   A holder set is either one exclusive owner ([x], else [no_owner]) or a
+   most-recent-first list of sharers ([sh]): granting an exclusive lock
+   stores an int, and no holder carries a separate mode cell. *)
 type entry = {
-  mutable holding : (owner * mode) list;
+  mutable x : owner;
+  mutable sh : owner list;
   mutable q_front : request list; (* head = next to grant; may contain `Done *)
   mutable q_back : request list; (* reversed tail *)
   mutable n_live : int;
@@ -44,7 +49,7 @@ type t = {
   policy : policy;
   remap : item -> int;
   mutable entries : entry array; (* indexed by remapped item *)
-  held : (owner, (item * mode) list ref) Hashtbl.t; (* for release_all *)
+  held : (owner, item list ref) Hashtbl.t; (* for release_all, most recent first *)
   waiting : (owner, request) Hashtbl.t;
   mutable arrivals : int;
   mutable n_acquires : int;
@@ -83,6 +88,8 @@ let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = F
     s_deadlocks = Option.map (fun s -> Stats.counter s "lock.ddl") stats;
   }
 
+let no_owner = min_int
+
 let obs_mode = function Shared -> Event.Shared | Exclusive -> Event.Exclusive
 let bump c site = match c with Some c -> Stats.incr c ~site | None -> ()
 
@@ -95,21 +102,46 @@ let entry_of t item =
     let grown =
       Array.init ncap (fun i ->
           if i < n then t.entries.(i)
-          else { holding = []; q_front = []; q_back = []; n_live = 0 })
+          else { x = no_owner; sh = []; q_front = []; q_back = []; n_live = 0 })
     in
     t.entries <- grown
   end;
   t.entries.(slot)
 
-let record_hold t ~owner item mode =
-  match Hashtbl.find_opt t.held owner with
-  | Some cell -> cell := (item, mode) :: !cell
-  | None -> Hashtbl.replace t.held owner (ref [ (item, mode) ])
+(* [Hashtbl.find] rather than [find_opt]: no option block per acquire. *)
+let record_hold t ~owner item =
+  match Hashtbl.find t.held owner with
+  | cell -> cell := item :: !cell
+  | exception Not_found -> Hashtbl.replace t.held owner (ref [ item ])
 
-let compatible mode holding =
-  match mode with
-  | Shared -> List.for_all (fun (_, m) -> m = Shared) holding
-  | Exclusive -> holding = []
+let compatible mode e =
+  match mode with Shared -> e.x = no_owner | Exclusive -> e.x = no_owner && e.sh = []
+
+let rec mem_owner owner = function [] -> false | o :: rest -> o = owner || mem_owner owner rest
+
+(* [sh] without [owner] (an owner shares an item at most once); the list is
+   returned as is when [owner] is absent. *)
+let rec remove_owner owner = function
+  | [] -> []
+  | o :: rest as l ->
+      if o = owner then rest
+      else
+        let rest' = remove_owner owner rest in
+        if rest' == rest then l else o :: rest'
+
+(* The mode [owner] holds on [e], read off the entry itself. The [Some]s
+   are static constants, so the lookup allocates nothing. *)
+let held_mode e owner =
+  if e.x = owner then Some Exclusive else if mem_owner owner e.sh then Some Shared else None
+
+(* [owner] is the only holder, and holds the item shared. *)
+let sole_sharer e owner = e.x = no_owner && match e.sh with [ o ] -> o = owner | _ -> false
+
+let grant e owner = function Shared -> e.sh <- owner :: e.sh | Exclusive -> e.x <- owner
+
+let upgrade e owner =
+  e.sh <- [];
+  e.x <- owner
 
 let has_live_queue e = e.n_live > 0
 
@@ -147,14 +179,11 @@ let rec service t item e =
   | None -> ()
   | Some req ->
       let grantable =
-        if req.upgrade then
-          match e.holding with [ (o, Shared) ] when o = req.req_owner -> true | _ -> false
-        else compatible req.req_mode e.holding
+        if req.upgrade then sole_sharer e req.req_owner else compatible req.req_mode e
       in
       if grantable then begin
-        if req.upgrade then e.holding <- [ (req.req_owner, Exclusive) ]
-        else e.holding <- (req.req_owner, req.req_mode) :: e.holding;
-        record_hold t ~owner:req.req_owner item req.req_mode;
+        if req.upgrade then upgrade e req.req_owner else grant e req.req_owner req.req_mode;
+        record_hold t ~owner:req.req_owner item;
         e.q_front <- List.tl e.q_front;
         e.n_live <- e.n_live - 1;
         req.state <- `Done;
@@ -208,8 +237,8 @@ let blockers_of t req =
     in
     take [] (e.q_front @ List.rev e.q_back)
   in
-  let holders = List.map fst e.holding in
-  List.sort_uniq compare (List.filter (fun o -> o <> req.req_owner) (holders @ ahead))
+  let holders = if e.x <> no_owner then [ e.x ] else e.sh in
+  List.sort_uniq Int.compare (List.filter (fun o -> o <> req.req_owner) (holders @ ahead))
 
 let waiting_for t ~owner =
   match Hashtbl.find_opt t.waiting owner with None -> [] | Some req -> blockers_of t req
@@ -259,52 +288,46 @@ let trace_grant t ~owner item mode =
     Trace.record t.trace (Event.Lock_grant { site = t.site; owner; item; mode = obs_mode mode })
 
 let rec acquire t ~owner item mode =
+  if owner = no_owner then invalid_arg "Lock_mgr: owner min_int is reserved";
   let e = entry_of t item in
   if Trace.on t.trace then
     Trace.record t.trace (Event.Lock_request { site = t.site; owner; item; mode = obs_mode mode });
-  (* Mode this owner already holds on [item], read off the (short) holder
-     list — no per-owner hash lookups, no option/tuple allocation on the
-     uncontended path. *)
-  let rec current_mode = function
-    | [] -> None
-    | (o, m) :: rest -> if o = owner then Some m else current_mode rest
-  in
-  match (current_mode e.holding, mode) with
+  match (held_mode e owner, mode) with
   | Some Exclusive, _ | Some Shared, Shared ->
       t.n_acquires <- t.n_acquires + 1;
       bump t.s_acquires t.site;
       trace_grant t ~owner item mode;
       Granted (* re-entrant *)
-  | Some Shared, Exclusive -> begin
+  | Some Shared, Exclusive ->
       (* Upgrade: immediate if sole holder, else wait at the queue front. *)
-      match e.holding with
-      | [ (o, Shared) ] when o = owner ->
-          e.holding <- [ (owner, Exclusive) ];
-          record_hold t ~owner item Exclusive;
-          t.n_acquires <- t.n_acquires + 1;
-          bump t.s_acquires t.site;
-          trace_grant t ~owner item Exclusive;
-          Granted
-      | _ ->
-          t.arrivals <- t.arrivals + 1;
-          let req =
-            {
-              req_owner = owner;
-              req_mode = Exclusive;
-              req_item = item;
-              upgrade = true;
-              arrival = t.arrivals;
-              state = `Waiting;
-              resume = ignore;
-            }
-          in
-          push_front e req;
-          wait t req
-    end
+      if sole_sharer e owner then begin
+        upgrade e owner;
+        record_hold t ~owner item;
+        t.n_acquires <- t.n_acquires + 1;
+        bump t.s_acquires t.site;
+        trace_grant t ~owner item Exclusive;
+        Granted
+      end
+      else begin
+        t.arrivals <- t.arrivals + 1;
+        let req =
+          {
+            req_owner = owner;
+            req_mode = Exclusive;
+            req_item = item;
+            upgrade = true;
+            arrival = t.arrivals;
+            state = `Waiting;
+            resume = ignore;
+          }
+        in
+        push_front e req;
+        wait t req
+      end
   | None, _ ->
-      if (not (has_live_queue e)) && compatible mode e.holding then begin
-        e.holding <- (owner, mode) :: e.holding;
-        record_hold t ~owner item mode;
+      if (not (has_live_queue e)) && compatible mode e then begin
+        grant e owner mode;
+        record_hold t ~owner item;
         t.n_acquires <- t.n_acquires + 1;
         bump t.s_acquires t.site;
         trace_grant t ~owner item mode;
@@ -352,26 +375,29 @@ and wait t req =
 
 let release_all t ~owner =
   (* A pending wait by this owner is aborted first so its process wakes. *)
-  (match Hashtbl.find_opt t.waiting owner with
-  | Some req -> fail_request t req Deadlock_victim
-  | None -> ());
-  match Hashtbl.find_opt t.held owner with
-  | None -> ()
-  | Some cell ->
+  (match Hashtbl.find t.waiting owner with
+  | req -> fail_request t req Deadlock_victim
+  | exception Not_found -> ());
+  match Hashtbl.find t.held owner with
+  | exception Not_found -> ()
+  | cell ->
       if Trace.on t.trace then Trace.record t.trace (Event.Lock_release { site = t.site; owner });
       Hashtbl.remove t.held owner;
       (* The list may name an item twice (S then X after an upgrade); the
          second pass just re-services an already-clean entry. *)
       List.iter
-        (fun (item, _) ->
+        (fun item ->
           let e = entry_of t item in
-          e.holding <- List.filter (fun (o, _) -> o <> owner) e.holding;
+          if e.x = owner then e.x <- no_owner else e.sh <- remove_owner owner e.sh;
           service t item e)
         !cell
 
 let holders t item =
   let slot = t.remap item in
-  if slot >= 0 && slot < Array.length t.entries then t.entries.(slot).holding else []
+  if slot < 0 || slot >= Array.length t.entries then []
+  else
+    let e = t.entries.(slot) in
+    if e.x <> no_owner then [ (e.x, Exclusive) ] else List.map (fun o -> (o, Shared)) e.sh
 
 let abort_waiter t ~owner =
   match Hashtbl.find_opt t.waiting owner with
@@ -383,12 +409,7 @@ let abort_waiter t ~owner =
 let holds t ~owner item =
   let slot = t.remap item in
   if slot < 0 || slot >= Array.length t.entries then None
-  else
-    let rec go = function
-      | [] -> None
-      | (o, m) :: rest -> if o = owner then Some m else go rest
-    in
-    go t.entries.(slot).holding
+  else held_mode t.entries.(slot) owner
 
 let stats t =
   {
@@ -398,5 +419,8 @@ let stats t =
     deadlock_aborts = t.n_deadlock_aborts;
   }
 
-let locks_held t = Array.fold_left (fun acc e -> acc + List.length e.holding) 0 t.entries
+let locks_held t =
+  Array.fold_left
+    (fun acc e -> acc + (if e.x <> no_owner then 1 else List.length e.sh))
+    0 t.entries
 let lock_waiters t = Hashtbl.length t.waiting

@@ -24,7 +24,8 @@ type item = int
 
 type owner = int
 (** Lock owners are (sub)transaction attempt identifiers, unique cluster-wide
-    per execution attempt. *)
+    per execution attempt. [min_int] is reserved (it marks an entry with no
+    exclusive holder). *)
 
 type mode = Shared | Exclusive
 

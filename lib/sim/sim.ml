@@ -33,9 +33,23 @@ let after t d fn =
 
 (* Run [f] as a process: effects [Delay] and [Suspend] park the computation
    and re-enter through the event heap. The handler is installed deeply, so
-   resumed continuations keep it. *)
+   resumed continuations keep it.
+
+   [Delay] is the hottest effect, so its handler is built once per process:
+   [effc] parks the requested delay in the process's float cell and returns
+   the same [Some] closure every time. The runtime calls that closure right
+   after [effc] returns, so the cell is read before the process can perform
+   another [Delay]. *)
 let run_process t f =
   let open Effect.Deep in
+  let pending = [| 0.0 |] in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let d = pending.(0) in
+        if d < 0.0 then discontinue k (Invalid_argument "Sim.delay: negative delay")
+        else schedule t (t.clock.(0) +. d) (fun () -> continue k ()))
+  in
   match_with f ()
     {
       retc = (fun () -> ());
@@ -44,14 +58,11 @@ let run_process t f =
           let bt = Printexc.get_raw_backtrace () in
           Printexc.raise_with_backtrace (Stuck e) bt);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Delay d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if d < 0.0 then
-                    discontinue k (Invalid_argument "Sim.delay: negative delay")
-                  else schedule t (t.clock.(0) +. d) (fun () -> continue k ()))
+              pending.(0) <- d;
+              on_delay
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->

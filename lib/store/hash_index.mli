@@ -18,6 +18,10 @@ val length : 'a t -> int
 (** [find t key] — [None] if unbound. Keys must be non-negative. *)
 val find : 'a t -> int -> 'a option
 
+(** [get t key] — like {!find} but allocation-free.
+    @raise Not_found if unbound. *)
+val get : 'a t -> int -> 'a
+
 val mem : 'a t -> int -> bool
 
 (** [set t key v] — insert or replace. *)

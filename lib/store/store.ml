@@ -22,17 +22,13 @@ let mem t item = Hash_index.mem t.table item
 let not_placed t item =
   invalid_arg (Printf.sprintf "Store: item %d is not placed at site %d" item t.site)
 
-let read t item =
-  match Hash_index.find t.table item with
-  | Some v -> v
-  | None -> not_placed t item
+(* [Hash_index.get] and the in-place [set] of a bound key allocate
+   nothing: a read costs no words, an apply only the new value. *)
+let read t item = match Hash_index.get t.table item with v -> v | exception Not_found -> not_placed t item
 
 let apply t item ~writer ?payload () =
-  match Hash_index.find t.table item with
-  | Some v ->
-      Hash_index.set t.table item (Value.write ~writer ?payload v);
-      if t.hooked then t.hook (Applied { item; writer; payload })
-  | None -> not_placed t item
+  Hash_index.set t.table item (Value.write ~writer ?payload (read t item));
+  if t.hooked then t.hook (Applied { item; writer; payload })
 
 let set t item v =
   if not (Hash_index.mem t.table item) then not_placed t item;

@@ -302,6 +302,321 @@ let prop_random_workload_drains =
       Sim.run sim;
       !finished = n_txns && Lock_mgr.locks_held lm = 0)
 
+(* --- lock manager vs. list-based model ------------------------------------ *)
+
+(* A transparent model of the lock manager: per-item [(owner * mode)] holder
+   lists (most recent first), per-item request lists (next to grant first),
+   per-owner [(item * mode)] hold lists — the representation the
+   one-exclusive-owner-or-sharers entries replaced. Deadlock handling is
+   the same latest-arrival victim search over the same waits-for edges. *)
+module Model = struct
+  open Lock_mgr
+
+  type req = {
+    owner : owner;
+    mode : mode;
+    item : item;
+    upgrade : bool;
+    arrival : int;
+    mutable live : bool;
+    mutable resume : outcome -> unit;
+  }
+
+  type t = {
+    sim : Sim.t;
+    policy : policy;
+    holding : (owner * mode) list array;
+    queue : req list array;
+    held : (owner, (item * mode) list) Hashtbl.t;
+    waiting : (owner, req) Hashtbl.t;
+    mutable arrivals : int;
+  }
+
+  let create sim policy ~n_items =
+    {
+      sim;
+      policy;
+      holding = Array.make n_items [];
+      queue = Array.make n_items [];
+      held = Hashtbl.create 8;
+      waiting = Hashtbl.create 8;
+      arrivals = 0;
+    }
+
+  let compatible mode holding =
+    match mode with
+    | Shared -> List.for_all (fun (_, m) -> m = Shared) holding
+    | Exclusive -> holding = []
+
+  let record_hold t owner item mode =
+    let l = Option.value ~default:[] (Hashtbl.find_opt t.held owner) in
+    Hashtbl.replace t.held owner ((item, mode) :: l)
+
+  let rec service t item =
+    match t.queue.(item) with
+    | [] -> ()
+    | req :: rest ->
+        let grantable =
+          if req.upgrade then t.holding.(item) = [ (req.owner, Shared) ]
+          else compatible req.mode t.holding.(item)
+        in
+        if grantable then begin
+          t.holding.(item) <-
+            (if req.upgrade then [ (req.owner, Exclusive) ]
+             else (req.owner, req.mode) :: t.holding.(item));
+          record_hold t req.owner item req.mode;
+          t.queue.(item) <- rest;
+          req.live <- false;
+          Hashtbl.remove t.waiting req.owner;
+          req.resume Granted;
+          service t item
+        end
+
+  let fail t req outcome =
+    if req.live then begin
+      req.live <- false;
+      Hashtbl.remove t.waiting req.owner;
+      t.queue.(req.item) <- List.filter (fun r -> r != req) t.queue.(req.item);
+      req.resume outcome;
+      service t req.item
+    end
+
+  let waiting_for t ~owner =
+    match Hashtbl.find_opt t.waiting owner with
+    | None -> []
+    | Some req ->
+        let rec ahead = function [] -> [] | r :: rest -> if r == req then [] else r.owner :: ahead rest in
+        let holders = List.map fst t.holding.(req.item) in
+        List.sort_uniq compare
+          (List.filter (fun o -> o <> owner) (holders @ ahead t.queue.(req.item)))
+
+  let find_cycle t start =
+    let on_stack = Hashtbl.create 16 and visited = Hashtbl.create 16 in
+    let exception Cycle of owner list in
+    let rec dfs stack o =
+      if Hashtbl.mem on_stack o then begin
+        let rec cut acc = function [] -> acc | x :: rest -> if x = o then x :: acc else cut (x :: acc) rest in
+        raise (Cycle (cut [] stack))
+      end;
+      if not (Hashtbl.mem visited o) then begin
+        Hashtbl.replace visited o ();
+        Hashtbl.replace on_stack o ();
+        List.iter (dfs (o :: stack)) (waiting_for t ~owner:o);
+        Hashtbl.remove on_stack o
+      end
+    in
+    try
+      dfs [] start;
+      None
+    with Cycle nodes -> Some nodes
+
+  let rec resolve_deadlocks t start =
+    match find_cycle t start with
+    | None -> ()
+    | Some nodes -> (
+        match List.filter_map (Hashtbl.find_opt t.waiting) nodes with
+        | [] -> ()
+        | first :: rest ->
+            let victim = List.fold_left (fun a r -> if r.arrival > a.arrival then r else a) first rest in
+            fail t victim Deadlock_victim;
+            if victim.owner <> start then resolve_deadlocks t start)
+
+  let wait t ~owner item mode ~upgrade =
+    t.arrivals <- t.arrivals + 1;
+    let req =
+      { owner; mode; item; upgrade; arrival = t.arrivals; live = true; resume = ignore }
+    in
+    t.queue.(item) <- (if upgrade then req :: t.queue.(item) else t.queue.(item) @ [ req ]);
+    Hashtbl.replace t.waiting owner req;
+    Sim.suspend (fun resume ->
+        req.resume <- resume;
+        match t.policy with
+        | `Timeout d -> Sim.after t.sim d (fun () -> fail t req Timed_out)
+        | `Detect fallback ->
+            Option.iter (fun d -> Sim.after t.sim d (fun () -> fail t req Timed_out)) fallback;
+            resolve_deadlocks t owner)
+
+  let acquire t ~owner item mode =
+    match (List.assoc_opt owner t.holding.(item), mode) with
+    | Some Exclusive, _ | Some Shared, Shared -> Granted
+    | Some Shared, Exclusive ->
+        if t.holding.(item) = [ (owner, Shared) ] then begin
+          t.holding.(item) <- [ (owner, Exclusive) ];
+          record_hold t owner item Exclusive;
+          Granted
+        end
+        else wait t ~owner item Exclusive ~upgrade:true
+    | None, _ ->
+        if t.queue.(item) = [] && compatible mode t.holding.(item) then begin
+          t.holding.(item) <- (owner, mode) :: t.holding.(item);
+          record_hold t owner item mode;
+          Granted
+        end
+        else wait t ~owner item mode ~upgrade:false
+
+  let release_all t ~owner =
+    Option.iter (fun req -> fail t req Deadlock_victim) (Hashtbl.find_opt t.waiting owner);
+    match Hashtbl.find_opt t.held owner with
+    | None -> ()
+    | Some l ->
+        Hashtbl.remove t.held owner;
+        List.iter
+          (fun (item, _) ->
+            t.holding.(item) <- List.filter (fun (o, _) -> o <> owner) t.holding.(item);
+            service t item)
+          l
+
+  let holds t ~owner item = List.assoc_opt owner t.holding.(item)
+  let locks_held t = Array.fold_left (fun acc h -> acc + List.length h) 0 t.holding
+end
+
+(* The operations a script drives, so one runner drives the lock manager and
+   the model alike. *)
+type lock_ops = {
+  acquire : owner:int -> int -> Lock_mgr.mode -> Lock_mgr.outcome;
+  release_all : owner:int -> unit;
+  holders : int -> (int * Lock_mgr.mode) list;
+  holds : owner:int -> int -> Lock_mgr.mode option;
+  waiting_for : owner:int -> int list;
+  locks_held : unit -> int;
+}
+
+type action = Acq of int * Lock_mgr.mode | Release | Pause of int
+
+let script_items = 3
+
+let mode_s = function Lock_mgr.Shared -> "S" | Lock_mgr.Exclusive -> "X"
+
+let outcome_s = function
+  | Lock_mgr.Granted -> "granted"
+  | Lock_mgr.Timed_out -> "timed-out"
+  | Lock_mgr.Deadlock_victim -> "victim"
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+(* Every observable of the table: per-item holders in order, per-owner
+   held modes and waits-for sets, and the total lock count. *)
+let snapshot ops ~n_owners =
+  let b = Buffer.create 128 in
+  for item = 0 to script_items - 1 do
+    Printf.bprintf b "i%d[%s] " item
+      (String.concat "," (List.map (fun (o, m) -> Printf.sprintf "%d%s" o (mode_s m)) (ops.holders item)))
+  done;
+  for owner = 1 to n_owners do
+    Printf.bprintf b "o%d(" owner;
+    for item = 0 to script_items - 1 do
+      Buffer.add_string b (match ops.holds ~owner item with None -> "-" | Some m -> mode_s m)
+    done;
+    Printf.bprintf b " w%s) " (ints (ops.waiting_for ~owner))
+  done;
+  Printf.bprintf b "n%d" (ops.locks_held ());
+  Buffer.contents b
+
+(* Run one process per owner over its script: a failed acquire aborts
+   (releases everything) and the script goes on; every step is logged with
+   the simulated time and a full snapshot, so grant order, outcomes and
+   every query are compared step by step. *)
+let run_script make_ops scripts =
+  let sim = Sim.create () in
+  let ops = make_ops sim in
+  let n_owners = List.length scripts in
+  let log = ref [] in
+  let note owner what =
+    log := Printf.sprintf "%g o%d %s | %s" (Sim.now sim) owner what (snapshot ops ~n_owners) :: !log
+  in
+  List.iteri
+    (fun i (start, actions) ->
+      let owner = i + 1 in
+      Sim.spawn sim (fun () ->
+          Sim.delay (float_of_int start);
+          List.iter
+            (function
+              | Acq (item, mode) ->
+                  let r = ops.acquire ~owner item mode in
+                  note owner (Printf.sprintf "%s%d %s" (mode_s mode) item (outcome_s r));
+                  if r <> Lock_mgr.Granted then begin
+                    ops.release_all ~owner;
+                    note owner "abort"
+                  end
+              | Release ->
+                  ops.release_all ~owner;
+                  note owner "release"
+              | Pause d -> Sim.delay (float_of_int d))
+            actions;
+          ops.release_all ~owner;
+          note owner "end"))
+    scripts;
+  Sim.run sim;
+  List.rev !log
+
+let lock_mgr_ops policy sim =
+  let lm = Lock_mgr.create ~sim ~policy () in
+  {
+    acquire = (fun ~owner item mode -> Lock_mgr.acquire lm ~owner item mode);
+    release_all = (fun ~owner -> Lock_mgr.release_all lm ~owner);
+    holders = Lock_mgr.holders lm;
+    holds = (fun ~owner item -> Lock_mgr.holds lm ~owner item);
+    waiting_for = (fun ~owner -> Lock_mgr.waiting_for lm ~owner);
+    locks_held = (fun () -> Lock_mgr.locks_held lm);
+  }
+
+let model_ops policy sim =
+  let m = Model.create sim policy ~n_items:script_items in
+  {
+    acquire = (fun ~owner item mode -> Model.acquire m ~owner item mode);
+    release_all = (fun ~owner -> Model.release_all m ~owner);
+    holders = (fun item -> m.Model.holding.(item));
+    holds = (fun ~owner item -> Model.holds m ~owner item);
+    waiting_for = (fun ~owner -> Model.waiting_for m ~owner);
+    locks_held = (fun () -> Model.locks_held m);
+  }
+
+let gen_action =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map2
+            (fun item x -> Acq (item, if x then Lock_mgr.Exclusive else Lock_mgr.Shared))
+            (int_range 0 (script_items - 1))
+            bool );
+        (1, pure Release);
+        (2, map (fun d -> Pause d) (int_range 1 4));
+      ])
+
+let policies = [| `Timeout 5.0; `Detect None; `Detect (Some 7.0) |]
+
+let gen_lock_script =
+  QCheck2.Gen.(
+    pair
+      (int_range 0 (Array.length policies - 1))
+      (int_range 2 4 >>= fun n ->
+       list_repeat n (pair (int_range 0 3) (list_size (int_range 1 8) gen_action))))
+
+let print_lock_script (policy, scripts) =
+  let action = function
+    | Acq (item, mode) -> Printf.sprintf "%s%d" (mode_s mode) item
+    | Release -> "rel"
+    | Pause d -> Printf.sprintf "+%d" d
+  in
+  Printf.sprintf "policy %d; %s" policy
+    (String.concat "; "
+       (List.mapi
+          (fun i (start, actions) ->
+            Printf.sprintf "o%d@%d: %s" (i + 1) start (String.concat " " (List.map action actions)))
+          scripts))
+
+let prop_matches_model =
+  QCheck2.Test.make ~name:"lock manager matches list-based model" ~count:400
+    ~print:print_lock_script gen_lock_script (fun (policy, scripts) ->
+      let policy = policies.(policy) in
+      let got = run_script (lock_mgr_ops policy) scripts in
+      let want = run_script (model_ops policy) scripts in
+      if got <> want then
+        QCheck2.Test.fail_reportf "lock manager:\n%s\nmodel:\n%s" (String.concat "\n" got)
+          (String.concat "\n" want)
+      else true)
+
 let () =
   Alcotest.run "lock"
     [
@@ -322,5 +637,6 @@ let () =
           Alcotest.test_case "release_all" `Quick test_release_all_clears;
           Alcotest.test_case "stats" `Quick test_stats;
           QCheck_alcotest.to_alcotest prop_random_workload_drains;
+          QCheck_alcotest.to_alcotest prop_matches_model;
         ] );
     ]

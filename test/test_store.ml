@@ -118,22 +118,28 @@ let test_index_tombstone_churn () =
 (* Model check against Hashtbl on random op sequences. *)
 let prop_index_matches_hashtbl =
   QCheck2.Test.make ~name:"hash index matches Hashtbl model" ~count:300
-    QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 30) (int_range 0 2)))
+    QCheck2.Gen.(
+      list_size (int_range 0 200) (triple (int_range 0 30) (int_range 0 2) (int_range 0 9)))
     (fun ops ->
       let h = Hash_index.create ~capacity:2 () in
       let model = Hashtbl.create 16 in
       List.for_all
-        (fun (key, op) ->
+        (fun (key, op, v) ->
           match op with
           | 0 ->
-              Hash_index.set h key key;
-              Hashtbl.replace model key key;
+              (* Rebinding a live key updates its entry in place. *)
+              Hash_index.set h key v;
+              Hashtbl.replace model key v;
               true
           | 1 ->
               let a = Hash_index.remove h key and b = Hashtbl.mem model key in
               Hashtbl.remove model key;
               a = b
-          | _ -> Hash_index.find h key = Hashtbl.find_opt model key)
+          | _ ->
+              let expected = Hashtbl.find_opt model key in
+              Hash_index.find h key = expected
+              && (match Hash_index.get h key with v -> Some v | exception Not_found -> None)
+                 = expected)
         ops
       && Hash_index.length h = Hashtbl.length model)
 

@@ -354,6 +354,144 @@ let test_gen_distinct_tiny_pool =
             (List.init 20 Fun.id))
         [ 0; 1 ])
 
+(* --- generator vs. reference --------------------------------------------- *)
+
+(* The transparent [gen_with] the allocation-lean generator replaced: a
+   [Hashtbl] of chosen items, closures per transaction, [List.sort] and a
+   list dedup pass. Kept verbatim in behaviour (same RNG draws in the same
+   order, the same output) so the property below can pin the stamp-array,
+   in-place-sort generator against it. *)
+module Ref_gen = struct
+  let zipf_table theta pool =
+    let n = Array.length pool in
+    let cum = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    for rank = 0 to n - 1 do
+      acc := !acc +. (1.0 /. Float.pow (float_of_int (rank + 1)) theta);
+      cum.(rank) <- !acc
+    done;
+    cum
+
+  let zipf_pick rng cum pool =
+    let n = Array.length cum in
+    let u = Rng.float rng *. cum.(n - 1) in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cum.(mid) <= u then lo := mid + 1 else hi := mid
+    done;
+    pool.(!lo)
+
+  let gen_with (p : Params.t) ~readable ~writable rng ~site =
+    if Array.length readable = 0 then { Txn.origin = site; ops = [] }
+    else begin
+      let read_only = Rng.bool rng p.read_txn_prob in
+      let chosen = Hashtbl.create p.ops_per_txn in
+      let pick_skewed pool =
+        if p.zipf_theta > 0.0 then zipf_pick rng (zipf_table p.zipf_theta pool) pool
+        else begin
+          let n = Array.length pool in
+          let hot = max 1 (int_of_float (ceil (p.hot_item_fraction *. float_of_int n))) in
+          if p.hot_access_prob > 0.0 && Rng.bool rng p.hot_access_prob then pool.(Rng.int rng hot)
+          else Rng.pick rng pool
+        end
+      in
+      let pick_distinct pool =
+        let rec go tries =
+          let item = pick_skewed pool in
+          if (not (Hashtbl.mem chosen item)) || tries >= 20 then begin
+            Hashtbl.replace chosen item ();
+            item
+          end
+          else go (tries + 1)
+        in
+        go 0
+      in
+      let gen_op () =
+        let is_read = read_only || Array.length writable = 0 || Rng.bool rng p.read_op_prob in
+        if is_read then Txn.Read (pick_distinct readable) else Txn.Write (pick_distinct writable)
+      in
+      let ops = List.init p.ops_per_txn (fun _ -> gen_op ()) in
+      let item_of = function Txn.Read i | Txn.Write i -> i in
+      let ops = List.sort (fun a b -> compare (item_of a) (item_of b)) ops in
+      let rec dedup = function
+        | a :: b :: rest when item_of a = item_of b ->
+            let keep =
+              match (a, b) with
+              | (Txn.Write _ as w), _ | _, (Txn.Write _ as w) -> w
+              | (Txn.Read _ as r), Txn.Read _ -> r
+            in
+            dedup (keep :: rest)
+        | a :: rest -> a :: dedup rest
+        | [] -> []
+      in
+      { Txn.origin = site; ops = dedup ops }
+    end
+end
+
+(* Workload shapes that reach every branch of the generator: 1-40 ops (the
+   in-place sort switches algorithm at 16), pools down to one item (the
+   20-try resampling gives up), Zipf and hot-spot skew, read-only and
+   write-only mixes, and more sites than items (sites with no primaries, or
+   nothing placed at all). *)
+let gen_workload =
+  QCheck.Gen.(
+    1 -- 40 >>= fun ops_per_txn ->
+    2 -- 5 >>= fun n_sites ->
+    1 -- 60 >>= fun n_items ->
+    oneofl [ 0.0; 0.3; 1.0 ] >>= fun replication_prob ->
+    oneofl [ 0.0; 0.5; 1.0 ] >>= fun read_txn_prob ->
+    oneofl [ 0.0; 0.7; 1.0 ] >>= fun read_op_prob ->
+    oneofl [ 0.0; 0.5; 0.9 ] >>= fun zipf_theta ->
+    oneofl [ 0.0; 0.5; 1.0 ] >>= fun hot_access_prob ->
+    oneofl [ 0.05; 0.2; 1.0 ] >>= fun hot_item_fraction ->
+    small_nat >>= fun seed ->
+    return
+      ( {
+          d with
+          Params.ops_per_txn;
+          n_sites;
+          n_items;
+          replication_prob;
+          site_prob = 0.5;
+          read_txn_prob;
+          read_op_prob;
+          zipf_theta;
+          hot_access_prob;
+          hot_item_fraction;
+        },
+        seed ))
+
+let arb_workload =
+  QCheck.make
+    ~print:(fun ((p : Params.t), seed) ->
+      Printf.sprintf
+        "ops=%d sites=%d items=%d r=%g read_txn=%g read_op=%g zipf=%g hot=%g/%g seed=%d"
+        p.ops_per_txn p.n_sites p.n_items p.replication_prob p.read_txn_prob p.read_op_prob
+        p.zipf_theta p.hot_access_prob p.hot_item_fraction seed)
+    gen_workload
+
+(* Same spec stream, and the streams end in the same RNG state: the next
+   draw after 30 transactions agrees too. *)
+let test_gen_matches_reference =
+  QCheck.Test.make ~name:"generator matches the reference gen_with" ~count:300 arb_workload
+    (fun (p, seed) ->
+      let gen, _ = make_gen ~p (seed + 1) in
+      let rng = Rng.create (seed + 500) and ref_rng = Rng.create (seed + 500) in
+      let same =
+        List.for_all
+          (fun k ->
+            let site = k mod p.n_sites in
+            let spec = Generator.gen_with gen rng ~site in
+            let expected =
+              Ref_gen.gen_with p ~readable:(Generator.readable gen site)
+                ~writable:(Generator.writable gen site) ref_rng ~site
+            in
+            spec = expected)
+          (List.init 30 Fun.id)
+      in
+      same && Rng.next_int64 rng = Rng.next_int64 ref_rng)
+
 let () =
   Alcotest.run "workload"
     [
@@ -388,5 +526,6 @@ let () =
           QCheck_alcotest.to_alcotest test_compact_equivalence;
           QCheck_alcotest.to_alcotest test_compact_apply_step;
           QCheck_alcotest.to_alcotest test_gen_distinct_tiny_pool;
+          QCheck_alcotest.to_alcotest test_gen_matches_reference;
         ] );
     ]
