@@ -48,7 +48,7 @@ type run = {
   mutable outstanding : int; (* in-flight messages / pending remote work *)
   mutable clients_running : int;
   mutable active_txns : int; (* transaction attempts executing *)
-  mutable stopped : bool;
+  mutable stopped_at : float; (* when the stop flag was set; [infinity] before *)
   quiesced : Condvar.t; (* broadcast when [quiescent] may have become true *)
   drained : Condvar.t; (* broadcast when [drained] may have become true *)
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
@@ -124,7 +124,7 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
           ())
   in
   let n_machines = min params.n_machines m in
-  let cpus = Array.init n_machines (fun _ -> Resource.create ~capacity:1 ()) in
+  let cpus = Array.init n_machines (fun _ -> Resource.create ~sim ~capacity:1 ()) in
   let injector =
     if Fault.is_empty params.faults then None
     else Some (Fault.injector ~n_sites:m ~seed:((params.seed * 69069) + 13) params.faults)
@@ -189,7 +189,7 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
         outstanding = 0;
         clients_running = 0;
         active_txns = 0;
-        stopped = false;
+        stopped_at = infinity;
         quiesced = Condvar.create ();
         drained = Condvar.create ();
         inflight_fns = [];
@@ -283,14 +283,15 @@ let await_quiescence t =
   while not (quiescent t) do
     Condvar.await t.run.quiesced
   done;
-  t.run.stopped <- true
+  t.run.stopped_at <- Sim.now t.sim
 
-let stopped t = t.run.stopped
+let stopped t = t.run.stopped_at < infinity
+let stopped_at t = t.run.stopped_at
 
 let rec every t period f =
-  if not t.run.stopped then begin
+  if not (stopped t) then begin
     Sim.delay period;
-    if not t.run.stopped then begin
+    if not (stopped t) then begin
       f ();
       every t period f
     end

@@ -149,6 +149,10 @@ val await_quiescence : t -> unit
 (** Set once quiescent; periodic processes stop rescheduling. *)
 val stopped : t -> bool
 
+(** The simulated instant {!await_quiescence} set the stop flag;
+    [infinity] before. *)
+val stopped_at : t -> float
+
 (** [every t period f] — until the stop flag is set: wait [period] ms, then
     run [f] (which may block). The loop of a periodic process. *)
 val every : t -> float -> (unit -> unit) -> unit

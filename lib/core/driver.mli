@@ -24,7 +24,11 @@ type report = {
   n_replicas : int;
   lock_stats : Repdb_lock.Lock_mgr.stats;  (** Summed over sites. *)
   sim_events : int;
-  sim_time : float;  (** ms at full quiescence. *)
+  sim_time : float;
+      (** Simulated ms at which the run quiesced: the instant the last client
+          had finished and no message or remote work was outstanding. Timer
+          wake-ups that fire after it (lock timeouts, the timeline ticker)
+          and healing's final sweep do not count. *)
   trace : Repdb_obs.Trace.t;
       (** The run's event trace; {!Repdb_obs.Trace.disabled} unless [run] was
           called with [~trace:true]. Export with {!Repdb_obs.Export}. *)

@@ -92,8 +92,7 @@ let emit t ev = Trace.record t.trace ev
 (* Begin/commit/abort double as the span lifecycle hooks: the lazy protocols
    call each exactly once per client attempt. *)
 let txn_begin t ~gid ~attempt ~site =
-  Span.begin_ t.spans ~gid ~site ~now:(Sim.now t.sim);
-  Span.link t.spans ~owner:attempt ~gid;
+  Span.begin_ t.spans ~gid ~owner:attempt ~site ~now:(Sim.now t.sim);
   if Trace.on t.trace then Trace.record t.trace (Event.Txn_begin { gid; site })
 
 let txn_commit t ~gid ~site =

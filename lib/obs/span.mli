@@ -13,9 +13,13 @@
     clamped at 0, so the four phases always sum to the attempt's response
     time.
 
-    Lock managers report waits by lock-owner (attempt) id; {!link} ties
-    those ids to the owning gid. Unlinked owners (secondary appliers,
-    backedge participants) are ignored. *)
+    Lock managers report waits by lock-owner (attempt) id; {!begin_} ties
+    the attempt's id to its gid. Other owners (secondary appliers,
+    backedge participants) are ignored.
+
+    Open records live in reused slots found through two int-keyed
+    open-addressing indexes (by gid and by owner), so a begin, the phase
+    charges and a finish allocate nothing in steady state. *)
 
 type phase = Lock_wait | Prop_wait | Commit
 
@@ -24,15 +28,14 @@ type t
 (** Registers the five [span.*] histograms in [stats]. *)
 val create : stats:Stats.t -> trace:Trace.t -> unit -> t
 
-(** Open an attempt record. [now] is the simulated start time. *)
-val begin_ : t -> gid:int -> site:int -> now:float -> unit
+(** [begin_ t ~gid ~owner ~site ~now] opens the record of attempt [gid],
+    started at simulated time [now]; lock waits that managers report for
+    lock-owner id [owner] are charged to it. [gid] and [owner] must be
+    non-negative and not already open. *)
+val begin_ : t -> gid:int -> owner:int -> site:int -> now:float -> unit
 
-(** Associate a lock-owner (attempt) id with an open gid. No-op if [gid]
-    has no open record. *)
-val link : t -> owner:int -> gid:int -> unit
-
-(** Charge [dur] ms of [phase] to the gid linked to [owner]; silently
-    ignored for unlinked owners. *)
+(** Charge [dur] ms of [phase] to the open attempt of [owner]; silently
+    ignored for other owners. *)
 val add : t -> owner:int -> phase -> float -> unit
 
 (** Observe client think (backoff) time directly at [site]. *)

@@ -74,8 +74,10 @@ let histogram ?buckets t name =
 let[@inline] incr c ~site = c.c.(site) <- c.c.(site) + 1
 let[@inline] add c ~site n = c.c.(site) <- c.c.(site) + n
 
-(* First bucket whose upper bound admits [v]; the overflow bucket otherwise. *)
-let bucket_of bounds v =
+(* First bucket whose upper bound admits [v]; the overflow bucket otherwise.
+   Annotated: left polymorphic, each probe would box the bound it reads and
+   compare through [caml_lessequal]. *)
+let bucket_of (bounds : float array) (v : float) =
   let n = Array.length bounds in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do

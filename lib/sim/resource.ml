@@ -1,27 +1,20 @@
-type t = {
-  cap : int;
-  mutable free : int;
-  waiters : (unit -> unit) Queue.t;
-}
+type t = { cap : int; mutable free : int; waiters : Sim.waitq }
 
-let create ~capacity () =
+let create ~sim ~capacity () =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
-  { cap = capacity; free = capacity; waiters = Queue.create () }
+  { cap = capacity; free = capacity; waiters = Sim.waitq sim }
 
 let capacity t = t.cap
 let available t = t.free
-let queue_length t = Queue.length t.waiters
+let queue_length t = Sim.waiting t.waiters
+let acquire t = if t.free > 0 then t.free <- t.free - 1 else Sim.park t.waiters
 
-let acquire t =
-  if t.free > 0 then t.free <- t.free - 1
-  else Sim.suspend (fun resume -> Queue.add (fun () -> resume ()) t.waiters)
-
+(* A woken waiter inherits the released unit, so [free] stays put. *)
 let release t =
-  match Queue.take_opt t.waiters with
-  | Some wake -> wake ()
-  | None ->
-      if t.free >= t.cap then invalid_arg "Resource.release: not held";
-      t.free <- t.free + 1
+  if not (Sim.wake t.waiters) then begin
+    if t.free >= t.cap then invalid_arg "Resource.release: not held";
+    t.free <- t.free + 1
+  end
 
 let use t d =
   acquire t;

@@ -3,12 +3,17 @@
     A resource with capacity [c] admits at most [c] concurrent holders;
     further acquirers queue in FIFO order. A capacity-1 resource models a
     site's CPU: {!use} serialises service bursts, which is how the simulator
-    reproduces the per-machine saturation of the paper's testbed. *)
+    reproduces the per-machine saturation of the paper's testbed.
+
+    Waiters park on a {!Sim.waitq}: a contended {!acquire} is on every
+    transaction's path, and the wait queue parks and wakes without
+    allocating closures. *)
 
 type t
 
-(** [create ~capacity ()] — [capacity >= 1]. *)
-val create : capacity:int -> unit -> t
+(** [create ~sim ~capacity ()] — [capacity >= 1]; waiters resume on
+    kernel [sim]. *)
+val create : sim:Sim.t -> capacity:int -> unit -> t
 
 val capacity : t -> int
 
@@ -18,10 +23,12 @@ val available : t -> int
 (** Processes waiting to acquire. *)
 val queue_length : t -> int
 
-(** Acquire one unit, blocking FIFO if none free. *)
+(** Acquire one unit, blocking FIFO if none free. Must be called from a
+    process of the resource's kernel. *)
 val acquire : t -> unit
 
-(** Release one unit, waking the next waiter. *)
+(** Release one unit, waking the next waiter.
+    @raise Invalid_argument if no unit is held. *)
 val release : t -> unit
 
 (** [use t d] = acquire, hold for [d] simulated ms, release. *)

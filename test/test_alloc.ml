@@ -7,11 +7,14 @@
 
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
+module Resource = Repdb_sim.Resource
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
 module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
 module Generator = Repdb_workload.Generator
+module Stats = Repdb_obs.Stats
+module Span = Repdb_obs.Span
 
 let calls = 10_000
 
@@ -77,10 +80,39 @@ let test_store_apply () =
          item := (!item + 7) mod 200;
          Store.apply s !item ~writer:1 ()))
 
+(* One attempt's span: begin (which links its lock owner), a lock wait and
+   a commit charge, and finish, with eight attempts open at once: 81 words
+   with [Hashtbl]s and a polymorphic [Stats.bucket_of] (10 words per
+   [Stats.observe]), 8 after, the floats boxed for [Float.max] and
+   [Stats.observe]. *)
+let test_span_cycle () =
+  let spans = Span.create ~stats:(Stats.create ~n_sites:4 ()) ~trace:Repdb_obs.Trace.disabled () in
+  let gid = ref 0 in
+  let begin_ () =
+    incr gid;
+    Span.begin_ spans ~gid:!gid ~owner:(!gid + 1000) ~site:(!gid land 3) ~now:1.0
+  in
+  for _ = 1 to 7 do
+    begin_ ()
+  done;
+  within "Span begin + 2 charges + finish" ~budget:9.2
+    (words_per_call (fun () ->
+         begin_ ();
+         Span.add spans ~owner:(!gid + 1000) Span.Lock_wait 0.5;
+         Span.add spans ~owner:(!gid + 1000) Span.Commit 0.25;
+         Span.finish spans ~gid:(!gid - 7) ~now:2.0))
+
+(* The effect runtime's own allocation differs between compiler releases,
+   so the kernel budgets are pinned on OCaml 5.1 only and reported
+   elsewhere. *)
+let within_on_5_1 name ~budget words =
+  if String.starts_with ~prefix:"5.1." Sys.ocaml_version then within name ~budget words
+  else Printf.printf "%-40s %7.2f words (budget pinned on OCaml 5.1 only)\n" name words
+
 (* One process blocking [calls] times; charged per delay, scheduling and
-   resumption included: 20 words before, 13 after. The effect runtime's
-   own allocation differs between compiler releases, so this budget is
-   pinned on OCaml 5.1 only and reported elsewhere. *)
+   resumption included: 20 words with a handler built per delay, 13 with
+   one built per process, 10 once the duration travels through a
+   per-domain cell instead of the effect. *)
 let test_sim_delay () =
   let sim = Sim.create () in
   Sim.spawn sim (fun () -> Sim.delay 1.0);
@@ -91,9 +123,28 @@ let test_sim_delay () =
         Sim.delay 1.0
       done);
   Sim.run sim;
-  let words = (Gc.minor_words () -. before) /. float_of_int calls in
-  if String.starts_with ~prefix:"5.1." Sys.ocaml_version then within "Sim.delay" ~budget:14.9 words
-  else Printf.printf "%-40s %7.2f words (budget pinned on OCaml 5.1 only)\n" "Sim.delay" words
+  within_on_5_1 "Sim.delay" ~budget:11.5 ((Gc.minor_words () -. before) /. float_of_int calls)
+
+(* Two processes alternating on a capacity-1 resource, so every [use]
+   after the first parks and is woken: 55 words per use with a queue of
+   [Sim.suspend] closures, 20 on a [Sim.waitq]. *)
+let test_resource_use () =
+  let sim = Sim.create () in
+  let cpu = Resource.create ~sim ~capacity:1 () in
+  let contend n =
+    for _ = 1 to 2 do
+      Sim.spawn sim (fun () ->
+          for _ = 1 to n do
+            Resource.use cpu 1.0
+          done)
+    done;
+    Sim.run sim
+  in
+  contend 1;
+  let before = Gc.minor_words () in
+  contend (calls / 2);
+  within_on_5_1 "Resource.use (contended)" ~budget:23.0
+    ((Gc.minor_words () -. before) /. float_of_int calls)
 
 let () =
   Alcotest.run "alloc"
@@ -104,6 +155,8 @@ let () =
           Alcotest.test_case "lock acquire + release" `Quick test_acquire_release;
           Alcotest.test_case "store read" `Quick test_store_read;
           Alcotest.test_case "store apply" `Quick test_store_apply;
+          Alcotest.test_case "span cycle" `Quick test_span_cycle;
           Alcotest.test_case "sim delay" `Quick test_sim_delay;
+          Alcotest.test_case "contended resource use" `Quick test_resource_use;
         ] );
     ]

@@ -147,6 +147,16 @@ let test_report_fields () =
   checkb "events executed" true (r.sim_events > 0);
   Alcotest.(check string) "protocol name" "backedge" r.protocol
 
+(* [sim_time] is the quiescence instant: no earlier than the last client's
+   finish, and far short of the run's horizon (at least 120 s), which it
+   read before the quiescence instant was recorded. *)
+let test_sim_time_is_quiescence () =
+  let params = { Params.default with backedge_prob = 0.0; txns_per_thread = 5 } in
+  let r = Driver.run params (module Repdb.Dag_wt) in
+  checkb "clients finished" true (r.summary.duration > 0.0);
+  checkb "sim_time >= duration" true (r.summary.duration <= r.sim_time);
+  checkb "sim_time < horizon" true (r.sim_time < 120_000.0)
+
 let test_read_only_workload_no_messages () =
   (* All-read workloads never propagate anything under the lazy protocols. *)
   let params = { (small_params ~seed:7 ()) with Params.read_txn_prob = 1.0 } in
@@ -208,6 +218,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_run;
           Alcotest.test_case "retry mode" `Quick test_retry_mode;
           Alcotest.test_case "report fields" `Quick test_report_fields;
+          Alcotest.test_case "sim_time is quiescence" `Quick test_sim_time_is_quiescence;
           Alcotest.test_case "read-only workload" `Quick test_read_only_workload_no_messages;
           Alcotest.test_case "single site" `Quick test_single_site_degenerates;
           Alcotest.test_case "metrics consistency" `Quick test_metrics_throughput_consistency;

@@ -12,6 +12,7 @@ module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
 module Export = Repdb_obs.Export
+module Span = Repdb_obs.Span
 module Params = Repdb_workload.Params
 module Driver = Repdb.Driver
 
@@ -395,6 +396,144 @@ let test_trace_off_by_default () =
   let c = Stats.counter r.site_stats "txn.commit" in
   checki "stats still collected" r.summary.commits (Stats.counter_total c)
 
+(* --- span records -------------------------------------------------------- *)
+
+(* The [Hashtbl]-backed span table that preceded [Span]'s int-keyed
+   indexes, kept as the reference model. *)
+module Ref_span = struct
+  type open_rec = {
+    o_site : int;
+    o_start : float;
+    mutable o_lock : float;
+    mutable o_prop : float;
+    mutable o_commit : float;
+    mutable o_owners : int list;
+  }
+
+  type t = {
+    h_lock : Stats.histogram;
+    h_exec : Stats.histogram;
+    h_prop : Stats.histogram;
+    h_commit : Stats.histogram;
+    h_think : Stats.histogram;
+    trace : Trace.t;
+    open_ : (int, open_rec) Hashtbl.t;
+    owners : (int, int) Hashtbl.t;
+  }
+
+  (* A record literal, as in [Span.create]: the stats table's column order
+     is the order its fields are evaluated in. *)
+  let create ~stats ~trace () =
+    {
+      h_lock = Stats.histogram stats "span.lock";
+      h_exec = Stats.histogram stats "span.exec";
+      h_prop = Stats.histogram stats "span.prop";
+      h_commit = Stats.histogram stats "span.commit";
+      h_think = Stats.histogram stats "span.think";
+      trace;
+      open_ = Hashtbl.create 64;
+      owners = Hashtbl.create 64;
+    }
+
+  let begin_ t ~gid ~owner ~site ~now =
+    Hashtbl.replace t.open_ gid
+      { o_site = site; o_start = now; o_lock = 0.0; o_prop = 0.0; o_commit = 0.0; o_owners = [ owner ] };
+    Hashtbl.replace t.owners owner gid
+
+  let add t ~owner phase dur =
+    if dur > 0.0 then
+      match Option.bind (Hashtbl.find_opt t.owners owner) (Hashtbl.find_opt t.open_) with
+      | None -> ()
+      | Some r -> (
+          match phase with
+          | Span.Lock_wait -> r.o_lock <- r.o_lock +. dur
+          | Span.Prop_wait -> r.o_prop <- r.o_prop +. dur
+          | Span.Commit -> r.o_commit <- r.o_commit +. dur)
+
+  let finish t ~gid ~now =
+    match Hashtbl.find_opt t.open_ gid with
+    | None -> ()
+    | Some r ->
+        Hashtbl.remove t.open_ gid;
+        List.iter (Hashtbl.remove t.owners) r.o_owners;
+        let total = Float.max 0.0 (now -. r.o_start) in
+        let exec = Float.max 0.0 (total -. (r.o_lock +. r.o_prop +. r.o_commit)) in
+        let site = r.o_site in
+        Stats.observe t.h_lock ~site r.o_lock;
+        Stats.observe t.h_exec ~site exec;
+        Stats.observe t.h_prop ~site r.o_prop;
+        Stats.observe t.h_commit ~site r.o_commit;
+        let cursor = ref r.o_start in
+        List.iter
+          (fun (phase, dur) ->
+            if dur > 0.0 then begin
+              Trace.record t.trace (Event.Span_phase { gid; site; phase; t0 = !cursor; dur });
+              cursor := !cursor +. dur
+            end)
+          [ ("lock", r.o_lock); ("exec", exec); ("prop", r.o_prop); ("commit", r.o_commit) ]
+
+  let open_count t = Hashtbl.length t.open_
+end
+
+type span_op = Begin of int | Charge of int * Span.phase * float | Finish of int
+
+(* Keys are spread over a wide range with clusters, so the indexes see
+   probe collisions, growth and removals inside probe runs. *)
+let gen_span_script =
+  let open QCheck2.Gen in
+  let key = oneof [ int_range 0 40; map (fun k -> k * 64) (int_range 0 40); int_range 0 1_000_000 ] in
+  let phase = oneofl [ Span.Lock_wait; Span.Prop_wait; Span.Commit ] in
+  let dur = oneofl [ 0.0; 0.5; 1.0; 7.5 ] in
+  list_size (int_range 0 400)
+    (oneof
+       [
+         map (fun k -> Begin k) key;
+         map3 (fun k p d -> Charge (k, p, d)) key phase dur;
+         map (fun k -> Finish k) key;
+       ])
+
+(* Runs a script: [Begin k] opens gid [k] with lock owner [k + 7] unless
+   [k] is already open (the driver's gids are fresh); [Charge] and [Finish]
+   name keys that may not be open. Returns the open count after each step,
+   the stats table and the trace. *)
+let run_span_script (type s) ~(create : stats:Stats.t -> trace:Trace.t -> unit -> s) ~begin_ ~add
+    ~finish ~open_count script =
+  let stats = Stats.create ~n_sites:3 () in
+  let trace = Trace.create ~capacity:2048 ~clock:(fun () -> 0.0) () in
+  let t : s = create ~stats ~trace () in
+  let opened = Hashtbl.create 16 in
+  let counts =
+    List.mapi
+      (fun step op ->
+        let now = float_of_int step in
+        (match op with
+        | Begin k ->
+            if not (Hashtbl.mem opened k) then begin
+              Hashtbl.replace opened k ();
+              begin_ t ~gid:k ~owner:(k + 7) ~site:(k mod 3) ~now
+            end
+        | Charge (k, phase, dur) -> add t ~owner:k phase dur
+        | Finish k ->
+            Hashtbl.remove opened k;
+            finish t ~gid:k ~now);
+        open_count t)
+      script
+  in
+  (counts, Format.asprintf "%a" Stats.pp_table stats, Export.jsonl_to_string trace)
+
+let print_span_script =
+  QCheck2.Print.list (function
+    | Begin k -> Printf.sprintf "Begin %d" k
+    | Charge (k, _, d) -> Printf.sprintf "Charge (%d, %g)" k d
+    | Finish k -> Printf.sprintf "Finish %d" k)
+
+let prop_span_matches_reference =
+  QCheck2.Test.make ~name:"span matches Hashtbl reference" ~count:300 ~print:print_span_script
+    gen_span_script
+    (fun script ->
+      Span.(run_span_script ~create ~begin_ ~add ~finish ~open_count script)
+      = Ref_span.(run_span_script ~create ~begin_ ~add ~finish ~open_count script))
+
 let () =
   Alcotest.run "obs"
     [
@@ -412,6 +551,7 @@ let () =
             test_stats_histogram_bucket_mismatch;
           Alcotest.test_case "table layout" `Quick test_stats_table_layout;
         ] );
+      ("span", [ QCheck_alcotest.to_alcotest prop_span_matches_reference ]);
       ( "export",
         [
           Alcotest.test_case "jsonl" `Quick test_export_jsonl;
