@@ -534,10 +534,10 @@ let schedule (c : Cluster.t) epoch =
   start_anti_entropy t;
   t
 
-let final_sweep t =
+let final_sweep t ~at =
   let c = t.c in
   let m = c.params.n_sites in
-  Sim.spawn c.sim (fun () ->
+  Sim.spawn_at c.sim at (fun () ->
       for p = 0 to m - 1 do
         for h = 0 to m - 1 do
           if p <> h then

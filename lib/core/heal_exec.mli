@@ -43,10 +43,13 @@ type summary = {
     {!Epoch.switch} with a weak drain. *)
 val schedule : Cluster.t -> Epoch.t -> t
 
-(** Spawn a full repair sweep over every (primary, holder) pair — the
-    post-quiescence convergence backstop. The caller must run the simulator
-    afterwards to drain it. *)
-val final_sweep : t -> unit
+(** [final_sweep t ~at] spawns a full repair sweep over every (primary,
+    holder) pair, starting at [at] — the post-quiescence convergence
+    backstop. Drop and delay windows are checked only when a message is
+    sent, so [at] must lie past every fault window for the sweep to be
+    unconditional. The caller must run the simulator afterwards to drain
+    it. *)
+val final_sweep : t -> at:float -> unit
 
 val summary : t -> summary
 val pp_summary : Format.formatter -> summary -> unit
