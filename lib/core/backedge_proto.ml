@@ -23,12 +23,14 @@ let origin_wait (p : Repdb_workload.Params.t) =
 let participant_retry_cap (p : Repdb_workload.Params.t) =
   int_of_float (ceil (origin_wait p /. p.lock_timeout)) + 1
 
-type chain_msg =
-  | Normal of { gid : int; writes : int list; origin_commit : float; epoch : int }
-  | Special of { gid : int; origin : int; writes : int list; epoch : int }
+(* The special secondary subtransaction of [gid]'s eager phase; it rides the
+   tree channel's FIFO links behind the updates sent before it. The
+   channel's epoch fence drops a stale one; its origin's wait then times
+   out. *)
+type special = { gid : int; origin : int; writes : int list }
 
 type direct_msg =
-  | Exec_request of { gid : int; origin : int; writes : int list }
+  | Exec_request of special
   | Decide of { gid : int; commit : bool; origin_commit : float }
   | Exec_failed of { gid : int }
 
@@ -48,12 +50,9 @@ type participant = {
 
 type t = {
   c : Cluster.t;
-  mutable tr : Tree.t;
   retree : unit -> Tree.t; (* rebuild the tree for the current placement *)
-  tree_net : chain_msg Network.t;
+  ch : special Tree_channel.t;
   direct_net : direct_msg Network.t;
-  mutable in_subtree : Routing.subtree_map;
-      (* site -> item bitset -> replica within subtree(site) *)
   pending_by_attempt : (int, pending) Hashtbl.t array; (* per site *)
   pending_by_gid : (int, pending) Hashtbl.t;
   participants : (int, participant) Hashtbl.t array; (* per site, by gid *)
@@ -63,11 +62,11 @@ type t = {
   retry_cap : int; (* participant lock-wait rounds before Exec_failed *)
 }
 
-let tree t = t.tr
+let tree t = Tree_channel.tree t.ch
 
 let backedges t =
   List.filter
-    (fun (u, v) -> Tree.is_ancestor t.tr v u)
+    (fun (u, v) -> Tree.is_ancestor (tree t) v u)
     (Digraph.edges (Placement.copy_graph t.c.placement))
 
 (* --- placement / routing helpers ---------------------------------------- *)
@@ -76,31 +75,20 @@ let backedges t =
    the eager targets of a transaction writing [writes]; the head is the
    farthest from [site] (closest to the root). *)
 let backedge_targets t site writes =
+  let tr = tree t in
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun item ->
       Array.iter
-        (fun s -> if s <> site && Tree.is_ancestor t.tr s site then Hashtbl.replace tbl s ())
+        (fun s -> if s <> site && Tree.is_ancestor tr s site then Hashtbl.replace tbl s ())
         t.c.placement.replicas.(item))
     writes;
   let targets = Hashtbl.fold (fun s () acc -> s :: acc) tbl [] in
-  List.sort (fun a b -> compare (Tree.depth t.tr a) (Tree.depth t.tr b)) targets
-
-(* Forward a normal (lazy) subtransaction to every relevant tree child.
-   Non-blocking. Returns the number of sends. *)
-let forward_normal t site (gid, writes, origin_commit) =
-  let children = Routing.relevant_children t.in_subtree t.tr site writes in
-  List.iter
-    (fun child ->
-      Cluster.inc_outstanding t.c;
-      Network.send t.tree_net ~src:site ~dst:child
-        (Normal { gid; writes; origin_commit; epoch = Epoch.current t.c }))
-    children;
-  List.length children
+  List.sort (fun a b -> compare (Tree.depth tr a) (Tree.depth tr b)) targets
 
 (* The unique child of [site] on the tree path towards [origin]. *)
 let next_hop t site origin =
-  match Tree.path_down t.tr site origin with
+  match Tree.path_down (tree t) site origin with
   | hop :: _ -> hop
   | [] -> invalid_arg "Backedge_proto: no path to origin"
 
@@ -155,9 +143,7 @@ let run_participant t ~gid ~origin ~site items =
       match Exec.acquire_writes c ~gid ~attempt ~site items with
       | Ok () when bp.bp_state = `Executing ->
           bp.bp_state <- `Staged;
-          let tr = Metrics.trace c.metrics in
-          if Repdb_obs.Trace.on tr then
-            Repdb_obs.Trace.record tr (Repdb_obs.Event.Backedge_stage { gid; site });
+          Metrics.emit c.metrics (Repdb_obs.Event.Backedge_stage { gid; site });
           Some bp
       | Ok () ->
           (* Cancelled (Decide abort) while waiting for the last lock. *)
@@ -178,75 +164,26 @@ let run_participant t ~gid ~origin ~site items =
   in
   attempt_loop 0
 
-(* The special chases the normals committed before it down the same FIFO
+(* The special chases the updates committed before it down the same FIFO
    chain, so it can never overtake them. *)
-let forward_special t ~src (gid, origin, writes) =
-  Cluster.inc_outstanding t.c;
-  Network.send t.tree_net ~src ~dst:(next_hop t src origin)
-    (Special { gid; origin; writes; epoch = Epoch.current t.c })
+let forward_special t ~src sp = Tree_channel.send_extra t.ch ~src ~dst:(next_hop t src sp.origin) sp
 
-(* --- tree applier -------------------------------------------------------- *)
-
-let process_tree_msg t site msg =
-  let c = t.c in
-  (* Epoch fence: the operator coordinator drains all in-flight propagation
-     before it switches routing, so tree messages never cross an epoch
-     boundary — except after a healer failover, whose weak drain lets
-     messages parked behind the outage surface under the new epoch. Those
-     are dropped with accounting (a dropped Special simply lets its origin's
-     wait time out; anti-entropy repairs dropped Normals). *)
-  let epoch = match msg with Normal { epoch; _ } | Special { epoch; _ } -> epoch in
-  if Epoch.stale c ~site ~epoch then Cluster.dec_outstanding c
-  else begin
-  Cluster.use_cpu c site c.params.cpu_msg;
-  match msg with
-  | Normal { gid; writes; origin_commit; epoch = _ } ->
-      let items = Routing.local_replicas c.placement site writes in
-      (* A timed-out wait is the paper's deadlock signal: victimise the
-         blockers after every failed round. *)
-      Exec.apply_secondary ~on_retry:(fun () -> victimise t site items) c ~gid ~site
-        ~origin_commit items;
-      let sent = forward_normal t site (gid, writes, origin_commit) in
-      Cluster.dec_outstanding c;
-      if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg)
-  | Special { gid; origin; writes; epoch = _ } ->
-      if site = origin then begin
-        (* All earlier secondaries have committed here: wake the primary. *)
-        (match Hashtbl.find_opt t.pending_by_gid gid with
-        | Some p when p.p_state = `Waiting ->
-            p.p_state <- `Special_arrived;
-            Condvar.broadcast p.p_cv
-        | _ -> ());
-        Cluster.dec_outstanding c
-      end
-      else begin
-        let items = Routing.local_replicas c.placement site writes in
-        let proceed =
-          if items = [] || Hashtbl.mem t.aborted_gids.(site) gid then
-            not (Hashtbl.mem t.aborted_gids.(site) gid)
-          else
-            match run_participant t ~gid ~origin ~site items with
-            | Some _ -> true
-            | None -> false
-        in
-        if proceed then forward_special t ~src:site (gid, origin, writes);
-        Cluster.dec_outstanding c
-      end
-  end
-
-let tree_applier t site =
-  let inbox = Network.inbox t.tree_net site in
-  let rec loop () =
-    let _, msg = Mailbox.recv inbox in
-    (match msg with
-    | Normal { gid; _ } ->
-        Metrics.secondary_recv t.c.metrics ~gid ~site;
-        Metrics.queue_depth t.c.metrics ~site ~queue:"tree" ~depth:(Mailbox.length inbox)
-    | Special _ -> ());
-    process_tree_msg t site msg;
-    loop ()
-  in
-  loop ()
+(* A special arriving at [site] over the tree channel. *)
+let on_special t site sp =
+  if site = sp.origin then
+    (* All earlier secondaries have committed here: wake the primary. *)
+    match Hashtbl.find_opt t.pending_by_gid sp.gid with
+    | Some p when p.p_state = `Waiting ->
+        p.p_state <- `Special_arrived;
+        Condvar.broadcast p.p_cv
+    | _ -> ()
+  else
+    let items = Placement.local_replicas t.c.placement site sp.writes in
+    let proceed =
+      if items = [] then not (Hashtbl.mem t.aborted_gids.(site) sp.gid)
+      else Option.is_some (run_participant t ~gid:sp.gid ~origin:sp.origin ~site items)
+    in
+    if proceed then forward_special t ~src:site sp
 
 (* --- direct message handling ------------------------------------------- *)
 
@@ -254,20 +191,17 @@ let handle_direct t site msg =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   match msg with
-  | Exec_request { gid; origin; writes } ->
-      let items = Routing.local_replicas c.placement site writes in
-      (match run_participant t ~gid ~origin ~site items with
-      | Some _ -> forward_special t ~src:site (gid, origin, writes)
-      | None -> ());
+  | Exec_request sp ->
+      let items = Placement.local_replicas c.placement site sp.writes in
+      if Option.is_some (run_participant t ~gid:sp.gid ~origin:sp.origin ~site items) then
+        forward_special t ~src:site sp;
       Cluster.dec_outstanding c
   | Decide { gid; commit; origin_commit } ->
       (match Hashtbl.find_opt t.participants.(site) gid with
       | Some bp -> begin
           match bp.bp_state with
           | `Staged ->
-              let tr = Metrics.trace c.metrics in
-              if Repdb_obs.Trace.on tr then
-                Repdb_obs.Trace.record tr (Repdb_obs.Event.Backedge_decide { gid; site; commit });
+              Metrics.emit c.metrics (Repdb_obs.Event.Backedge_decide { gid; site; commit });
               if commit then begin
                 Exec.apply_writes c ~gid ~site bp.bp_items;
                 Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
@@ -320,23 +254,19 @@ let make_with_tree (c : Cluster.t) ~retree tr =
   if not (validate_tree g tr) then
     invalid_arg "Backedge_proto: tree leaves a copy-graph edge between incomparable sites";
   let m = c.params.n_sites in
-  let tree_net =
-    Cluster.make_net c ~describe:(function
-      | Normal { writes; _ } -> ("normal", 24 + (8 * List.length writes))
-      | Special { writes; _ } -> ("special", 32 + (8 * List.length writes)))
+  let ch =
+    Tree_channel.create c ~describe:(fun sp -> ("special", 32 + (8 * List.length sp.writes))) tr
   in
   let t =
     {
       c;
-      tr;
       retree;
-      tree_net;
+      ch;
       direct_net =
         Cluster.make_net c ~describe:(function
-          | Exec_request { writes; _ } -> ("exec-request", 32 + (8 * List.length writes))
+          | Exec_request sp -> ("exec-request", 32 + (8 * List.length sp.writes))
           | Decide _ -> ("decide", 24)
           | Exec_failed _ -> ("exec-failed", 16));
-      in_subtree = Routing.subtree_replicas c.placement tr;
       pending_by_attempt = Array.init m (fun _ -> Hashtbl.create 8);
       pending_by_gid = Hashtbl.create 32;
       participants = Array.init m (fun _ -> Hashtbl.create 8);
@@ -346,14 +276,10 @@ let make_with_tree (c : Cluster.t) ~retree tr =
       retry_cap = participant_retry_cap c.params;
     }
   in
-  (* Under a reconfiguration plan or a healer failover a root site may
-     acquire a tree parent at an epoch switch, so every site needs a
-     (possibly idle) applier; otherwise, spawn exactly as before — spawn
-     counts feed the event tie-break order, and static runs must stay
-     byte-identical. *)
+  (* A timed-out lock wait of an update is the paper's deadlock signal:
+     victimise the blockers after every failed round. *)
   for site = 0 to m - 1 do
-    if Epoch.planned c || Tree.parent tr site <> -1 then
-      Sim.spawn c.sim (fun () -> tree_applier t site);
+    Tree_channel.spawn_applier ~on_retry:(victimise t) t.ch ~on_extra:(on_special t) site;
     Sim.spawn c.sim (fun () -> direct_server t site)
   done;
   t
@@ -366,8 +292,7 @@ let create_with_tree (c : Cluster.t) tr = make_with_tree c ~retree:(fun () -> tr
    chain makes every pair of sites tree-comparable, so it survives any
    reconfiguration unchanged. *)
 let create (c : Cluster.t) =
-  let tr = Tree.chain_of_order (Array.init c.params.n_sites Fun.id) in
-  make_with_tree c ~retree:(fun () -> tr) tr
+  create_with_tree c (Tree.chain_of_order (Array.init c.params.n_sites Fun.id))
 
 let create_with_order (c : Cluster.t) order =
   let m = c.params.n_sites in
@@ -378,8 +303,7 @@ let create_with_order (c : Cluster.t) order =
       if s < 0 || s >= m || seen.(s) then invalid_arg "Backedge_proto: order is not a permutation";
       seen.(s) <- true)
     order;
-  let tr = Tree.chain_of_order order in
-  make_with_tree c ~retree:(fun () -> tr) tr
+  create_with_tree c (Tree.chain_of_order order)
 
 (* The general variant: delete a minimal DFS backedge set, then chain every
    weakly-connected component of the *full* copy graph in a topological order
@@ -412,9 +336,8 @@ let create_general (c : Cluster.t) =
   make_with_tree c ~retree:(fun () -> general_tree c) (general_tree c)
 
 (* Epoch switch (cluster drained, placement already swapped): rebuild the
-   tree for the new copy graph and re-derive the routing map. Backedge
-   targets are computed per transaction from the live placement, so nothing
-   else is cached. *)
+   tree for the new copy graph. Backedge targets are computed per
+   transaction from the live placement, so nothing else is cached. *)
 let reconfigure =
   Some
     (fun t ->
@@ -423,8 +346,7 @@ let reconfigure =
       if not (validate_tree g tr) then
         invalid_arg
           "Backedge_proto: reconfiguration left a copy-graph edge between incomparable sites";
-      t.tr <- tr;
-      t.in_subtree <- Routing.subtree_replicas t.c.placement tr)
+      Tree_channel.retree t.ch tr)
 
 (* --- primary transactions -------------------------------------------------- *)
 
@@ -456,7 +378,7 @@ let commit_primary t ~site ~attempt ~gid ~writes ~targets =
       Network.send t.direct_net ~src:site ~dst:target
         (Decide { gid; commit = true; origin_commit = now }))
     targets;
-  let sent = if writes = [] then 0 else forward_normal t site (gid, writes, now) in
+  let sent = Tree_channel.forward t.ch ~site ~gid writes in
   let n_msgs = sent + List.length targets in
   if n_msgs > 0 then Cluster.use_cpu c site (float_of_int n_msgs *. c.params.cpu_msg);
   Txn.Committed

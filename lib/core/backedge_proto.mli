@@ -21,6 +21,11 @@
     + [Ti]'s remaining updates propagate lazily down the tree, exactly as in
       DAG(WT).
 
+    The lazy half is {!Tree_channel}, the one DAG(WT) uses: updates and
+    specials share its FIFO links, epoch fence and appliers. This module
+    adds the special message, the direct network of the eager phase,
+    victimisation and the primary's wait.
+
     Global deadlocks (Example 4.1) are broken by victimising, on a lock-wait
     timeout, any blocker that is a primary parked waiting for its special
     message, or — via a failure notice to its origin — a backedge

@@ -69,7 +69,7 @@ let process t site (msg : msg) =
   if msg.dummy then advance_site_ts t site msg
   else begin
     Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
-    let items = Routing.local_replicas c.placement site msg.writes in
+    let items = Placement.local_replicas c.placement site msg.writes in
     Exec.apply_secondary c ~gid:msg.gid ~site ~origin_commit:msg.origin_commit items;
     advance_site_ts t site msg;
     Cluster.dec_outstanding c
@@ -147,7 +147,7 @@ let pipelined_applier t site =
         st.tickets <- st.tickets + 1;
         let items =
           if msg.dummy then []
-          else Routing.local_replicas c.placement site msg.writes
+          else Placement.local_replicas c.placement site msg.writes
         in
         (* Register per-item FIFO position synchronously, before yielding. *)
         List.iter

@@ -6,6 +6,7 @@ module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
+module Placement = Repdb_workload.Placement
 
 let abort_reason_of_outcome = function
   | Lock_mgr.Timed_out -> Txn.Lock_timeout
@@ -126,7 +127,7 @@ let update_applier (c : Cluster.t) net site =
   let rec loop () =
     let _, u = Mailbox.recv inbox in
     Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Routing.local_replicas c.placement site u.writes in
+    let items = Placement.local_replicas c.placement site u.writes in
     apply_secondary c ~gid:u.gid ~site ~origin_commit:u.origin_commit items;
     Cluster.dec_outstanding c;
     loop ()
@@ -183,7 +184,7 @@ let versioned_applier ?on_install (c : Cluster.t) net site =
     let _, u = Mailbox.recv inbox in
     Cluster.use_cpu c site c.params.cpu_msg;
     assert (u.u_epoch = Epoch.current c);
-    let local = Routing.local_replicas c.placement site (List.map fst u.u_writes) in
+    let local = Placement.local_replicas c.placement site (List.map fst u.u_writes) in
     if local <> [] then begin
       install_versions ?on_install ~only:local c ~gid:u.u_gid ~site ~commit_ts:u.u_commit_ts
         u.u_writes;

@@ -4,6 +4,7 @@ module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Network = Repdb_net.Network
+module Placement = Repdb_workload.Placement
 module Txn = Repdb_txn.Txn
 
 let name = "lazy-master"
@@ -41,7 +42,7 @@ let serve_read t site ~src ~item ~owner ~reply =
 let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
-  let items = Routing.local_replicas c.placement site writes in
+  let items = Placement.local_replicas c.placement site writes in
   Exec.apply_secondary c ~gid ~site ~origin_commit items;
   Network.send t.net ~src:site ~dst:src (Push_ack { deliver = reply })
 

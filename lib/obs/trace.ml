@@ -2,11 +2,14 @@ type t = {
   enabled : bool;
   clock : unit -> float;
   capacity : int;
-  buf : Event.t option array;
+  mutable buf : Event.t array; (* grows geometrically up to [capacity] *)
   mutable next : int; (* write position *)
   mutable len : int; (* events held: min (total recorded) capacity *)
   mutable dropped : int;
 }
+
+(* Fills the slots not yet written. *)
+let filler = { Event.time = 0.0; kind = Event.Txn_begin { gid = 0; site = 0 } }
 
 let disabled =
   {
@@ -21,13 +24,21 @@ let disabled =
 
 let create ?(capacity = 1 lsl 20) ~clock () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  { enabled = true; clock; capacity; buf = Array.make capacity None; next = 0; len = 0; dropped = 0 }
+  { enabled = true; clock; capacity; buf = [||]; next = 0; len = 0; dropped = 0 }
 
 let[@inline] on t = t.enabled
 
+(* Only called before the first wrap, when the events fill [buf] from 0. *)
+let grow t =
+  let n = Array.length t.buf in
+  let buf = Array.make (min t.capacity (max 1024 (2 * n))) filler in
+  Array.blit t.buf 0 buf 0 n;
+  t.buf <- buf
+
 let record t kind =
   if t.enabled then begin
-    t.buf.(t.next) <- Some { Event.time = t.clock (); kind };
+    if t.next = Array.length t.buf then grow t;
+    t.buf.(t.next) <- { Event.time = t.clock (); kind };
     t.next <- (t.next + 1) mod t.capacity;
     if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
   end
@@ -35,7 +46,7 @@ let record t kind =
 let iter t f =
   let start = (t.next - t.len + t.capacity * 2) mod max 1 t.capacity in
   for i = 0 to t.len - 1 do
-    match t.buf.((start + i) mod t.capacity) with Some e -> f e | None -> ()
+    f t.buf.((start + i) mod t.capacity)
   done
 
 let events t =

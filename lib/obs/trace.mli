@@ -14,7 +14,8 @@ val disabled : t
 
 (** [create ~clock ()] — an enabled collector reading timestamps from
     [clock] (normally [Sim.clock sim], the kernel's clock hook).
-    [capacity] is the ring size in events (default [2^20]). *)
+    [capacity] is the ring size in events (default [2^20]); the ring
+    starts small and grows geometrically up to it. *)
 val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
 
 (** Whether events are being collected. Guard event construction with this:

@@ -116,6 +116,7 @@ let has_replica t ~site item = mem_sorted t.replicas.(item) site
 let has_copy t ~site item = t.primary.(item) = site || has_replica t ~site item
 let is_primary t ~site item = t.primary.(item) = site
 let placed_index t ~site item = index_sorted t.placed.(site) item
+let local_replicas t site writes = List.filter (fun item -> has_replica t ~site item) writes
 let copy_graph t = t.graph
 let backedges t = t.backedge_list
 

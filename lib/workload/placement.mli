@@ -66,6 +66,10 @@ val has_copy : t -> site:int -> int -> bool
     not count). O(log r). *)
 val has_replica : t -> site:int -> int -> bool
 
+(** [local_replicas t site writes] — the written items replicated at [site]
+    (the ones a secondary subtransaction applies there). O(log r) each. *)
+val local_replicas : t -> int -> int list -> int list
+
 (** [is_primary t ~site item]. *)
 val is_primary : t -> site:int -> int -> bool
 

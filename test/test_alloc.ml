@@ -102,6 +102,18 @@ let test_span_cycle () =
          Span.add spans ~owner:(!gid + 1000) Span.Commit 0.25;
          Span.finish spans ~gid:(!gid - 7) ~now:2.0))
 
+(* One traced event into a default-capacity ring, growing as it fills: 7
+   words with a fresh [Some] per slot, 5 with the event stored directly
+   (the record and its boxed time). *)
+let test_trace_record () =
+  let now = ref 0.0 in
+  let tr = Repdb_obs.Trace.create ~clock:(fun () -> !now) () in
+  let kind = Repdb_obs.Event.Txn_begin { gid = 1; site = 0 } in
+  within "Trace.record" ~budget:5.75
+    (words_per_call (fun () ->
+         now := !now +. 1.0;
+         Repdb_obs.Trace.record tr kind))
+
 (* The effect runtime's own allocation differs between compiler releases,
    so the kernel budgets are pinned on OCaml 5.1 only and reported
    elsewhere. *)
@@ -156,6 +168,7 @@ let () =
           Alcotest.test_case "store read" `Quick test_store_read;
           Alcotest.test_case "store apply" `Quick test_store_apply;
           Alcotest.test_case "span cycle" `Quick test_span_cycle;
+          Alcotest.test_case "trace record" `Quick test_trace_record;
           Alcotest.test_case "sim delay" `Quick test_sim_delay;
           Alcotest.test_case "contended resource use" `Quick test_resource_use;
         ] );

@@ -227,16 +227,16 @@ let test_routing_subtree_maps () =
     Placement.make ~n_sites:3 ~n_items:1 ~primary:[| 0 |] ~replicas:[| [ 2 ] |]
   in
   let tr = Tree.chain_of_order [| 0; 1; 2 |] in
-  let maps = Repdb.Routing.subtree_replicas placement tr in
-  checkb "root subtree sees it" true (Repdb.Routing.in_subtree maps ~site:0 0);
-  checkb "middle subtree sees it" true (Repdb.Routing.in_subtree maps ~site:1 0);
-  checkb "leaf holds it" true (Repdb.Routing.in_subtree maps ~site:2 0);
+  let maps = Repdb.Tree_channel.subtree_replicas placement tr in
+  checkb "root subtree sees it" true (Repdb.Tree_channel.in_subtree maps ~site:0 0);
+  checkb "middle subtree sees it" true (Repdb.Tree_channel.in_subtree maps ~site:1 0);
+  checkb "leaf holds it" true (Repdb.Tree_channel.in_subtree maps ~site:2 0);
   Alcotest.(check (list int)) "middle is relevant from root" [ 1 ]
-    (Repdb.Routing.relevant_children maps tr 0 [ 0 ]);
+    (Repdb.Tree_channel.relevant_children maps tr 0 [ 0 ]);
   Alcotest.(check (list int)) "local replicas at 1" []
-    (Repdb.Routing.local_replicas placement 1 [ 0 ]);
+    (Placement.local_replicas placement 1 [ 0 ]);
   Alcotest.(check (list int)) "local replicas at 2" [ 0 ]
-    (Repdb.Routing.local_replicas placement 2 [ 0 ])
+    (Placement.local_replicas placement 2 [ 0 ])
 
 (* --- cluster accounting ---------------------------------------------------- *)
 

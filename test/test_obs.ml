@@ -29,22 +29,27 @@ let ticking_clock () =
     incr n;
     float_of_int !n
 
+(* The second ring starts small and grows twice before it wraps. *)
 let test_ring_overflow () =
-  let tr = Trace.create ~capacity:4 ~clock:(ticking_clock ()) () in
-  for gid = 0 to 9 do
-    Trace.record tr (Event.Txn_begin { gid; site = 0 })
-  done;
-  checki "length capped" 4 (Trace.length tr);
-  checki "dropped counted" 6 (Trace.dropped tr);
-  let gids =
-    List.map
-      (fun (e : Event.t) ->
-        match e.kind with Event.Txn_begin { gid; _ } -> gid | _ -> -1)
-      (Trace.events tr)
-  in
-  Alcotest.(check (list int)) "last four survive in order" [ 6; 7; 8; 9 ] gids;
-  let times = List.map (fun (e : Event.t) -> e.time) (Trace.events tr) in
-  Alcotest.(check (list (float 1e-9))) "clock stamps" [ 6.0; 7.0; 8.0; 9.0 ] times
+  List.iter
+    (fun (capacity, n) ->
+      let tr = Trace.create ~capacity ~clock:(ticking_clock ()) () in
+      for gid = 0 to n - 1 do
+        Trace.record tr (Event.Txn_begin { gid; site = 0 })
+      done;
+      checki "length capped" capacity (Trace.length tr);
+      checki "dropped counted" (n - capacity) (Trace.dropped tr);
+      let gids =
+        List.map
+          (fun (e : Event.t) ->
+            match e.kind with Event.Txn_begin { gid; _ } -> gid | _ -> -1)
+          (Trace.events tr)
+      in
+      let last = List.init capacity (fun i -> n - capacity + i) in
+      Alcotest.(check (list int)) "last [capacity] survive in order" last gids;
+      let times = List.map (fun (e : Event.t) -> e.time) (Trace.events tr) in
+      Alcotest.(check (list (float 1e-9))) "clock stamps" (List.map float_of_int last) times)
+    [ (4, 10); (3000, 5000) ]
 
 let test_disabled_noop () =
   let tr = Trace.disabled in

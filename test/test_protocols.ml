@@ -8,6 +8,7 @@ module Serializability = Repdb_txn.Serializability
 module Params = Repdb_workload.Params
 module Placement = Repdb_workload.Placement
 module Tree = Repdb_graph.Tree
+module Trace = Repdb_obs.Trace
 module Cluster = Repdb.Cluster
 module Driver = Repdb.Driver
 module Protocol = Repdb.Protocol
@@ -491,7 +492,9 @@ let test_central_accepts_fresh_read () =
    With b=0 the copy graph has no backedges, so BackEdge never runs an eager
    phase and must behave exactly like DAG(WT): same summary, same end time,
    same serializability verdict, and the same simulated events apart from
-   the spawn of BackEdge's per-site direct-message server, which stays idle. *)
+   the spawn of BackEdge's per-site direct-message server, which stays idle.
+   Both send their updates over one tree channel, so their traces are equal
+   event for event, message kinds and queue names included. *)
 
 let test_backedge_matches_dag_wt () =
   let variants =
@@ -510,14 +513,16 @@ let test_backedge_matches_dag_wt () =
           variant
             { Params.default with backedge_prob = 0.0; txns_per_thread = 40; record_history = true; seed }
         in
-        let be = Driver.run params (module Repdb.Backedge_proto) in
-        let dw = Driver.run params (module Repdb.Dag_wt) in
+        let be = Driver.run ~trace:true params (module Repdb.Backedge_proto) in
+        let dw = Driver.run ~trace:true params (module Repdb.Dag_wt) in
         let case what = Printf.sprintf "%s, seed %d: %s" name seed what in
         checkb (case "summary") true (compare be.summary dw.summary = 0);
         checki (case "sim_events") (dw.sim_events + params.n_sites) be.sim_events;
         checkb (case "sim_time") true (be.sim_time = dw.sim_time);
         checkb (case "verdict") true (be.serializability = dw.serializability);
-        checkb (case "serializable") true (be.serializability = Some Serializability.Serializable)
+        checkb (case "serializable") true (be.serializability = Some Serializability.Serializable);
+        checkb (case "trace") true
+          (Trace.length dw.trace > 0 && Trace.events be.trace = Trace.events dw.trace)
       done)
     variants
 
