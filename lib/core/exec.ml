@@ -14,12 +14,14 @@ let abort_reason_of_outcome = function
   | Lock_mgr.Granted -> invalid_arg "Exec.abort_reason_of_outcome: Granted"
 
 let request ?deadline c net ~src ~dst msg =
-  Sim.suspend (fun resume ->
-      Cluster.inc_outstanding c;
-      (match deadline with
-      | Some (at, expired) when at < infinity -> Sim.at c.Cluster.sim at (fun () -> resume expired)
-      | _ -> ());
-      Network.send net ~src ~dst (msg resume))
+  let reply = Sim.once () in
+  let resume v = ignore (Sim.fire reply v) in
+  Cluster.inc_outstanding c;
+  (match deadline with
+  | Some (at, expired) when at < infinity -> Sim.at c.Cluster.sim at (fun () -> resume expired)
+  | _ -> ());
+  Network.send net ~src ~dst (msg resume);
+  Sim.await reply
 
 let run_op ?on_read (c : Cluster.t) ~gid ~attempt ~site op =
   let locks = c.locks.(site) in

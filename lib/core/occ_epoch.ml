@@ -17,7 +17,7 @@ type pending = {
   gid : int;
   reads : (int * int) list;
   writes : int list;
-  deliver : [ `Committed | `Validation_failed | `Deadline ] -> unit;
+  verdict : [ `Committed | `Validation_failed | `Deadline ] Sim.once;
 }
 
 type msg =
@@ -45,10 +45,10 @@ let apply_verdicts t ~site results =
   List.iter
     (fun (p, verdict) ->
       match verdict with
-      | None -> p.deliver `Validation_failed
+      | None -> ignore (Sim.fire p.verdict `Validation_failed)
       | Some vwrites ->
           Exec.commit_versioned t.c t.update_net ~site ~gid:p.gid ~commit_ts:0.0 vwrites;
-          p.deliver `Committed)
+          ignore (Sim.fire p.verdict `Committed))
     results
 
 (* Validate one site's epoch batch in arrival order. One message receipt plus
@@ -185,17 +185,16 @@ let submit t (spec : Txn.spec) =
     abort Txn.Partitioned
   else begin
     let t0 = Sim.now c.sim in
-    let outcome =
-      Sim.suspend (fun resume ->
-          t.queues.(site) := { gid; reads; writes; deliver = resume } :: !(t.queues.(site));
-          if deadline_at < infinity then
-            Sim.at c.sim deadline_at (fun () ->
-                (* Still buffered: withdraw, the validator never saw it. Once
-                   flushed the system decides — a late verdict is ignored by
-                   the one-shot resume and winners apply server-side. *)
-                t.queues.(site) := List.filter (fun p -> p.gid <> gid) !(t.queues.(site));
-                resume `Deadline))
-    in
+    let p = { gid; reads; writes; verdict = Sim.once () } in
+    t.queues.(site) := p :: !(t.queues.(site));
+    if deadline_at < infinity then
+      Sim.at c.sim deadline_at (fun () ->
+          (* Still buffered: withdraw, the validator never saw it. Once
+             flushed the system decides — a late verdict loses to the
+             deadline on the one-shot wait and winners apply server-side. *)
+          t.queues.(site) := List.filter (fun p -> p.gid <> gid) !(t.queues.(site));
+          ignore (Sim.fire p.verdict `Deadline));
+    let outcome = Sim.await p.verdict in
     Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
     match outcome with
     | `Committed -> Txn.Committed

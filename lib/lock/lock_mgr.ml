@@ -17,16 +17,15 @@ type request = {
   req_item : item;
   upgrade : bool;
   arrival : int;
-  mutable state : [ `Waiting | `Done ];
-  mutable resume : outcome -> unit;
+  wait : outcome Sim.once; (* fired by the grant, the timer or the deadlock victim choice *)
 }
 
 (* The waiter queue is a two-list FIFO: push-back conses onto [q_back],
    upgrades cons onto [q_front], and the head is normalized lazily ([q_back]
    reversed into [q_front] when the front runs dry). Every operation is O(1)
    amortized — the old single-list [queue @ [req]] append was O(n) per
-   enqueue, O(n^2) under hot-key contention. [n_live] counts `Waiting
-   requests so emptiness checks never walk the queue.
+   enqueue, O(n^2) under hot-key contention. [n_live] counts requests whose
+   wait has not fired, so emptiness checks never walk the queue.
 
    A holder set is either one exclusive owner ([x], else [no_owner]) or a
    most-recent-first list of sharers ([sh]): granting an exclusive lock
@@ -34,7 +33,7 @@ type request = {
 type entry = {
   mutable x : owner;
   mutable sh : owner list;
-  mutable q_front : request list; (* head = next to grant; may contain `Done *)
+  mutable q_front : request list; (* head = next to grant; may hold fired requests *)
   mutable q_back : request list; (* reversed tail *)
   mutable n_live : int;
 }
@@ -145,13 +144,13 @@ let upgrade e owner =
 
 let has_live_queue e = e.n_live > 0
 
-(* First `Waiting request in FIFO order. `Done entries are pruned from the
-   front lazily; when the front runs dry the reversed back is normalized in.
-   On [Some req], [req] is the head of [e.q_front]. *)
+(* First request whose wait has not fired, in FIFO order. Fired entries are
+   pruned from the front lazily; when the front runs dry the reversed back
+   is normalized in. On [Some req], [req] is the head of [e.q_front]. *)
 let rec first_live e =
   match e.q_front with
   | r :: rest ->
-      if r.state = `Waiting then Some r
+      if not (Sim.fired r.wait) then Some r
       else begin
         e.q_front <- rest;
         first_live e
@@ -186,7 +185,6 @@ let rec service t item e =
         record_hold t ~owner:req.req_owner item;
         e.q_front <- List.tl e.q_front;
         e.n_live <- e.n_live - 1;
-        req.state <- `Done;
         Hashtbl.remove t.waiting req.req_owner;
         t.n_acquires <- t.n_acquires + 1;
         bump t.s_acquires t.site;
@@ -194,14 +192,13 @@ let rec service t item e =
           Trace.record t.trace
             (Event.Lock_grant
                { site = t.site; owner = req.req_owner; item; mode = obs_mode req.req_mode });
-        req.resume Granted;
+        ignore (Sim.fire req.wait Granted);
         service t item e
       end
 
 (* Wake a waiting request with a failure outcome and let successors advance. *)
 let fail_request t req outcome =
-  if req.state = `Waiting then begin
-    req.state <- `Done;
+  if not (Sim.fired req.wait) then begin
     Hashtbl.remove t.waiting req.req_owner;
     (match outcome with
     | Timed_out ->
@@ -218,10 +215,10 @@ let fail_request t req outcome =
             (Event.Lock_deadlock { site = t.site; owner = req.req_owner; item = req.req_item })
     | Granted -> assert false);
     let e = entry_of t req.req_item in
-    (* The request stays in the queue as a `Done tombstone (pruned lazily by
+    (* The request stays in the queue as a fired tombstone (pruned lazily by
        [first_live]), but it no longer counts as live. *)
     e.n_live <- e.n_live - 1;
-    req.resume outcome;
+    ignore (Sim.fire req.wait outcome);
     service t req.req_item e
   end
 
@@ -233,7 +230,7 @@ let blockers_of t req =
     let rec take acc = function
       | [] -> acc
       | r :: _ when r == req -> acc
-      | r :: rest -> take (if r.state = `Waiting then r.req_owner :: acc else acc) rest
+      | r :: rest -> take (if Sim.fired r.wait then acc else r.req_owner :: acc) rest
     in
     take [] (e.q_front @ List.rev e.q_back)
   in
@@ -287,7 +284,37 @@ let trace_grant t ~owner item mode =
   if Trace.on t.trace then
     Trace.record t.trace (Event.Lock_grant { site = t.site; owner; item; mode = obs_mode mode })
 
-let rec acquire t ~owner item mode =
+(* Queue a request (an upgrade at the front) and block until it is granted
+   or fails. *)
+let wait t e ~owner item mode ~upgrade =
+  t.arrivals <- t.arrivals + 1;
+  let req =
+    { req_owner = owner; req_mode = mode; req_item = item; upgrade; arrival = t.arrivals;
+      wait = Sim.once () }
+  in
+  if upgrade then push_front e req else push_back e req;
+  t.n_waits <- t.n_waits + 1;
+  bump t.s_waits t.site;
+  if Trace.on t.trace then
+    Trace.record t.trace
+      (Event.Lock_wait
+         { site = t.site; owner = req.req_owner; item = req.req_item; mode = obs_mode req.req_mode });
+  Hashtbl.replace t.waiting req.req_owner req;
+  let t0 = Sim.now t.sim in
+  (* The requester may be picked as a deadlock victim here, before it parks:
+     [Sim.fire] then resumes it as soon as it does. *)
+  (match t.policy with
+  | `Timeout d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
+  | `Detect fallback ->
+      (match fallback with
+      | Some d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
+      | None -> ());
+      resolve_deadlocks t req.req_owner);
+  let outcome = Sim.await req.wait in
+  t.on_wait ~owner:req.req_owner ~dur:(Sim.now t.sim -. t0);
+  outcome
+
+let acquire t ~owner item mode =
   if owner = no_owner then invalid_arg "Lock_mgr: owner min_int is reserved";
   let e = entry_of t item in
   if Trace.on t.trace then
@@ -308,22 +335,7 @@ let rec acquire t ~owner item mode =
         trace_grant t ~owner item Exclusive;
         Granted
       end
-      else begin
-        t.arrivals <- t.arrivals + 1;
-        let req =
-          {
-            req_owner = owner;
-            req_mode = Exclusive;
-            req_item = item;
-            upgrade = true;
-            arrival = t.arrivals;
-            state = `Waiting;
-            resume = ignore;
-          }
-        in
-        push_front e req;
-        wait t req
-      end
+      else wait t e ~owner item Exclusive ~upgrade:true
   | None, _ ->
       if (not (has_live_queue e)) && compatible mode e then begin
         grant e owner mode;
@@ -333,45 +345,7 @@ let rec acquire t ~owner item mode =
         trace_grant t ~owner item mode;
         Granted
       end
-      else begin
-        t.arrivals <- t.arrivals + 1;
-        let req =
-          {
-            req_owner = owner;
-            req_mode = mode;
-            req_item = item;
-            upgrade = false;
-            arrival = t.arrivals;
-            state = `Waiting;
-            resume = ignore;
-          }
-        in
-        push_back e req;
-        wait t req
-      end
-
-and wait t req =
-  t.n_waits <- t.n_waits + 1;
-  bump t.s_waits t.site;
-  if Trace.on t.trace then
-    Trace.record t.trace
-      (Event.Lock_wait
-         { site = t.site; owner = req.req_owner; item = req.req_item; mode = obs_mode req.req_mode });
-  Hashtbl.replace t.waiting req.req_owner req;
-  let t0 = Sim.now t.sim in
-  let outcome =
-    Sim.suspend (fun resume ->
-        req.resume <- resume;
-        (match t.policy with
-        | `Timeout d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
-        | `Detect fallback ->
-            (match fallback with
-            | Some d -> Sim.after t.sim d (fun () -> fail_request t req Timed_out)
-            | None -> ());
-            resolve_deadlocks t req.req_owner))
-  in
-  t.on_wait ~owner:req.req_owner ~dur:(Sim.now t.sim -. t0);
-  outcome
+      else wait t e ~owner item mode ~upgrade:false
 
 let release_all t ~owner =
   (* A pending wait by this owner is aborted first so its process wakes. *)

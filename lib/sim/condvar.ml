@@ -1,48 +1,26 @@
-type waiter = { mutable cancelled : bool; wake : bool -> unit }
-
-type t = { q : waiter Queue.t }
+(* Waiters are one-shot waits in FIFO order. A wait whose timer fired
+   first stays queued until a signal pops it and finds it already fired. *)
+type t = { q : bool Sim.once Queue.t }
 
 let create () = { q = Queue.create () }
 
-let enqueue t wake =
-  let w = { cancelled = false; wake } in
+let enqueue t =
+  let w = Sim.once () in
   Queue.add w t.q;
   w
 
-let await t = Sim.suspend (fun resume -> ignore (enqueue t (fun _ -> resume ())))
+let await t = ignore (Sim.await (enqueue t))
 
 let await_timeout sim t d =
-  Sim.suspend (fun resume ->
-      let w = enqueue t (fun woken -> resume woken) in
-      Sim.after sim d (fun () ->
-          if not w.cancelled then begin
-            w.cancelled <- true;
-            w.wake false
-          end))
+  let w = enqueue t in
+  Sim.after sim d (fun () -> ignore (Sim.fire w false));
+  Sim.await w
 
-(* Pop waiters until a live one is found; cancelled entries are left over by
-   timed-out waits. *)
-let rec pop_live t =
-  match Queue.take_opt t.q with
-  | None -> None
-  | Some w -> if w.cancelled then pop_live t else Some w
-
-let signal t =
-  match pop_live t with
-  | None -> ()
-  | Some w ->
-      w.cancelled <- true;
-      w.wake true
+let rec signal t =
+  if not (Queue.is_empty t.q) then if not (Sim.fire (Queue.take t.q) true) then signal t
 
 let broadcast t =
-  let rec go () =
-    match pop_live t with
-    | None -> ()
-    | Some w ->
-        w.cancelled <- true;
-        w.wake true;
-        go ()
-  in
-  go ()
+  Queue.iter (fun w -> ignore (Sim.fire w true)) t.q;
+  Queue.clear t.q
 
-let waiters t = Queue.fold (fun acc w -> if w.cancelled then acc else acc + 1) 0 t.q
+let waiters t = Queue.fold (fun acc w -> if Sim.fired w then acc else acc + 1) 0 t.q

@@ -2,7 +2,8 @@
 
     Unlike OS condition variables there is no associated mutex: simulated
     processes already run atomically between blocking points, so checking the
-    predicate and calling {!await} cannot race. *)
+    predicate and calling {!await} cannot race. Each waiter is a
+    {!Sim.once}: a signal and a timeout race on it, and the first wins. *)
 
 type t
 

@@ -2,11 +2,8 @@
 
    Priorities live in a flat [float array] (unboxed storage) with a parallel
    [int array] of tie-break sequences and an ['a array] of payloads, so a
-   push/pop cycle performs zero allocation: no per-entry record, no result
-   tuple on the value-only pop, and growth doubles the three arrays in
-   place. The previous record-of-three-fields layout allocated 4 words per
-   push plus a 4-word tuple per pop — ~8 words on the scheduler's single
-   hottest path.
+   push/pop cycle allocates nothing: no per-entry record, no result tuple,
+   and growth doubles the three arrays in place.
 
    Both sift directions move a "hole" instead of swapping pairwise: the
    entry in motion stays in registers, each level does one write per array
@@ -39,8 +36,9 @@ let grow h v =
     h.vals <- nv
   end
 
-let push h ~time ~seq value =
+let push h c ~seq value =
   grow h value;
+  let time = c.(0) in
   let times = h.times and seqs = h.seqs and vals = h.vals in
   let i = ref h.len in
   h.len <- h.len + 1;
@@ -61,9 +59,17 @@ let push h ~time ~seq value =
   seqs.(!i) <- seq;
   vals.(!i) <- value
 
-let top_time h =
-  if h.len = 0 then invalid_arg "Heap.top_time: empty heap";
-  h.times.(0)
+(* The scheduler's accessors return [bool] and write times into the caller's
+   flat float array, so no float is boxed crossing the call. *)
+let precedes a b =
+  a.len > 0
+  && (b.len = 0
+     || a.times.(0) < b.times.(0)
+     || (a.times.(0) = b.times.(0) && a.seqs.(0) < b.seqs.(0)))
+
+let due h c ~at_now horizon =
+  h.len > 0
+  && if at_now then h.times.(0) <= c.(0) else h.times.(0) <= horizon && (c.(0) <- h.times.(0); true)
 
 let pop_top h =
   if h.len = 0 then invalid_arg "Heap.pop_top: empty heap";
@@ -106,12 +112,3 @@ let pop_top h =
     vals.(n) <- vals.(0)
   end;
   min_v
-
-let pop_min h =
-  if h.len = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let time = h.times.(0) and seq = h.seqs.(0) in
-  let v = pop_top h in
-  (time, seq, v)
-
-let pop_min_opt h = if h.len = 0 then None else Some (pop_min h)
-let min_time h = if h.len = 0 then None else Some h.times.(0)

@@ -11,25 +11,20 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 
-(** [push h ~time ~seq v] inserts [v] with priority [(time, seq)]. *)
-val push : 'a t -> time:float -> seq:int -> 'a -> unit
+(** [push h c ~seq v] inserts [v] with priority [(c.(0), seq)]; the time
+    comes in a flat float array, so the call boxes none. *)
+val push : 'a t -> float array -> seq:int -> 'a -> unit
 
-(** [top_time h] is the priority of the minimum entry, without allocating.
-    @raise Invalid_argument if the heap is empty. *)
-val top_time : 'a t -> float
+(** [precedes a b] — [a] is non-empty, and [b] is empty or has a later
+    minimum in [(time, seq)] order. *)
+val precedes : 'a t -> 'b t -> bool
 
-(** [pop_top h] removes and returns the minimum entry's payload only —
-    the allocation-free pop used by the scheduler (read {!top_time} first
-    if the priority is needed).
+(** [due h c ~at_now horizon] — the minimum's time is at most [c.(0)] if
+    [at_now], else at most [horizon], and then written to [c.(0)]. It boxes
+    no float: the scheduler's clock loop runs on it. *)
+val due : 'a t -> float array -> at_now:bool -> float -> bool
+
+(** [pop_top h] removes and returns the minimum entry's payload (read
+    its time with {!due} first).
     @raise Invalid_argument if the heap is empty. *)
 val pop_top : 'a t -> 'a
-
-(** [pop_min h] removes and returns the minimum entry as a tuple.
-    @raise Invalid_argument if the heap is empty. *)
-val pop_min : 'a t -> float * int * 'a
-
-(** [pop_min_opt h] is [pop_min h], or [None] if the heap is empty. *)
-val pop_min_opt : 'a t -> (float * int * 'a) option
-
-(** [min_time h] is the priority of the minimum entry, if any. *)
-val min_time : 'a t -> float option

@@ -1,49 +1,29 @@
-type 'a waiter = { mutable cancelled : bool; deliver : 'a option -> unit }
-
-type 'a t = { items : 'a Queue.t; waiters : 'a waiter Queue.t }
+(* A receiver whose timer fired first stays queued until a send pops it and
+   finds it already fired. *)
+type 'a t = { items : 'a Queue.t; waiters : 'a option Sim.once Queue.t }
 
 let create () = { items = Queue.create (); waiters = Queue.create () }
 
-let rec pop_live_waiter t =
-  match Queue.take_opt t.waiters with
-  | None -> None
-  | Some w -> if w.cancelled then pop_live_waiter t else Some w
+let rec send t v =
+  if Queue.is_empty t.waiters then Queue.add v t.items
+  else if not (Sim.fire (Queue.take t.waiters) (Some v)) then send t v
 
-let send t v =
-  match pop_live_waiter t with
-  | Some w ->
-      w.cancelled <- true;
-      w.deliver (Some v)
-  | None -> Queue.add v t.items
+let wait t =
+  let w = Sim.once () in
+  Queue.add w t.waiters;
+  w
 
 let recv t =
-  match Queue.take_opt t.items with
-  | Some v -> v
-  | None ->
-      Sim.suspend (fun resume ->
-          let w =
-            {
-              cancelled = false;
-              deliver =
-                (function
-                | Some v -> resume v
-                | None -> assert false (* no timeout on plain recv *));
-            }
-          in
-          Queue.add w t.waiters)
+  if not (Queue.is_empty t.items) then Queue.take t.items
+  else match Sim.await (wait t) with Some v -> v | None -> assert false (* no timer *)
 
 let recv_timeout sim t d =
-  match Queue.take_opt t.items with
-  | Some v -> Some v
-  | None ->
-      Sim.suspend (fun resume ->
-          let w = { cancelled = false; deliver = resume } in
-          Queue.add w t.waiters;
-          Sim.after sim d (fun () ->
-              if not w.cancelled then begin
-                w.cancelled <- true;
-                w.deliver None
-              end))
+  if not (Queue.is_empty t.items) then Some (Queue.take t.items)
+  else begin
+    let w = wait t in
+    Sim.after sim d (fun () -> ignore (Sim.fire w None));
+    Sim.await w
+  end
 
 let peek t = Queue.peek_opt t.items
 let length t = Queue.length t.items

@@ -1,8 +1,9 @@
 (** Unbounded FIFO mailboxes connecting simulated processes.
 
     Messages are delivered in send order; receivers are served in arrival
-    order. The network layer builds its reliable FIFO channels on top of
-    these. *)
+    order. A receiver that finds the mailbox empty waits on a {!Sim.once},
+    and {!send} hands its value straight to it. The network layer builds its
+    reliable FIFO channels on top of these. *)
 
 type 'a t
 
@@ -23,7 +24,8 @@ val recv_timeout : Sim.t -> 'a t -> float -> 'a option
 (** [peek mb] is the next message without consuming it. *)
 val peek : 'a t -> 'a option
 
-(** Number of queued (undelivered) messages. *)
+(** Number of queued messages; one handed straight to a waiting receiver is
+    never counted. *)
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool

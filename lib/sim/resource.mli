@@ -6,8 +6,8 @@
     reproduces the per-machine saturation of the paper's testbed.
 
     Waiters park on a {!Sim.waitq}: a contended {!acquire} is on every
-    transaction's path, and the wait queue parks and wakes without
-    allocating closures. *)
+    transaction's path, and the wait queue parks and wakes allocating only
+    the continuation the runtime captures. *)
 
 type t
 

@@ -1,12 +1,25 @@
 (** Deterministic discrete-event simulation kernel.
 
-    The kernel owns a virtual clock and an event heap. Simulated {e processes}
+    The kernel owns a virtual clock and runs events in [(time, seq)] order,
+    so ties at one instant run in scheduling order. Simulated {e processes}
     are ordinary OCaml functions run under an effect handler: they may block
-    on {!delay}, {!park} or {!suspend} (and on the synchronisation
-    primitives built on top of them — {!Condvar}, {!Mailbox}, {!Resource}),
-    at which point control returns to the scheduler. Between two blocking
-    points a process runs atomically, which is how the paper's "critical
-    sections" around commit are realised.
+    on {!delay}, {!park} or {!await} (and on {!Condvar}, {!Mailbox} and
+    {!Resource}, built on them), at which point control returns to the
+    scheduler. Between two blocking points a process runs atomically, which
+    is how the paper's "critical sections" around commit are realised.
+
+    An event is a callback or a bare continuation: a resumed process is
+    scheduled as the continuation the runtime captured, with no closure
+    around it. Events for a later instant wait in a heap. Events for the
+    current instant (every wake, resume and spawn: about half) go to the
+    {e lane}, a FIFO ring. Heap entries at the current instant were pushed
+    before the clock reached it, so running them, then the lane, then
+    advancing the clock is the order a single heap would give.
+
+    Waits: {!delay} holds for a duration; {!park}/{!wake} serve FIFO waits
+    that only a wake ends (a site's CPU queue); a one-shot wait ({!once})
+    serves a wait that a timer may end first or that returns a value (lock
+    waits, request/reply round trips, {!Mailbox.recv}).
 
     Time is measured in {b milliseconds} throughout the repository. *)
 
@@ -31,14 +44,15 @@ val events_executed : t -> int
 val spawn : t -> (unit -> unit) -> unit
 
 (** [spawn_at t time f] schedules process [f] to start at absolute [time].
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is in the past or NaN. *)
 val spawn_at : t -> float -> (unit -> unit) -> unit
 
 (** [at t time f] runs plain callback [f] at absolute [time].
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is in the past or NaN. *)
 val at : t -> float -> (unit -> unit) -> unit
 
-(** [after t d f] runs [f] after delay [d >= 0]. *)
+(** [after t d f] runs [f] after delay [d].
+    @raise Invalid_argument unless [d >= 0] (so also for NaN). *)
 val after : t -> float -> (unit -> unit) -> unit
 
 (** [step t] executes the single next scheduled event, advancing the clock
@@ -47,22 +61,20 @@ val after : t -> float -> (unit -> unit) -> unit
     @raise Stuck if the event's process raised an unhandled exception. *)
 val step : t -> unit
 
-(** [run t] executes events until the heap is empty.
+(** [run t] executes events until none is scheduled.
     @raise Stuck if a process raised an unhandled exception. *)
 val run : t -> unit
 
 (** [run_until t horizon] executes events with time [<= horizon], leaving the
-    clock at [horizon] (or at the last event if the heap drains first). *)
+    clock at [horizon] (or at the last event if no event is left). Nothing
+    runs if [horizon] is before the current time. *)
 val run_until : t -> float -> unit
 
 (** {1 Wait queues}
 
-    A wait queue parks processes in FIFO order until some other code wakes
-    them, one at a time, with {!wake}. Parking and waking allocate no
-    closure of their own, so it is the path for waits that happen on every
-    transaction, such as {!Resource}'s CPU queue. A parked process stays
-    parked until woken: a wait that can also end by a timeout, or that
-    returns a value, uses {!suspend}. *)
+    A wait queue parks processes in FIFO order until {!wake} resumes them,
+    one at a time. Parking and waking allocate nothing but the continuation
+    the runtime captures. *)
 
 type waitq
 
@@ -73,27 +85,48 @@ val waitq : t -> waitq
 (** Processes currently parked. *)
 val waiting : waitq -> int
 
-(** [wake q] re-schedules the longest-parked process at the current time,
-    as a one-shot [suspend] resume would, and returns [true]; [false] if
-    none is parked. *)
+(** [wake q] schedules the longest-parked process at the current time, as
+    {!fire} does, and returns [true]; [false] if none is parked. *)
 val wake : waitq -> bool
+
+(** {1 One-shot waits}
+
+    A one-shot wait parks one process until the first {!fire}: a wake, a
+    reply or a timer, whichever comes first. Later fires return [false], so
+    no timer needs cancelling. *)
+
+type 'a once
+
+(** [once ()] — a wait not yet fired, to be {!await}ed by the process that
+    made it before that process blocks on anything else. *)
+val once : unit -> 'a once
+
+(** [fire o v] — if [o] has not fired, record [v] and schedule its process
+    at the current time; returns whether this call won. A fire by the
+    waiting process itself, before it awaits, still makes it yield: it
+    resumes where the fire was among the instant's events. *)
+val fire : 'a once -> 'a -> bool
+
+(** [fired o] — some {!fire} on [o] has won. *)
+val fired : 'a once -> bool
 
 (** {1 Process-side operations} *)
 
 (** [delay d] blocks the calling process for [d] ms. Must be called from
     within a process.
-    @raise Invalid_argument if [d < 0]. *)
+    @raise Invalid_argument unless [d >= 0] (so also for NaN). *)
 val delay : float -> unit
 
 (** [park q] blocks the calling process on [q] until a {!wake} picks it. *)
 val park : waitq -> unit
 
-(** [suspend register] parks the calling process and hands a one-shot
-    [resume] function to [register]. Calling [resume v] re-schedules the
-    process at the current simulated time with result [v]; later calls are
-    ignored. It allocates a few closures per wait, and suits waits that a
-    timer may end first ({!Condvar.await_timeout}) or that return a value;
-    plain FIFO waits use {!park}. *)
+(** [await o] blocks the calling process until [o] fires and returns the
+    winning value. Each wait is awaited once. *)
+val await : 'a once -> 'a
+
+(** [suspend register] parks the calling process and hands [register] a
+    [resume] that fires a {!once}: [resume v] re-schedules the process at
+    the current time with result [v], and later calls are ignored. *)
 val suspend : (('a -> unit) -> unit) -> 'a
 
 (** Raised by {!run} when a process terminates with an unhandled exception. *)

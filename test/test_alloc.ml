@@ -8,6 +8,8 @@
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
+module Mailbox = Repdb_sim.Mailbox
+module Condvar = Repdb_sim.Condvar
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
 module Params = Repdb_workload.Params
@@ -124,7 +126,8 @@ let within_on_5_1 name ~budget words =
 (* One process blocking [calls] times; charged per delay, scheduling and
    resumption included: 20 words with a handler built per delay, 13 with
    one built per process, 10 once the duration travels through a
-   per-domain cell instead of the effect. *)
+   per-domain cell instead of the effect, 2 (the continuation the runtime
+   captures) once the heap holds it bare and no time is boxed. *)
 let test_sim_delay () =
   let sim = Sim.create () in
   Sim.spawn sim (fun () -> Sim.delay 1.0);
@@ -135,11 +138,12 @@ let test_sim_delay () =
         Sim.delay 1.0
       done);
   Sim.run sim;
-  within_on_5_1 "Sim.delay" ~budget:11.5 ((Gc.minor_words () -. before) /. float_of_int calls)
+  within_on_5_1 "Sim.delay" ~budget:2.3 ((Gc.minor_words () -. before) /. float_of_int calls)
 
 (* Two processes alternating on a capacity-1 resource, so every [use]
    after the first parks and is woken: 55 words per use with a queue of
-   [Sim.suspend] closures, 20 on a [Sim.waitq]. *)
+   [Sim.suspend] closures, 20 on a [Sim.waitq], 4 once wakes and delays
+   schedule the bare continuation. *)
 let test_resource_use () =
   let sim = Sim.create () in
   let cpu = Resource.create ~sim ~capacity:1 () in
@@ -155,8 +159,110 @@ let test_resource_use () =
   contend 1;
   let before = Gc.minor_words () in
   contend (calls / 2);
-  within_on_5_1 "Resource.use (contended)" ~budget:23.0
+  within_on_5_1 "Resource.use (contended)" ~budget:4.6
     ((Gc.minor_words () -. before) /. float_of_int calls)
+
+(* Words per cycle of a kernel scenario: [scenario sim n] sets up [n]
+   cycles, then the kernel runs dry. One short warm-up run first, on the
+   same kernel, so ring and heap growth is not charged. *)
+let kernel_words scenario =
+  let sim = Sim.create () in
+  scenario sim 64;
+  Sim.run sim;
+  let before = Gc.minor_words () in
+  scenario sim calls;
+  Sim.run sim;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* Two processes ping-pong through two wait queues at one instant, so each
+   cycle is one [park] and one [wake] served by the lane: 10 words with a
+   closure per wake, 2 (the captured continuation) without. *)
+let test_park_wake () =
+  let ping_pong sim n =
+    let qa = Sim.waitq sim and qb = Sim.waitq sim in
+    let player mine theirs () =
+      for _ = 1 to n do
+        ignore (Sim.wake theirs);
+        Sim.park mine
+      done;
+      ignore (Sim.wake theirs)
+    in
+    Sim.spawn sim (player qa qb);
+    Sim.spawn sim (player qb qa)
+  in
+  within_on_5_1 "park + wake" ~budget:2.3 (kernel_words ping_pong /. 2.0)
+
+(* Two processes alternate holding one exclusive lock for 1 ms under the
+   [Timeout] policy, so every acquire waits: the request, its wait and the
+   timeout timer, plus the hold's delay and the release. 93 words on
+   [Sim.suspend], 58 on a one-shot wait. *)
+let test_lock_wait () =
+  let alternate sim n =
+    let lm = Lock_mgr.create ~sim ~policy:(`Timeout 50.0) () in
+    let owner = ref 0 in
+    for _ = 1 to 2 do
+      Sim.spawn sim (fun () ->
+          for _ = 1 to n / 2 do
+            incr owner;
+            let me = !owner in
+            ignore (Sys.opaque_identity (Lock_mgr.acquire lm ~owner:me 0 Lock_mgr.Exclusive));
+            Sim.delay 1.0;
+            Lock_mgr.release_all lm ~owner:me
+          done)
+    done
+  in
+  within_on_5_1 "lock wait (Timeout), per acquire" ~budget:66.7 (kernel_words alternate)
+
+(* [Exec.request]'s kernel part: a wait ended by a reply 1 ms later, raced
+   by a deadline timer that loses. 53 words on [Sim.suspend], 25 on a
+   one-shot wait. *)
+let test_request_reply () =
+  let round_trips sim n =
+    Sim.spawn sim (fun () ->
+        for i = 1 to n do
+          let reply = Sim.once () in
+          Sim.after sim 1.0 (fun () -> ignore (Sim.fire reply i));
+          Sim.at sim (Sim.now sim +. 5.0) (fun () -> ignore (Sim.fire reply 0));
+          ignore (Sys.opaque_identity (Sim.await reply))
+        done)
+  in
+  within_on_5_1 "request/reply round trip" ~budget:28.8 (kernel_words round_trips)
+
+(* A receiver always finds the mailbox empty: the sender delays 1 ms, then
+   hands its value straight over. 59 words on [Sim.suspend], 19 on a
+   one-shot wait. *)
+let test_mailbox_recv () =
+  let hand_offs sim n =
+    let mb = Mailbox.create () in
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Mailbox.recv mb))
+        done);
+    Sim.spawn sim (fun () ->
+        for i = 1 to n do
+          Sim.delay 1.0;
+          Mailbox.send mb i
+        done)
+  in
+  within_on_5_1 "Mailbox.recv (empty), with the send" ~budget:21.9 (kernel_words hand_offs)
+
+(* A timed wait ended by a signal 1 ms later; the timer fires later and
+   loses. 67 words on [Sim.suspend], 21 on a one-shot wait. *)
+let test_condvar_await_timeout () =
+  let signals sim n =
+    let cv = Condvar.create () in
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Condvar.await_timeout sim cv 10.0))
+        done);
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          Sim.delay 1.0;
+          Condvar.signal cv
+        done)
+  in
+  within_on_5_1 "Condvar.await_timeout, with the signal" ~budget:24.2
+    (kernel_words signals)
 
 let () =
   Alcotest.run "alloc"
@@ -171,5 +277,10 @@ let () =
           Alcotest.test_case "trace record" `Quick test_trace_record;
           Alcotest.test_case "sim delay" `Quick test_sim_delay;
           Alcotest.test_case "contended resource use" `Quick test_resource_use;
+          Alcotest.test_case "park + wake" `Quick test_park_wake;
+          Alcotest.test_case "lock wait" `Quick test_lock_wait;
+          Alcotest.test_case "request/reply round trip" `Quick test_request_reply;
+          Alcotest.test_case "mailbox recv" `Quick test_mailbox_recv;
+          Alcotest.test_case "condvar await_timeout" `Quick test_condvar_await_timeout;
         ] );
     ]

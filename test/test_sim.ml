@@ -14,45 +14,53 @@ let checkb = Alcotest.(check bool)
 
 (* --- heap ---------------------------------------------------------------- *)
 
+(* The minimum's time, read the way the scheduler reads it. *)
+let top_time h =
+  let c = [| nan |] in
+  if Heap.due h c ~at_now:false infinity then c.(0) else invalid_arg "top_time: empty heap"
+
 let test_heap_order () =
   let h = Heap.create () in
-  List.iteri (fun seq t -> Heap.push h ~time:t ~seq (int_of_float t)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let out = List.init 5 (fun _ -> let _, _, v = Heap.pop_min h in v) in
+  List.iteri (fun seq t -> Heap.push h [| t |] ~seq (int_of_float t)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
+  let out = List.init 5 (fun _ -> Heap.pop_top h) in
   check Alcotest.(list int) "sorted" [ 1; 2; 3; 4; 5 ] out;
   checkb "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for seq = 0 to 9 do
-    Heap.push h ~time:1.0 ~seq seq
+    Heap.push h [| 1.0 |] ~seq seq
   done;
-  let out = List.init 10 (fun _ -> let _, _, v = Heap.pop_min h in v) in
+  let out = List.init 10 (fun _ -> Heap.pop_top h) in
   check Alcotest.(list int) "ties resolved FIFO" (List.init 10 Fun.id) out
 
 let test_heap_large () =
   let h = Heap.create () in
   let rng = Rng.create 1 in
   let times = List.init 1000 (fun i -> (Rng.float rng, i)) in
-  List.iter (fun (t, seq) -> Heap.push h ~time:t ~seq seq) times;
+  List.iter (fun (t, seq) -> Heap.push h [| t |] ~seq seq) times;
   checki "size" 1000 (Heap.size h);
   let rec drain last n =
     if Heap.is_empty h then n
     else begin
-      let t, _, _ = Heap.pop_min h in
+      let t = top_time h in
+      ignore (Heap.pop_top h);
       checkb "non-decreasing" true (t >= last);
       drain t (n + 1)
     end
   in
   checki "drained all" 1000 (drain neg_infinity 0);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
-      ignore (Heap.pop_min h));
-  checkb "pop_min_opt empty" true (Heap.pop_min_opt h = None)
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_top: empty heap") (fun () ->
+      ignore (Heap.pop_top h));
+  checki "size empty" 0 (Heap.size h)
 
 let test_heap_min_time () =
   let h = Heap.create () in
-  checkb "none" true (Heap.min_time h = None);
-  Heap.push h ~time:7.0 ~seq:0 ();
-  checkb "some" true (Heap.min_time h = Some 7.0)
+  let c = [| nan |] in
+  checkb "none" false (Heap.due h c ~at_now:false infinity);
+  Heap.push h [| 7.0 |] ~seq:0 ();
+  checkb "not due before it" false (Heap.due h c ~at_now:false 6.0);
+  checkb "some" true (Heap.due h c ~at_now:false infinity && c.(0) = 7.0)
 
 (* --- rng ----------------------------------------------------------------- *)
 
@@ -463,11 +471,12 @@ let prop_heap_sorts =
     QCheck2.Gen.(list_size (int_range 0 200) (float_bound_inclusive 1000.0))
     (fun times ->
       let h = Heap.create () in
-      List.iteri (fun seq t -> Heap.push h ~time:t ~seq t) times;
+      List.iteri (fun seq t -> Heap.push h [| t |] ~seq t) times;
       let rec drain last =
         if Heap.is_empty h then true
         else
-          let t, _, _ = Heap.pop_min h in
+          let t = top_time h in
+          ignore (Heap.pop_top h);
           t >= last && drain t
       in
       drain neg_infinity)
@@ -487,21 +496,500 @@ let prop_heap_matches_sorted_model =
       let model = List.sort compare entries in
       (* Push everything, pop a prefix mid-stream, push nothing more, drain:
          intermediate pops must already follow the model order. *)
-      List.iter (fun (time, seq) -> Heap.push h ~time ~seq seq) entries;
+      List.iter (fun (time, seq) -> Heap.push h [| time |] ~seq (time, seq)) entries;
       let n = List.length entries in
-      let popped =
-        List.init (min pops_mid n) (fun _ ->
-            let t, s, v = Heap.pop_min h in
-            (t, s, v))
+      let pop _ =
+        let t = top_time h in
+        (t, Heap.pop_top h)
       in
-      let rest =
-        List.init (Heap.size h) (fun _ ->
-            let t, s, v = Heap.pop_min h in
-            (t, s, v))
-      in
+      let popped = List.init (min pops_mid n) pop in
+      let rest = List.init (Heap.size h) pop in
       let got = popped @ rest in
       Heap.is_empty h
-      && List.for_all2 (fun (mt, ms) (t, s, v) -> mt = t && ms = s && ms = v) model got)
+      && List.for_all2 (fun (mt, ms) (t, (vt, vs)) -> mt = t && mt = vt && ms = vs) model got)
+
+(* --- reference kernel -------------------------------------------------------- *)
+
+(* The heap-only kernel that preceded the lane, copied verbatim less three
+   unused accessors: every event, same-instant ones included, goes through
+   one (time, seq) heap, and every resume is a closure. The lane kernel must
+   execute any script exactly as it does. *)
+module Ref_heap = struct
+  type 'a t = {
+    mutable times : float array;
+    mutable seqs : int array;
+    mutable vals : 'a array;
+    mutable len : int;
+  }
+
+  let create () = { times = [||]; seqs = [||]; vals = [||]; len = 0 }
+  let is_empty h = h.len = 0
+
+  let grow h v =
+    let cap = Array.length h.times in
+    if h.len = cap then begin
+      let ncap = if cap = 0 then 16 else cap * 2 in
+      let nt = Array.make ncap 0.0 in
+      let ns = Array.make ncap 0 in
+      let nv = Array.make ncap v in
+      Array.blit h.times 0 nt 0 h.len;
+      Array.blit h.seqs 0 ns 0 h.len;
+      Array.blit h.vals 0 nv 0 h.len;
+      h.times <- nt;
+      h.seqs <- ns;
+      h.vals <- nv
+    end
+
+  let push h ~time ~seq value =
+    grow h value;
+    let times = h.times and seqs = h.seqs and vals = h.vals in
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    (* Sift the hole up: parents larger than the new entry move down a level. *)
+    let moving = ref true in
+    while !moving && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pt = times.(p) in
+      if time < pt || (time = pt && seq < seqs.(p)) then begin
+        times.(!i) <- pt;
+        seqs.(!i) <- seqs.(p);
+        vals.(!i) <- vals.(p);
+        i := p
+      end
+      else moving := false
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    vals.(!i) <- value
+
+  let top_time h =
+    if h.len = 0 then invalid_arg "Heap.top_time: empty heap";
+    h.times.(0)
+
+  let pop_top h =
+    if h.len = 0 then invalid_arg "Heap.pop_top: empty heap";
+    let min_v = h.vals.(0) in
+    h.len <- h.len - 1;
+    let n = h.len in
+    if n > 0 then begin
+      let times = h.times and seqs = h.seqs and vals = h.vals in
+      (* Sift the root hole down: the smaller child moves up one level until
+         the old last leaf fits. *)
+      let time = times.(n) and seq = seqs.(n) and v = vals.(n) in
+      let i = ref 0 in
+      let moving = ref true in
+      while !moving do
+        let l = (2 * !i) + 1 in
+        if l >= n then moving := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if
+              r < n
+              && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+            then r
+            else l
+          in
+          if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
+            times.(!i) <- times.(c);
+            seqs.(!i) <- seqs.(c);
+            vals.(!i) <- vals.(c);
+            i := c
+          end
+          else moving := false
+        end
+      done;
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      vals.(!i) <- v;
+      (* Drop the freed slot's payload reference so popped closures are not
+         retained by the heap (duplicate a live value instead). *)
+      vals.(n) <- vals.(0)
+    end;
+    min_v
+end
+
+module Ref_sim = struct
+  open Effect.Deep
+
+  type t = {
+    clock : float array;
+        (* One-element flat float array: a [mutable clock : float] field in a
+           mixed record is boxed, so every clock advance would allocate. *)
+    mutable seq : int;
+    mutable executed : int;
+    events : (unit -> unit) Ref_heap.t;
+  }
+
+  (* A FIFO ring of parked continuations. [park] is the effect value and
+     [on_park] its handler, both allocated once with the queue, so parking
+     allocates only the continuation the runtime captures. The ring's
+     capacity is a power of two; slots outside [head, head + len) keep
+     continuations that were already resumed, which hold no stack. *)
+  type waitq = {
+    sim : t;
+    mutable ring : (unit, unit) continuation array;
+    mutable head : int;
+    mutable len : int;
+    park : unit Effect.t;
+    on_park : ((unit, unit) continuation -> unit) option;
+  }
+
+  type _ Effect.t +=
+    | Delay : unit Effect.t
+    | Park : waitq -> unit Effect.t
+    | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+
+  exception Stuck of exn
+
+  let create () = { clock = [| 0.0 |]; seq = 0; executed = 0; events = Ref_heap.create () }
+
+  let now t = t.clock.(0)
+  let events_executed t = t.executed
+
+  let schedule t time fn =
+    t.seq <- t.seq + 1;
+    Ref_heap.push t.events ~time ~seq:t.seq fn
+
+  let at t time fn =
+    if time < t.clock.(0) then invalid_arg "Sim.at: time is in the past";
+    schedule t time fn
+
+  let after t d fn =
+    if d < 0.0 then invalid_arg "Sim.after: negative delay";
+    schedule t (t.clock.(0) +. d) fn
+
+  (* --- wait queues ------------------------------------------------------------ *)
+
+  let push q k =
+    let cap = Array.length q.ring in
+    if q.len = cap then begin
+      let ring = Array.make (if cap = 0 then 8 else 2 * cap) k in
+      for i = 0 to q.len - 1 do
+        ring.(i) <- q.ring.((q.head + i) land (cap - 1))
+      done;
+      q.ring <- ring;
+      q.head <- 0
+    end;
+    q.ring.((q.head + q.len) land (Array.length q.ring - 1)) <- k;
+    q.len <- q.len + 1
+
+  let waitq sim =
+    let rec q =
+      { sim; ring = [||]; head = 0; len = 0; park = Park q; on_park = Some (fun k -> push q k) }
+    in
+    q
+
+
+  let wake q =
+    if q.len = 0 then false
+    else begin
+      let k = q.ring.(q.head) in
+      q.head <- (q.head + 1) land (Array.length q.ring - 1);
+      q.len <- q.len - 1;
+      let t = q.sim in
+      schedule t t.clock.(0) (fun () -> continue k ());
+      true
+    end
+
+  (* --- processes ---------------------------------------------------------------- *)
+
+  (* [delay]'s duration travels through this per-domain cell rather than in
+     the effect, so [Delay] is a constant. Per domain, not global: pools run
+     kernels on several domains at once. The handler runs on the performing
+     domain right after [perform], before the process can delay again. *)
+  let delay_arg = Domain.DLS.new_key (fun () -> [| 0.0 |])
+
+  (* Run [f] as a process: effects [Delay], [Park] and [Suspend] park the
+     computation and re-enter through the event heap. The handler is
+     installed deeply, so resumed continuations keep it. [Delay]'s handler
+     is built once per process and [Park]'s once per queue. *)
+  let run_process t f =
+    let on_delay =
+      Some
+        (fun (k : (unit, unit) continuation) ->
+          schedule t (t.clock.(0) +. (Domain.DLS.get delay_arg).(0)) (fun () -> continue k ()))
+    in
+    match_with f ()
+      {
+        retc = (fun () -> ());
+        exnc =
+          (fun e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Printexc.raise_with_backtrace (Stuck e) bt);
+        effc =
+          (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+            match eff with
+            | Delay -> on_delay
+            | Park q -> q.on_park
+            | Suspend register ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    let resumed = ref false in
+                    let resume v =
+                      if not !resumed then begin
+                        resumed := true;
+                        schedule t t.clock.(0) (fun () -> continue k v)
+                      end
+                    in
+                    register resume)
+            | _ -> None);
+      }
+
+  let spawn t f = schedule t t.clock.(0) (fun () -> run_process t f)
+
+  let spawn_at t time f =
+    if time < t.clock.(0) then invalid_arg "Sim.spawn_at: time is in the past";
+    schedule t time (fun () -> run_process t f)
+
+  let step t =
+    if Ref_heap.is_empty t.events then invalid_arg "Sim.step: no scheduled events";
+    t.clock.(0) <- Ref_heap.top_time t.events;
+    t.executed <- t.executed + 1;
+    (Ref_heap.pop_top t.events) ()
+
+  let run t =
+    while not (Ref_heap.is_empty t.events) do
+      t.clock.(0) <- Ref_heap.top_time t.events;
+      t.executed <- t.executed + 1;
+      (Ref_heap.pop_top t.events) ()
+    done
+
+  let run_until t horizon =
+    let events = t.events in
+    while (not (Ref_heap.is_empty events)) && Ref_heap.top_time events <= horizon do
+      t.clock.(0) <- Ref_heap.top_time events;
+      t.executed <- t.executed + 1;
+      (Ref_heap.pop_top events) ()
+    done;
+    if (not (Ref_heap.is_empty events)) && t.clock.(0) < horizon then t.clock.(0) <- horizon
+
+  let delay d =
+    if d < 0.0 then invalid_arg "Sim.delay: negative delay";
+    (Domain.DLS.get delay_arg).(0) <- d;
+    Effect.perform Delay
+
+  let park q = Effect.perform q.park
+  let suspend register = Effect.perform (Suspend register)
+end
+
+(* Random scripts run on both kernels through one interpreter. Times come
+   from a small set, so events tie at one instant; the driver interleaves
+   [run], [step] and [run_until] at horizons before, at and after pending
+   instants. Every event and process step logs its tag and [now]. *)
+module type KERNEL = sig
+  type t
+  type waitq
+
+  val create : unit -> t
+  val now : t -> float
+  val events_executed : t -> int
+  val spawn : t -> (unit -> unit) -> unit
+  val spawn_at : t -> float -> (unit -> unit) -> unit
+  val at : t -> float -> (unit -> unit) -> unit
+  val after : t -> float -> (unit -> unit) -> unit
+  val step : t -> unit
+  val run : t -> unit
+  val run_until : t -> float -> unit
+  val waitq : t -> waitq
+  val wake : waitq -> bool
+  val delay : float -> unit
+  val park : waitq -> unit
+  val suspend : ((string -> unit) -> unit) -> string
+
+  (* A one-shot wait: [register fire] sets it up before the process blocks,
+     and may fire it at once. *)
+  val oneshot : ((string -> unit) -> unit) -> string
+end
+
+(* Actions run by a callback or a process. *)
+type act = Note | Wake of int | Fire
+
+type op =
+  | Act of act
+  | Delay of float
+  | Park of int
+  | Spawn of op list
+  | Call_at of float * act (* [at (now + dt)] *)
+  | Call_after of float * act
+  | Suspend of float (* resumed by a [Fire] or a timer *)
+  | Once of float option * bool (* optional timer; fired by itself first *)
+
+type top =
+  | Start of float * op list (* [spawn_at (now + dt)], [spawn] if [dt = 0] *)
+  | Top_call of float * act
+  | Run
+  | Step
+  | Until of float (* [run_until (now + dt)] *)
+
+module Interp (K : KERNEL) = struct
+  let run script =
+    let sim = K.create () in
+    let log = ref [] in
+    let note tag = log := (tag, K.now sim) :: !log in
+    let qs = Array.init 2 (fun _ -> K.waitq sim) in
+    let fires = Queue.create () in
+    let fresh = ref 0 in
+    let act tag = function
+      | Note -> note tag
+      | Wake i -> note (Printf.sprintf "%s wake%d %b" tag i (K.wake qs.(i)))
+      | Fire -> (
+          note (tag ^ " fire");
+          match Queue.take_opt fires with Some f -> f tag | None -> ())
+    in
+    let rec proc name ops =
+      List.iteri
+        (fun i op ->
+          let tag = Printf.sprintf "%s.%d" name i in
+          (match op with
+          | Act a -> act tag a
+          | Delay d -> K.delay d
+          | Park i -> K.park qs.(i)
+          | Spawn ops ->
+              incr fresh;
+              let child = Printf.sprintf "%s/%d" name !fresh in
+              K.spawn sim (fun () -> proc child ops)
+          | Call_at (dt, a) -> K.at sim (K.now sim +. dt) (fun () -> act tag a)
+          | Call_after (d, a) -> K.after sim d (fun () -> act tag a)
+          | Suspend d ->
+              let v =
+                K.suspend (fun resume ->
+                    Queue.add resume fires;
+                    K.after sim d (fun () -> resume "timer"))
+              in
+              note (tag ^ " got " ^ v)
+          | Once (timer, self) ->
+              let v =
+                K.oneshot (fun fire ->
+                    Queue.add fire fires;
+                    Option.iter (fun d -> K.after sim d (fun () -> fire "timer")) timer;
+                    if self then fire "self")
+              in
+              note (tag ^ " got " ^ v));
+          note (tag ^ " done"))
+        ops
+    in
+    List.iteri
+      (fun i top ->
+        let name = Printf.sprintf "p%d" i in
+        match top with
+        | Start (0.0, ops) -> K.spawn sim (fun () -> proc name ops)
+        | Start (dt, ops) -> K.spawn_at sim (K.now sim +. dt) (fun () -> proc name ops)
+        | Top_call (dt, a) -> K.at sim (K.now sim +. dt) (fun () -> act name a)
+        | Run -> K.run sim
+        | Step -> ( try K.step sim with Invalid_argument _ -> note "step on empty")
+        | Until dt -> K.run_until sim (K.now sim +. dt))
+      script;
+    K.run sim;
+    (List.rev !log, K.events_executed sim, K.now sim)
+end
+
+module Lane_run = Interp (struct
+  include Sim
+
+  let oneshot register =
+    let o = Sim.once () in
+    register (fun v -> ignore (Sim.fire o v));
+    Sim.await o
+end)
+
+module Ref_run = Interp (struct
+  include Ref_sim
+
+  let oneshot = Ref_sim.suspend
+end)
+
+let gen_script =
+  let open QCheck2.Gen in
+  let dt = oneofl [ 0.0; 0.0; 1.0; 2.5 ] in
+  let act = oneof [ pure Note; map (fun i -> Wake i) (int_bound 1); pure Fire ] in
+  let op =
+    fix
+      (fun self depth ->
+        let base =
+          [
+            map (fun a -> Act a) act;
+            map (fun d -> Delay d) dt;
+            map (fun i -> Park i) (int_bound 1);
+            map2 (fun d a -> Call_at (d, a)) dt act;
+            map2 (fun d a -> Call_after (d, a)) dt act;
+            map (fun d -> Suspend d) (oneofl [ 0.0; 1.0; 2.5; 50.0 ]);
+            map2 (fun d s -> Once (d, s)) (opt dt) bool;
+          ]
+        in
+        if depth = 0 then oneof base
+        else
+          let spawn = map (fun ops -> Spawn ops) (list_size (int_bound 4) (self (depth - 1))) in
+          oneof (spawn :: base))
+      2
+  in
+  let top =
+    oneof
+      [
+        map2 (fun d ops -> Start (d, ops)) dt (list_size (int_bound 6) op);
+        map2 (fun d a -> Top_call (d, a)) dt act;
+        pure Run;
+        pure Step;
+        pure Step;
+        map (fun d -> Until d) (oneofl [ -1.0; 0.0; 0.5; 1.0; 2.5; 10.0 ]);
+      ]
+  in
+  list_size (int_range 1 25) top
+
+let prop_lane_matches_reference =
+  QCheck2.Test.make ~name:"lane kernel matches heap-only reference" ~count:1000 gen_script
+    (fun script -> Lane_run.run script = Ref_run.run script)
+
+(* Each kernel entry point refuses a NaN time: [nan < now] is false, so a
+   plain past-time test let NaN into the heap, whose order it corrupts. *)
+let rejects_nan name msg f =
+  Alcotest.test_case name `Quick (fun () ->
+      let sim = Sim.create () in
+      Sim.at sim 1.0 ignore;
+      Alcotest.check_raises name (Invalid_argument msg) (fun () -> f sim);
+      Sim.run sim;
+      checki "only the valid event ran" 1 (Sim.events_executed sim))
+
+let nan_cases =
+  [
+    rejects_nan "at nan" "Sim.at: time is in the past" (fun sim -> Sim.at sim nan ignore);
+    rejects_nan "after nan" "Sim.after: negative delay" (fun sim -> Sim.after sim nan ignore);
+    rejects_nan "spawn_at nan" "Sim.spawn_at: time is in the past" (fun sim ->
+        Sim.spawn_at sim nan ignore);
+    Alcotest.test_case "delay nan" `Quick (fun () ->
+        let sim = Sim.create () in
+        Sim.spawn sim (fun () -> Sim.delay nan);
+        match Sim.run sim with
+        | exception Sim.Stuck (Invalid_argument m) ->
+            Alcotest.(check string) "message" "Sim.delay: negative delay" m
+        | () -> Alcotest.fail "expected Stuck");
+  ]
+
+let test_once () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let o = Sim.once () in
+  let await o =
+    let v = Sim.await o in
+    log := (v, Sim.now sim) :: !log
+  in
+  Sim.spawn sim (fun () -> await o);
+  Sim.after sim 2.0 (fun () ->
+      checkb "first fire wins" true (Sim.fire o "wake");
+      checkb "fired" true (Sim.fired o));
+  Sim.after sim 2.0 (fun () -> checkb "second fire loses" false (Sim.fire o "timer"));
+  (* Fired by its own process before it awaits: it still yields first. *)
+  Sim.spawn sim (fun () ->
+      let o = Sim.once () in
+      checkb "early fire wins" true (Sim.fire o "self");
+      Sim.after sim 0.0 (fun () -> log := ("queued after the fire", Sim.now sim) :: !log);
+      await o);
+  Sim.run sim;
+  check
+    Alcotest.(list (pair string (float 1e-9)))
+    "values and order"
+    [ ("self", 0.0); ("queued after the fire", 0.0); ("wake", 2.0) ]
+    (List.rev !log)
 
 let test_step_empty () =
   let sim = Sim.create () in
@@ -542,7 +1030,10 @@ let () =
           Alcotest.test_case "suspend value" `Quick test_suspend_value;
           Alcotest.test_case "events executed" `Quick test_events_executed;
           Alcotest.test_case "step on empty" `Quick test_step_empty;
-        ] );
+          Alcotest.test_case "one-shot wait" `Quick test_once;
+          QCheck_alcotest.to_alcotest prop_lane_matches_reference;
+        ]
+        @ nan_cases );
       ( "condvar",
         [
           Alcotest.test_case "signal FIFO" `Quick test_condvar_signal_fifo;
