@@ -456,9 +456,7 @@ let report_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:
-            "Write the report to $(docv): a self-contained HTML page with inline SVG charts if \
-             $(docv) ends in $(b,.html), markdown otherwise. Default: markdown on stdout.")
+          ~doc:"Write the markdown report to $(docv) instead of stdout.")
   in
   let run src out =
     let content = In_channel.with_open_bin src In_channel.input_all in
@@ -467,13 +465,10 @@ let report_cmd =
         Fmt.epr "error: %s: %s@." src msg;
         exit 1
     | Ok t -> (
+        let body = Repdb_obs.Report.to_markdown t in
         match out with
-        | None -> print_string (Repdb_obs.Report.to_markdown t)
+        | None -> print_string body
         | Some dest ->
-            let body =
-              if Filename.check_suffix dest ".html" then Repdb_obs.Report.to_html t
-              else Repdb_obs.Report.to_markdown t
-            in
             (match open_out dest with
             | exception Sys_error msg ->
                 Fmt.epr "error: cannot write report: %s@." msg;
@@ -485,8 +480,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render a timeline CSV as a report: per-site replication-lag sparklines, throughput \
-          and activity tables (markdown), or a single-file HTML page with inline SVG charts.")
+         "Render a timeline CSV as a markdown report: per-site replication-lag sparklines, \
+          throughput and activity tables.")
     Term.(const run $ src $ out)
 
 (* --- protocols / table1 ------------------------------------------------------ *)

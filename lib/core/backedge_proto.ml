@@ -1,6 +1,5 @@
 module Sim = Repdb_sim.Sim
 module Condvar = Repdb_sim.Condvar
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Digraph = Repdb_graph.Digraph
@@ -229,17 +228,6 @@ let handle_direct t site msg =
       | _ -> ());
       Cluster.dec_outstanding c
 
-let direct_server t site =
-  let inbox = Network.inbox t.direct_net site in
-  let rec loop () =
-    let _, msg = Mailbox.recv inbox in
-    (* Each request runs in its own process: Exec_request can block on locks
-       and must not hold up Decide / Exec_failed traffic behind it. *)
-    Sim.spawn t.c.sim (fun () -> handle_direct t site msg);
-    loop ()
-  in
-  loop ()
-
 (* --- construction -------------------------------------------------------- *)
 
 (* Every copy-graph edge must connect tree-comparable sites: descendants get
@@ -277,10 +265,13 @@ let make_with_tree (c : Cluster.t) ~retree tr =
     }
   in
   (* A timed-out lock wait of an update is the paper's deadlock signal:
-     victimise the blockers after every failed round. *)
+     victimise the blockers after every failed round. Each direct request
+     runs in its own process: Exec_request can block on locks and must not
+     hold up Decide / Exec_failed traffic behind it. *)
   for site = 0 to m - 1 do
     Tree_channel.spawn_applier ~on_retry:(victimise t) t.ch ~on_extra:(on_special t) site;
-    Sim.spawn c.sim (fun () -> direct_server t site)
+    Network.serve t.direct_net site (fun ~src:_ msg ->
+        Sim.spawn c.sim (fun () -> handle_direct t site msg))
   done;
   t
 

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -43,21 +42,13 @@ let serve_certify t ~src ~reads ~writes ~reply =
   let ok = decide t ~reads ~writes in
   Network.send t.net ~src:central_site ~dst:src (Certify_reply { ok; deliver = reply })
 
-let cert_server t site =
-  let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
-    | Certify { reads; writes; reply } ->
-        (* The request's outstanding count carries over to the reply. *)
-        Sim.spawn c.sim (fun () -> serve_certify t ~src ~reads ~writes ~reply)
-    | Certify_reply { ok; deliver } ->
-        Cluster.dec_outstanding c;
-        deliver ok);
-    loop ()
-  in
-  loop ()
+let handle t ~src = function
+  | Certify { reads; writes; reply } ->
+      (* The request's outstanding count carries over to the reply. *)
+      Sim.spawn t.c.sim (fun () -> serve_certify t ~src ~reads ~writes ~reply)
+  | Certify_reply { ok; deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver ok
 
 let create (c : Cluster.t) =
   let t =
@@ -75,8 +66,8 @@ let create (c : Cluster.t) =
      certification order (concurrent application could invert two updates
      that overlap on some items but not others). *)
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> cert_server t site);
-    Sim.spawn c.sim (fun () -> Exec.update_applier c t.update_net site)
+    Network.serve t.net site (handle t);
+    Exec.update_applier c t.update_net site
   done;
   t
 

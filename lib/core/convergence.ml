@@ -21,7 +21,3 @@ let check (c : Cluster.t) =
       placement.replicas.(item)
   done;
   !acc
-
-let pp_divergence ppf d =
-  Fmt.pf ppf "item %d at site %d: primary=%a replica=%a" d.item d.site Value.pp d.primary_value
-    Value.pp d.replica_value

@@ -14,5 +14,3 @@ type divergence = {
 
 (** All divergent copies; empty means converged. *)
 val check : Cluster.t -> divergence list
-
-val pp_divergence : Format.formatter -> divergence -> unit

@@ -38,7 +38,6 @@ type t = {
   pipelined : bool;
 }
 
-let ranks t = t.rank
 let site_timestamp t site = t.states.(site).ts
 
 (* Pick the parent queue whose head has the minimum timestamp; None unless

@@ -23,8 +23,5 @@ include Protocol.S
     timestamp evolves exactly as in the serial applier. *)
 val create_pipelined : Cluster.t -> t
 
-(** Topological rank used as the timestamp site order ([rank t.(site)]). *)
-val ranks : t -> int array
-
 (** Current site timestamp (for tests/examples). *)
 val site_timestamp : t -> int -> Timestamp.t

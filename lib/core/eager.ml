@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
@@ -60,27 +59,20 @@ let decide t site ~owner ~gid ~commit ~origin_commit =
   Lock_mgr.release_all c.locks.(site) ~owner;
   Cluster.dec_outstanding c
 
-let server t site =
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
-    | Wlock_request { item; owner; reply } ->
-        Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~owner ~reply)
-    | Wlock_reply { granted; deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver granted
-    | Prepare { owner = _; reply } ->
-        (* Locks are already held and writes staged: always vote yes. *)
-        Network.send t.net ~src:site ~dst:src (Prepare_ack { deliver = reply })
-    | Prepare_ack { deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver ()
-    | Decide { owner; gid; commit; origin_commit } ->
-        Sim.spawn t.c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit));
-    loop ()
-  in
-  loop ()
+let handle t site ~src = function
+  | Wlock_request { item; owner; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~owner ~reply)
+  | Wlock_reply { granted; deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver granted
+  | Prepare { owner = _; reply } ->
+      (* Locks are already held and writes staged: always vote yes. *)
+      Network.send t.net ~src:site ~dst:src (Prepare_ack { deliver = reply })
+  | Prepare_ack { deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver ()
+  | Decide { owner; gid; commit; origin_commit } ->
+      Sim.spawn t.c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit)
 
 let create (c : Cluster.t) =
   let net = Cluster.make_net c in
@@ -93,7 +85,7 @@ let create (c : Cluster.t) =
     }
   in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> server t site)
+    Network.serve net site (handle t site)
   done;
   t
 

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Condvar = Repdb_sim.Condvar
 module Network = Repdb_net.Network
 module Store = Repdb_store.Store
@@ -136,19 +135,13 @@ let switch t kind ?(admit = fun () -> true) next =
 
 (* --- the operator plan ----------------------------------------------------- *)
 
-let receive_server t site =
+let receive t site ~src (x : xfer) =
   let c = t.c in
-  let inbox = Network.inbox (Option.get t.net) site in
-  let rec loop () =
-    let src, (x : xfer) = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    Store.install c.stores.(site) x.item x.value;
-    c.epoch.state_transfers <- c.epoch.state_transfers + 1;
-    Metrics.emit c.metrics (Event.State_transfer { item = x.item; src; dst = site });
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
+  Cluster.use_cpu c site c.params.cpu_msg;
+  Store.install c.stores.(site) x.item x.value;
+  c.epoch.state_transfers <- c.epoch.state_transfers + 1;
+  Metrics.emit c.metrics (Event.State_transfer { item = x.item; src; dst = site });
+  Cluster.dec_outstanding c
 
 let execute_step t (ts : Reconfig.timed) =
   let c = t.c and e = t.c.epoch in
@@ -165,9 +158,10 @@ let schedule (c : Cluster.t) ~reconfigure ~gen =
   let plan = c.params.reconfig in
   if Reconfig.is_empty plan then { c; net = None; reconfigure; gen }
   else begin
-    let t = { c; net = Some (Cluster.make_net c ~describe:describe_xfer); reconfigure; gen } in
+    let net = Cluster.make_net c ~describe:describe_xfer in
+    let t = { c; net = Some net; reconfigure; gen } in
     for site = 0 to c.params.n_sites - 1 do
-      Sim.spawn c.sim (fun () -> receive_server t site)
+      Network.serve net site (receive t site)
     done;
     Sim.spawn c.sim (fun () ->
         List.iter

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Txn = Repdb_txn.Txn
 module History = Repdb_txn.History
 module Lock_mgr = Repdb_lock.Lock_mgr
@@ -125,16 +124,11 @@ let send_updates (c : Cluster.t) net ~site ~gid writes =
       Network.send net ~src:site ~dst { gid; writes; origin_commit })
 
 let update_applier (c : Cluster.t) net site =
-  let inbox = Network.inbox net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    let items = Placement.local_replicas c.placement site u.writes in
-    apply_secondary c ~gid:u.gid ~site ~origin_commit:u.origin_commit items;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
+  Network.serve net site (fun ~src:_ u ->
+      Cluster.use_cpu c site c.params.cpu_msg;
+      let items = Placement.local_replicas c.placement site u.writes in
+      apply_secondary c ~gid:u.gid ~site ~origin_commit:u.origin_commit items;
+      Cluster.dec_outstanding c)
 
 (* --- versioned (optimistic) updates --------------------------------------- *)
 
@@ -181,19 +175,15 @@ let commit_versioned ?on_install (c : Cluster.t) net ~site ~gid ~commit_ts vwrit
   end
 
 let versioned_applier ?on_install (c : Cluster.t) net site =
-  let inbox = Network.inbox net site in
-  let rec loop () =
-    let _, u = Mailbox.recv inbox in
-    Cluster.use_cpu c site c.params.cpu_msg;
-    assert (u.u_epoch = Epoch.current c);
-    let local = Placement.local_replicas c.placement site (List.map fst u.u_writes) in
-    if local <> [] then begin
-      install_versions ?on_install ~only:local c ~gid:u.u_gid ~site ~commit_ts:u.u_commit_ts
-        u.u_writes;
-      Metrics.secondary_commit c.metrics ~gid:u.u_gid ~site;
-      Metrics.propagation c.metrics ~gid:u.u_gid ~site ~delay:(Sim.now c.sim -. u.u_origin_commit)
-    end;
-    Cluster.dec_outstanding c;
-    loop ()
-  in
-  loop ()
+  Network.serve net site (fun ~src:_ u ->
+      Cluster.use_cpu c site c.params.cpu_msg;
+      assert (u.u_epoch = Epoch.current c);
+      let local = Placement.local_replicas c.placement site (List.map fst u.u_writes) in
+      if local <> [] then begin
+        install_versions ?on_install ~only:local c ~gid:u.u_gid ~site ~commit_ts:u.u_commit_ts
+          u.u_writes;
+        Metrics.secondary_commit c.metrics ~gid:u.u_gid ~site;
+        Metrics.propagation c.metrics ~gid:u.u_gid ~site
+          ~delay:(Sim.now c.sim -. u.u_origin_commit)
+      end;
+      Cluster.dec_outstanding c)

@@ -115,9 +115,10 @@ type update = { gid : int; writes : int list; origin_commit : float }
 val send_updates :
   Cluster.t -> update Repdb_net.Network.t -> site:int -> gid:int -> int list -> unit
 
-(** [update_applier c net site] — [site]'s applier process: receive updates
-    from [net] in FIFO order, charging [cpu_msg] each, and {!apply_secondary}
-    the locally placed items. Never returns. *)
+(** [update_applier c net site] spawns [site]'s applier process
+    ({!Repdb_net.Network.serve}): receive updates from [net] in FIFO order,
+    charging [cpu_msg] each, and {!apply_secondary} the locally placed
+    items. *)
 val update_applier : Cluster.t -> update Repdb_net.Network.t -> int -> unit
 
 (** {1 Versioned updates (optimistic protocols)} *)
@@ -147,8 +148,8 @@ val commit_versioned :
   (int * int) list ->
   unit
 
-(** [versioned_applier ?on_install c net site] — [site]'s applier process:
-    install each update's versions of locally placed items, in FIFO order.
-    Never returns. *)
+(** [versioned_applier ?on_install c net site] spawns [site]'s applier
+    process ({!Repdb_net.Network.serve}): install each update's versions of
+    locally placed items, in FIFO order. *)
 val versioned_applier :
   ?on_install:on_install -> Cluster.t -> versioned_update Repdb_net.Network.t -> int -> unit

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
@@ -46,37 +45,27 @@ let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
   Exec.apply_secondary c ~gid ~site ~origin_commit items;
   Network.send t.net ~src:site ~dst:src (Push_ack { deliver = reply })
 
-let server t site =
-  let inbox = Network.inbox t.net site in
-  let handle src msg =
-    match msg with
-    | Read_request { item; owner; reply } ->
-        Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
-    | Read_reply { granted; deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver granted
-    | Push { gid; writes; origin_commit; reply } ->
-        Sim.spawn t.c.sim (fun () -> serve_push t site ~src ~gid ~writes ~origin_commit ~reply)
-    | Push_ack { deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver ()
-    | Release { owner } ->
-        Sim.spawn t.c.sim (fun () ->
-            Cluster.use_cpu t.c site t.c.params.cpu_msg;
-            Lock_mgr.release_all t.c.locks.(site) ~owner;
-            Cluster.dec_outstanding t.c)
-  in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    handle src msg;
-    loop ()
-  in
-  loop ()
+let handle t site ~src = function
+  | Read_request { item; owner; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
+  | Read_reply { granted; deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver granted
+  | Push { gid; writes; origin_commit; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_push t site ~src ~gid ~writes ~origin_commit ~reply)
+  | Push_ack { deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver ()
+  | Release { owner } ->
+      Sim.spawn t.c.sim (fun () ->
+          Cluster.use_cpu t.c site t.c.params.cpu_msg;
+          Lock_mgr.release_all t.c.locks.(site) ~owner;
+          Cluster.dec_outstanding t.c)
 
 let create (c : Cluster.t) =
   let t = { c; net = Cluster.make_net c; remote = 0 } in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> server t site)
+    Network.serve t.net site (handle t site)
   done;
   t
 

@@ -1,4 +1,3 @@
-module Sim = Repdb_sim.Sim
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
 
@@ -10,7 +9,7 @@ type t = { c : Cluster.t; net : Exec.update Network.t }
 let create (c : Cluster.t) =
   let net = Cluster.make_net c in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> Exec.update_applier c net site)
+    Exec.update_applier c net site
   done;
   { c; net }
 

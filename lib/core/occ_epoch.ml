@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
@@ -31,9 +30,6 @@ type t = {
   validator : Validator.t;
   queues : pending list ref array; (* per site, reversed arrival order *)
 }
-
-let validated t = Validator.validated t.validator
-let rejected t = Validator.rejected t.validator
 
 (* Certified writes are applied at the origin primary by the server, not the
    waiting client: a client whose deadline fired mid-epoch has already been
@@ -75,23 +71,15 @@ let serve_batch t ~src txns =
 (* Per-site server: the validator site serves batches, every site applies its
    own verdicts. Processing blocks the loop on purpose — arrival order is
    validation order is apply order. *)
-let server t site =
-  let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
-    | Batch { epoch; txns } ->
-        assert (site = validator_site);
-        assert (epoch = Epoch.current c);
-        serve_batch t ~src txns
-    | Verdicts { epoch; results } ->
-        Cluster.dec_outstanding c;
-        assert (epoch = Epoch.current c);
-        apply_verdicts t ~site results);
-    loop ()
-  in
-  loop ()
+let handle t site ~src = function
+  | Batch { epoch; txns } ->
+      assert (site = validator_site);
+      assert (epoch = Epoch.current t.c);
+      serve_batch t ~src txns
+  | Verdicts { epoch; results } ->
+      Cluster.dec_outstanding t.c;
+      assert (epoch = Epoch.current t.c);
+      apply_verdicts t ~site results
 
 (* Flush a site's buffered transactions as one batch to the validator. Runs
    in its own process (CPU waits block); the validator site validates its own
@@ -127,8 +115,8 @@ let create (c : Cluster.t) =
     }
   in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> server t site);
-    Sim.spawn c.sim (fun () -> Exec.versioned_applier c t.update_net site)
+    Network.serve t.net site (handle t site);
+    Exec.versioned_applier c t.update_net site
   done;
   (* Epoch boundaries are global instants (k * occ_epoch_ms): every site
      flushes at the same boundary, in site order. The ticker keeps firing

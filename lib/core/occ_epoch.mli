@@ -17,8 +17,3 @@
     checked. *)
 
 include Protocol.S
-
-(** Transactions validated (accepted) and rejected so far. *)
-val validated : t -> int
-
-val rejected : t -> int

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Lock_mgr = Repdb_lock.Lock_mgr
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
@@ -45,24 +44,17 @@ let serve_read t site ~src ~item ~owner ~reply =
       respond true
   | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
 
-let server t site =
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
-    | Read_request { item; owner; reply } ->
-        Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
-    | Read_reply { granted; deliver } ->
-        Cluster.dec_outstanding t.c;
-        deliver granted
-    | Release { owner } ->
-        Sim.spawn t.c.sim (fun () ->
-            Cluster.use_cpu t.c site t.c.params.cpu_msg;
-            Lock_mgr.release_all t.c.locks.(site) ~owner;
-            Cluster.dec_outstanding t.c));
-    loop ()
-  in
-  loop ()
+let handle t site ~src = function
+  | Read_request { item; owner; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
+  | Read_reply { granted; deliver } ->
+      Cluster.dec_outstanding t.c;
+      deliver granted
+  | Release { owner } ->
+      Sim.spawn t.c.sim (fun () ->
+          Cluster.use_cpu t.c site t.c.params.cpu_msg;
+          Lock_mgr.release_all t.c.locks.(site) ~owner;
+          Cluster.dec_outstanding t.c)
 
 let describe_msg = function
   | Read_request _ -> ("read-request", 24)
@@ -78,7 +70,7 @@ let create (c : Cluster.t) =
   in
   let t = { c; net; remote = 0; apply_mtime } in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> server t site)
+    Network.serve net site (handle t site)
   done;
   t
 

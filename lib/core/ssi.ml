@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module History = Repdb_txn.History
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
@@ -33,11 +32,7 @@ type t = {
   update_net : Exec.versioned_update Network.t;
   tracker : Tracker.t;
   mv : Mvstore.t array; (* per-site version chains beside the flat stores *)
-  mutable remote : int;
 }
-
-(* Remote (available-copies) snapshot reads performed so far. *)
-let remote_reads t = t.remote
 
 (* Every installed version, at the origin or a replica, also extends the
    site's version chain. *)
@@ -52,42 +47,35 @@ let apply_commit t ~site ~gid ~commit_ts vwrites =
   Exec.commit_versioned ~on_install:(append_version t) t.c t.update_net ~site ~gid ~commit_ts
     vwrites
 
-let server t site =
+let handle t site ~src msg =
   let c = t.c in
-  let inbox = Network.inbox t.net site in
-  let rec loop () =
-    let src, msg = Mailbox.recv inbox in
-    (match msg with
-    | Snap_request { item; ts; gid; attempt; reply } ->
-        Cluster.use_cpu c site c.params.cpu_msg;
-        let version =
-          if Store.mem c.stores.(site) item then Mvstore.read_at t.mv.(site) ~item ~ts
-          else None
-        in
-        (match version with
-        | Some v ->
-            Cluster.use_cpu c site c.params.cpu_op;
-            History.record c.history ~site ~item ~gid ~attempt ~version:v History.R
-        | None -> ());
-        Network.send t.net ~src:site ~dst:src (Snap_reply { version; deliver = reply })
-    | Snap_reply { version; deliver } ->
-        Cluster.dec_outstanding c;
-        deliver version
-    | Certify { txn; reply } ->
-        assert (site = certifier_site);
-        Cluster.use_cpu c site (c.params.cpu_msg +. c.params.cpu_op);
-        let verdict = Tracker.certify t.tracker ~now:(Sim.now c.sim) txn in
-        Cluster.use_cpu c site c.params.cpu_msg;
-        Network.send t.net ~src:site ~dst:src (Cert_reply { gid = txn.gid; verdict; deliver = reply })
-    | Cert_reply { gid; verdict; deliver } ->
-        Cluster.dec_outstanding c;
-        (match verdict with
-        | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
-        | Tracker.Abort _ -> ());
-        deliver verdict);
-    loop ()
-  in
-  loop ()
+  match msg with
+  | Snap_request { item; ts; gid; attempt; reply } ->
+      Cluster.use_cpu c site c.params.cpu_msg;
+      let version =
+        if Store.mem c.stores.(site) item then Mvstore.read_at t.mv.(site) ~item ~ts else None
+      in
+      (match version with
+      | Some v ->
+          Cluster.use_cpu c site c.params.cpu_op;
+          History.record c.history ~site ~item ~gid ~attempt ~version:v History.R
+      | None -> ());
+      Network.send t.net ~src:site ~dst:src (Snap_reply { version; deliver = reply })
+  | Snap_reply { version; deliver } ->
+      Cluster.dec_outstanding c;
+      deliver version
+  | Certify { txn; reply } ->
+      assert (site = certifier_site);
+      Cluster.use_cpu c site (c.params.cpu_msg +. c.params.cpu_op);
+      let verdict = Tracker.certify t.tracker ~now:(Sim.now c.sim) txn in
+      Cluster.use_cpu c site c.params.cpu_msg;
+      Network.send t.net ~src:site ~dst:src (Cert_reply { gid = txn.gid; verdict; deliver = reply })
+  | Cert_reply { gid; verdict; deliver } ->
+      Cluster.dec_outstanding c;
+      (match verdict with
+      | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
+      | Tracker.Abort _ -> ());
+      deliver verdict
 
 let describe_msg = function
   | Snap_request _ -> ("snap-request", 24)
@@ -109,13 +97,11 @@ let create (c : Cluster.t) =
       mv =
         Array.init c.params.n_sites (fun site ->
             Mvstore.create (Store.items c.stores.(site)));
-      remote = 0;
     }
   in
   for site = 0 to c.params.n_sites - 1 do
-    Sim.spawn c.sim (fun () -> server t site);
-    Sim.spawn c.sim (fun () ->
-        Exec.versioned_applier ~on_install:(append_version t) c t.update_net site)
+    Network.serve t.net site (handle t site);
+    Exec.versioned_applier ~on_install:(append_version t) c t.update_net site
   done;
   t
 
@@ -135,7 +121,6 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
         if (not (Fault_exec.site_up c s)) || not (Network.reachable t.net ~src:site ~dst:s) then
           go answered rest
         else begin
-          t.remote <- t.remote + 1;
           Cluster.use_cpu c site c.params.cpu_msg;
           if Sim.now c.sim >= deadline_at then `Deadline
           else

@@ -17,6 +17,3 @@
     reads are served with no locks and no round trip. *)
 
 include Protocol.S
-
-(** Remote (available-copies) snapshot reads performed so far. *)
-val remote_reads : t -> int

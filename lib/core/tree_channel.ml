@@ -129,27 +129,21 @@ let receive ch ~on_retry ~on_extra site msg =
         Cluster.dec_outstanding c
   end
 
-let applier ch ~on_retry ~on_extra site =
-  let inbox = Network.inbox ch.net site in
-  let rec loop () =
-    let _, msg = Mailbox.recv inbox in
-    (* Dequeue order = receive order (the FIFO the protocols' correctness
-       rests on); the trace records it so tests can assert commit order. *)
-    (match msg with
-    | Update { gid; _ } ->
-        Metrics.secondary_recv ch.c.metrics ~gid ~site;
-        Metrics.queue_depth ch.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox)
-    | Extra _ -> ());
-    receive ch ~on_retry ~on_extra site msg;
-    loop ()
-  in
-  loop ()
-
 (* A reconfiguration — operator-planned or a healer failover — can give any
    site a tree parent later, so under either every site gets an applier
    (idle at roots); without one, spawn exactly at the sites with a parent —
    spawn counts feed the event tie-break order, and static runs must stay
-   byte-identical. *)
+   byte-identical. Dequeue order = receive order (the FIFO the protocols'
+   correctness rests on); the trace records it so tests can assert commit
+   order, and the sampled queue depth is what the dequeue left behind. *)
 let spawn_applier ?on_retry ch ~on_extra site =
-  if Epoch.planned ch.c || Tree.parent ch.tr site <> -1 then
-    Sim.spawn ch.c.sim (fun () -> applier ch ~on_retry ~on_extra site)
+  if Epoch.planned ch.c || Tree.parent ch.tr site <> -1 then begin
+    let inbox = Network.inbox ch.net site in
+    Network.serve ch.net site (fun ~src:_ msg ->
+        (match msg with
+        | Update { gid; _ } ->
+            Metrics.secondary_recv ch.c.metrics ~gid ~site;
+            Metrics.queue_depth ch.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox)
+        | Extra _ -> ());
+        receive ch ~on_retry ~on_extra site msg)
+  end

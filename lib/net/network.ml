@@ -132,6 +132,16 @@ let inbox t dst =
   | Inbox mb -> mb
   | Handler _ -> invalid_arg "Network.inbox: site has a custom handler"
 
+let serve t site f =
+  let mb = inbox t site in
+  Sim.spawn t.sim (fun () ->
+      let rec loop () =
+        let src, msg = Mailbox.recv mb in
+        f ~src msg;
+        loop ()
+      in
+      loop ())
+
 let set_handler t dst f =
   check t dst;
   t.targets.(dst) <- Handler f

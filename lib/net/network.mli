@@ -58,6 +58,14 @@ val reachable : 'a t -> src:int -> dst:int -> bool
 (** The default delivery target for [dst]: messages arrive as [(src, msg)]. *)
 val inbox : 'a t -> int -> (int * 'a) Repdb_sim.Mailbox.t
 
+(** [serve t site f] spawns, at the current instant, a process that takes
+    [site]'s inbox messages one at a time, in arrival order, and runs
+    [f ~src msg] on each before taking the next — forever. [f] may block;
+    messages arriving meanwhile queue in the inbox.
+    @raise Invalid_argument if [site] is out of range or has a custom
+    handler. *)
+val serve : 'a t -> int -> (src:int -> 'a -> unit) -> unit
+
 (** [set_handler t dst f] — route [dst]'s traffic to [f ~src msg] instead of
     the inbox. The handler runs at delivery time and must not block. *)
 val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit

@@ -105,8 +105,6 @@ val label : kind -> string
     messages and dummies). *)
 val site : kind -> int
 
-val string_of_mode : lock_mode -> string
-
 (** Event payload as label/value pairs (without the label or the site);
     numeric values are rendered unquoted by the exporters. *)
 val args : kind -> (string * [ `Int of int | `Float of float | `String of string | `Bool of bool ]) list

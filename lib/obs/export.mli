@@ -22,20 +22,16 @@ val escape : string -> string
     wrapped one. *)
 type meta = (string * [ `Int of int | `Float of float | `String of string | `Bool of bool ]) list
 
-(** [jsonl ?meta t write] — one metadata record
-    ([{"meta":{"capacity":…,"dropped":…,…}}]), then every event through
-    [write], one line each (lines include the trailing newline). *)
-val jsonl : ?meta:meta -> Trace.t -> (string -> unit) -> unit
-
+(** [jsonl_to_channel ?meta t oc] — one metadata record
+    ([{"meta":{"capacity":…,"dropped":…,…}}]), then every event, one line
+    each. *)
 val jsonl_to_channel : ?meta:meta -> Trace.t -> out_channel -> unit
 val jsonl_to_string : ?meta:meta -> Trace.t -> string
 
-(** [chrome ?n_sites ?meta t write] — emit the complete Chrome trace JSON,
-    with the metadata record under the top-level [otherData] key. [n_sites]
-    sizes the per-site metadata tracks; inferred from the events when
-    omitted. Transaction phase spans ({!Event.Span_phase}) render as
+(** [chrome_to_channel ?n_sites ?meta t oc] — the complete Chrome trace
+    JSON, with the metadata record under the top-level [otherData] key.
+    [n_sites] sizes the per-site metadata tracks; inferred from the events
+    when omitted. Transaction phase spans ({!Event.Span_phase}) render as
     complete duration slices on the origin site's track. *)
-val chrome : ?n_sites:int -> ?meta:meta -> Trace.t -> (string -> unit) -> unit
-
 val chrome_to_channel : ?n_sites:int -> ?meta:meta -> Trace.t -> out_channel -> unit
 val chrome_to_string : ?n_sites:int -> ?meta:meta -> Trace.t -> string

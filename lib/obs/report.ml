@@ -5,8 +5,6 @@ type t = {
 }
 
 let meta t = t.meta
-let header t = t.header
-let data t = t.data
 let n_rows t = List.length t.data
 
 (* --- Parsing -------------------------------------------------------------- *)
@@ -109,14 +107,14 @@ let meta_prefixed t prefix =
 
 let spark_chars = [| "\u{2581}"; "\u{2582}"; "\u{2583}"; "\u{2584}"; "\u{2585}"; "\u{2586}"; "\u{2587}"; "\u{2588}" |]
 
-(* Downsample to at most [width] buckets (max within each bucket), then map
-   onto the 8 block glyphs against the series maximum. *)
-let sparkline ?(width = 60) xs =
+(* Downsample to at most 60 buckets (max within each bucket), then map onto
+   the 8 block glyphs against the series maximum. *)
+let sparkline xs =
   let n = List.length xs in
   if n = 0 then ""
   else begin
     let arr = Array.of_list xs in
-    let buckets = min width n in
+    let buckets = min 60 n in
     let vals =
       Array.init buckets (fun b ->
           let lo = b * n / buckets and hi = max (((b + 1) * n / buckets) - 1) (b * n / buckets) in
@@ -146,8 +144,6 @@ let time_range t =
   | None | Some [] -> (0.0, 0.0)
   | Some ts -> (List.hd ts, last ts)
 
-let md_escape s = s (* values are numeric / identifier-like *)
-
 let to_markdown t =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -155,7 +151,7 @@ let to_markdown t =
   if t.meta <> [] then begin
     pf "%s\n\n"
       (String.concat " · "
-         (List.map (fun (k, v) -> Printf.sprintf "**%s**=%s" (md_escape k) (md_escape v)) t.meta))
+         (List.map (fun (k, v) -> Printf.sprintf "**%s**=%s" k v) t.meta))
   end;
   let t0, t1 = time_range t in
   pf "%d samples covering %.3f – %.3f ms\n" (n_rows t) t0 t1;
@@ -189,7 +185,7 @@ let to_markdown t =
       pf "| reason | count |\n|--------|-------|\n";
       List.iter
         (fun (k, v) ->
-          pf "| %s | %s |\n" (String.sub k 7 (String.length k - 7)) (md_escape v))
+          pf "| %s | %s |\n" (String.sub k 7 (String.length k - 7)) v)
         reasons);
   (match site_columns t "phi" with
   | [] -> ()
@@ -210,7 +206,7 @@ let to_markdown t =
    | counters ->
        pf "\n## Self-healing\n\n";
        pf "| counter | value |\n|---------|-------|\n";
-       List.iter (fun (k, v) -> pf "| %s | %s |\n" (md_escape k) (md_escape v)) counters);
+       List.iter (fun (k, v) -> pf "| %s | %s |\n" k v) counters);
   let gauge name col =
     match column t col with
     | None | Some [] -> ()
@@ -231,145 +227,4 @@ let to_markdown t =
   sum_gauge "locks held" "locks_held";
   sum_gauge "lock waiters" "lock_waiters";
   sum_gauge "pending updates" "pending";
-  Buffer.contents buf
-
-(* --- HTML ----------------------------------------------------------------- *)
-
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let palette =
-  [| "#1f77b4"; "#ff7f0e"; "#2ca02c"; "#d62728"; "#9467bd"; "#8c564b"; "#e377c2"; "#7f7f7f";
-     "#bcbd22"; "#17becf" |]
-
-let svg_chart ~title series =
-  let w = 640 and h = 120 and pad = 4 in
-  let buf = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let top = fmax (List.map (fun (_, xs) -> fmax xs) series) in
-  let top = if top <= 0.0 then 1.0 else top in
-  pf "<figure><figcaption>%s (max %.3f)</figcaption>" (html_escape title) top;
-  pf "<svg viewBox=\"0 0 %d %d\" width=\"%d\" height=\"%d\" \
-      style=\"background:#fafafa;border:1px solid #ddd\">" w h w h;
-  List.iteri
-    (fun si (label, xs) ->
-      let n = List.length xs in
-      if n > 1 then begin
-        let color = palette.(si mod Array.length palette) in
-        let pts =
-          String.concat " "
-            (List.mapi
-               (fun i v ->
-                 let x =
-                   float_of_int pad
-                   +. float_of_int i /. float_of_int (n - 1) *. float_of_int (w - (2 * pad))
-                 in
-                 let y =
-                   float_of_int (h - pad) -. (v /. top *. float_of_int (h - (2 * pad)))
-                 in
-                 Printf.sprintf "%.1f,%.1f" x y)
-               xs)
-        in
-        pf "<polyline fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\" points=\"%s\">\
-            <title>%s</title></polyline>"
-          color pts (html_escape label)
-      end)
-    series;
-  pf "</svg></figure>";
-  Buffer.contents buf
-
-let to_html t =
-  let buf = Buffer.create 8192 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "<!DOCTYPE html><html><head><meta charset=\"utf-8\">";
-  pf "<title>repdb timeline report</title>";
-  pf
-    "<style>body{font-family:system-ui,sans-serif;margin:2em;max-width:720px}\
-     h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.5em}\
-     figure{margin:0.5em 0}figcaption{font-size:0.85em;color:#555}\
-     .meta{color:#555;font-size:0.9em}</style></head><body>";
-  pf "<h1>repdb timeline report</h1>";
-  if t.meta <> [] then
-    pf "<p class=\"meta\">%s</p>"
-      (String.concat " · "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "<b>%s</b>=%s" (Export.escape k) (Export.escape v))
-            t.meta));
-  let t0, t1 = time_range t in
-  pf "<p class=\"meta\">%d samples covering %.3f &ndash; %.3f ms</p>" (n_rows t) t0 t1;
-  (match site_columns t "lag_ms" with
-  | [] -> ()
-  | lags ->
-      pf "<h2>Replication lag (ms)</h2>";
-      pf "%s"
-        (svg_chart ~title:"per-site replication lag"
-           (List.map (fun (s, xs) -> (Printf.sprintf "site %d" s, xs)) lags)));
-  (match (site_columns t "commits", site_columns t "aborts") with
-  | [], _ | _, [] -> ()
-  | commits, aborts ->
-      pf "<h2>Throughput per window</h2>";
-      pf "%s"
-        (svg_chart ~title:"commits and aborts per window (all sites)"
-           [
-             ("commits", sum_series (List.map snd commits));
-             ("aborts", sum_series (List.map snd aborts));
-           ]));
-  (match meta_prefixed t "aborts." with
-  | [] -> ()
-  | reasons ->
-      pf "<h2>Aborts by reason</h2><table><tr><th>reason</th><th>count</th></tr>";
-      List.iter
-        (fun (k, v) ->
-          pf "<tr><td>%s</td><td>%s</td></tr>"
-            (html_escape (String.sub k 7 (String.length k - 7)))
-            (html_escape v))
-        reasons;
-      pf "</table>");
-  (match site_columns t "phi" with
-  | [] -> ()
-  | phis ->
-      pf "<h2>Failure detector</h2>";
-      pf "%s"
-        (svg_chart ~title:"per-site suspicion level φ"
-           (List.map (fun (s, xs) -> (Printf.sprintf "site %d" s, xs)) phis)));
-  (let heal =
-     meta_prefixed t "detector." @ meta_prefixed t "heal." @ meta_prefixed t "repair."
-     @ meta_prefixed t "corrupt."
-   in
-   match heal with
-   | [] -> ()
-   | counters ->
-       pf "<h2>Self-healing</h2><table><tr><th>counter</th><th>value</th></tr>";
-       List.iter
-         (fun (k, v) ->
-           pf "<tr><td>%s</td><td>%s</td></tr>" (html_escape k) (html_escape v))
-         counters;
-       pf "</table>");
-  let gauges =
-    List.filter_map
-      (fun (name, col) -> Option.map (fun xs -> (name, xs)) (column t col))
-      [ ("active txns", "active_txns"); ("msgs in flight", "msgs_inflight") ]
-    @ List.filter_map
-        (fun (name, prefix) ->
-          match site_columns t prefix with
-          | [] -> None
-          | cols -> Some (name, sum_series (List.map snd cols)))
-        [ ("locks held", "locks_held"); ("lock waiters", "lock_waiters");
-          ("pending updates", "pending") ]
-  in
-  if gauges <> [] then begin
-    pf "<h2>Activity</h2>";
-    List.iter (fun (name, xs) -> pf "%s" (svg_chart ~title:name [ (name, xs) ])) gauges
-  end;
-  pf "</body></html>\n";
   Buffer.contents buf

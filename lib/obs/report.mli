@@ -1,19 +1,13 @@
 (** Render a run report from a timeline CSV.
 
     [parse] reads the CSV produced by {!Timeline.to_csv} (tolerating a
-    missing [#] metadata line), and the renderers produce either markdown
-    with Unicode block sparklines or a self-contained HTML page with inline
-    SVG charts — no external assets, suitable for CI artifacts. *)
+    missing [#] metadata line), and {!to_markdown} renders it as markdown
+    with Unicode block sparklines. *)
 
 type t
 
 val parse : string -> (t, string) result
 val meta : t -> (string * string) list
-val header : t -> string array
-
-(** Rows in sample order. *)
-val data : t -> float array list
-
 val n_rows : t -> int
 
 (** [column t name] — the series for an exact column name. *)
@@ -23,9 +17,4 @@ val column : t -> string -> float list option
     [prefix.N], sorted by site. *)
 val site_columns : t -> string -> (int * float list) list
 
-(** [sparkline xs] — [xs] rendered as Unicode block glyphs, downsampled to
-    at most [width] (default 60) buckets by taking each bucket's maximum. *)
-val sparkline : ?width:int -> float list -> string
-
 val to_markdown : t -> string
-val to_html : t -> string

@@ -26,7 +26,6 @@ let create ~n_sites ~interval ?(phi = false) () =
     invalid_arg "Timeline.create: interval must be positive and finite";
   { n_sites; interval; phi; meta = []; rev_rows = []; len = 0 }
 
-let n_sites t = t.n_sites
 let interval t = t.interval
 let has_phi t = t.phi
 let length t = t.len

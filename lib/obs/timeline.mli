@@ -34,8 +34,6 @@ type t
     rows must then carry an [n_sites]-long [r_phi]. *)
 val create : n_sites:int -> interval:float -> ?phi:bool -> unit -> t
 
-val n_sites : t -> int
-
 (** Whether the φ column group is enabled. *)
 val has_phi : t -> bool
 
@@ -53,17 +51,9 @@ val set_meta : t -> (string * string) list -> unit
 (** Append a sample. All per-site arrays must have [n_sites] entries. *)
 val push : t -> row -> unit
 
-(** Rows in sample order. *)
-val rows : t -> row list
-
-(** The CSV column header (no newline):
-    [t_ms,active_txns,msgs_inflight,commits.0,…,lock_waiters.N]. *)
-val header : t -> string
-
-(** The [#]-prefixed metadata comment line (no newline). *)
-val meta_line : t -> string
-
-(** [to_csv t write] — metadata comment, header, then one line per row. *)
+(** [to_csv t write] — the [#]-prefixed metadata comment line, the column
+    header [t_ms,active_txns,msgs_inflight,commits.0,…,lock_waiters.N],
+    then one line per row. *)
 val to_csv : t -> (string -> unit) -> unit
 
 val to_csv_string : t -> string

@@ -19,8 +19,6 @@ type t = {
   active : (int, float) Hashtbl.t; (* gid -> begin_ts *)
   mutable recent : committed list; (* newest first *)
   mutable commits : int;
-  mutable n_stale : int;
-  mutable n_ww : int;
   mutable n_dangerous : int;
 }
 
@@ -31,15 +29,11 @@ let create () =
     active = Hashtbl.create 64;
     recent = [];
     commits = 0;
-    n_stale = 0;
-    n_ww = 0;
     n_dangerous = 0;
   }
 
 let begin_txn t ~gid ~begin_ts = Hashtbl.replace t.active gid begin_ts
 let forget t ~gid = Hashtbl.remove t.active gid
-let active_count t = Hashtbl.length t.active
-let recent_count t = List.length t.recent
 
 let latest t item =
   Option.value ~default:(0, neg_infinity) (Hashtbl.find_opt t.latest item)
@@ -75,18 +69,12 @@ let intersects keys pairs = List.exists (fun (i, _) -> List.mem i keys) pairs
 
 let certify t ~now (txn : txn) =
   Hashtbl.remove t.active txn.gid;
-  if not (List.for_all (snapshot_ok t ~begin_ts:txn.begin_ts) txn.reads) then begin
-    t.n_stale <- t.n_stale + 1;
-    Abort Stale_read
-  end
+  if not (List.for_all (snapshot_ok t ~begin_ts:txn.begin_ts) txn.reads) then Abort Stale_read
   else if
     (* First committer wins: a concurrent transaction already committed a
        write to something we also write. *)
     List.exists (fun item -> snd (latest t item) > txn.begin_ts) txn.writes
-  then begin
-    t.n_ww <- t.n_ww + 1;
-    Abort Ww_conflict
-  end
+  then Abort Ww_conflict
   else begin
     let read_items = List.map fst txn.reads in
     let concurrent u = u.c_commit > txn.begin_ts in
@@ -136,8 +124,6 @@ let certify t ~now (txn : txn) =
     end
   end
 
-let stale_aborts t = t.n_stale
-let ww_aborts t = t.n_ww
 let dangerous_aborts t = t.n_dangerous
 
 let seed t ~item ~version ~commit_ts =

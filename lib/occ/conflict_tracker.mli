@@ -51,15 +51,9 @@ val forget : t -> gid:int -> unit
     timestamp [now] (must not regress). Deregisters [txn.gid]. *)
 val certify : t -> now:float -> txn -> verdict
 
-val latest_version : t -> int -> int
-
 (** Pin an item's (version, commit_ts) — reconfiguration resync. *)
 val seed : t -> item:int -> version:int -> commit_ts:float -> unit
 
-(** {1 Introspection, for tests and metrics} *)
+(** {1 Introspection, for tests} *)
 
-val active_count : t -> int
-val recent_count : t -> int
-val stale_aborts : t -> int
-val ww_aborts : t -> int
 val dangerous_aborts : t -> int

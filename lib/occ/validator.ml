@@ -30,5 +30,3 @@ let validate t txn =
 
 let validated t = t.n_validated
 let rejected t = t.n_rejected
-
-let seed t ~item ~version = Hashtbl.replace t.latest item version

@@ -30,6 +30,3 @@ val validate : t -> txn -> (int * int) list option
 
 val validated : t -> int
 val rejected : t -> int
-
-(** Pin [item]'s version (reconfiguration resync with the stores). *)
-val seed : t -> item:int -> version:int -> unit

@@ -4,7 +4,6 @@ let create ~sim ~capacity () =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
   { cap = capacity; free = capacity; waiters = Sim.waitq sim }
 
-let capacity t = t.cap
 let available t = t.free
 let queue_length t = Sim.waiting t.waiters
 let acquire t = if t.free > 0 then t.free <- t.free - 1 else Sim.park t.waiters

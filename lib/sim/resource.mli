@@ -15,8 +15,6 @@ type t
     kernel [sim]. *)
 val create : sim:Sim.t -> capacity:int -> unit -> t
 
-val capacity : t -> int
-
 (** Units currently free. *)
 val available : t -> int
 

@@ -59,9 +59,6 @@ let drop t ~item = Hashtbl.remove t.chains item
 
 let items t = Hashtbl.fold (fun item _ acc -> item :: acc) t.chains [] |> List.sort compare
 
-let chain_length t ~item =
-  match Hashtbl.find_opt t.chains item with None -> 0 | Some c -> List.length !c
-
 (* Version-chain checksum: FNV-1a over the newest entry's (version, item),
    mirroring Value.checksum's construction. Commit timestamps are excluded —
    two replicas that converged on the same version may have installed it at

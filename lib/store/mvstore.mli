@@ -44,8 +44,6 @@ val drop : t -> item:int -> unit
 (** Items with a chain, ascending. *)
 val items : t -> int list
 
-val chain_length : t -> item:int -> int
-
 (** [checksum t ~item] — deterministic digest of the newest chain entry's
     version (commit timestamps excluded: converging on the same version at
     different instants is not divergence). [None] if the item has no chain

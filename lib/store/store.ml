@@ -62,20 +62,8 @@ let keyed_sum item v =
   let mask = (1 lsl 62) - 1 in
   (Value.checksum v + (item * 0x1e3779b97f4a7c15)) land mask
 
-(* Commutative combine (masked sum), so the digest is independent of hash
-   index iteration order. *)
-let range_digest t ~lo ~hi =
-  let mask = (1 lsl 62) - 1 in
-  let acc = ref 0 and n = ref 0 in
-  Hash_index.iter
-    (fun item v ->
-      if item >= lo && item < hi then begin
-        acc := (!acc + keyed_sum item v) land mask;
-        incr n
-      end)
-    t.table;
-  (!acc, !n)
-
+(* Commutative combine (masked sum), so the digest is independent of the
+   order the items are listed in. *)
 let digest_over t items =
   let mask = (1 lsl 62) - 1 in
   List.fold_left

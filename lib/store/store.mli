@@ -73,12 +73,9 @@ val iter : (item -> Value.t -> unit) -> t -> unit
     @raise Invalid_argument if [item] is not placed at this site. *)
 val checksum : t -> item -> int
 
-(** [range_digest t ~lo ~hi] — commutative combined digest and copy count
-    over the copies placed here with [lo <= item < hi]. The item id is folded
-    into each summand, so permuting values across items changes the digest. *)
-val range_digest : t -> lo:int -> hi:int -> int * int
-
-(** [digest_over t items] — the same combined digest restricted to the
-    listed items (absent items are skipped). Both ends of a digest-exchange
-    session compute this over the shared item set. *)
+(** [digest_over t items] — commutative combined digest over the listed
+    items' local copies (absent items are skipped). The item id is folded
+    into each summand, so permuting values across items changes the digest.
+    Both ends of a digest-exchange session compute this over the shared item
+    set. *)
 val digest_over : t -> item list -> int

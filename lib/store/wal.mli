@@ -18,9 +18,6 @@ type t
 
 val create : unit -> t
 
-(** Records appended since the last checkpoint, oldest first. *)
-val records : t -> record list
-
 val length : t -> int
 
 (** The checkpointed image this log is relative to. *)

@@ -49,7 +49,6 @@ val writes : spec -> item list
 
 val is_read_only : spec -> bool
 
-val pp_op : Format.formatter -> op -> unit
 val pp_spec : Format.formatter -> spec -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val string_of_abort : abort_reason -> string

@@ -2,7 +2,6 @@ module Rng = Repdb_sim.Rng
 module Txn = Repdb_txn.Txn
 
 type t = {
-  rng : Rng.t;
   params : Params.t;
   mutable readable : int array array;
   mutable writable : int array array;
@@ -29,10 +28,9 @@ let pools (params : Params.t) placement =
   let writable = Array.init params.n_sites (fun site -> Placement.primaries_at placement site) in
   (readable, writable)
 
-let create rng (params : Params.t) placement =
+let create _rng (params : Params.t) placement =
   let readable, writable = pools params placement in
   {
-    rng;
     params;
     readable;
     writable;
@@ -189,8 +187,6 @@ let gen_with t rng ~site =
     sort_keys t.keys n;
     { Txn.origin = site; ops = ops_of_keys t.keys (n - 1) [] }
   end
-
-let gen t ~site = gen_with t t.rng ~site
 
 let readable t site = t.readable.(site)
 let writable t site = t.writable.(site)

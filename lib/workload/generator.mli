@@ -9,7 +9,9 @@
 
 type t
 
-(** [create rng params placement] precomputes per-site item pools. *)
+(** [create rng params placement] precomputes per-site item pools. No draw
+    is taken from [rng]: transactions draw from the stream given to
+    {!gen_with}. *)
 val create : Repdb_sim.Rng.t -> Params.t -> Placement.t -> t
 
 (** [refresh t placement] rebuilds the per-site pools against a reconfigured
@@ -19,15 +21,12 @@ val create : Repdb_sim.Rng.t -> Params.t -> Placement.t -> t
     barrier. *)
 val refresh : t -> Placement.t -> unit
 
-(** [gen t ~site] draws the next transaction originating at [site].
-    If the site has no items to read the transaction is empty; write ops fall
-    back to reads when the site has no local primaries. *)
-val gen : t -> site:int -> Repdb_txn.Txn.spec
-
-(** [gen_with t rng ~site] — like {!gen} but drawing from an explicit stream,
-    so each client thread can own an independent, protocol-independent
-    sequence (the driver uses this to present identical workloads to every
-    protocol). *)
+(** [gen_with t rng ~site] draws the next transaction originating at [site]
+    from the stream [rng], so each client thread can own an independent,
+    protocol-independent sequence (the driver uses this to present identical
+    workloads to every protocol). If the site has no items to read the
+    transaction is empty; write ops fall back to reads when the site has no
+    local primaries. *)
 val gen_with : t -> Repdb_sim.Rng.t -> site:int -> Repdb_txn.Txn.spec
 
 (** Item pools, exposed for tests: [readable t site] are items placed at the

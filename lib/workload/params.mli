@@ -22,8 +22,6 @@ type retry_policy =
     "retry until it commits" for any realistic run. *)
 val default_backoff : retry_policy
 
-val string_of_retry : retry_policy -> string
-
 type t = {
   (* Table 1 *)
   n_sites : int;  (** [m]; default 9, range 3–15. *)

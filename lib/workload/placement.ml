@@ -233,7 +233,3 @@ let n_replicas t = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.repli
 
 let n_replicated_items t =
   Array.fold_left (fun acc a -> if Array.length a = 0 then acc else acc + 1) 0 t.replicas
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>placement: %d sites, %d items, %d replicated, %d replicas@]" t.n_sites
-    t.n_items (n_replicated_items t) (n_replicas t)

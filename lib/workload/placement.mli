@@ -92,5 +92,3 @@ val n_replicas : t -> int
 
 (** Number of distinct replicated items. *)
 val n_replicated_items : t -> int
-
-val pp : Format.formatter -> t -> unit

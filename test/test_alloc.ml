@@ -10,6 +10,7 @@ module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
 module Mailbox = Repdb_sim.Mailbox
 module Condvar = Repdb_sim.Condvar
+module Network = Repdb_net.Network
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
 module Params = Repdb_workload.Params
@@ -246,6 +247,24 @@ let test_mailbox_recv () =
   in
   within_on_5_1 "Mailbox.recv (empty), with the send" ~budget:21.9 (kernel_words hand_offs)
 
+(* One site sends to another every 1 ms over a 1 ms link, so the serving
+   process always finds its inbox empty: per delivered message, the send,
+   its delivery event and the hand-off. 32.02 words with the hand-written
+   [Mailbox.recv] loop each protocol carried before [Network.serve]; the
+   budget is that figure, so [serve] may add nothing. *)
+let test_network_serve () =
+  let total = ref 0 in
+  let deliveries sim n =
+    let net = Network.create ~sim ~n_sites:2 ~latency:(fun _ _ -> 1.0) () in
+    Network.serve net 1 (fun ~src msg -> total := !total + src + msg);
+    Sim.spawn sim (fun () ->
+        for i = 1 to n do
+          Sim.delay 1.0;
+          Network.send net ~src:0 ~dst:1 i
+        done)
+  in
+  within_on_5_1 "Network.serve, with the send" ~budget:32.02 (kernel_words deliveries)
+
 (* A timed wait ended by a signal 1 ms later; the timer fires later and
    loses. 67 words on [Sim.suspend], 21 on a one-shot wait. *)
 let test_condvar_await_timeout () =
@@ -281,6 +300,7 @@ let () =
           Alcotest.test_case "lock wait" `Quick test_lock_wait;
           Alcotest.test_case "request/reply round trip" `Quick test_request_reply;
           Alcotest.test_case "mailbox recv" `Quick test_mailbox_recv;
+          Alcotest.test_case "network serve" `Quick test_network_serve;
           Alcotest.test_case "condvar await_timeout" `Quick test_condvar_await_timeout;
         ] );
     ]

@@ -23,21 +23,28 @@ let test_delivery_latency () =
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "arrives after latency" 6.0 !arrived
 
+(* Site 2 receives by hand, site 1 through [Network.serve]: both see the
+   pair's send order. *)
 let test_fifo_per_pair () =
   let sim, net = make () in
-  let got = ref [] in
+  let got = ref [] and served = ref [] in
   Sim.spawn sim (fun () ->
       for _ = 1 to 20 do
         let _, v = Mailbox.recv (Network.inbox net 2) in
         got := v :: !got
       done);
+  Network.serve net 1 (fun ~src v -> served := (src, v) :: !served);
   Sim.spawn sim (fun () ->
       for i = 1 to 20 do
         Network.send net ~src:0 ~dst:2 i;
+        Network.send net ~src:0 ~dst:1 i;
         Sim.delay 0.1
       done);
   Sim.run sim;
-  Alcotest.(check (list int)) "FIFO" (List.init 20 (fun i -> i + 1)) (List.rev !got)
+  let sent = List.init 20 (fun i -> i + 1) in
+  Alcotest.(check (list int)) "FIFO" sent (List.rev !got);
+  Alcotest.(check (list (pair int int)))
+    "FIFO through serve" (List.map (fun i -> (0, i)) sent) (List.rev !served)
 
 let test_same_instant_send_order () =
   (* Two sends at the same simulated instant to the same destination arrive

@@ -238,10 +238,7 @@ let test_report_round_trip () =
       let md = Report.to_markdown r in
       checkb "markdown mentions lag" true (contains ~affix:"lag" md);
       checkb "markdown has sparklines" true
-        (List.exists (fun g -> contains ~affix:g md) [ "\xe2\x96\x81"; "\xe2\x96\x88" ]);
-      let html = Report.to_html r in
-      checkb "html is self-contained" true
-        (contains ~affix:"<svg" html && contains ~affix:"</html>" html)
+        (List.exists (fun g -> contains ~affix:g md) [ "\xe2\x96\x81"; "\xe2\x96\x88" ])
 
 let test_report_rejects_garbage () =
   (match Report.parse "" with
