@@ -331,20 +331,10 @@ let jobs_term =
            to $(b,-j 1): every run owns its simulator and RNG, and results are ordered by \
            input index. $(b,-j 1) is the plain sequential path.")
 
-let chunk_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Tasks claimed per atomic increment by each pool domain. Defaults to the adaptive \
-           heuristic $(b,max 1 (tasks / (domains * 4))); $(b,1) is finest-grained stealing, \
-           values above the task count collapse to a single claim. No effect at $(b,-j 1).")
-
 (* Run [f] with a pool of [jobs] domains (or none for [jobs <= 1]), shutting
    the pool down afterwards. *)
-let with_jobs ?chunk jobs f =
-  if jobs > 1 then Pool.with_pool ?chunk ~domains:jobs (fun pool -> f (Some pool)) else f None
+let with_jobs jobs f =
+  if jobs > 1 then Pool.with_pool ~domains:jobs (fun pool -> f (Some pool)) else f None
 
 let experiment_cmd =
   (* Both the help text and the dispatch come from [Experiment.registry], so
@@ -370,7 +360,7 @@ let experiment_cmd =
              (point, protocol) into $(docv) (created if missing). Render each with $(b,repdb \
              report).")
   in
-  let run params exp_name steps csv jobs chunk timeline_dir (_, every) =
+  let run params exp_name steps csv jobs timeline_dir (_, every) =
     (* [--timeline-dir] turns sampling on for every run of the sweep; a bare
        [--timeline FILE] is meaningless here and ignored in favour of it. *)
     let base =
@@ -380,7 +370,6 @@ let experiment_cmd =
     let fail fmt = Fmt.kstr (fun msg -> Fmt.epr "error: %s@." msg; exit 1) fmt in
     let positive flag n = if n < 1 then fail "%s must be positive (got %d)" flag n in
     positive "--steps" steps;
-    Option.iter (positive "--chunk") chunk;
     match Repdb.Experiment.find exp_name with
     | None ->
         fail "unknown experiment %S (try: %s)" exp_name (String.concat ", " Repdb.Experiment.ids)
@@ -396,7 +385,7 @@ let experiment_cmd =
                 try Sys.mkdir dir 0o755
                 with Sys_error msg -> fail "cannot create timeline directory: %s" msg))
           timeline_dir;
-        match with_jobs ?chunk jobs (fun pool -> entry.run ~pool ~base ~steps) with
+        match with_jobs jobs (fun pool -> entry.run ~pool ~base ~steps) with
         | exception (Invalid_argument msg | Failure msg) -> fail "%s" msg
         | outcome ->
             (match outcome with
@@ -438,7 +427,7 @@ let experiment_cmd =
           $(b,-j) domains."
        ~man:[ `S Manpage.s_description; exp_list ])
     Term.(
-      const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ chunk_term $ timeline_dir
+      const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ timeline_dir
       $ obs_flags)
 
 (* --- report ---------------------------------------------------------------- *)

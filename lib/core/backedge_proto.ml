@@ -144,13 +144,9 @@ let run_participant t ~gid ~origin ~site items =
           bp.bp_state <- `Staged;
           Metrics.emit c.metrics (Repdb_obs.Event.Backedge_stage { gid; site });
           Some bp
-      | Ok () ->
-          (* Cancelled (Decide abort) while waiting for the last lock. *)
-          Exec.abort_local c ~attempt ~site;
-          Hashtbl.remove t.participants.(site) gid;
-          Hashtbl.remove t.participants_by_attempt.(site) attempt;
-          None
-      | Error _ ->
+      | Ok () | Error _ ->
+          (* A lock failed, or a Decide abort cancelled the participant while
+             it waited for the last lock. *)
           Exec.abort_local c ~attempt ~site;
           Hashtbl.remove t.participants.(site) gid;
           Hashtbl.remove t.participants_by_attempt.(site) attempt;
@@ -302,26 +298,9 @@ let create_with_order (c : Cluster.t) order =
 let general_tree (c : Cluster.t) =
   let g = Placement.copy_graph c.placement in
   let gdag = Digraph.remove_edges g (Backedge.minimal_set g) in
-  let order =
-    match Digraph.topo_sort gdag with
-    | Some o -> o
-    | None -> assert false (* removing a backedge set always yields a DAG *)
-  in
-  let pos = Array.make (Digraph.n_vertices g) 0 in
-  List.iteri (fun i v -> pos.(v) <- i) order;
-  let parents = Array.make (Digraph.n_vertices g) (-1) in
-  List.iter
-    (fun component ->
-      let sorted = List.sort (fun a b -> compare pos.(a) pos.(b)) component in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-            parents.(b) <- a;
-            link rest
-        | [ _ ] | [] -> ()
-      in
-      link sorted)
-    (Digraph.weak_components g);
-  Tree.of_parents parents
+  match Digraph.topo_sort gdag with
+  | Some order -> Tree.chain_components g ~order
+  | None -> assert false (* removing a backedge set always yields a DAG *)
 
 let create_general (c : Cluster.t) =
   make_with_tree c ~retree:(fun () -> general_tree c) (general_tree c)
@@ -341,34 +320,26 @@ let reconfigure =
 
 (* --- primary transactions -------------------------------------------------- *)
 
-let abort_primary t ~site ~attempt ~gid ~targets reason =
-  let c = t.c in
-  Metrics.txn_abort c.metrics ~gid ~site reason;
-  Exec.abort_local c ~attempt ~site;
+(* Withdraw the pending entry and tell every staged target the outcome. *)
+let decide_targets t ({ gid; attempt; site; _ } : Exec.primary) ~targets ~commit ~origin_commit =
   Hashtbl.remove t.pending_by_gid gid;
   Hashtbl.remove t.pending_by_attempt.(site) attempt;
   List.iter
     (fun target ->
-      Cluster.inc_outstanding c;
-      Network.send t.direct_net ~src:site ~dst:target
-        (Decide { gid; commit = false; origin_commit = 0.0 }))
-    targets;
-  Txn.Aborted reason
+      Cluster.inc_outstanding t.c;
+      Network.send t.direct_net ~src:site ~dst:target (Decide { gid; commit; origin_commit }))
+    targets
 
-let commit_primary t ~site ~attempt ~gid ~writes ~targets =
+let abort_primary t a ~targets reason =
+  Exec.abort_primary t.c a reason ~cleanup:(fun () ->
+      decide_targets t a ~targets ~commit:false ~origin_commit:0.0)
+
+let commit_primary t ({ gid; site; _ } as a : Exec.primary) ~writes ~targets =
   let c = t.c in
   (* Atomic commit section: apply, release, decide, lazy-forward. *)
-  Exec.commit_local c ~gid ~attempt ~site writes;
+  Exec.commit_local c a writes;
   Metrics.destined c.metrics c.placement ~items:writes;
-  Hashtbl.remove t.pending_by_gid gid;
-  Hashtbl.remove t.pending_by_attempt.(site) attempt;
-  let now = Sim.now c.sim in
-  List.iter
-    (fun target ->
-      Cluster.inc_outstanding c;
-      Network.send t.direct_net ~src:site ~dst:target
-        (Decide { gid; commit = true; origin_commit = now }))
-    targets;
+  decide_targets t a ~targets ~commit:true ~origin_commit:(Sim.now c.sim);
   let sent = Tree_channel.forward t.ch ~site ~gid writes in
   let n_msgs = sent + List.length targets in
   if n_msgs > 0 then Cluster.use_cpu c site (float_of_int n_msgs *. c.params.cpu_msg);
@@ -376,20 +347,13 @@ let commit_primary t ~site ~attempt ~gid ~writes ~targets =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline c in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+  | Error reason -> Exec.abort_primary c a reason
   | Ok () -> (
       let writes = List.sort_uniq compare (Txn.writes spec) in
       match backedge_targets t site writes with
-      | [] -> commit_primary t ~site ~attempt ~gid ~writes ~targets:[]
+      | [] -> commit_primary t a ~writes ~targets:[]
       | _ :: _ as targets
         when List.exists (fun dst -> not (Network.reachable t.direct_net ~src:site ~dst)) targets
         ->
@@ -397,9 +361,7 @@ let submit t (spec : Txn.spec) =
              partition; the eager phase cannot complete until heal, so fail
              fast instead of burning the full origin wait. Nothing has been
              staged remotely, so no Decide is owed. *)
-          Exec.abort_local c ~attempt ~site;
-          Metrics.txn_abort c.metrics ~gid ~site Txn.Partitioned;
-          Txn.Aborted Txn.Partitioned
+          Exec.abort_primary c a Txn.Partitioned
       | farthest :: _ as targets ->
           let p = { p_gid = gid; p_state = `Waiting; p_cv = Condvar.create () } in
           Hashtbl.replace t.pending_by_gid gid p;
@@ -418,33 +380,30 @@ let submit t (spec : Txn.spec) =
             match p.p_state with
             | `Special_arrived ->
                 prop_done ();
-                commit_primary t ~site ~attempt ~gid ~writes ~targets
+                commit_primary t a ~writes ~targets
             | `Failed reason ->
                 prop_done ();
-                abort_primary t ~site ~attempt ~gid ~targets reason
+                abort_primary t a ~targets reason
             | `Waiting ->
                 (* Wait the derived origin wait per round, clamped to the
                    transaction deadline; the tighter bound names the abort. *)
-                let remaining = deadline_at -. Sim.now c.sim in
+                let remaining = a.deadline_at -. Sim.now c.sim in
                 let timeout, on_expire =
                   if remaining <= t.ow then (remaining, Txn.Deadline_exceeded)
                   else (t.ow, Txn.Propagation_timeout)
                 in
                 if timeout <= 0.0 then begin
                   p.p_state <- `Failed Txn.Deadline_exceeded;
-                  Metrics.deadline c.metrics ~gid ~site;
                   prop_done ();
-                  abort_primary t ~site ~attempt ~gid ~targets Txn.Deadline_exceeded
+                  abort_primary t a ~targets Txn.Deadline_exceeded
                 end
                 else begin
                   let woken = Condvar.await_timeout c.sim p.p_cv timeout in
                   match p.p_state with
                   | `Waiting when not woken ->
                       p.p_state <- `Failed on_expire;
-                      if on_expire = Txn.Deadline_exceeded then
-                        Metrics.deadline c.metrics ~gid ~site;
                       prop_done ();
-                      abort_primary t ~site ~attempt ~gid ~targets on_expire
+                      abort_primary t a ~targets on_expire
                   | _ -> wait ()
                 end
           in

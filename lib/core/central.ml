@@ -84,32 +84,24 @@ let certify t ~site ~reads ~writes =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
-  let abort reason =
-    Exec.abort_local c ~attempt ~site;
-    Metrics.txn_abort c.metrics ~gid ~site reason;
-    Txn.Aborted reason
-  in
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   (* Strict 2PL locally, capturing the version of every item read (the
      certification evidence). *)
   let reads = ref [] in
   let on_read item (v : Value.t) = reads := (item, v.version) :: !reads in
   match Exec.run_ops ~on_read c ~gid ~attempt ~site spec.ops with
-  | Error reason -> abort reason
+  | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
       let reads = List.rev !reads in
       let writes = List.sort_uniq compare (Txn.writes spec) in
       if certify t ~site ~reads ~writes then begin
-        Exec.commit_local c ~gid ~attempt ~site writes;
+        Exec.commit_local c a writes;
         (* Lazy direct propagation; per-item streams are FIFO from the
            primary, so replicas apply in certification order. *)
         Exec.send_updates c t.update_net ~site ~gid writes;
         Txn.Committed
       end
-      else abort Txn.Remote_denied
+      else Exec.abort_primary c a Txn.Remote_denied
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)
 let reconfigure = Some ignore

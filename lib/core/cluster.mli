@@ -107,10 +107,11 @@ val create : ?trace:bool -> Params.t -> t
 val create_with :
   ?latency:(int -> int -> float) -> ?trace:bool -> ?trace_capacity:int -> Params.t -> Placement.t -> t
 
-(** Fresh global transaction id. *)
+(** Fresh global transaction id ({!Exec.begin_primary} draws them). *)
 val fresh_gid : t -> int
 
-(** Fresh execution-attempt id (lock owner). *)
+(** Fresh execution-attempt id: every attempt's lock owner and history
+    attempt, primary or secondary, comes from this one counter. *)
 val fresh_attempt : t -> int
 
 (** [use_cpu t site d] — consume [d] ms of the site's machine CPU (FIFO). *)
@@ -127,8 +128,9 @@ val make_net : ?describe:('a -> string * int) -> t -> 'a Repdb_net.Network.t
 
 (** [deadline t] — the absolute deadline (ms of simulated time) of a
     transaction attempt starting now: now + [params.txn_deadline], or
-    [infinity] when deadlines are off. A protocol's [submit] reads it as its
-    first action, at the instant the driver's client starts the attempt. *)
+    [infinity] when deadlines are off. {!Exec.begin_primary} reads it as a
+    protocol's first action, at the instant the driver's client starts the
+    attempt. *)
 val deadline : t -> float
 
 (** {1 Quiescence}

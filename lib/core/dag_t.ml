@@ -255,21 +255,15 @@ let create_pipelined c = create_internal ~pipelined:true c
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+  | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
       (* Atomic commit section (the "critical section" of Section 3.2.2):
          apply, release, bump the local counter, stamp the transaction and
          schedule the secondaries at the relevant children. *)
-      Exec.commit_local c ~gid ~attempt ~site writes;
+      Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;
       let st = t.states.(site) in
       st.lts <- st.lts + 1;

@@ -63,19 +63,13 @@ let reconfigure =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+  | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
       (* Atomic commit section: apply, release, forward. *)
-      Exec.commit_local c ~gid ~attempt ~site writes;
+      Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;
       let sent = Tree_channel.forward t.ch ~site ~gid writes in
       if sent > 0 then Cluster.use_cpu c site (float_of_int sent *. c.params.cpu_msg);

@@ -7,7 +7,7 @@ let name = "eager"
 let updates_replicas = true
 
 type msg =
-  | Wlock_request of { item : int; owner : int; reply : bool -> unit }
+  | Wlock_request of { item : int; txn : Exec.primary; reply : bool -> unit }
   | Wlock_reply of { granted : bool; deliver : bool -> unit }
   | Prepare of { owner : int; reply : unit -> unit }
   | Prepare_ack of { deliver : unit -> unit }
@@ -22,8 +22,9 @@ type t = {
 
 let remote_writes t = t.remote
 
-let serve_wlock t site ~src ~item ~owner ~reply =
+let serve_wlock t site ~src ~item ~(txn : Exec.primary) ~reply =
   let c = t.c in
+  let owner = txn.attempt in
   Cluster.use_cpu c site c.params.cpu_msg;
   let respond granted =
     Network.send t.net ~src:site ~dst:src (Wlock_reply { granted; deliver = reply })
@@ -31,7 +32,8 @@ let serve_wlock t site ~src ~item ~owner ~reply =
   match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Exclusive with
   | Lock_mgr.Granted ->
       Cluster.use_cpu c site c.params.cpu_op;
-      Repdb_txn.History.record c.history ~site ~item ~gid:owner ~attempt:owner Repdb_txn.History.W;
+      Repdb_txn.History.record c.history ~site ~item ~gid:txn.gid ~attempt:owner
+        Repdb_txn.History.W;
       let cell =
         match Hashtbl.find_opt t.staged.(site) owner with
         | Some cell -> cell
@@ -60,8 +62,8 @@ let decide t site ~owner ~gid ~commit ~origin_commit =
   Cluster.dec_outstanding c
 
 let handle t site ~src = function
-  | Wlock_request { item; owner; reply } ->
-      Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~owner ~reply)
+  | Wlock_request { item; txn; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~txn ~reply)
   | Wlock_reply { granted; deliver } ->
       Cluster.dec_outstanding t.c;
       deliver granted
@@ -89,20 +91,19 @@ let create (c : Cluster.t) =
   done;
   t
 
+(* Phase 2 (or an abort): tell every participant the outcome. *)
+let decide_remote t (a : Exec.primary) participants ~commit ~origin_commit =
+  Hashtbl.iter
+    (fun dst () ->
+      Cluster.inc_outstanding t.c;
+      Network.send t.net ~src:a.site ~dst
+        (Decide { owner = a.attempt; gid = a.gid; commit; origin_commit }))
+    participants
+
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   let participants = Hashtbl.create 4 in
-  let finish_remote commit origin_commit =
-    Hashtbl.iter
-      (fun dst () ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst (Decide { owner = attempt; gid; commit; origin_commit }))
-      participants
-  in
   let write_everywhere item =
     let reps = c.placement.replicas.(item) in
     let rec go i =
@@ -113,7 +114,7 @@ let submit t (spec : Txn.spec) =
         Hashtbl.replace participants dst ();
         Cluster.use_cpu c site c.params.cpu_msg;
         if Exec.request c t.net ~src:site ~dst (fun reply ->
-               Wlock_request { item; owner = attempt; reply })
+               Wlock_request { item; txn = a; reply })
         then begin
           Cluster.use_cpu c site c.params.cpu_msg;
           go (i + 1)
@@ -135,10 +136,8 @@ let submit t (spec : Txn.spec) =
   in
   match run spec.ops with
   | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      finish_remote false 0.0;
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+      Exec.abort_primary c a reason ~cleanup:(fun () ->
+          decide_remote t a participants ~commit:false ~origin_commit:0.0)
   | Ok () ->
       (* Phase 1: prepare round to every participant. *)
       Hashtbl.iter
@@ -148,9 +147,9 @@ let submit t (spec : Txn.spec) =
         participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_local c ~gid ~attempt ~site writes;
+      Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;
-      finish_remote true (Sim.now c.sim);
+      decide_remote t a participants ~commit:true ~origin_commit:(Sim.now c.sim);
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

@@ -41,13 +41,13 @@ let run_op ?on_read (c : Cluster.t) ~gid ~attempt ~site op =
       Ok ()
   | (Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim) as o -> Error (abort_reason_of_outcome o)
 
-let run_ops ?on_read c ~gid ~attempt ~site ops =
-  let rec go = function
-    | [] -> Ok ()
-    | op :: rest -> (
-        match run_op ?on_read c ~gid ~attempt ~site op with Ok () -> go rest | e -> e)
-  in
-  go ops
+(* Recursion on the function itself, not a local loop: no closure per call. *)
+let rec run_ops ?on_read c ~gid ~attempt ~site = function
+  | [] -> Ok ()
+  | op :: rest -> (
+      match run_op ?on_read c ~gid ~attempt ~site op with
+      | Ok () -> run_ops ?on_read c ~gid ~attempt ~site rest
+      | e -> e)
 
 let acquire_writes c ~gid ~attempt ~site items =
   run_ops c ~gid ~attempt ~site (List.map (fun item -> Txn.Write item) items)
@@ -65,15 +65,35 @@ let commit_cost ?owner (c : Cluster.t) ~site =
 
 let release (c : Cluster.t) ~attempt ~site = Lock_mgr.release_all c.locks.(site) ~owner:attempt
 
-let commit_local c ~gid ~attempt ~site writes =
-  commit_cost ~owner:attempt c ~site;
-  apply_writes c ~gid ~site writes;
-  Metrics.txn_commit c.metrics ~gid ~site;
-  release c ~attempt ~site
-
 let abort_local (c : Cluster.t) ~attempt ~site =
   History.discard_attempt c.history ~attempt;
   release c ~attempt ~site
+
+(* --- primary attempts ------------------------------------------------------- *)
+
+type primary = { gid : int; attempt : int; site : int; deadline_at : float }
+
+let begin_primary (c : Cluster.t) ~site =
+  let deadline_at = Cluster.deadline c in
+  let gid = Cluster.fresh_gid c in
+  let attempt = Cluster.fresh_attempt c in
+  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  { gid; attempt; site; deadline_at }
+
+let commit_local c a writes =
+  commit_cost ~owner:a.attempt c ~site:a.site;
+  apply_writes c ~gid:a.gid ~site:a.site writes;
+  Metrics.txn_commit c.metrics ~gid:a.gid ~site:a.site;
+  release c ~attempt:a.attempt ~site:a.site
+
+let abort_primary ?cleanup (c : Cluster.t) a reason =
+  (match reason with
+  | Txn.Deadline_exceeded -> Metrics.deadline c.metrics ~gid:a.gid ~site:a.site
+  | _ -> ());
+  abort_local c ~attempt:a.attempt ~site:a.site;
+  (match cleanup with Some f -> f () | None -> ());
+  Metrics.txn_abort c.metrics ~gid:a.gid ~site:a.site reason;
+  Txn.Aborted reason
 
 (* --- the replica side of propagation -------------------------------------- *)
 

@@ -61,14 +61,38 @@ val commit_cost : ?owner:int -> Cluster.t -> site:int -> unit
 (** [release c ~attempt ~site] — release every lock of [attempt]. *)
 val release : Cluster.t -> attempt:int -> site:int -> unit
 
-(** [commit_local c ~gid ~attempt ~site writes] — commit a primary
-    transaction: {!commit_cost} (attributed to [attempt]), then atomically
-    apply [writes], emit the commit event and release the locks. *)
-val commit_local : Cluster.t -> gid:int -> attempt:int -> site:int -> int list -> unit
-
 (** [abort_local c ~attempt ~site] — discard the attempt's recorded accesses
     and release its locks. *)
 val abort_local : Cluster.t -> attempt:int -> site:int -> unit
+
+(** {1 Primary attempts}
+
+    Every protocol's [submit] starts its attempt with {!begin_primary} and
+    aborts it with {!abort_primary}: ids, spans and abort bookkeeping are
+    written here once. *)
+
+(** One client attempt of a primary transaction at its origin [site]. [gid]
+    names the transaction in the history; [attempt] is its lock owner and
+    history attempt at every site it touches, remote primaries included.
+    [deadline_at] is {!Cluster.deadline} at the start. *)
+type primary = private { gid : int; attempt : int; site : int; deadline_at : float }
+
+(** [begin_primary c ~site] reads {!Cluster.deadline}, draws
+    {!Cluster.fresh_gid} then {!Cluster.fresh_attempt} and opens the spans
+    ({!Metrics.txn_begin}). *)
+val begin_primary : Cluster.t -> site:int -> primary
+
+(** [commit_local c a writes] — commit the attempt at its origin:
+    {!commit_cost} (attributed to [a.attempt]), then atomically apply
+    [writes], emit the commit event and release the locks. *)
+val commit_local : Cluster.t -> primary -> int list -> unit
+
+(** [abort_primary ?cleanup c a reason] traces the deadline when [reason] is
+    [Deadline_exceeded], runs {!abort_local} at the origin, then [cleanup]
+    (releasing remote locks, withdrawing staged participants), closes the
+    spans ({!Metrics.txn_abort}) and returns [Aborted reason]. *)
+val abort_primary :
+  ?cleanup:(unit -> unit) -> Cluster.t -> primary -> Txn.abort_reason -> Txn.outcome
 
 (** {1 Secondary subtransactions} *)
 

@@ -10,7 +10,7 @@ let name = "lazy-master"
 let updates_replicas = true
 
 type msg =
-  | Read_request of { item : int; owner : int; reply : bool -> unit }
+  | Read_request of { item : int; txn : Exec.primary; reply : bool -> unit }
   | Read_reply of { granted : bool; deliver : bool -> unit }
   | Push of { gid : int; writes : int list; origin_commit : float; reply : unit -> unit }
       (** Updates shipped to a replica site; acknowledged once applied. *)
@@ -24,15 +24,15 @@ let remote_reads t = t.remote
 (* Serve a shared-lock request at the primary (the value is then read from
    the local replica at the requester — fresh, because writers hold their
    locks until every replica acknowledged). *)
-let serve_read t site ~src ~item ~owner ~reply =
+let serve_read t site ~src ~item ~(txn : Exec.primary) ~reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   let respond granted =
     Network.send t.net ~src:site ~dst:src (Read_reply { granted; deliver = reply })
   in
-  match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Shared with
+  match Lock_mgr.acquire c.locks.(site) ~owner:txn.attempt item Lock_mgr.Shared with
   | Lock_mgr.Granted ->
-      History.record c.history ~site ~item ~gid:owner ~attempt:owner History.R;
+      History.record c.history ~site ~item ~gid:txn.gid ~attempt:txn.attempt History.R;
       respond true
   | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
 
@@ -46,8 +46,8 @@ let serve_push t site ~src ~gid ~writes ~origin_commit ~reply =
   Network.send t.net ~src:site ~dst:src (Push_ack { deliver = reply })
 
 let handle t site ~src = function
-  | Read_request { item; owner; reply } ->
-      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
+  | Read_request { item; txn; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~txn ~reply)
   | Read_reply { granted; deliver } ->
       Cluster.dec_outstanding t.c;
       deliver granted
@@ -69,20 +69,18 @@ let create (c : Cluster.t) =
   done;
   t
 
+(* Release the attempt's shared locks at every primary it read from. *)
+let release_remote t (a : Exec.primary) remote_sites =
+  Hashtbl.iter
+    (fun primary () ->
+      Cluster.inc_outstanding t.c;
+      Network.send t.net ~src:a.site ~dst:primary (Release { owner = a.attempt }))
+    remote_sites
+
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   let remote_sites = Hashtbl.create 4 in
-  let cleanup_remote () =
-    Hashtbl.iter
-      (fun primary () ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst:primary (Release { owner = attempt }))
-      remote_sites
-  in
   let rec run = function
     | [] -> Ok ()
     | Txn.Read item :: rest when c.placement.primary.(item) <> site ->
@@ -91,7 +89,7 @@ let submit t (spec : Txn.spec) =
         Hashtbl.replace remote_sites primary ();
         Cluster.use_cpu c site c.params.cpu_msg;
         if Exec.request c t.net ~src:site ~dst:primary (fun reply ->
-               Read_request { item; owner = attempt; reply })
+               Read_request { item; txn = a; reply })
         then begin
           (* Read the local replica under the primary's lock. *)
           Cluster.use_cpu c site c.params.cpu_op;
@@ -103,10 +101,7 @@ let submit t (spec : Txn.spec) =
   in
   match run spec.ops with
   | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      cleanup_remote ();
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
       Exec.commit_cost ~owner:attempt c ~site;
@@ -123,7 +118,7 @@ let submit t (spec : Txn.spec) =
         (Sim.now c.sim -. origin_commit);
       Metrics.txn_commit c.metrics ~gid ~site;
       Exec.release c ~attempt ~site;
-      cleanup_remote ();
+      release_remote t a remote_sites;
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

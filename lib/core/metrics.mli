@@ -51,7 +51,8 @@ val emit : t -> Repdb_obs.Event.kind -> unit
 
 (** [txn_begin t ~gid ~attempt ~site] opens the transaction's phase spans,
     ties its lock-owner id [attempt] to [gid] so lock waits are attributed,
-    and traces the begin. Protocols call it right after allocating the ids. *)
+    and traces the begin. {!Exec.begin_primary} calls it right after drawing
+    the ids. *)
 val txn_begin : t -> gid:int -> attempt:int -> site:int -> unit
 
 (** Close the spans of [gid] and trace its commit or abort at the origin. *)

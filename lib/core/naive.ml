@@ -15,18 +15,12 @@ let create (c : Cluster.t) =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
-  | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+  | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_local c ~gid ~attempt ~site writes;
+      Exec.commit_local c a writes;
       (* Indiscriminate: straight to every replica site, no ordering. *)
       Exec.send_updates c t.net ~site ~gid writes;
       Txn.Committed

@@ -105,6 +105,9 @@ let describe_update (u : Exec.versioned_update) =
   ("occ-update", 16 + (8 * List.length u.u_writes))
 
 let create (c : Cluster.t) =
+  if c.params.heal then
+    invalid_arg
+      "Occ_epoch: healing is unsupported (a repair can overtake an in-flight versioned update)";
   let t =
     {
       c;
@@ -137,11 +140,9 @@ let create (c : Cluster.t) =
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline c in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; deadline_at } : Exec.primary) as a =
+    Exec.begin_primary c ~site:spec.origin
+  in
   (* Optimistic local execution: no locks. Reads capture the version
      observed (the validation evidence), writes are buffered. *)
   let reads = ref [] in
@@ -157,20 +158,12 @@ let submit t (spec : Txn.spec) =
     spec.ops;
   let reads = List.rev !reads in
   let writes = List.sort_uniq compare (Txn.writes spec) in
-  let abort reason =
-    History.discard_attempt c.history ~attempt;
-    Metrics.txn_abort c.metrics ~gid ~site reason;
-    Txn.Aborted reason
-  in
-  if Sim.now c.sim >= deadline_at then begin
-    Metrics.deadline c.metrics ~gid ~site;
-    abort Txn.Deadline_exceeded
-  end
+  if Sim.now c.sim >= deadline_at then Exec.abort_primary c a Txn.Deadline_exceeded
   else if
     site <> validator_site && not (Network.reachable t.net ~src:site ~dst:validator_site)
   then
     (* Fail fast instead of parking a batch against a partition. *)
-    abort Txn.Partitioned
+    Exec.abort_primary c a Txn.Partitioned
   else begin
     let t0 = Sim.now c.sim in
     let p = { gid; reads; writes; verdict = Sim.once () } in
@@ -186,10 +179,8 @@ let submit t (spec : Txn.spec) =
     Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
     match outcome with
     | `Committed -> Txn.Committed
-    | `Validation_failed -> abort Txn.Validation_failed
-    | `Deadline ->
-        Metrics.deadline c.metrics ~gid ~site;
-        abort Txn.Deadline_exceeded
+    | `Validation_failed -> Exec.abort_primary c a Txn.Validation_failed
+    | `Deadline -> Exec.abort_primary c a Txn.Deadline_exceeded
   end
 
 (* The cluster drains (no active transactions, nothing in flight) before a

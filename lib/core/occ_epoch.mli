@@ -14,6 +14,10 @@
     that makes [central] a bottleneck, at the cost of commit latency (half
     an epoch on average) — and of validation aborts where contention is
     high, since the read set ages for up to a whole epoch before it is
-    checked. *)
+    checked.
+
+    [create] refuses [params.heal] ([Invalid_argument]): a repair can reach
+    a replica before an in-flight versioned update, whose install then finds
+    the copy past its version. *)
 
 include Protocol.S

@@ -9,7 +9,7 @@ let name = "psl"
 let updates_replicas = false
 
 type msg =
-  | Read_request of { item : int; owner : int; reply : bool -> unit }
+  | Read_request of { item : int; txn : Exec.primary; reply : bool -> unit }
   | Read_reply of { granted : bool; deliver : bool -> unit }
       (** The grant (with the shipped value) or denial travelling back. *)
   | Release of { owner : int }
@@ -30,23 +30,23 @@ let remote_reads t = t.remote
 (* Serve a shared-lock request at the item's primary site; runs as its own
    process since the lock wait can block. The reply is itself a network
    message carrying the current value back with the lock grant. *)
-let serve_read t site ~src ~item ~owner ~reply =
+let serve_read t site ~src ~item ~(txn : Exec.primary) ~reply =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   let respond granted =
     Network.send t.net ~src:site ~dst:src (Read_reply { granted; deliver = reply })
   in
-  match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Shared with
+  match Lock_mgr.acquire c.locks.(site) ~owner:txn.attempt item Lock_mgr.Shared with
   | Lock_mgr.Granted ->
       Cluster.use_cpu c site c.params.cpu_op;
       ignore (Store.read c.stores.(site) item);
-      History.record c.history ~site ~item ~gid:owner ~attempt:owner History.R;
+      History.record c.history ~site ~item ~gid:txn.gid ~attempt:txn.attempt History.R;
       respond true
   | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
 
 let handle t site ~src = function
-  | Read_request { item; owner; reply } ->
-      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~owner ~reply)
+  | Read_request { item; txn; reply } ->
+      Sim.spawn t.c.sim (fun () -> serve_read t site ~src ~item ~txn ~reply)
   | Read_reply { granted; deliver } ->
       Cluster.dec_outstanding t.c;
       deliver granted
@@ -79,33 +79,29 @@ let create (c : Cluster.t) =
    with [`Deadline] (resumption is one-shot, so a late grant or denial is
    ignored — the Release sent at abort releases any lock the primary granted
    meanwhile, and [release_all] also cancels a still-pending wait there). *)
-let remote_read t ~site ~primary ~item ~owner ~deadline_at =
+let remote_read t (txn : Exec.primary) ~primary ~item =
   let c = t.c in
   t.remote <- t.remote + 1;
-  Cluster.use_cpu c site c.params.cpu_msg;
-  if Sim.now c.sim >= deadline_at then `Deadline
+  Cluster.use_cpu c txn.site c.params.cpu_msg;
+  if Sim.now c.sim >= txn.deadline_at then `Deadline
   else
-    Exec.request c t.net ~src:site ~dst:primary ~deadline:(deadline_at, `Deadline) (fun resume ->
+    Exec.request c t.net ~src:txn.site ~dst:primary ~deadline:(txn.deadline_at, `Deadline)
+      (fun resume ->
         Read_request
-          { item; owner; reply = (fun granted -> resume (if granted then `Granted else `Denied)) })
+          { item; txn; reply = (fun granted -> resume (if granted then `Granted else `Denied)) })
+
+(* Release the attempt's shared locks at every primary it read from. *)
+let release_remote t (a : Exec.primary) remote_sites =
+  Hashtbl.iter
+    (fun primary () ->
+      Cluster.inc_outstanding t.c;
+      Network.send t.net ~src:a.site ~dst:primary (Release { owner = a.attempt }))
+    remote_sites
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline c in
-  (* PSL locks span sites, so the gid doubles as the attempt/lock-owner id;
-     remote primaries record history under it directly. *)
-  let gid = Cluster.fresh_gid c in
-  let attempt = gid in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   let remote_sites = Hashtbl.create 4 in
-  let cleanup_remote () =
-    Hashtbl.iter
-      (fun primary () ->
-        Cluster.inc_outstanding c;
-        Network.send t.net ~src:site ~dst:primary (Release { owner = attempt }))
-      remote_sites
-  in
   let rec run = function
     | [] -> Ok ()
     | Txn.Read item :: rest when c.placement.primary.(item) <> site -> (
@@ -131,27 +127,22 @@ let submit t (spec : Txn.spec) =
             (* The round-trip to the primary is the PSL propagation wait:
                lock-grant latency shows up at the reader. *)
             let t0 = Sim.now c.sim in
-            let reply = remote_read t ~site ~primary ~item ~owner:attempt ~deadline_at in
+            let reply = remote_read t a ~primary ~item in
             Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. t0);
             match reply with
             | `Granted ->
                 Cluster.use_cpu c site c.params.cpu_msg;
                 run rest
             | `Denied -> Error Txn.Remote_denied
-            | `Deadline ->
-                Metrics.deadline c.metrics ~gid ~site;
-                Error Txn.Deadline_exceeded))
+            | `Deadline -> Error Txn.Deadline_exceeded))
     | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
   | Error reason ->
-      Exec.abort_local c ~attempt ~site;
-      cleanup_remote ();
-      Metrics.txn_abort c.metrics ~gid ~site reason;
-      Txn.Aborted reason
+      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
   | Ok () ->
       let writes = List.sort_uniq compare (Txn.writes spec) in
-      Exec.commit_local c ~gid ~attempt ~site writes;
+      Exec.commit_local c a writes;
       (* PSL never applies updates at replicas, and state transfers and
          repairs install without stamping, so its own commits are the only
          writes that move a copy's staleness clock. *)
@@ -160,7 +151,7 @@ let submit t (spec : Txn.spec) =
       | Some mtime ->
           let now = Sim.now c.sim in
           List.iter (fun item -> mtime.(site).(item) <- now) writes);
-      cleanup_remote ();
+      release_remote t a remote_sites;
       if Hashtbl.length remote_sites > 0 then
         Cluster.use_cpu c site (float_of_int (Hashtbl.length remote_sites) *. c.params.cpu_msg);
       Txn.Committed

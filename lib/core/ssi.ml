@@ -88,6 +88,8 @@ let describe_update (u : Exec.versioned_update) =
   ("ssi-update", 24 + (8 * List.length u.u_writes))
 
 let create (c : Cluster.t) =
+  if c.params.heal then
+    invalid_arg "Ssi: healing is unsupported (a repair can overtake an in-flight versioned update)";
   let t =
     {
       c;
@@ -109,7 +111,7 @@ let create (c : Cluster.t) =
    begin-timestamp version (truncated, or the copy arrived after a
    reconfiguration), so ask the other copy sites in placement order,
    skipping crashed or partitioned ones. *)
-let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
+let remote_snapshot_read t ({ gid; attempt; site; deadline_at } : Exec.primary) ~item ~begin_ts =
   let c = t.c in
   let candidates =
     c.placement.primary.(item) :: Array.to_list c.placement.replicas.(item)
@@ -135,26 +137,21 @@ let remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at =
   in
   go false candidates
 
+(* Abort on a path where certification will never run for this gid, so the
+   registration must be withdrawn here. After the certify message is sent,
+   [Tracker.certify] deregisters — even if the client stops waiting. *)
+let abort_uncertified t (a : Exec.primary) reason =
+  Exec.abort_primary t.c a reason ~cleanup:(fun () -> Tracker.forget t.tracker ~gid:a.gid)
+
 let submit t (spec : Txn.spec) =
   let c = t.c in
-  let site = spec.origin in
-  let deadline_at = Cluster.deadline c in
-  let gid = Cluster.fresh_gid c in
-  let attempt = Cluster.fresh_attempt c in
-  Metrics.txn_begin c.metrics ~gid ~attempt ~site;
+  let ({ gid; attempt; site; deadline_at } : Exec.primary) as a =
+    Exec.begin_primary c ~site:spec.origin
+  in
   let begin_ts = Sim.now c.sim in
   (* Register with the certifier's GC window. Modelled as piggybacked
      metadata (no message): it only bounds what the tracker may forget. *)
   Tracker.begin_txn t.tracker ~gid ~begin_ts;
-  (* Abort on a path where certification will never run for this gid, so the
-     registration must be withdrawn here. After the certify message is sent,
-     [Tracker.certify] deregisters — even if the client stops waiting. *)
-  let abort reason =
-    Tracker.forget t.tracker ~gid;
-    History.discard_attempt c.history ~attempt;
-    Metrics.txn_abort c.metrics ~gid ~site reason;
-    Txn.Aborted reason
-  in
   let rec run reads = function
     | [] -> Ok (List.rev reads)
     | Txn.Write _ :: rest ->
@@ -168,7 +165,7 @@ let submit t (spec : Txn.spec) =
             run ((item, v) :: reads) rest
         | None -> (
             let t0 = Sim.now c.sim in
-            let r = remote_snapshot_read t ~site ~item ~begin_ts ~gid ~attempt ~deadline_at in
+            let r = remote_snapshot_read t a ~item ~begin_ts in
             Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
             match r with
             | `Got v -> run ((item, v) :: reads) rest
@@ -176,22 +173,17 @@ let submit t (spec : Txn.spec) =
                 (* No available copy retains the snapshot version. *)
                 Error Txn.Validation_failed
             | `Unreachable -> Error Txn.Partitioned
-            | `Deadline ->
-                Metrics.deadline c.metrics ~gid ~site;
-                Error Txn.Deadline_exceeded))
+            | `Deadline -> Error Txn.Deadline_exceeded))
   in
   match run [] spec.ops with
-  | Error reason -> abort reason
+  | Error reason -> abort_uncertified t a reason
   | Ok reads -> (
       let writes = List.sort_uniq compare (Txn.writes spec) in
       let txn = { Tracker.gid; begin_ts; reads; writes } in
-      if Sim.now c.sim >= deadline_at then begin
-        Metrics.deadline c.metrics ~gid ~site;
-        abort Txn.Deadline_exceeded
-      end
+      if Sim.now c.sim >= deadline_at then abort_uncertified t a Txn.Deadline_exceeded
       else if
         site <> certifier_site && not (Network.reachable t.net ~src:site ~dst:certifier_site)
-      then abort Txn.Partitioned
+      then abort_uncertified t a Txn.Partitioned
       else begin
         let t0 = Sim.now c.sim in
         let verdict =
@@ -219,17 +211,12 @@ let submit t (spec : Txn.spec) =
               | Tracker.Ww_conflict -> Txn.First_committer_lost
               | Tracker.Dangerous -> Txn.Dangerous_structure
             in
-            History.discard_attempt c.history ~attempt;
-            Metrics.txn_abort c.metrics ~gid ~site reason;
-            Txn.Aborted reason
+            Exec.abort_primary c a reason
         | `Deadline ->
             (* The certifier will still process the request; it deregisters
                the gid and a certified winner applies server-side. Only the
                client-side reads are withdrawn. *)
-            Metrics.deadline c.metrics ~gid ~site;
-            History.discard_attempt c.history ~attempt;
-            Metrics.txn_abort c.metrics ~gid ~site Txn.Deadline_exceeded;
-            Txn.Aborted Txn.Deadline_exceeded
+            Exec.abort_primary c a Txn.Deadline_exceeded
       end)
 
 (* After an epoch switch the placement changed under the version chains:

@@ -14,6 +14,10 @@
     Certified writes are applied at the origin primary in certification
     order and propagated lazily to replicas together with their commit
     timestamp, which extends each replica's version chain — later snapshot
-    reads are served with no locks and no round trip. *)
+    reads are served with no locks and no round trip.
+
+    [create] refuses [params.heal] ([Invalid_argument]): a repair can reach
+    a replica before an in-flight versioned update, whose install then finds
+    the copy past its version. *)
 
 include Protocol.S

@@ -68,26 +68,27 @@ let chain_of_order order =
   done;
   of_parents parents
 
+let chain_components g ~order =
+  let pos = Array.make (Digraph.n_vertices g) 0 in
+  List.iteri (fun i v -> pos.(v) <- i) order;
+  let parents = Array.make (Digraph.n_vertices g) (-1) in
+  let chain comp =
+    let sorted = List.sort (fun a b -> compare pos.(a) pos.(b)) comp in
+    let rec link = function
+      | a :: (b :: _ as rest) ->
+          parents.(b) <- a;
+          link rest
+      | [ _ ] | [] -> ()
+    in
+    link sorted
+  in
+  List.iter chain (Digraph.weak_components g);
+  of_parents parents
+
 let of_dag g =
   match Digraph.topo_sort g with
   | None -> invalid_arg "Tree.of_dag: graph has a cycle"
-  | Some order ->
-      let pos = Array.make (Digraph.n_vertices g) 0 in
-      List.iteri (fun i v -> pos.(v) <- i) order;
-      let parents = Array.make (Digraph.n_vertices g) (-1) in
-      let chain comp =
-        (* Chain the component's vertices in topological order. *)
-        let sorted = List.sort (fun a b -> compare pos.(a) pos.(b)) comp in
-        let rec link = function
-          | a :: (b :: _ as rest) ->
-              parents.(b) <- a;
-              link rest
-          | [ _ ] | [] -> ()
-        in
-        link sorted
-      in
-      List.iter chain (Digraph.weak_components g);
-      of_parents parents
+  | Some order -> chain_components g ~order
 
 let satisfies g t =
   List.for_all (fun (u, v) -> is_ancestor t u v) (Digraph.edges g)

@@ -43,10 +43,14 @@ val of_parents : int array -> t
     order consistent with the DAG (Section 5.1). *)
 val chain_of_order : int array -> t
 
-(** [of_dag g] builds a forest satisfying the required property: vertices of
-    each weakly-connected component of [g] are chained in topological order,
-    and components are independent trees. Falls back on less routing than a
-    single global chain while remaining provably correct.
+(** [chain_components g ~order] — one chain per weakly-connected component
+    of [g], its vertices in the order they take in [order] (a permutation
+    of [g]'s vertices); components are independent trees. *)
+val chain_components : Digraph.t -> order:int list -> t
+
+(** [of_dag g] builds a forest satisfying the required property:
+    {!chain_components} in a topological order of [g]. Falls back on less
+    routing than a single global chain while remaining provably correct.
     @raise Invalid_argument if [g] is not a DAG. *)
 val of_dag : Digraph.t -> t
 

@@ -7,7 +7,6 @@
 
 type t = {
   domains : int;  (* total parallelism, counting the caller *)
-  chunk : int option;  (* pool-level claim size; None = adaptive per map *)
   mutable workers : unit Domain.t array;  (* domains - 1 of them *)
   m : Mutex.t;
   work_ready : Condition.t;
@@ -44,15 +43,11 @@ let worker pool () =
   in
   loop ()
 
-let create ?chunk ~domains () =
+let create ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.create: chunk must be >= 1"
-  | _ -> ());
   let pool =
     {
       domains;
-      chunk;
       workers = [||];
       m = Mutex.create ();
       work_ready = Condition.create ();
@@ -75,8 +70,8 @@ let shutdown t =
   Mutex.unlock t.m;
   if not was_stopped then Array.iter Domain.join t.workers
 
-let with_pool ?chunk ~domains f =
-  let pool = create ?chunk ~domains () in
+let with_pool ~domains f =
+  let pool = create ~domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* Tasks are whole simulation runs (seconds each), so per-claim overhead is
@@ -85,11 +80,8 @@ let with_pool ?chunk ~domains f =
    even out slow tasks. *)
 let adaptive_chunk ~domains ~n = max 1 (n / (domains * 4))
 
-let map ?chunk t xs ~f =
+let map t xs ~f =
   let n = Array.length xs in
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.map: chunk must be >= 1"
-  | _ -> ());
   if t.stopped then invalid_arg "Pool.map: pool is shut down";
   if n = 0 then [||]
   else if t.domains = 1 || n = 1 then Array.map f xs
@@ -98,11 +90,7 @@ let map ?chunk t xs ~f =
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    let chunk =
-      match (chunk, t.chunk) with
-      | Some c, _ | None, Some c -> c
-      | None, None -> adaptive_chunk ~domains:t.domains ~n
-    in
+    let chunk = adaptive_chunk ~domains:t.domains ~n in
     let error = Atomic.make None in
     let body () =
       let continue = ref true in

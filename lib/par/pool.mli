@@ -17,11 +17,9 @@
 type t
 
 (** [create ~domains ()] spawns [domains - 1] worker domains (so [map] uses
-    [domains] domains in total, counting the caller). [chunk] fixes the
-    claim size for every [map] on this pool (overridable per call);
-    omitted, each [map] picks the adaptive default.
-    @raise Invalid_argument if [domains < 1] or [chunk < 1]. *)
-val create : ?chunk:int -> domains:int -> unit -> t
+    [domains] domains in total, counting the caller).
+    @raise Invalid_argument if [domains < 1]. *)
+val create : domains:int -> unit -> t
 
 (** Total parallelism of the pool, counting the calling domain. *)
 val domains : t -> int
@@ -40,16 +38,14 @@ val default_domains : unit -> int
     have stopped claiming work. A pool with [domains = 1] (or a
     singleton/empty input) runs sequentially in the caller.
 
-    [chunk] is the number of consecutive tasks claimed per atomic increment;
-    values larger than the input are clamped to one claim. The adaptive
-    default, [max 1 (n / (domains * 4))], leaves each domain a few claims so
+    Each claim takes {!adaptive_chunk} consecutive tasks,
+    [max 1 (n / (domains * 4))]: each domain gets a few claims so
     work-stealing can even out slow tasks while amortising claim overhead on
     large fan-outs.
-    @raise Invalid_argument on concurrent or nested use of the same pool, or
-    when [chunk < 1]. *)
-val map : ?chunk:int -> t -> 'a array -> f:('a -> 'b) -> 'b array
+    @raise Invalid_argument on concurrent or nested use of the same pool. *)
+val map : t -> 'a array -> f:('a -> 'b) -> 'b array
 
-(** The chunk size [map] uses when none is given. *)
+(** The number of tasks [map] claims per atomic increment. *)
 val adaptive_chunk : domains:int -> n:int -> int
 
 (** Shut the worker domains down and join them. The pool must not be used
@@ -57,5 +53,5 @@ val adaptive_chunk : domains:int -> n:int -> int
 val shutdown : t -> unit
 
 (** [with_pool ~domains f] runs [f pool] and shuts the pool down afterwards,
-    whether [f] returns or raises. [chunk] as in {!create}. *)
-val with_pool : ?chunk:int -> domains:int -> (t -> 'a) -> 'a
+    whether [f] returns or raises. *)
+val with_pool : domains:int -> (t -> 'a) -> 'a

@@ -64,36 +64,6 @@ let test_nested_map_rejected () =
       | _ -> Alcotest.fail "expected nested map to be rejected"
       | exception Invalid_argument _ -> ())
 
-let test_chunk_one () =
-  (* Finest granularity: one task per claim still covers everything exactly
-     once and lands results by index. *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let xs = Array.init 257 Fun.id in
-      check
-        Alcotest.(array int)
-        "chunk=1 per-call" (Array.map succ xs)
-        (Pool.map ~chunk:1 pool xs ~f:succ));
-  Pool.with_pool ~chunk:1 ~domains:4 (fun pool ->
-      let xs = Array.init 100 Fun.id in
-      check Alcotest.(array int) "chunk=1 pool-level" (Array.map succ xs) (Pool.map pool xs ~f:succ))
-
-let test_chunk_larger_than_input () =
-  (* A chunk past the input length collapses to one claim: the first domain
-     to increment the index takes everything, the rest find it drained. *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let xs = Array.init 7 Fun.id in
-      check
-        Alcotest.(array int)
-        "chunk > n" (Array.map succ xs)
-        (Pool.map ~chunk:1000 pool xs ~f:succ))
-
-let test_chunk_invalid () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.check_raises "chunk 0" (Invalid_argument "Pool.map: chunk must be >= 1") (fun () ->
-          ignore (Pool.map ~chunk:0 pool [| 1; 2; 3 |] ~f:succ)));
-  Alcotest.check_raises "create chunk 0" (Invalid_argument "Pool.create: chunk must be >= 1")
-    (fun () -> ignore (Pool.create ~chunk:0 ~domains:2 ()))
-
 let test_adaptive_chunk () =
   checki "small n" 1 (Pool.adaptive_chunk ~domains:4 ~n:10);
   checki "big n" 62 (Pool.adaptive_chunk ~domains:4 ~n:1000);
@@ -154,9 +124,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_map_exception;
           Alcotest.test_case "reuse across rounds" `Quick test_map_reuse;
           Alcotest.test_case "nested map rejected" `Quick test_nested_map_rejected;
-          Alcotest.test_case "chunk = 1" `Quick test_chunk_one;
-          Alcotest.test_case "chunk > n" `Quick test_chunk_larger_than_input;
-          Alcotest.test_case "chunk invalid" `Quick test_chunk_invalid;
           Alcotest.test_case "adaptive chunk" `Quick test_adaptive_chunk;
           Alcotest.test_case "create invalid" `Quick test_create_invalid;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;

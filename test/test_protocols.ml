@@ -526,6 +526,60 @@ let test_backedge_matches_dag_wt () =
       done)
     variants
 
+(* Strict 2PL and the 1SR checker both key on the attempt id: a lock owner
+   two transactions share is granted re-entrantly, and discarding one
+   attempt drops the other's accesses from the checked history. So every
+   attempt id, primary or secondary, must belong to exactly one gid. The
+   protocols that accept a cyclic copy graph run examples/telecom's
+   placement and parameters (status replicated back to the station: a copy
+   graph with backedges); the DAG protocols run the defaults at b = 0. *)
+let telecom_placement =
+  let n_managers = 5 and n_config = 12 and n_status = 4 in
+  let n_items = n_config + (n_managers * n_status) in
+  let primary =
+    Array.init n_items (fun i -> if i < n_config then 0 else 1 + ((i - n_config) / n_status))
+  in
+  let replicas =
+    Array.init n_items (fun i -> if i < n_config then List.init n_managers succ else [ 0 ])
+  in
+  Placement.make ~n_sites:(n_managers + 1) ~n_items ~primary ~replicas
+
+let telecom_params =
+  {
+    Params.default with
+    n_sites = 6;
+    n_items = telecom_placement.n_items;
+    threads_per_site = 2;
+    txns_per_thread = 150;
+    read_op_prob = 0.6;
+    read_txn_prob = 0.3;
+    record_history = true;
+    seed = 23;
+  }
+
+let test_attempt_owned_by_one_gid () =
+  let dag = [ "dag-wt"; "dag-t"; "dag-t-mc" ] in
+  List.iter
+    (fun (proto : Protocol.t) ->
+      let name = Protocol.name proto in
+      let c =
+        if List.mem name dag then
+          Cluster.create
+            { Params.default with backedge_prob = 0.0; txns_per_thread = 50; record_history = true }
+        else Cluster.create_with telecom_params telecom_placement
+      in
+      ignore (Driver.run_on c proto);
+      let owner = Hashtbl.create 4096 and shared = ref 0 in
+      List.iter
+        (Array.iter (fun (a : Repdb_txn.History.access) ->
+             match Hashtbl.find_opt owner a.attempt with
+             | None -> Hashtbl.replace owner a.attempt a.gid
+             | Some gid -> if gid <> a.gid then incr shared))
+        (Repdb_txn.History.committed_logs c.history);
+      checkb (name ^ ": history recorded") true (Hashtbl.length owner > 0);
+      checki (name ^ ": accesses whose attempt id another gid also uses") 0 !shared)
+    (Repdb.Registry.all @ [ Repdb.Registry.backedge_general; Repdb.Registry.dag_t_pipelined ])
+
 let () =
   Alcotest.run "protocols"
     [
@@ -572,6 +626,8 @@ let () =
         [ Alcotest.test_case "updates replicas in txn" `Quick test_eager_updates_replicas_in_txn ] );
       ( "lazy-master",
         [ Alcotest.test_case "basics" `Quick test_lazy_master_basics ] );
+      ( "attempts",
+        [ Alcotest.test_case "one gid per attempt id" `Quick test_attempt_owned_by_one_gid ] );
       ( "central",
         [
           Alcotest.test_case "rejects stale read" `Quick test_central_certification_rejects_stale_read;
