@@ -351,7 +351,7 @@ let submit t (spec : Txn.spec) =
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason -> Exec.abort_primary c a reason
   | Ok () -> (
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       match backedge_targets t site writes with
       | [] -> commit_primary t a ~writes ~targets:[]
       | _ :: _ as targets

@@ -93,7 +93,7 @@ let submit t (spec : Txn.spec) =
   | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
       let reads = List.rev !reads in
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       if certify t ~site ~reads ~writes then begin
         Exec.commit_local c a writes;
         (* Lazy direct propagation; per-item streams are FIFO from the

@@ -19,7 +19,8 @@ type msg = {
 type site_state = {
   mutable lts : int;
   mutable ts : Timestamp.t;
-  queues : (int, msg Queue.t) Hashtbl.t; (* one per copy-graph parent *)
+  queues : (int, msg Queue.t * string) Hashtbl.t; (* per copy-graph parent, with its trace label *)
+  heads : msg Queue.t array; (* the same queues, in [queues]' iteration order *)
   arrivals : Condvar.t;
   last_sent : float array; (* per child site id *)
   (* Pipelined-applier bookkeeping (the Section 3.2.3 relaxation): *)
@@ -31,8 +32,8 @@ type site_state = {
 
 type t = {
   c : Cluster.t;
-  graph : Digraph.t;
   rank : int array;
+  children : int list array; (* copy-graph successors, per site *)
   net : msg Network.t;
   states : site_state array;
   pipelined : bool;
@@ -40,21 +41,24 @@ type t = {
 
 let site_timestamp t site = t.states.(site).ts
 
-(* Pick the parent queue whose head has the minimum timestamp; None unless
-   every queue is non-empty (Section 3.2.3). *)
-let min_head (st : site_state) : (msg Queue.t * msg) option =
-  let best = ref None in
-  let all = ref true in
-  Hashtbl.iter
-    (fun _parent q ->
-      match Queue.peek_opt q with
-      | None -> all := false
-      | Some (msg : msg) -> (
-          match !best with
-          | Some (_, (m : msg)) when Timestamp.compare m.ts msg.ts <= 0 -> ()
-          | _ -> best := Some (q, msg)))
-    st.queues;
-  if !all then !best else None
+(* Stands for "no queue"; never filled. *)
+let no_queue : msg Queue.t = Queue.create ()
+
+let head (q : msg Queue.t) = Queue.peek q
+
+let rec scan_heads heads i best =
+  if i = Array.length heads then best
+  else
+    let q = heads.(i) in
+    if Queue.is_empty q then no_queue
+    else if best == no_queue || Timestamp.compare (head best).ts (head q).ts > 0 then
+      scan_heads heads (i + 1) q
+    else scan_heads heads (i + 1) best
+
+(* The parent queue whose head has the minimum timestamp, the first in
+   [heads] on a tie; [no_queue] unless every queue is non-empty
+   (Section 3.2.3). *)
+let min_head (st : site_state) = scan_heads st.heads 0 no_queue
 
 (* Commit a secondary (or dummy) at [site]: the site timestamp becomes
    TS(Ti) . (site, LTS), with Ti's epoch (Sections 3.2.3 and 3.3). *)
@@ -77,14 +81,9 @@ let process t site (msg : msg) =
 let applier t site =
   let st = t.states.(site) in
   let rec loop () =
-    match min_head st with
-    | Some (q, msg) ->
-        ignore (Queue.pop q);
-        process t site msg;
-        loop ()
-    | None ->
-        Condvar.await st.arrivals;
-        loop ()
+    let q = min_head st in
+    if q == no_queue then Condvar.await st.arrivals else process t site (Queue.pop q);
+    loop ()
   in
   loop ()
 
@@ -138,34 +137,33 @@ let pipelined_applier t site =
   let c = t.c in
   let st = t.states.(site) in
   let rec loop () =
-    match min_head st with
-    | Some (q, msg) ->
-        ignore (Queue.pop q);
-        if not msg.dummy then Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
-        let ticket = st.tickets in
-        st.tickets <- st.tickets + 1;
-        let items =
-          if msg.dummy then []
-          else Placement.local_replicas c.placement site msg.writes
-        in
-        (* Register per-item FIFO position synchronously, before yielding. *)
-        List.iter
-          (fun item ->
-            let iq =
-              match Hashtbl.find_opt st.item_queues item with
-              | Some iq -> iq
-              | None ->
-                  let iq = Queue.create () in
-                  Hashtbl.replace st.item_queues item iq;
-                  iq
-            in
-            Queue.add ticket iq)
-          items;
-        Sim.spawn c.sim (fun () -> pipelined_worker t site msg ~ticket ~items);
-        loop ()
-    | None ->
-        Condvar.await st.arrivals;
-        loop ()
+    let q = min_head st in
+    if q == no_queue then Condvar.await st.arrivals
+    else begin
+      let msg = Queue.pop q in
+      if not msg.dummy then Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
+      let ticket = st.tickets in
+      st.tickets <- st.tickets + 1;
+      let items =
+        if msg.dummy then []
+        else Placement.local_replicas c.placement site msg.writes
+      in
+      (* Register per-item FIFO position synchronously, before yielding. *)
+      List.iter
+        (fun item ->
+          let iq =
+            match Hashtbl.find_opt st.item_queues item with
+            | Some iq -> iq
+            | None ->
+                let iq = Queue.create () in
+                Hashtbl.replace st.item_queues item iq;
+                iq
+          in
+          Queue.add ticket iq)
+        items;
+      Sim.spawn c.sim (fun () -> pipelined_worker t site msg ~ticket ~items)
+    end;
+    loop ()
   in
   loop ()
 
@@ -215,11 +213,15 @@ let create_internal ~pipelined (c : Cluster.t) =
   let states =
     Array.init m (fun site ->
         let queues = Hashtbl.create 4 in
-        List.iter (fun parent -> Hashtbl.replace queues parent (Queue.create ())) (Digraph.pred graph site);
+        List.iter
+          (fun parent ->
+            Hashtbl.replace queues parent (Queue.create (), Printf.sprintf "parent:%d" parent))
+          (Digraph.pred graph site);
         {
           lts = 0;
           ts = Timestamp.initial rank.(site);
           queues;
+          heads = Array.of_seq (Seq.map fst (Hashtbl.to_seq_values queues));
           arrivals = Condvar.create ();
           last_sent = Array.make m 0.0;
           tickets = 0;
@@ -228,23 +230,21 @@ let create_internal ~pipelined (c : Cluster.t) =
           turn = Condvar.create ();
         })
   in
-  let t = { c; graph; rank; net; states; pipelined } in
+  let children = Array.init m (Digraph.succ graph) in
+  let t = { c; rank; children; net; states; pipelined } in
   for site = 0 to m - 1 do
     let st = states.(site) in
     Network.set_handler net site (fun ~src msg ->
-        match Hashtbl.find_opt st.queues src with
-        | Some q ->
+        match Hashtbl.find st.queues src with
+        | q, label ->
             Queue.add msg q;
-            Metrics.queue_depth c.metrics ~site
-              ~queue:(Printf.sprintf "parent:%d" src)
-              ~depth:(Queue.length q);
+            Metrics.queue_depth c.metrics ~site ~queue:label ~depth:(Queue.length q);
             Condvar.broadcast st.arrivals
-        | None -> invalid_arg "Dag_t: message from a non-parent site");
+        | exception Not_found -> invalid_arg "Dag_t: message from a non-parent site");
     if Digraph.pred graph site <> [] then
       Sim.spawn c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
-    let children = Digraph.succ graph site in
-    if children <> [] then begin
-      Sim.spawn c.sim (fun () -> dummy_timer t site children);
+    if children.(site) <> [] then begin
+      Sim.spawn c.sim (fun () -> dummy_timer t site children.(site));
       if Digraph.pred graph site = [] then Sim.spawn c.sim (fun () -> epoch_timer t site)
     end
   done;
@@ -253,13 +253,34 @@ let create_internal ~pipelined (c : Cluster.t) =
 let create c = create_internal ~pipelined:false c
 let create_pipelined c = create_internal ~pipelined:true c
 
+let rec replicates_any placement child = function
+  | [] -> false
+  | item :: rest ->
+      Placement.has_replica placement ~site:child item || replicates_any placement child rest
+
+(* The children holding a replica of some written item, without a closure;
+   [children] itself when none is filtered out. *)
+let rec relevant_children placement writes = function
+  | [] -> []
+  | child :: rest as children ->
+      let rest' = relevant_children placement writes rest in
+      if not (replicates_any placement child writes) then rest'
+      else if rest' == rest then children
+      else child :: rest'
+
+let rec send_each t site msg = function
+  | [] -> ()
+  | child :: rest ->
+      send t ~src:site ~dst:child msg;
+      send_each t site msg rest
+
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       (* Atomic commit section (the "critical section" of Section 3.2.2):
          apply, release, bump the local counter, stamp the transaction and
          schedule the secondaries at the relevant children. *)
@@ -269,19 +290,11 @@ let submit t (spec : Txn.spec) =
       st.lts <- st.lts + 1;
       st.ts <- Timestamp.bump_own st.ts t.rank.(site);
       let ts = st.ts in
-      let relevant =
-        List.filter
-          (fun child ->
-            List.exists (fun item -> Placement.has_replica c.placement ~site:child item) writes)
-          (Digraph.succ t.graph site)
-      in
-      let now = Sim.now c.sim in
-      List.iter
-        (fun child ->
-          send t ~src:site ~dst:child { ts; gid; writes; dummy = false; origin_commit = now })
-        relevant;
-      if relevant <> [] then
-        Cluster.use_cpu c site (float_of_int (List.length relevant) *. c.params.cpu_msg);
+      let relevant = relevant_children c.placement writes t.children.(site) in
+      if relevant <> [] then begin
+        send_each t site { ts; gid; writes; dummy = false; origin_commit = Sim.now c.sim } relevant;
+        Cluster.use_cpu c site (float_of_int (List.length relevant) *. c.params.cpu_msg)
+      end;
       Txn.Committed
 
 (* Online reconfiguration is unsupported: the per-copy-graph-parent queues,

@@ -67,7 +67,7 @@ let submit t (spec : Txn.spec) =
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       (* Atomic commit section: apply, release, forward. *)
       Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;

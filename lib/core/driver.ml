@@ -36,47 +36,45 @@ type report = {
   timeline : Timeline.t option;
 }
 
+(* One transaction's attempts, from the first to its commit or its last
+   retry. [n_failed] counts its failed attempts; each retry gets a fresh
+   deadline (the deadline is per attempt, not per transaction). A top-level
+   recursion, so a transaction allocates no closure and no ref. *)
+let rec attempt (c : Cluster.t) submit gen rng retry_rng ~site ~start spec spec_epoch n_failed =
+  Epoch.barrier c ~site;
+  (* A retry that crossed an epoch switch redraws its transaction: the old
+     spec may read replicas the new placement dropped from this site, whose
+     local copies no longer receive updates. *)
+  let epoch = Epoch.current c in
+  let spec = if epoch <> spec_epoch then Generator.gen_with gen rng ~site else spec in
+  Cluster.txn_started c;
+  let outcome = submit spec in
+  Cluster.txn_finished c;
+  Metrics.outcome c.metrics ~site ~response:(Sim.now c.sim -. start) outcome;
+  match (outcome, c.params.retry) with
+  | Txn.Aborted _, Params.Backoff { base; multiplier; cap; max_retries }
+    when n_failed < max_retries ->
+      let backoff = Float.min cap (base *. (multiplier ** float_of_int n_failed)) in
+      (* Jitter in [0.5, 1.0), drawn from the dedicated per-client stream so
+         retries never perturb the workload draws. *)
+      let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
+      Sim.delay think;
+      Metrics.think c.metrics ~site think;
+      attempt c submit gen rng retry_rng ~site ~start spec epoch (n_failed + 1)
+  | Txn.Aborted _, Params.Backoff _ -> Cluster.exhaust_retries c
+  | _ -> ()
+
 let client (c : Cluster.t) submit gen rng retry_rng ~site =
-  let p = c.params in
-  for _ = 1 to p.txns_per_thread do
+  for _ = 1 to c.params.txns_per_thread do
     (* A crashed site accepts no new transactions; its clients pause until
        the restart broadcast. *)
     Fault_exec.await_site_up c site;
     (* An in-progress epoch switch stalls the client here (the mid-run
        throughput dip the reconfig experiment measures). *)
     Epoch.barrier c ~site;
-    let spec = ref (Generator.gen_with gen rng ~site) in
-    let spec_epoch = ref (Epoch.current c) in
-    let start = Sim.now c.sim in
-    (* [n_failed] counts this transaction's failed attempts; each retry gets
-       a fresh deadline (the deadline is per attempt, not per transaction). *)
-    let rec attempt n_failed =
-      Epoch.barrier c ~site;
-      (* A retry that crossed an epoch switch redraws its transaction: the
-         old spec may read replicas the new placement dropped from this
-         site, whose local copies no longer receive updates. *)
-      if Epoch.current c <> !spec_epoch then begin
-        spec := Generator.gen_with gen rng ~site;
-        spec_epoch := Epoch.current c
-      end;
-      Cluster.txn_started c;
-      let outcome = submit !spec in
-      Cluster.txn_finished c;
-      Metrics.outcome c.metrics ~site ~response:(Sim.now c.sim -. start) outcome;
-      match (outcome, p.retry) with
-      | Txn.Aborted _, Params.Backoff { base; multiplier; cap; max_retries }
-        when n_failed < max_retries ->
-          let backoff = Float.min cap (base *. (multiplier ** float_of_int n_failed)) in
-          (* Jitter in [0.5, 1.0), drawn from the dedicated per-client stream
-             so retries never perturb the workload draws. *)
-          let think = backoff *. (0.5 +. (0.5 *. Rng.float retry_rng)) in
-          Sim.delay think;
-          Metrics.think c.metrics ~site think;
-          attempt (n_failed + 1)
-      | Txn.Aborted _, Params.Backoff _ -> Cluster.exhaust_retries c
-      | _ -> ()
-    in
-    attempt 0
+    let spec = Generator.gen_with gen rng ~site in
+    let spec_epoch = Epoch.current c in
+    attempt c submit gen rng retry_rng ~site ~start:(Sim.now c.sim) spec spec_epoch 0
   done;
   Metrics.client_done c.metrics ~time:(Sim.now c.sim);
   Cluster.client_finished c

@@ -127,7 +127,7 @@ let submit t (spec : Txn.spec) =
   let rec run = function
     | [] -> Ok ()
     | op :: rest -> (
-        match Exec.run_ops c ~gid ~attempt ~site [ op ] with
+        match Exec.run_op c ~gid ~attempt ~site op with
         | Error reason -> Error reason
         | Ok () -> (
             match op with
@@ -146,7 +146,7 @@ let submit t (spec : Txn.spec) =
           Exec.request c t.net ~src:site ~dst (fun reply -> Prepare { owner = attempt; reply }))
         participants;
       (* Phase 2: commit locally, then decide. *)
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;
       decide_remote t a participants ~commit:true ~origin_commit:(Sim.now c.sim);

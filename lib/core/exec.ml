@@ -22,35 +22,46 @@ let request ?deadline c net ~src ~dst msg =
   Network.send net ~src ~dst (msg resume);
   Sim.await reply
 
-let run_op ?on_read (c : Cluster.t) ~gid ~attempt ~site op =
-  let locks = c.locks.(site) in
-  let item, mode, kind =
-    match op with
-    | Txn.Read item -> (item, Lock_mgr.Shared, History.R)
-    | Txn.Write item -> (item, Lock_mgr.Exclusive, History.W)
-  in
-  match Lock_mgr.acquire locks ~owner:attempt item mode with
+(* Lock [item] in [mode] for [attempt], charge [cpu_op] and record the
+   access; a shared lock is a read, whose value goes to [on_read]. Writes are
+   deferred to commit. *)
+let access on_read (c : Cluster.t) ~gid ~attempt ~site item mode =
+  match Lock_mgr.acquire c.locks.(site) ~owner:attempt item mode with
   | Lock_mgr.Granted ->
       Cluster.use_cpu c site c.params.cpu_op;
-      (match op with
-      | Txn.Read item -> (
-          let v = Store.read c.stores.(site) item in
-          match on_read with Some f -> f item v | None -> ())
-      | Txn.Write _ -> () (* deferred to commit *));
+      let kind =
+        match mode with
+        | Lock_mgr.Shared ->
+            let v = Store.read c.stores.(site) item in
+            (match on_read with Some f -> f item v | None -> ());
+            History.R
+        | Lock_mgr.Exclusive -> History.W
+      in
       History.record c.history ~site ~item ~gid ~attempt kind;
       Ok ()
   | (Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim) as o -> Error (abort_reason_of_outcome o)
 
-(* Recursion on the function itself, not a local loop: no closure per call. *)
+let op_access on_read c ~gid ~attempt ~site = function
+  | Txn.Read item -> access on_read c ~gid ~attempt ~site item Lock_mgr.Shared
+  | Txn.Write item -> access None c ~gid ~attempt ~site item Lock_mgr.Exclusive
+
+let run_op c ~gid ~attempt ~site op = op_access None c ~gid ~attempt ~site op
+
+(* Recursions on the functions themselves, not local loops or a mapped op
+   list: no allocation per call beyond an abort's [Error]. *)
 let rec run_ops ?on_read c ~gid ~attempt ~site = function
   | [] -> Ok ()
   | op :: rest -> (
-      match run_op ?on_read c ~gid ~attempt ~site op with
+      match op_access on_read c ~gid ~attempt ~site op with
       | Ok () -> run_ops ?on_read c ~gid ~attempt ~site rest
       | e -> e)
 
-let acquire_writes c ~gid ~attempt ~site items =
-  run_ops c ~gid ~attempt ~site (List.map (fun item -> Txn.Write item) items)
+let rec acquire_writes c ~gid ~attempt ~site = function
+  | [] -> Ok ()
+  | item :: rest -> (
+      match access None c ~gid ~attempt ~site item Lock_mgr.Exclusive with
+      | Ok () -> acquire_writes c ~gid ~attempt ~site rest
+      | e -> e)
 
 let apply_writes (c : Cluster.t) ~gid ~site items =
   List.iter (fun item -> Store.apply c.stores.(site) item ~writer:gid ()) items
@@ -97,14 +108,14 @@ let abort_primary ?cleanup (c : Cluster.t) a reason =
 
 (* --- the replica side of propagation -------------------------------------- *)
 
-let rec lock_secondary ?(on_retry = ignore) c ~gid ~site items =
+let rec lock_secondary ?on_retry c ~gid ~site items =
   let attempt = Cluster.fresh_attempt c in
   match acquire_writes c ~gid ~attempt ~site items with
   | Ok () -> attempt
   | Error _ ->
       abort_local c ~attempt ~site;
-      on_retry ();
-      lock_secondary ~on_retry c ~gid ~site items
+      (match on_retry with Some f -> f site items | None -> ());
+      lock_secondary ?on_retry c ~gid ~site items
 
 let commit_secondary (c : Cluster.t) ~gid ~attempt ~site ~origin_commit items =
   apply_writes c ~gid ~site items;

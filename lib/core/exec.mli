@@ -37,6 +37,11 @@ val run_ops :
   Txn.op list ->
   (unit, Txn.abort_reason) result
 
+(** [run_op c ~gid ~attempt ~site op] — {!run_ops} of the one operation
+    [op], without building a list for it. *)
+val run_op :
+  Cluster.t -> gid:int -> attempt:int -> site:int -> Txn.op -> (unit, Txn.abort_reason) result
+
 (** [acquire_writes c ~gid ~attempt ~site items] — the secondary-
     subtransaction variant of {!run_ops}: exclusive locks + [cpu_op] + W
     records for each item, which must all be placed at [site]. *)
@@ -98,10 +103,10 @@ val abort_primary :
 
 (** [lock_secondary ?on_retry c ~gid ~site items] — lock [items] for a
     secondary and return the holding attempt id. A failed round (timeout or
-    deadlock) aborts the attempt, runs [on_retry] and retries with a fresh
-    one: a secondary must eventually commit. *)
+    deadlock) aborts the attempt, runs [on_retry site items] and retries
+    with a fresh one: a secondary must eventually commit. *)
 val lock_secondary :
-  ?on_retry:(unit -> unit) -> Cluster.t -> gid:int -> site:int -> int list -> int
+  ?on_retry:(int -> int list -> unit) -> Cluster.t -> gid:int -> site:int -> int list -> int
 
 (** [commit_secondary c ~gid ~attempt ~site ~origin_commit items] — apply the
     writes, release the locks and {!Metrics.propagation} the delay
@@ -115,7 +120,7 @@ val commit_secondary :
     right after the call (forwarding, stamping) is still inside the atomic
     commit section. *)
 val apply_secondary :
-  ?on_retry:(unit -> unit) ->
+  ?on_retry:(int -> int list -> unit) ->
   Cluster.t ->
   gid:int ->
   site:int ->

@@ -97,13 +97,13 @@ let submit t (spec : Txn.spec) =
           run rest
         end
         else Error Txn.Remote_denied
-    | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
+    | op :: rest -> ( match Exec.run_op c ~gid ~attempt ~site op with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
   | Error reason ->
       Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
   | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       Exec.commit_cost ~owner:attempt c ~site;
       Exec.apply_writes c ~gid ~site writes;
       (* Push the updates one replica site at a time (each push charges its

@@ -19,7 +19,7 @@ let submit t (spec : Txn.spec) =
   match Exec.run_ops c ~gid ~attempt ~site spec.ops with
   | Error reason -> Exec.abort_primary c a reason
   | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       Exec.commit_local c a writes;
       (* Indiscriminate: straight to every replica site, no ordering. *)
       Exec.send_updates c t.net ~site ~gid writes;

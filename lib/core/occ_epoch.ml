@@ -157,7 +157,7 @@ let submit t (spec : Txn.spec) =
       | Txn.Write _ -> ())
     spec.ops;
   let reads = List.rev !reads in
-  let writes = List.sort_uniq compare (Txn.writes spec) in
+  let writes = Txn.writes spec in
   if Sim.now c.sim >= deadline_at then Exec.abort_primary c a Txn.Deadline_exceeded
   else if
     site <> validator_site && not (Network.reachable t.net ~src:site ~dst:validator_site)

@@ -135,13 +135,13 @@ let submit t (spec : Txn.spec) =
                 run rest
             | `Denied -> Error Txn.Remote_denied
             | `Deadline -> Error Txn.Deadline_exceeded))
-    | op :: rest -> ( match Exec.run_ops c ~gid ~attempt ~site [ op ] with Ok () -> run rest | e -> e)
+    | op :: rest -> ( match Exec.run_op c ~gid ~attempt ~site op with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
   | Error reason ->
       Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
   | Ok () ->
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       Exec.commit_local c a writes;
       (* PSL never applies updates at replicas, and state transfers and
          repairs install without stamping, so its own commits are the only

@@ -178,7 +178,7 @@ let submit t (spec : Txn.spec) =
   match run [] spec.ops with
   | Error reason -> abort_uncertified t a reason
   | Ok reads -> (
-      let writes = List.sort_uniq compare (Txn.writes spec) in
+      let writes = Txn.writes spec in
       let txn = { Tracker.gid; begin_ts; reads; writes } in
       if Sim.now c.sim >= deadline_at then abort_uncertified t a Txn.Deadline_exceeded
       else if
@@ -197,8 +197,12 @@ let submit t (spec : Txn.spec) =
           end
           else begin
             Cluster.use_cpu c site c.params.cpu_msg;
-            Exec.request c t.net ~src:site ~dst:certifier_site ~deadline:(deadline_at, `Deadline)
-              (fun resume -> Certify { txn; reply = (fun v -> resume (`Verdict v)) })
+            (* The deadline can pass during the CPU wait; then no Certify
+               is sent, and the registration must be withdrawn. *)
+            if Sim.now c.sim >= deadline_at then `Unsent
+            else
+              Exec.request c t.net ~src:site ~dst:certifier_site ~deadline:(deadline_at, `Deadline)
+                (fun resume -> Certify { txn; reply = (fun v -> resume (`Verdict v)) })
           end
         in
         Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
@@ -217,6 +221,7 @@ let submit t (spec : Txn.spec) =
                the gid and a certified winner applies server-side. Only the
                client-side reads are withdrawn. *)
             Exec.abort_primary c a Txn.Deadline_exceeded
+        | `Unsent -> abort_uncertified t a Txn.Deadline_exceeded
       end)
 
 (* After an epoch switch the placement changed under the version chains:

@@ -49,10 +49,19 @@ let subtree_replicas (placement : Placement.t) tree =
 
 let in_subtree maps ~site item = bit_get maps.bits.(site) item
 
-let relevant_children maps tree site writes =
-  List.filter
-    (fun child -> List.exists (fun item -> bit_get maps.bits.(child) item) writes)
-    (Tree.children tree site)
+let rec any_set b = function [] -> false | item :: rest -> bit_get b item || any_set b rest
+
+(* Recursions on top-level functions rather than [List.filter]/[List.exists]
+   closures; the children list itself comes back when none is filtered. *)
+let rec relevant maps writes = function
+  | [] -> []
+  | child :: rest as children ->
+      let rest' = relevant maps writes rest in
+      if not (any_set maps.bits.(child) writes) then rest'
+      else if rest' == rest then children
+      else child :: rest'
+
+let relevant_children maps tree site writes = relevant maps writes (Tree.children tree site)
 
 (* --- the channel ---------------------------------------------------------- *)
 
@@ -89,11 +98,16 @@ let send ch ~src ~dst msg =
 
 let send_extra ch ~src ~dst x = send ch ~src ~dst (Extra { epoch = Epoch.current ch.c; x })
 
-(* Non-blocking, so it can sit inside an atomic commit section. *)
+let rec send_each ch site msg sent = function
+  | [] -> sent
+  | child :: rest ->
+      send ch ~src:site ~dst:child msg;
+      send_each ch site msg (sent + 1) rest
+
+(* Non-blocking, so it can sit inside an atomic commit section. Returns the
+   number of children sent to. *)
 let forward_msg ch site msg writes =
-  let children = relevant_children ch.in_subtree ch.tr site writes in
-  List.iter (fun child -> send ch ~src:site ~dst:child msg) children;
-  List.length children
+  send_each ch site msg 0 (relevant_children ch.in_subtree ch.tr site writes)
 
 let forward ch ~site ~gid writes =
   if writes = [] then 0
@@ -117,7 +131,6 @@ let receive ch ~on_retry ~on_extra site msg =
     match msg with
     | Update { gid; writes; origin_commit; _ } ->
         let items = Placement.local_replicas c.placement site writes in
-        let on_retry = match on_retry with None -> None | Some f -> Some (fun () -> f site items) in
         Exec.apply_secondary ?on_retry c ~gid ~site ~origin_commit items;
         (* A message that passed the fence carries the current epoch, so it
            is forwarded unchanged. *)

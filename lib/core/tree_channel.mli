@@ -25,7 +25,8 @@ val subtree_replicas : Placement.t -> Tree.t -> subtree_map
 val in_subtree : subtree_map -> site:int -> int -> bool
 
 (** [relevant_children maps tree site writes] — the children of [site] whose
-    subtree holds a replica of some written item. *)
+    subtree holds a replica of some written item; [Tree.children tree site]
+    itself, not a copy, when that is all of them. *)
 val relevant_children : subtree_map -> Tree.t -> int -> int list -> int list
 
 type 'x t

@@ -2,6 +2,7 @@ module Sim = Repdb_sim.Sim
 module Trace = Repdb_obs.Trace
 module Event = Repdb_obs.Event
 module Stats = Repdb_obs.Stats
+module Int_index = Repdb_obs.Int_index
 
 type item = int
 type owner = int
@@ -20,6 +21,17 @@ type request = {
   wait : outcome Sim.once; (* fired by the grant, the timer or the deadlock victim choice *)
 }
 
+(* Placeholder for "not waiting"; never queued, never fired. *)
+let no_request =
+  { req_owner = min_int; req_mode = Shared; req_item = -1; upgrade = false; arrival = 0;
+    wait = Sim.once () }
+
+(* One owner's hold set and pending wait. The hold set is an int stack of
+   the items it was granted, newest on top, [n_items] deep ([release_all]
+   walks it in that order); an item appears twice after an S->X upgrade.
+   [req] is its blocked request, else [no_request]. *)
+type owner_slot = { mutable items : int array; mutable n_items : int; mutable req : request }
+
 (* The waiter queue is a two-list FIFO: push-back conses onto [q_back],
    upgrades cons onto [q_front], and the head is normalized lazily ([q_back]
    reversed into [q_front] when the front runs dry). Every operation is O(1)
@@ -27,8 +39,8 @@ type request = {
    enqueue, O(n^2) under hot-key contention. [n_live] counts requests whose
    wait has not fired, so emptiness checks never walk the queue.
 
-   A holder set is either one exclusive owner ([x], else [no_owner]) or a
-   most-recent-first list of sharers ([sh]): granting an exclusive lock
+   An item's holders are either one exclusive owner ([x], else [no_owner])
+   or a most-recent-first list of sharers ([sh]): granting an exclusive lock
    stores an int, and no holder carries a separate mode cell. *)
 type entry = {
   mutable x : owner;
@@ -48,8 +60,15 @@ type t = {
   policy : policy;
   remap : item -> int;
   mutable entries : entry array; (* indexed by remapped item *)
-  held : (owner, item list ref) Hashtbl.t; (* for release_all, most recent first *)
-  waiting : (owner, request) Hashtbl.t;
+  (* Owner -> its slot while it holds a lock or waits, through an
+     open-addressing index. Slots and their stacks are reused once their
+     owner has released everything, so recording a hold or a wait
+     allocates nothing in steady state. *)
+  owners : Int_index.t;
+  mutable slots : owner_slot array;
+  mutable free : int array; (* stack of unused slots *)
+  mutable n_free : int;
+  mutable n_waiting : int; (* owners with a blocked request *)
   mutable arrivals : int;
   mutable n_acquires : int;
   mutable n_waits : int;
@@ -71,8 +90,11 @@ let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = F
     policy;
     remap;
     entries = [||];
-    held = Hashtbl.create 64;
-    waiting = Hashtbl.create 64;
+    owners = Int_index.create ();
+    slots = [||];
+    free = [||];
+    n_free = 0;
+    n_waiting = 0;
     arrivals = 0;
     n_acquires = 0;
     n_waits = 0;
@@ -107,11 +129,66 @@ let entry_of t item =
   end;
   t.entries.(slot)
 
-(* [Hashtbl.find] rather than [find_opt]: no option block per acquire. *)
+let fresh_slot t =
+  if t.n_free = 0 then begin
+    let n = Array.length t.slots in
+    let grown = if n = 0 then 16 else 2 * n in
+    t.slots <-
+      Array.init grown (fun i ->
+          if i < n then t.slots.(i) else { items = Array.make 8 0; n_items = 0; req = no_request });
+    (* Push the new slots so the lowest is taken first. *)
+    t.free <- Array.init grown (fun i -> grown - 1 - i);
+    t.n_free <- grown - n
+  end;
+  t.n_free <- t.n_free - 1;
+  t.free.(t.n_free)
+
+let free_slot t s =
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
+let slot_of t owner =
+  let s = Int_index.find t.owners owner in
+  if s >= 0 then t.slots.(s)
+  else begin
+    let s = fresh_slot t in
+    Int_index.set t.owners owner s;
+    t.slots.(s)
+  end
+
 let record_hold t ~owner item =
-  match Hashtbl.find t.held owner with
-  | cell -> cell := item :: !cell
-  | exception Not_found -> Hashtbl.replace t.held owner (ref [ item ])
+  let h = slot_of t owner in
+  if h.n_items = Array.length h.items then begin
+    let grown = Array.make (2 * h.n_items) 0 in
+    Array.blit h.items 0 grown 0 h.n_items;
+    h.items <- grown
+  end;
+  h.items.(h.n_items) <- item;
+  h.n_items <- h.n_items + 1
+
+let waiting_req t owner =
+  let s = Int_index.find t.owners owner in
+  if s >= 0 then t.slots.(s).req else no_request
+
+let set_waiting t owner req =
+  let h = slot_of t owner in
+  if h.req == no_request then t.n_waiting <- t.n_waiting + 1;
+  h.req <- req
+
+(* [owner] stops waiting; its slot goes when it holds nothing either. *)
+let clear_waiting t owner =
+  let s = Int_index.find t.owners owner in
+  if s >= 0 then begin
+    let h = t.slots.(s) in
+    if h.req != no_request then begin
+      h.req <- no_request;
+      t.n_waiting <- t.n_waiting - 1;
+      if h.n_items = 0 then begin
+        Int_index.remove t.owners owner;
+        free_slot t s
+      end
+    end
+  end
 
 let compatible mode e =
   match mode with Shared -> e.x = no_owner | Exclusive -> e.x = no_owner && e.sh = []
@@ -185,7 +262,7 @@ let rec service t item e =
         record_hold t ~owner:req.req_owner item;
         e.q_front <- List.tl e.q_front;
         e.n_live <- e.n_live - 1;
-        Hashtbl.remove t.waiting req.req_owner;
+        clear_waiting t req.req_owner;
         t.n_acquires <- t.n_acquires + 1;
         bump t.s_acquires t.site;
         if Trace.on t.trace then
@@ -199,7 +276,7 @@ let rec service t item e =
 (* Wake a waiting request with a failure outcome and let successors advance. *)
 let fail_request t req outcome =
   if not (Sim.fired req.wait) then begin
-    Hashtbl.remove t.waiting req.req_owner;
+    clear_waiting t req.req_owner;
     (match outcome with
     | Timed_out ->
         t.n_timeouts <- t.n_timeouts + 1;
@@ -238,7 +315,8 @@ let blockers_of t req =
   List.sort_uniq Int.compare (List.filter (fun o -> o <> req.req_owner) (holders @ ahead))
 
 let waiting_for t ~owner =
-  match Hashtbl.find_opt t.waiting owner with None -> [] | Some req -> blockers_of t req
+  let req = waiting_req t owner in
+  if req == no_request then [] else blockers_of t req
 
 (* Detect a waits-for cycle reachable from [start]; return its nodes. *)
 let find_cycle t start =
@@ -272,7 +350,13 @@ let rec resolve_deadlocks t start =
   match find_cycle t start with
   | None -> ()
   | Some nodes ->
-      let waiting_nodes = List.filter_map (Hashtbl.find_opt t.waiting) nodes in
+      let waiting_nodes =
+        List.filter_map
+          (fun o ->
+            let req = waiting_req t o in
+            if req == no_request then None else Some req)
+          nodes
+      in
       (match waiting_nodes with
       | [] -> () (* cannot happen: every node in a cycle is waiting *)
       | first :: rest ->
@@ -299,7 +383,7 @@ let wait t e ~owner item mode ~upgrade =
     Trace.record t.trace
       (Event.Lock_wait
          { site = t.site; owner = req.req_owner; item = req.req_item; mode = obs_mode req.req_mode });
-  Hashtbl.replace t.waiting req.req_owner req;
+  set_waiting t req.req_owner req;
   let t0 = Sim.now t.sim in
   (* The requester may be picked as a deadlock victim here, before it parks:
      [Sim.fire] then resumes it as soon as it does. *)
@@ -349,22 +433,26 @@ let acquire t ~owner item mode =
 
 let release_all t ~owner =
   (* A pending wait by this owner is aborted first so its process wakes. *)
-  (match Hashtbl.find t.waiting owner with
-  | req -> fail_request t req Deadlock_victim
-  | exception Not_found -> ());
-  match Hashtbl.find t.held owner with
-  | exception Not_found -> ()
-  | cell ->
-      if Trace.on t.trace then Trace.record t.trace (Event.Lock_release { site = t.site; owner });
-      Hashtbl.remove t.held owner;
-      (* The list may name an item twice (S then X after an upgrade); the
-         second pass just re-services an already-clean entry. *)
-      List.iter
-        (fun item ->
-          let e = entry_of t item in
-          if e.x = owner then e.x <- no_owner else e.sh <- remove_owner owner e.sh;
-          service t item e)
-        !cell
+  let req = waiting_req t owner in
+  if req != no_request then fail_request t req Deadlock_victim;
+  let s = Int_index.find t.owners owner in
+  if s >= 0 then begin
+    if Trace.on t.trace then Trace.record t.trace (Event.Lock_release { site = t.site; owner });
+    (* Unbound before the walk and freed after it: [service] grants locks
+       to other owners meanwhile, and they must not take this slot. *)
+    Int_index.remove t.owners owner;
+    let h = t.slots.(s) in
+    (* Newest first. The stack may name an item twice (S then X after an
+       upgrade); the second pass just re-services an already-clean entry. *)
+    for k = h.n_items - 1 downto 0 do
+      let item = h.items.(k) in
+      let e = entry_of t item in
+      if e.x = owner then e.x <- no_owner else e.sh <- remove_owner owner e.sh;
+      service t item e
+    done;
+    h.n_items <- 0;
+    free_slot t s
+  end
 
 let holders t item =
   let slot = t.remap item in
@@ -374,11 +462,12 @@ let holders t item =
     if e.x <> no_owner then [ (e.x, Exclusive) ] else List.map (fun o -> (o, Shared)) e.sh
 
 let abort_waiter t ~owner =
-  match Hashtbl.find_opt t.waiting owner with
-  | None -> false
-  | Some req ->
-      fail_request t req Deadlock_victim;
-      true
+  let req = waiting_req t owner in
+  if req == no_request then false
+  else begin
+    fail_request t req Deadlock_victim;
+    true
+  end
 
 let holds t ~owner item =
   let slot = t.remap item in
@@ -397,4 +486,4 @@ let locks_held t =
   Array.fold_left
     (fun acc e -> acc + (if e.x <> no_owner then 1 else List.length e.sh))
     0 t.entries
-let lock_waiters t = Hashtbl.length t.waiting
+let lock_waiters t = t.n_waiting

@@ -1,0 +1,58 @@
+(* Keys and values sit in two flat int arrays, [empty] marking a free key
+   cell. The capacity is a power of two kept at most half full. *)
+type t = { mutable keys : int array; mutable vals : int array; mutable len : int }
+
+let empty = min_int
+let create () = { keys = Array.make 64 empty; vals = Array.make 64 0; len = 0 }
+let length t = t.len
+
+(* Fibonacci hashing, as in [Repdb_store.Hash_index]. *)
+let home keys key = key * 0x2545F4914F6CDD1D land max_int land (Array.length keys - 1)
+
+(* The slot holding [key], or the empty slot ending its probe run. *)
+let rec probe keys key i =
+  let k = keys.(i) in
+  if k = key || k = empty then i else probe keys key ((i + 1) land (Array.length keys - 1))
+
+let find t key =
+  let i = probe t.keys key (home t.keys key) in
+  if t.keys.(i) = key then t.vals.(i) else -1
+
+let rec set t key v =
+  let keys = t.keys in
+  if 2 * (t.len + 1) > Array.length keys then begin
+    let vals = t.vals in
+    t.keys <- Array.make (2 * Array.length keys) empty;
+    t.vals <- Array.make (2 * Array.length keys) 0;
+    t.len <- 0;
+    Array.iteri (fun i k -> if k <> empty then set t k vals.(i)) keys;
+    set t key v
+  end
+  else begin
+    let i = probe keys key (home keys key) in
+    if keys.(i) = empty then t.len <- t.len + 1;
+    keys.(i) <- key;
+    t.vals.(i) <- v
+  end
+
+(* Close the hole at [hole] by moving back each later entry of the run
+   whose home slot does not lie cyclically in (hole, j]. *)
+let rec shift t hole j =
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let j = (j + 1) land mask in
+  let k = keys.(j) in
+  if k = empty then keys.(hole) <- empty
+  else if (j - home keys k) land mask >= (j - hole) land mask then begin
+    keys.(hole) <- k;
+    t.vals.(hole) <- t.vals.(j);
+    shift t j j
+  end
+  else shift t hole j
+
+let remove t key =
+  let i = probe t.keys key (home t.keys key) in
+  if t.keys.(i) = key then begin
+    t.len <- t.len - 1;
+    shift t i i
+  end

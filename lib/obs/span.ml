@@ -1,71 +1,5 @@
 type phase = Lock_wait | Prop_wait | Commit
 
-(* Open-addressing map from non-negative ints to ints: linear probing with
-   backward-shift deletion, so there are no tombstones, and bindings,
-   lookups and removals allocate nothing once the arrays have grown to the
-   peak number of open attempts. It is not [Repdb_store.Hash_index]: that
-   table holds any ['a] in a boxed [Entry] per binding, so every insert
-   allocates, and it would rebuild itself to clear tombstones every few
-   hundred attempts here, where each attempt binds and removes two keys. *)
-module Index = struct
-  type t = { mutable keys : int array; (* -1: empty *) mutable vals : int array; mutable len : int }
-
-  let create () = { keys = Array.make 64 (-1); vals = Array.make 64 0; len = 0 }
-  let length t = t.len
-
-  (* Fibonacci hashing, as in [Repdb_store.Hash_index]. *)
-  let home keys key = key * 0x2545F4914F6CDD1D land max_int land (Array.length keys - 1)
-
-  (* The slot holding [key], or the empty slot ending its probe run. *)
-  let rec probe keys key i =
-    let k = keys.(i) in
-    if k = key || k < 0 then i else probe keys key ((i + 1) land (Array.length keys - 1))
-
-  (* [-1] when unbound. *)
-  let find t key =
-    let i = probe t.keys key (home t.keys key) in
-    if t.keys.(i) = key then t.vals.(i) else -1
-
-  let rec set t key v =
-    let keys = t.keys in
-    if 2 * (t.len + 1) > Array.length keys then begin
-      let vals = t.vals in
-      t.keys <- Array.make (2 * Array.length keys) (-1);
-      t.vals <- Array.make (2 * Array.length keys) 0;
-      t.len <- 0;
-      Array.iteri (fun i k -> if k >= 0 then set t k vals.(i)) keys;
-      set t key v
-    end
-    else begin
-      let i = probe keys key (home keys key) in
-      if keys.(i) < 0 then t.len <- t.len + 1;
-      keys.(i) <- key;
-      t.vals.(i) <- v
-    end
-
-  (* Close the hole at [hole] by moving back each later entry of the run
-     whose home slot does not lie cyclically in (hole, j]. *)
-  let rec shift t hole j =
-    let keys = t.keys in
-    let mask = Array.length keys - 1 in
-    let j = (j + 1) land mask in
-    let k = keys.(j) in
-    if k < 0 then keys.(hole) <- -1
-    else if (j - home keys k) land mask >= (j - hole) land mask then begin
-      keys.(hole) <- k;
-      t.vals.(hole) <- t.vals.(j);
-      shift t j j
-    end
-    else shift t hole j
-
-  let remove t key =
-    let i = probe t.keys key (home t.keys key) in
-    if t.keys.(i) = key then begin
-      t.len <- t.len - 1;
-      shift t i i
-    end
-end
-
 (* One open attempt. The phase times sit in their own all-float record,
    which OCaml stores flat, so accumulating them allocates nothing. *)
 type times = { mutable start : float; mutable lock : float; mutable prop : float; mutable commit : float }
@@ -78,8 +12,8 @@ type t = {
   h_commit : Stats.histogram;
   h_think : Stats.histogram;
   trace : Trace.t;
-  by_gid : Index.t; (* gid -> slot of its open attempt *)
-  by_owner : Index.t; (* lock owner -> slot *)
+  by_gid : Int_index.t; (* gid -> slot of its open attempt *)
+  by_owner : Int_index.t; (* lock owner -> slot *)
   mutable slots : attempt array; (* records are reused once finished *)
   mutable free : int array; (* stack of unused slots *)
   mutable n_free : int;
@@ -93,8 +27,8 @@ let create ~stats ~trace () =
     h_commit = Stats.histogram stats "span.commit";
     h_think = Stats.histogram stats "span.think";
     trace;
-    by_gid = Index.create ();
-    by_owner = Index.create ();
+    by_gid = Int_index.create ();
+    by_owner = Int_index.create ();
     slots = [||];
     free = [||];
     n_free = 0;
@@ -118,8 +52,8 @@ let fresh_slot t =
 
 let begin_ t ~gid ~owner ~site ~now =
   let s = fresh_slot t in
-  Index.set t.by_gid gid s;
-  Index.set t.by_owner owner s;
+  Int_index.set t.by_gid gid s;
+  Int_index.set t.by_owner owner s;
   let a = t.slots.(s) in
   a.site <- site;
   a.owner <- owner;
@@ -132,7 +66,7 @@ let begin_ t ~gid ~owner ~site ~now =
    through silently. *)
 let add t ~owner phase dur =
   if dur > 0.0 then begin
-    let s = Index.find t.by_owner owner in
+    let s = Int_index.find t.by_owner owner in
     if s >= 0 then begin
       let r = t.slots.(s).times in
       match phase with
@@ -145,12 +79,12 @@ let add t ~owner phase dur =
 let think t ~site dur = if dur > 0.0 then Stats.observe t.h_think ~site dur
 
 let finish t ~gid ~now =
-  let s = Index.find t.by_gid gid in
+  let s = Int_index.find t.by_gid gid in
   if s >= 0 then begin
     let a = t.slots.(s) in
     let r = a.times and site = a.site in
-    Index.remove t.by_gid gid;
-    Index.remove t.by_owner a.owner;
+    Int_index.remove t.by_gid gid;
+    Int_index.remove t.by_owner a.owner;
     t.free.(t.n_free) <- s;
     t.n_free <- t.n_free + 1;
     let total = Float.max 0.0 (now -. r.start) in
@@ -176,4 +110,4 @@ let finish t ~gid ~now =
     end
   end
 
-let open_count t = Index.length t.by_gid
+let open_count t = Int_index.length t.by_gid

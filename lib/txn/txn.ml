@@ -28,7 +28,24 @@ let all_abort_reasons =
   ]
 
 let reads spec = List.filter_map (function Read i -> Some i | Write _ -> None) spec.ops
-let writes spec = List.filter_map (function Write i -> Some i | Read _ -> None) spec.ops
+
+(* Recursions on top-level functions, so a call allocates only the list it
+   returns. *)
+let rec write_items = function
+  | [] -> []
+  | Write i :: rest -> i :: write_items rest
+  | Read _ :: rest -> write_items rest
+
+let rec strictly_ascending = function
+  | (a : item) :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
+(* Generator specs list their ops in ascending item order, each item once,
+   so the sort is skipped for them. *)
+let writes spec =
+  let items = write_items spec.ops in
+  if strictly_ascending items then items else List.sort_uniq Int.compare items
+
 let is_read_only spec = List.for_all (function Read _ -> true | Write _ -> false) spec.ops
 
 let pp_op ppf = function

@@ -45,7 +45,8 @@ val reads : spec -> item list
 (** Items read, in op order, duplicates preserved. *)
 
 val writes : spec -> item list
-(** Items written, in op order, duplicates preserved. *)
+(** The write set: items written, ascending, each once — the order in which
+    every protocol applies and propagates them. *)
 
 val is_read_only : spec -> bool
 

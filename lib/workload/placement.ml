@@ -116,7 +116,17 @@ let has_replica t ~site item = mem_sorted t.replicas.(item) site
 let has_copy t ~site item = t.primary.(item) = site || has_replica t ~site item
 let is_primary t ~site item = t.primary.(item) = site
 let placed_index t ~site item = index_sorted t.placed.(site) item
-let local_replicas t site writes = List.filter (fun item -> has_replica t ~site item) writes
+
+(* A recursion on the function itself, not [List.filter]: no closure per
+   call, and the input list itself when every item is replicated here. *)
+let rec local_replicas t site = function
+  | [] -> []
+  | item :: rest as writes ->
+      let rest' = local_replicas t site rest in
+      if not (has_replica t ~site item) then rest'
+      else if rest' == rest then writes
+      else item :: rest'
+
 let copy_graph t = t.graph
 let backedges t = t.backedge_list
 

@@ -67,7 +67,9 @@ val has_copy : t -> site:int -> int -> bool
 val has_replica : t -> site:int -> int -> bool
 
 (** [local_replicas t site writes] — the written items replicated at [site]
-    (the ones a secondary subtransaction applies there). O(log r) each. *)
+    (the ones a secondary subtransaction applies there), in [writes]' order.
+    O(log r) each. Returns [writes] itself, allocating nothing, when every
+    item is replicated at [site]. *)
 val local_replicas : t -> int -> int list -> int list
 
 (** [is_primary t ~site item]. *)

@@ -3,8 +3,10 @@
    wins, stale reads), a QCheck property pinning the SSI dangerous-structure
    detector against brute-force multi-version serialization-graph acyclicity,
    both protocols surviving combined faults + partition + reconfiguration
-   with 1SR and convergence intact (byte-identically across repeats), and
-   the occ sweep's determinism and expected optimistic-vs-locking crossover. *)
+   with 1SR and convergence intact (byte-identically across repeats), ssi
+   finishing serializable under deadlines short enough to expire before a
+   remote certification is sent, and the occ sweep's determinism and
+   expected optimistic-vs-locking crossover. *)
 
 module Params = Repdb_workload.Params
 module Txn = Repdb_txn.Txn
@@ -263,6 +265,37 @@ let test_combined_deterministic () =
       checks (name ^ ": identical across repeats") (show ()) (show ()))
     [ "occ-epoch"; "ssi" ]
 
+(* --- ssi under short deadlines ----------------------------------------------- *)
+
+(* A deadline can pass while an ssi attempt waits for the CPU to send its
+   remote Certify. Such an attempt used to arm its reply timer in the past
+   and stop the run with [Sim.Stuck]; it now aborts before sending, with its
+   certifier registration withdrawn. Default params are
+   `repdb run -p ssi --deadline D --txns 30 --seed S`. *)
+let test_ssi_short_deadline () =
+  let ssi = Option.get (Repdb.Registry.find "ssi") in
+  List.iter
+    (fun deadline ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "deadline %g, seed %d" deadline seed in
+          let r =
+            Repdb.Driver.run
+              { Params.default with txn_deadline = deadline; txns_per_thread = 30; seed;
+                record_history = true }
+              ssi
+          in
+          checkb (what ^ ": deadline aborts") true
+            (List.assoc_opt Txn.Deadline_exceeded r.summary.aborts_by_reason <> None);
+          (match r.serializability with
+          | Some Repdb_txn.Serializability.Serializable -> ()
+          | _ -> Alcotest.failf "%s: not serializable" what);
+          match r.divergent with
+          | Some [] -> ()
+          | _ -> Alcotest.failf "%s: replicas diverge" what)
+        [ 1; 2; 3 ])
+    [ 5.0; 10.0 ]
+
 (* --- occ sweep: determinism and the optimistic-vs-locking crossover -------- *)
 
 let sweep_base =
@@ -322,6 +355,7 @@ let () =
         [
           Alcotest.test_case "combined faults survival" `Quick test_combined_survival;
           Alcotest.test_case "combined faults deterministic" `Quick test_combined_deterministic;
+          Alcotest.test_case "ssi short deadlines" `Quick test_ssi_short_deadline;
         ] );
       ( "sweep",
         [

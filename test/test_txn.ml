@@ -17,6 +17,48 @@ let test_spec_helpers () =
   checkb "read-only" true (Txn.is_read_only { spec with ops = [ Txn.Read 1 ] });
   Alcotest.(check string) "pp" "txn@1:r(3) w(5) r(3) w(7)" (Fmt.str "%a" Txn.pp_spec spec)
 
+(* Op lists over a few items, so writes come unsorted, duplicated and mixed
+   with reads of the same items; or, as a generator spec's, ascending write
+   sets. *)
+let gen_ops =
+  QCheck2.Gen.(
+    oneof
+      [
+        list_size (int_range 0 12)
+          (map2 (fun w i -> if w then Txn.Write i else Txn.Read i) bool (int_range 0 6));
+        map
+          (fun l -> List.map (fun i -> Txn.Write i) (List.sort_uniq compare l))
+          (list_size (int_range 0 8) (int_range 0 20));
+      ])
+
+let prop_writes_sorted_distinct =
+  QCheck2.Test.make ~name:"writes = sort_uniq of the written items" ~count:1000
+    ~print:(fun ops -> Fmt.str "%a" Txn.pp_spec { Txn.origin = 0; ops })
+    gen_ops
+    (fun ops ->
+      Txn.writes { Txn.origin = 0; ops }
+      = List.sort_uniq compare (List.filter_map (function Txn.Write i -> Some i | _ -> None) ops))
+
+(* A random placement of 8 items over 3 sites, a site and a list of written
+   items (unsorted, duplicates allowed): [local_replicas] is [List.filter] of
+   [has_replica], and hands back the list itself when it keeps everything. *)
+let prop_local_replicas_is_filter =
+  let module Placement = Repdb_workload.Placement in
+  QCheck2.Test.make ~name:"local_replicas = List.filter has_replica" ~count:1000
+    QCheck2.Gen.(
+      triple
+        (array_size (pure 8) (pair (int_range 0 2) (list_size (int_range 0 3) (int_range 0 2))))
+        (int_range 0 2)
+        (list_size (int_range 0 8) (int_range 0 7)))
+    (fun (rows, site, writes) ->
+      let p =
+        Placement.make ~n_sites:3 ~n_items:8 ~primary:(Array.map fst rows)
+          ~replicas:(Array.map snd rows)
+      in
+      let local = Placement.local_replicas p site writes in
+      let expected = List.filter (fun i -> Placement.has_replica p ~site i) writes in
+      local = expected && (List.length expected < List.length writes || local == writes))
+
 let record h ~site ~item ~gid kind = History.record h ~site ~item ~gid ~attempt:gid kind
 
 let test_history_recording () =
@@ -261,7 +303,11 @@ let () =
   Alcotest.run "txn"
     [
       ( "txn",
-        [ Alcotest.test_case "spec helpers" `Quick test_spec_helpers ] );
+        [
+          Alcotest.test_case "spec helpers" `Quick test_spec_helpers;
+          QCheck_alcotest.to_alcotest prop_writes_sorted_distinct;
+          QCheck_alcotest.to_alcotest prop_local_replicas_is_filter;
+        ] );
       ( "history",
         [
           Alcotest.test_case "recording" `Quick test_history_recording;
