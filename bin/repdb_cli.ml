@@ -396,7 +396,7 @@ let experiment_cmd =
                   print_string (Repdb.Experiment.render_ascii fig)
                 end
             | Repdb.Experiment.Reports rs -> Fmt.pr "%a@." Repdb.Experiment.pp_reports rs);
-            match timeline_dir with
+            (match timeline_dir with
             | None -> ()
             | Some dir ->
                 let files = Repdb.Experiment.timeline_files outcome in
@@ -410,7 +410,12 @@ let experiment_cmd =
                           ~finally:(fun () -> close_out oc)
                           (fun () -> Repdb_obs.Timeline.to_csv tl (output_string oc)))
                   files;
-                Fmt.epr "timeline: wrote %d files to %s@." (List.length files) dir)
+                Fmt.epr "timeline: wrote %d files to %s@." (List.length files) dir);
+            match Repdb.Experiment.violations exp_name outcome with
+            | [] -> ()
+            | errors ->
+                List.iter (fun e -> Fmt.epr "error: %s@." e) errors;
+                exit 1)
   in
   let exp_list =
     `Blocks
@@ -424,7 +429,9 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:
          "Regenerate one of the paper's figures or a sweep. Independent simulations run on \
-          $(b,-j) domains."
+          $(b,-j) domains. Exits 1, with one error line per failing run, when a run's replicas \
+          diverged or, under $(b,--check), its history is not serializable (naive's is \
+          expected not to be)."
        ~man:[ `S Manpage.s_description; exp_list ])
     Term.(
       const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ timeline_dir

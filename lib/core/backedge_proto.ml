@@ -72,18 +72,21 @@ let backedges t =
 
 (* Replica sites that are strict tree ancestors of [site], sorted by depth:
    the eager targets of a transaction writing [writes]; the head is the
-   farthest from [site] (closest to the root). *)
+   farthest from [site] (closest to the root). Ancestors on one tree path
+   have distinct depths, so the stable sort leaves no tie to the set's
+   ascending site order. *)
 let backedge_targets t site writes =
   let tr = tree t in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun item ->
-      Array.iter
-        (fun s -> if s <> site && Tree.is_ancestor tr s site then Hashtbl.replace tbl s ())
-        t.c.placement.replicas.(item))
-    writes;
-  let targets = Hashtbl.fold (fun s () acc -> s :: acc) tbl [] in
-  List.sort (fun a b -> compare (Tree.depth tr a) (Tree.depth tr b)) targets
+  let targets =
+    List.fold_left
+      (fun acc item ->
+        Array.fold_left
+          (fun acc s ->
+            if s <> site && Tree.is_ancestor tr s site then Exec.add_site s acc else acc)
+          acc t.c.placement.replicas.(item))
+      [] writes
+  in
+  List.stable_sort (fun a b -> compare (Tree.depth tr a) (Tree.depth tr b)) targets
 
 (* The unique child of [site] on the tree path towards [origin]. *)
 let next_hop t site origin =

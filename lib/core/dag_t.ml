@@ -19,8 +19,9 @@ type msg = {
 type site_state = {
   mutable lts : int;
   mutable ts : Timestamp.t;
-  queues : (int, msg Queue.t * string) Hashtbl.t; (* per copy-graph parent, with its trace label *)
-  heads : msg Queue.t array; (* the same queues, in [queues]' iteration order *)
+  queues : (msg Queue.t * string) array;
+      (* per site id: the copy-graph parent's queue with its trace label;
+         [no_parent] for a site that is not a parent *)
   arrivals : Condvar.t;
   last_sent : float array; (* per child site id *)
   (* Pipelined-applier bookkeeping (the Section 3.2.3 relaxation): *)
@@ -43,22 +44,24 @@ let site_timestamp t site = t.states.(site).ts
 
 (* Stands for "no queue"; never filled. *)
 let no_queue : msg Queue.t = Queue.create ()
+let no_parent = (no_queue, "")
 
 let head (q : msg Queue.t) = Queue.peek q
 
-let rec scan_heads heads i best =
-  if i = Array.length heads then best
+let rec scan_heads queues i best =
+  if i = Array.length queues then best
   else
-    let q = heads.(i) in
-    if Queue.is_empty q then no_queue
+    let q, _ = queues.(i) in
+    if q == no_queue then scan_heads queues (i + 1) best
+    else if Queue.is_empty q then no_queue
     else if best == no_queue || Timestamp.compare (head best).ts (head q).ts > 0 then
-      scan_heads heads (i + 1) q
-    else scan_heads heads (i + 1) best
+      scan_heads queues (i + 1) q
+    else scan_heads queues (i + 1) best
 
-(* The parent queue whose head has the minimum timestamp, the first in
-   [heads] on a tie; [no_queue] unless every queue is non-empty
-   (Section 3.2.3). *)
-let min_head (st : site_state) = scan_heads st.heads 0 no_queue
+(* The parent queue whose head has the minimum timestamp, the lowest parent
+   id on a tie; [no_queue] unless every queue is non-empty (Section
+   3.2.3). *)
+let min_head (st : site_state) = scan_heads st.queues 0 no_queue
 
 (* Commit a secondary (or dummy) at [site]: the site timestamp becomes
    TS(Ti) . (site, LTS), with Ti's epoch (Sections 3.2.3 and 3.3). *)
@@ -212,16 +215,14 @@ let create_internal ~pipelined (c : Cluster.t) =
   in
   let states =
     Array.init m (fun site ->
-        let queues = Hashtbl.create 4 in
+        let queues = Array.make m no_parent in
         List.iter
-          (fun parent ->
-            Hashtbl.replace queues parent (Queue.create (), Printf.sprintf "parent:%d" parent))
+          (fun parent -> queues.(parent) <- (Queue.create (), Printf.sprintf "parent:%d" parent))
           (Digraph.pred graph site);
         {
           lts = 0;
           ts = Timestamp.initial rank.(site);
           queues;
-          heads = Array.of_seq (Seq.map fst (Hashtbl.to_seq_values queues));
           arrivals = Condvar.create ();
           last_sent = Array.make m 0.0;
           tickets = 0;
@@ -235,12 +236,11 @@ let create_internal ~pipelined (c : Cluster.t) =
   for site = 0 to m - 1 do
     let st = states.(site) in
     Network.set_handler net site (fun ~src msg ->
-        match Hashtbl.find st.queues src with
-        | q, label ->
-            Queue.add msg q;
-            Metrics.queue_depth c.metrics ~site ~queue:label ~depth:(Queue.length q);
-            Condvar.broadcast st.arrivals
-        | exception Not_found -> invalid_arg "Dag_t: message from a non-parent site");
+        let q, label = st.queues.(src) in
+        if q == no_queue then invalid_arg "Dag_t: message from a non-parent site";
+        Queue.add msg q;
+        Metrics.queue_depth c.metrics ~site ~queue:label ~depth:(Queue.length q);
+        Condvar.broadcast st.arrivals);
     if Digraph.pred graph site <> [] then
       Sim.spawn c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
     if children.(site) <> [] then begin
@@ -253,18 +253,13 @@ let create_internal ~pipelined (c : Cluster.t) =
 let create c = create_internal ~pipelined:false c
 let create_pipelined c = create_internal ~pipelined:true c
 
-let rec replicates_any placement child = function
-  | [] -> false
-  | item :: rest ->
-      Placement.has_replica placement ~site:child item || replicates_any placement child rest
-
 (* The children holding a replica of some written item, without a closure;
    [children] itself when none is filtered out. *)
 let rec relevant_children placement writes = function
   | [] -> []
   | child :: rest as children ->
       let rest' = relevant_children placement writes rest in
-      if not (replicates_any placement child writes) then rest'
+      if not (Placement.replicates_any placement ~site:child writes) then rest'
       else if rest' == rest then children
       else child :: rest'
 

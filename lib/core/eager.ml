@@ -91,10 +91,11 @@ let create (c : Cluster.t) =
   done;
   t
 
-(* Phase 2 (or an abort): tell every participant the outcome. *)
+(* Phase 2 (or an abort): tell every participant the outcome, in ascending
+   site order. *)
 let decide_remote t (a : Exec.primary) participants ~commit ~origin_commit =
-  Hashtbl.iter
-    (fun dst () ->
+  List.iter
+    (fun dst ->
       Cluster.inc_outstanding t.c;
       Network.send t.net ~src:a.site ~dst
         (Decide { owner = a.attempt; gid = a.gid; commit; origin_commit }))
@@ -103,7 +104,7 @@ let decide_remote t (a : Exec.primary) participants ~commit ~origin_commit =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
-  let participants = Hashtbl.create 4 in
+  let participants = ref [] in
   let write_everywhere item =
     let reps = c.placement.replicas.(item) in
     let rec go i =
@@ -111,7 +112,7 @@ let submit t (spec : Txn.spec) =
       else begin
         let dst = reps.(i) in
         t.remote <- t.remote + 1;
-        Hashtbl.replace participants dst ();
+        participants := Exec.add_site dst !participants;
         Cluster.use_cpu c site c.params.cpu_msg;
         if Exec.request c t.net ~src:site ~dst (fun reply ->
                Wlock_request { item; txn = a; reply })
@@ -137,19 +138,19 @@ let submit t (spec : Txn.spec) =
   match run spec.ops with
   | Error reason ->
       Exec.abort_primary c a reason ~cleanup:(fun () ->
-          decide_remote t a participants ~commit:false ~origin_commit:0.0)
+          decide_remote t a !participants ~commit:false ~origin_commit:0.0)
   | Ok () ->
       (* Phase 1: prepare round to every participant. *)
-      Hashtbl.iter
-        (fun dst () ->
+      List.iter
+        (fun dst ->
           Cluster.use_cpu c site c.params.cpu_msg;
           Exec.request c t.net ~src:site ~dst (fun reply -> Prepare { owner = attempt; reply }))
-        participants;
+        !participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = Txn.writes spec in
       Exec.commit_local c a writes;
       Metrics.destined c.metrics c.placement ~items:writes;
-      decide_remote t a participants ~commit:true ~origin_commit:(Sim.now c.sim);
+      decide_remote t a !participants ~commit:true ~origin_commit:(Sim.now c.sim);
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

@@ -130,17 +130,33 @@ let apply_secondary ?on_retry c ~gid ~site ~origin_commit items =
     commit_secondary c ~gid ~attempt ~site ~origin_commit items
   end
 
-(* The destination set stays a [Hashtbl] iterated in bucket order: sends made
-   at one simulated instant are ordered by it, and so is every later event. *)
+(* --- destination sets ------------------------------------------------------ *)
+
+(* The paper assumes FIFO links per pair of sites and nothing about the order
+   of one site's same-instant sends to different sites, yet that order
+   decides every later tie. It is ascending site id everywhere: [fan_out]
+   loops over the site ids, and a participant set is an ascending list. *)
+
 let fan_out (c : Cluster.t) ~site items send =
-  Metrics.destined c.metrics c.placement ~items;
-  let dests = Hashtbl.create 4 in
-  List.iter
-    (fun item ->
-      Array.iter (fun s -> if s <> site then Hashtbl.replace dests s ()) c.placement.replicas.(item))
-    items;
-  Hashtbl.iter (fun dst () -> send dst) dests;
-  Hashtbl.length dests
+  let placement = c.placement in
+  Metrics.destined c.metrics placement ~items;
+  let n = ref 0 in
+  for dst = 0 to placement.n_sites - 1 do
+    if dst <> site && Placement.replicates_any placement ~site:dst items then begin
+      incr n;
+      send dst
+    end
+  done;
+  !n
+
+(* [sites] itself when [s] is already in it: a repeated participant costs no
+   allocation. *)
+let rec add_site s = function
+  | d :: rest as sites when d < s ->
+      let rest' = add_site s rest in
+      if rest' == rest then sites else d :: rest'
+  | d :: _ as sites when d = s -> sites
+  | sites -> s :: sites
 
 let propagate (c : Cluster.t) ~site items send =
   let n = fan_out c ~site items send in

@@ -128,12 +128,24 @@ val apply_secondary :
   int list ->
   unit
 
-(** {1 Direct fan-out} *)
+(** {1 Destination sets}
+
+    One site's sends to several sites at one simulated instant go in
+    ascending site id: the paper orders only each pair's FIFO link, and this
+    order fixes every later same-instant tie. Both helpers are stateless, so
+    a set may live across blocking calls (a push awaiting its ack, a remote
+    read) while other attempts build their own. *)
 
 (** [fan_out c ~site items send] — {!Metrics.destined} [items], call
-    [send dst] for each site other than [site] holding a replica of some
-    item, and return the number of destinations. *)
+    [send dst] for each site [dst <> site] holding a replica of some item,
+    in ascending [dst], and return the number of destinations. *)
 val fan_out : Cluster.t -> site:int -> int list -> (int -> unit) -> int
+
+(** [add_site s sites] — the participant set [sites] (ascending, duplicate
+    free) with [s] added; [sites] itself when [s] is already in it. Iterate
+    the result to release, prepare or decide its participants in order; its
+    length is their count. *)
+val add_site : int -> int list -> int list
 
 (** A committed write set on its way to the replicas (naive, central). *)
 type update = { gid : int; writes : int list; origin_commit : float }

@@ -298,6 +298,44 @@ let registry =
 let ids = List.map (fun e -> e.exp_id) registry
 let find id = List.find_opt (fun e -> e.exp_id = id) registry
 
+(* --- oracles -----------------------------------------------------------------
+   Every report of a run answers to the oracles it carries: convergence
+   always, 1SR when the history was recorded. Naive's non-1SR history is the
+   one expected violation, Example 1.1's negative control. *)
+
+let expected_violation = Naive.name
+
+let witness (r : Driver.report) =
+  let not_1sr =
+    match r.serializability with
+    | Some (Not_serializable _ as v) when r.protocol <> expected_violation ->
+        [ Fmt.str "%a" Repdb_txn.Serializability.pp_verdict v ]
+    | _ -> []
+  in
+  let diverged =
+    match r.divergent with
+    | Some ({ item; site; primary_value = p; replica_value = v } :: _ as ds) ->
+        [
+          Printf.sprintf
+            "%d divergent copies, first item %d at site %d (version %d by %d, primary version \
+             %d by %d)"
+            (List.length ds) item site v.version v.writer p.version p.writer;
+        ]
+    | _ -> []
+  in
+  match not_1sr @ diverged with [] -> None | ws -> Some (String.concat "; " ws)
+
+let violations id outcome =
+  let check prefix (label, r) =
+    Option.map (fun w -> Printf.sprintf "%s %s: %s" prefix label w) (witness r)
+  in
+  match outcome with
+  | Figure fig ->
+      List.concat_map
+        (fun pt -> List.filter_map (check (Printf.sprintf "%s x=%g" id pt.x)) pt.reports)
+        fig.points
+  | Reports rs -> List.filter_map (check id) rs
+
 let pp_point ppf (pt : point) =
   List.iter
     (fun (name, (r : Driver.report)) ->

@@ -48,6 +48,15 @@ val find : string -> entry option
     [<basename>.csv] under [--timeline-dir]. *)
 val timeline_files : outcome -> (string * Repdb_obs.Timeline.t) list
 
+(** {1 Oracles} *)
+
+(** [violations id outcome] — one ["<id> x=<x> <label>: <witness>"] line
+    (["<id> <label>: <witness>"] for a report list) per report whose
+    replicas diverged or whose recorded history is not one-copy
+    serializable. Naive's non-1SR history is expected (Example 1.1's
+    negative control) and never listed. *)
+val violations : string -> outcome -> string list
+
 (** {1 Rendering} *)
 
 val pp_figure : Format.formatter -> figure -> unit

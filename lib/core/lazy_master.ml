@@ -69,10 +69,11 @@ let create (c : Cluster.t) =
   done;
   t
 
-(* Release the attempt's shared locks at every primary it read from. *)
+(* Release the attempt's shared locks at every primary it read from, in
+   ascending site order. *)
 let release_remote t (a : Exec.primary) remote_sites =
-  Hashtbl.iter
-    (fun primary () ->
+  List.iter
+    (fun primary ->
       Cluster.inc_outstanding t.c;
       Network.send t.net ~src:a.site ~dst:primary (Release { owner = a.attempt }))
     remote_sites
@@ -80,13 +81,13 @@ let release_remote t (a : Exec.primary) remote_sites =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
-  let remote_sites = Hashtbl.create 4 in
+  let remote_sites = ref [] in
   let rec run = function
     | [] -> Ok ()
     | Txn.Read item :: rest when c.placement.primary.(item) <> site ->
         let primary = c.placement.primary.(item) in
         t.remote <- t.remote + 1;
-        Hashtbl.replace remote_sites primary ();
+        remote_sites := Exec.add_site primary !remote_sites;
         Cluster.use_cpu c site c.params.cpu_msg;
         if Exec.request c t.net ~src:site ~dst:primary (fun reply ->
                Read_request { item; txn = a; reply })
@@ -101,7 +102,7 @@ let submit t (spec : Txn.spec) =
   in
   match run spec.ops with
   | Error reason ->
-      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
+      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a !remote_sites)
   | Ok () ->
       let writes = Txn.writes spec in
       Exec.commit_cost ~owner:attempt c ~site;
@@ -118,7 +119,7 @@ let submit t (spec : Txn.spec) =
         (Sim.now c.sim -. origin_commit);
       Metrics.txn_commit c.metrics ~gid ~site;
       Exec.release c ~attempt ~site;
-      release_remote t a remote_sites;
+      release_remote t a !remote_sites;
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

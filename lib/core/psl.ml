@@ -90,10 +90,11 @@ let remote_read t (txn : Exec.primary) ~primary ~item =
         Read_request
           { item; txn; reply = (fun granted -> resume (if granted then `Granted else `Denied)) })
 
-(* Release the attempt's shared locks at every primary it read from. *)
+(* Release the attempt's shared locks at every primary it read from, in
+   ascending site order. *)
 let release_remote t (a : Exec.primary) remote_sites =
-  Hashtbl.iter
-    (fun primary () ->
+  List.iter
+    (fun primary ->
       Cluster.inc_outstanding t.c;
       Network.send t.net ~src:a.site ~dst:primary (Release { owner = a.attempt }))
     remote_sites
@@ -101,7 +102,7 @@ let release_remote t (a : Exec.primary) remote_sites =
 let submit t (spec : Txn.spec) =
   let c = t.c in
   let ({ gid; attempt; site; _ } : Exec.primary) as a = Exec.begin_primary c ~site:spec.origin in
-  let remote_sites = Hashtbl.create 4 in
+  let remote_sites = ref [] in
   let rec run = function
     | [] -> Ok ()
     | Txn.Read item :: rest when c.placement.primary.(item) <> site -> (
@@ -123,7 +124,7 @@ let submit t (spec : Txn.spec) =
             Metrics.stale_read c.metrics ~site ~item ~staleness;
             run rest
         | _ -> (
-            Hashtbl.replace remote_sites primary ();
+            remote_sites := Exec.add_site primary !remote_sites;
             (* The round-trip to the primary is the PSL propagation wait:
                lock-grant latency shows up at the reader. *)
             let t0 = Sim.now c.sim in
@@ -139,7 +140,7 @@ let submit t (spec : Txn.spec) =
   in
   match run spec.ops with
   | Error reason ->
-      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a remote_sites)
+      Exec.abort_primary c a reason ~cleanup:(fun () -> release_remote t a !remote_sites)
   | Ok () ->
       let writes = Txn.writes spec in
       Exec.commit_local c a writes;
@@ -151,9 +152,9 @@ let submit t (spec : Txn.spec) =
       | Some mtime ->
           let now = Sim.now c.sim in
           List.iter (fun item -> mtime.(site).(item) <- now) writes);
-      release_remote t a remote_sites;
-      if Hashtbl.length remote_sites > 0 then
-        Cluster.use_cpu c site (float_of_int (Hashtbl.length remote_sites) *. c.params.cpu_msg);
+      release_remote t a !remote_sites;
+      if !remote_sites <> [] then
+        Cluster.use_cpu c site (float_of_int (List.length !remote_sites) *. c.params.cpu_msg);
       Txn.Committed
 
 (* Placement is read afresh on every access; nothing cached to rebuild. *)

@@ -115,6 +115,10 @@ let placed_at t site = t.placed.(site)
 let has_replica t ~site item = mem_sorted t.replicas.(item) site
 let has_copy t ~site item = t.primary.(item) = site || has_replica t ~site item
 let is_primary t ~site item = t.primary.(item) = site
+
+let rec replicates_any t ~site = function
+  | [] -> false
+  | item :: rest -> has_replica t ~site item || replicates_any t ~site rest
 let placed_index t ~site item = index_sorted t.placed.(site) item
 
 (* A recursion on the function itself, not [List.filter]: no closure per

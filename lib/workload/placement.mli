@@ -66,6 +66,10 @@ val has_copy : t -> site:int -> int -> bool
     not count). O(log r). *)
 val has_replica : t -> site:int -> int -> bool
 
+(** [replicates_any t ~site items] — [site] holds a replica of some item of
+    [items]. O(|items| log r), no allocation. *)
+val replicates_any : t -> site:int -> int list -> bool
+
 (** [local_replicas t site writes] — the written items replicated at [site]
     (the ones a secondary subtransaction applies there), in [writes]' order.
     O(log r) each. Returns [writes] itself, allocating nothing, when every

@@ -87,6 +87,25 @@ let test_local_replicas () =
     (words_per_call (fun () ->
          ignore (Sys.opaque_identity (Placement.local_replicas placement 1 writes))))
 
+(* A commit's fan-out: 9 sites, ten written items each replicated at the
+   three sites after its primary, sent from site 0 to the other eight. 119
+   words with a [Hashtbl] destination set, 0 with the loop over site ids:
+   the budget leaves room only for rounding. *)
+let test_fan_out () =
+  let m = 9 and n = 10 in
+  let placement =
+    Placement.make ~n_sites:m ~n_items:n
+      ~primary:(Array.init n (fun i -> i mod m))
+      ~replicas:(Array.init n (fun i -> List.init 3 (fun k -> (i + k + 1) mod m)))
+  in
+  let c = Repdb.Cluster.create_with { Params.default with n_sites = m; n_items = n } placement in
+  let writes = List.init n Fun.id in
+  let sent = ref 0 in
+  let send dst = sent := !sent + dst in
+  within "Exec.fan_out (8 destinations)" ~budget:0.01
+    (words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Repdb.Exec.fan_out c ~site:0 writes send))))
+
 let store () = Store.create ~site:0 (List.init 200 Fun.id)
 
 (* 4 words before, 0 after: the budget leaves room only for rounding. *)
@@ -317,6 +336,7 @@ let () =
           Alcotest.test_case "lock acquire + release" `Quick test_acquire_release;
           Alcotest.test_case "txn writes" `Quick test_txn_writes;
           Alcotest.test_case "local replicas" `Quick test_local_replicas;
+          Alcotest.test_case "fan out" `Quick test_fan_out;
           Alcotest.test_case "store read" `Quick test_store_read;
           Alcotest.test_case "store apply" `Quick test_store_apply;
           Alcotest.test_case "span cycle" `Quick test_span_cycle;

@@ -219,6 +219,42 @@ let test_exec_apply_secondary_retries () =
     (Metrics.summary c.metrics).n_propagations;
   checki "write applied" 1 (Store.read c.stores.(1) 0).Repdb_store.Value.version
 
+(* Random placements and write sets: [fan_out] calls [send] once per replica
+   site of a written item other than the origin, in ascending order, and
+   returns that count. *)
+let gen_fan_out =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun m ->
+    int_range 1 12 >>= fun n ->
+    let replicas = list_size (int_bound 4) (int_bound (m - 1)) in
+    quad (array_size (return n) (int_bound (m - 1))) (array_size (return n) replicas)
+      (list_size (int_bound 5) (int_bound (n - 1)))
+      (int_bound (m - 1))
+    >|= fun (primary, replicas, writes, origin) -> (m, primary, replicas, writes, origin))
+
+let prop_fan_out =
+  QCheck.Test.make ~name:"fan_out sends once per replica site, ascending" ~count:300
+    (QCheck.make gen_fan_out) (fun (m, primary, replicas, writes, origin) ->
+      let n = Array.length primary in
+      let placement = Placement.make ~n_sites:m ~n_items:n ~primary ~replicas in
+      let c = Cluster.create_with { Params.default with n_sites = m; n_items = n } placement in
+      let sent = ref [] in
+      let count = Exec.fan_out c ~site:origin writes (fun dst -> sent := dst :: !sent) in
+      let expected =
+        List.concat_map (fun item -> Array.to_list placement.replicas.(item)) writes
+        |> List.filter (fun s -> s <> origin)
+        |> List.sort_uniq compare
+      in
+      List.rev !sent = expected && count = List.length expected)
+
+let prop_add_site =
+  QCheck.Test.make ~name:"participant set is ascending and duplicate-free" ~count:500
+    QCheck.(list (int_bound 20))
+    (fun inserts ->
+      let set = List.fold_left (fun set s -> Exec.add_site s set) [] inserts in
+      set = List.sort_uniq compare inserts
+      && List.for_all (fun s -> Exec.add_site s set == set) inserts)
+
 (* --- routing -------------------------------------------------------------- *)
 
 let test_routing_subtree_maps () =
@@ -383,6 +419,52 @@ let test_experiment_tree_routing_runs () =
   let fig = Experiments.figure ~steps:1 "tree-routing" tiny in
   checki "two points" 2 (List.length fig.points)
 
+(* A psl run that checked out 1SR, and a naive one, with both verdicts
+   replaced by a cycle: only the psl report is an error. *)
+let test_experiment_violations () =
+  let base = { tiny with Params.backedge_prob = 0.0; record_history = true } in
+  let cycle = Some (Repdb_txn.Serializability.Not_serializable [ 3; 1; 2 ]) in
+  let psl = Repdb.Driver.run base (module Repdb.Psl) in
+  let naive = Repdb.Driver.run base (module Repdb.Naive) in
+  let outcome =
+    Repdb.Experiment.Reports
+      [
+        ("psl", { psl with serializability = cycle });
+        ("naive", { naive with serializability = cycle });
+        ("psl", psl);
+      ]
+  in
+  Alcotest.(check (list string))
+    "one error" [ "resp psl: NOT serializable: cycle 3 -> 1 -> 2" ]
+    (Repdb.Experiment.violations "resp" outcome);
+  let diverged =
+    let v = { Repdb_store.Value.initial with version = 1; writer = 7 } in
+    Some
+      [
+        {
+          Repdb.Convergence.item = 4;
+          site = 2;
+          primary_value = v;
+          replica_value = Repdb_store.Value.initial;
+        };
+      ]
+  in
+  let fig =
+    {
+      Repdb.Experiment.id = "fig2a";
+      title = "";
+      xlabel = "b";
+      points = [ { x = 0.5; reports = [ ("naive", { naive with divergent = diverged }) ] } ];
+    }
+  in
+  Alcotest.(check (list string))
+    "divergence is never expected"
+    [
+      "fig2a x=0.5 naive: 1 divergent copies, first item 4 at site 2 (version 0 by -1, primary \
+       version 1 by 7)";
+    ]
+    (Repdb.Experiment.violations "fig2a" (Repdb.Experiment.Figure fig))
+
 let () =
   Alcotest.run "core"
     [
@@ -407,6 +489,8 @@ let () =
           Alcotest.test_case "deferred writes" `Quick test_exec_deferred_writes;
           Alcotest.test_case "abort discards" `Quick test_exec_abort_discards;
           Alcotest.test_case "secondary retries" `Quick test_exec_apply_secondary_retries;
+          QCheck_alcotest.to_alcotest prop_fan_out;
+          QCheck_alcotest.to_alcotest prop_add_site;
         ] );
       ( "routing", [ Alcotest.test_case "subtree maps" `Quick test_routing_subtree_maps ] );
       ( "cluster",
@@ -426,5 +510,6 @@ let () =
         [
           Alcotest.test_case "figure structure" `Quick test_experiment_figure_structure;
           Alcotest.test_case "tree-routing ablation" `Quick test_experiment_tree_routing_runs;
+          Alcotest.test_case "violations" `Quick test_experiment_violations;
         ] );
     ]
