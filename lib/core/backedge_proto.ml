@@ -1,7 +1,6 @@
 module Sim = Repdb_sim.Sim
 module Condvar = Repdb_sim.Condvar
 module Lock_mgr = Repdb_lock.Lock_mgr
-module History = Repdb_txn.History
 module Digraph = Repdb_graph.Digraph
 module Tree = Repdb_graph.Tree
 module Backedge = Repdb_graph.Backedge
@@ -200,12 +199,8 @@ let handle_direct t site msg =
           match bp.bp_state with
           | `Staged ->
               Metrics.emit c.metrics (Repdb_obs.Event.Backedge_decide { gid; site; commit });
-              if commit then begin
-                Exec.apply_writes c ~gid ~site bp.bp_items;
-                Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
-              end
-              else History.discard_attempt c.history ~attempt:bp.bp_attempt;
-              Exec.release c ~attempt:bp.bp_attempt ~site;
+              Exec.finish_staged c ~gid ~attempt:bp.bp_attempt ~site ~commit ~origin_commit
+                bp.bp_items;
               Hashtbl.remove t.participants.(site) gid;
               Hashtbl.remove t.participants_by_attempt.(site) bp.bp_attempt;
               if not commit then Hashtbl.replace t.aborted_gids.(site) gid ()
@@ -327,11 +322,7 @@ let reconfigure =
 let decide_targets t ({ gid; attempt; site; _ } : Exec.primary) ~targets ~commit ~origin_commit =
   Hashtbl.remove t.pending_by_gid gid;
   Hashtbl.remove t.pending_by_attempt.(site) attempt;
-  List.iter
-    (fun target ->
-      Cluster.inc_outstanding t.c;
-      Network.send t.direct_net ~src:site ~dst:target (Decide { gid; commit; origin_commit }))
-    targets
+  Exec.notify t.c t.direct_net ~src:site targets (Decide { gid; commit; origin_commit })
 
 let abort_primary t a ~targets reason =
   Exec.abort_primary t.c a reason ~cleanup:(fun () ->

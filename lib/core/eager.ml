@@ -6,100 +6,54 @@ module Txn = Repdb_txn.Txn
 let name = "eager"
 let updates_replicas = true
 
-type msg =
-  | Wlock_request of { item : int; txn : Exec.primary; reply : bool -> unit }
-  | Wlock_reply of { granted : bool; deliver : bool -> unit }
-  | Prepare of { owner : int; reply : unit -> unit }
-  | Prepare_ack of { deliver : unit -> unit }
+type own =
+  | Prepare of { reply : bool -> unit }
   | Decide of { owner : int; gid : int; commit : bool; origin_commit : float }
 
 type t = {
   c : Cluster.t;
-  net : msg Network.t;
-  staged : (int, int list ref) Hashtbl.t array; (* per site: owner -> staged items *)
-  mutable remote : int;
+  net : own Exec.remote Network.t;
+  staged : (int, int list) Hashtbl.t array; (* per site: owner -> staged items *)
 }
 
-let remote_writes t = t.remote
-
-let serve_wlock t site ~src ~item ~(txn : Exec.primary) ~reply =
+(* A granted remote write lock: charge the operation, record the write and
+   stage the item until the decide. *)
+let stage t ~site ~item (txn : Exec.primary) =
   let c = t.c in
-  let owner = txn.attempt in
-  Cluster.use_cpu c site c.params.cpu_msg;
-  let respond granted =
-    Network.send t.net ~src:site ~dst:src (Wlock_reply { granted; deliver = reply })
-  in
-  match Lock_mgr.acquire c.locks.(site) ~owner item Lock_mgr.Exclusive with
-  | Lock_mgr.Granted ->
-      Cluster.use_cpu c site c.params.cpu_op;
-      Repdb_txn.History.record c.history ~site ~item ~gid:txn.gid ~attempt:owner
-        Repdb_txn.History.W;
-      let cell =
-        match Hashtbl.find_opt t.staged.(site) owner with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            Hashtbl.replace t.staged.(site) owner cell;
-            cell
-      in
-      cell := item :: !cell;
-      respond true
-  | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> respond false
+  Cluster.use_cpu c site c.params.cpu_op;
+  Repdb_txn.History.record c.history ~site ~item ~gid:txn.gid ~attempt:txn.attempt
+    Repdb_txn.History.W;
+  let staged = t.staged.(site) in
+  Hashtbl.replace staged txn.attempt
+    (item :: Option.value ~default:[] (Hashtbl.find_opt staged txn.attempt))
 
 let decide t site ~owner ~gid ~commit ~origin_commit =
   let c = t.c in
   Cluster.use_cpu c site c.params.cpu_msg;
   (match Hashtbl.find_opt t.staged.(site) owner with
-  | Some cell ->
+  | Some items ->
       Hashtbl.remove t.staged.(site) owner;
-      if commit then begin
-        Exec.apply_writes c ~gid ~site (List.sort_uniq compare !cell);
-        Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
-      end
-      else Repdb_txn.History.discard_attempt c.history ~attempt:owner
-  | None -> ());
-  Lock_mgr.release_all c.locks.(site) ~owner;
+      Exec.finish_staged c ~gid ~attempt:owner ~site ~commit ~origin_commit
+        (List.sort_uniq compare items)
+  | None -> Exec.release c ~attempt:owner ~site);
   Cluster.dec_outstanding c
 
-let handle t site ~src = function
-  | Wlock_request { item; txn; reply } ->
-      Sim.spawn t.c.sim (fun () -> serve_wlock t site ~src ~item ~txn ~reply)
-  | Wlock_reply { granted; deliver } ->
-      Cluster.dec_outstanding t.c;
-      deliver granted
-  | Prepare { owner = _; reply } ->
-      (* Locks are already held and writes staged: always vote yes. *)
-      Network.send t.net ~src:site ~dst:src (Prepare_ack { deliver = reply })
-  | Prepare_ack { deliver } ->
-      Cluster.dec_outstanding t.c;
-      deliver ()
-  | Decide { owner; gid; commit; origin_commit } ->
-      Sim.spawn t.c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit)
-
 let create (c : Cluster.t) =
-  let net = Cluster.make_net c in
-  let t =
-    {
-      c;
-      net;
-      staged = Array.init c.params.n_sites (fun _ -> Hashtbl.create 16);
-      remote = 0;
-    }
-  in
-  for site = 0 to c.params.n_sites - 1 do
-    Network.serve net site (handle t site)
-  done;
+  let staged = Array.init c.params.n_sites (fun _ -> Hashtbl.create 16) in
+  let t = { c; net = Cluster.make_net c; staged } in
+  Exec.serve_remote c t.net Lock_mgr.Exclusive ~on_grant:(stage t) ~own:(fun ~site ~src -> function
+    | Prepare { reply } ->
+        (* Locks are already held and writes staged: always vote yes. *)
+        Network.send t.net ~src:site ~dst:src (Reply { ok = true; deliver = reply })
+    | Decide { owner; gid; commit; origin_commit } ->
+        Sim.spawn c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit));
   t
 
 (* Phase 2 (or an abort): tell every participant the outcome, in ascending
    site order. *)
 let decide_remote t (a : Exec.primary) participants ~commit ~origin_commit =
-  List.iter
-    (fun dst ->
-      Cluster.inc_outstanding t.c;
-      Network.send t.net ~src:a.site ~dst
-        (Decide { owner = a.attempt; gid = a.gid; commit; origin_commit }))
-    participants
+  Exec.notify t.c t.net ~src:a.site participants
+    (Own (Decide { owner = a.attempt; gid = a.gid; commit; origin_commit }))
 
 let submit t (spec : Txn.spec) =
   let c = t.c in
@@ -111,11 +65,10 @@ let submit t (spec : Txn.spec) =
       if i >= Array.length reps then Ok ()
       else begin
         let dst = reps.(i) in
-        t.remote <- t.remote + 1;
         participants := Exec.add_site dst !participants;
         Cluster.use_cpu c site c.params.cpu_msg;
         if Exec.request c t.net ~src:site ~dst (fun reply ->
-               Wlock_request { item; txn = a; reply })
+               Lock { item; txn = a; reply })
         then begin
           Cluster.use_cpu c site c.params.cpu_msg;
           go (i + 1)
@@ -144,7 +97,7 @@ let submit t (spec : Txn.spec) =
       List.iter
         (fun dst ->
           Cluster.use_cpu c site c.params.cpu_msg;
-          Exec.request c t.net ~src:site ~dst (fun reply -> Prepare { owner = attempt; reply }))
+          ignore (Exec.request c t.net ~src:site ~dst (fun reply -> Own (Prepare { reply }))))
         !participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = Txn.writes spec in

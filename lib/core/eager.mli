@@ -10,6 +10,3 @@
     Not part of the paper's evaluation; included as an ablation baseline. *)
 
 include Protocol.S
-
-(** Remote write-lock requests performed so far. *)
-val remote_writes : t -> int

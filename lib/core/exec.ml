@@ -106,6 +106,73 @@ let abort_primary ?cleanup (c : Cluster.t) a reason =
   Metrics.txn_abort c.metrics ~gid:a.gid ~site:a.site reason;
   Txn.Aborted reason
 
+(* --- remote participants ------------------------------------------------------ *)
+
+type 'x remote =
+  | Lock of { item : int; txn : primary; reply : bool -> unit }
+  | Reply of { ok : bool; deliver : bool -> unit }
+  | Release of { owner : int }
+  | Own of 'x
+
+(* One site's server, built once, so a served [Lock] or [Release] spawns a
+   closure over it rather than over each of its fields. *)
+type 'x server = {
+  c : Cluster.t;
+  net : 'x remote Network.t;
+  site : int;
+  mode : Lock_mgr.mode;
+  on_grant : site:int -> item:int -> primary -> unit;
+  own : site:int -> src:int -> 'x -> unit;
+}
+
+let serve_lock ({ c; site; _ } as s) ~src ~item ~(txn : primary) ~reply =
+  Cluster.use_cpu c site c.params.cpu_msg;
+  let ok =
+    match Lock_mgr.acquire c.locks.(site) ~owner:txn.attempt item s.mode with
+    | Lock_mgr.Granted ->
+        s.on_grant ~site ~item txn;
+        true
+    | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> false
+  in
+  Network.send s.net ~src:site ~dst:src (Reply { ok; deliver = reply })
+
+let handle_remote s ~src = function
+  | Lock { item; txn; reply } -> Sim.spawn s.c.sim (fun () -> serve_lock s ~src ~item ~txn ~reply)
+  | Reply { ok; deliver } ->
+      Cluster.dec_outstanding s.c;
+      deliver ok
+  | Release { owner } ->
+      Sim.spawn s.c.sim (fun () ->
+          Cluster.use_cpu s.c s.site s.c.params.cpu_msg;
+          release s.c ~attempt:owner ~site:s.site;
+          Cluster.dec_outstanding s.c)
+  | Own x -> s.own ~site:s.site ~src x
+
+let serve_remote (c : Cluster.t) net mode ~on_grant ~own =
+  for site = 0 to c.params.n_sites - 1 do
+    Network.serve net site (handle_remote { c; net; site; mode; on_grant; own })
+  done
+
+(* A recursion on the function itself: no closure, nothing allocated. *)
+let rec notify c net ~src sites msg =
+  match sites with
+  | [] -> ()
+  | dst :: rest ->
+      Cluster.inc_outstanding c;
+      Network.send net ~src ~dst msg;
+      notify c net ~src rest msg
+
+let release_remote c net (a : primary) sites =
+  notify c net ~src:a.site sites (Release { owner = a.attempt })
+
+let finish_staged (c : Cluster.t) ~gid ~attempt ~site ~commit ~origin_commit items =
+  if commit then begin
+    apply_writes c ~gid ~site items;
+    Metrics.propagation c.metrics ~gid ~site ~delay:(Sim.now c.sim -. origin_commit)
+  end
+  else History.discard_attempt c.history ~attempt;
+  release c ~attempt ~site
+
 (* --- the replica side of propagation -------------------------------------- *)
 
 let rec lock_secondary ?on_retry c ~gid ~site items =

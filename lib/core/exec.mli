@@ -4,7 +4,8 @@
     (exclusive for writes, shared for reads), charges CPU and records the
     access in the history; the store is modified at commit time, so aborts
     need no undo. Strict 2PL holds because locks are only released by
-    {!commit_local}, {!commit_secondary} and {!abort_local}.
+    {!commit_local}, {!commit_secondary}, {!abort_local}, {!finish_staged}
+    and a [Release].
 
     The replica side of propagation is shared here too: every protocol
     applies pushed updates through {!apply_secondary} (or, optimistic ones,
@@ -98,6 +99,48 @@ val commit_local : Cluster.t -> primary -> int list -> unit
     spans ({!Metrics.txn_abort}) and returns [Aborted reason]. *)
 val abort_primary :
   ?cleanup:(unit -> unit) -> Cluster.t -> primary -> Txn.abort_reason -> Txn.outcome
+
+(** {1 Remote participants}
+
+    PSL, lazy-master and eager share one round trip: a primary attempt asks
+    a remote site for a lock, the site replies, and a release or the
+    protocol's decide gives the lock back. *)
+
+(** The messages of such a network; ['x] are the protocol's own. *)
+type 'x remote =
+  | Lock of { item : int; txn : primary; reply : bool -> unit }
+      (** Sent through {!request}: lock [item] for [txn.attempt]. *)
+  | Reply of { ok : bool; deliver : bool -> unit }  (** A grant, denial or ack. *)
+  | Release of { owner : int }
+  | Own of 'x
+
+(** [serve_remote c net mode ~on_grant ~own] serves [net] at every site. A
+    [Lock] spawns a process that charges [cpu_msg], acquires the lock in
+    [mode], runs [on_grant ~site ~item txn] if granted and sends the
+    [Reply]. A [Reply] gives back {!request}'s outstanding token and
+    delivers. A [Release] spawns a process that charges [cpu_msg], releases
+    the owner's locks and gives back {!notify}'s token. [Own x] runs
+    [own ~site ~src x] on the serving process. *)
+val serve_remote :
+  Cluster.t -> 'x remote Repdb_net.Network.t -> Repdb_lock.Lock_mgr.mode ->
+  on_grant:(site:int -> item:int -> primary -> unit) -> own:(site:int -> src:int -> 'x -> unit) ->
+  unit
+
+(** [notify c net ~src sites msg] takes an outstanding token and sends [msg]
+    from [src] to each of [sites], in order. Allocates nothing. *)
+val notify : Cluster.t -> 'm Repdb_net.Network.t -> src:int -> int list -> 'm -> unit
+
+(** [release_remote c net a sites] — {!notify} [sites] to release [a]'s
+    locks there. *)
+val release_remote : Cluster.t -> 'x remote Repdb_net.Network.t -> primary -> int list -> unit
+
+(** [finish_staged c ~gid ~attempt ~site ~commit ~origin_commit items] ends
+    a participant that staged [items]: on commit {!apply_writes} them and
+    {!Metrics.propagation} the delay since [origin_commit], else discard the
+    attempt's accesses; then release its locks. *)
+val finish_staged :
+  Cluster.t -> gid:int -> attempt:int -> site:int -> commit:bool -> origin_commit:float ->
+  int list -> unit
 
 (** {1 Secondary subtransactions} *)
 

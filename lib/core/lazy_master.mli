@@ -13,6 +13,3 @@
     the second baseline the paper positions itself against. *)
 
 include Protocol.S
-
-(** Remote (primary-site) read-lock requests performed so far. *)
-val remote_reads : t -> int

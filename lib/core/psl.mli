@@ -13,7 +13,3 @@
     timeout at each site. *)
 
 include Protocol.S
-
-(** Remote (replica) reads performed so far — the message-overhead driver
-    behind Figure 2's PSL curves. *)
-val remote_reads : t -> int

@@ -72,6 +72,8 @@ let zipf_pick rng cum pool =
   done;
   pool.(!lo)
 
+let hot_item_fraction = 0.2
+
 (* Hotspot skew: with probability [hot_access_prob], draw from the first
    [hot_item_fraction] of the pool (item ids are sorted, so the hot set is
    stable across protocols and runs). [cache] is the pool's Zipf table
@@ -92,7 +94,7 @@ let pick_skewed t rng cache site pool =
   end
   else if p.hot_access_prob > 0.0 && Rng.bool rng p.hot_access_prob then begin
     let n = Array.length pool in
-    pool.(Rng.int rng (max 1 (int_of_float (ceil (p.hot_item_fraction *. float_of_int n)))))
+    pool.(Rng.int rng (max 1 (int_of_float (ceil (hot_item_fraction *. float_of_int n)))))
   end
   else Rng.pick rng pool
 

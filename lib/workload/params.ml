@@ -22,7 +22,6 @@ type t = {
   read_op_prob : float;
   read_txn_prob : float;
   hot_access_prob : float;
-  hot_item_fraction : float;
   zipf_theta : float;
   latency : float;
   lock_timeout : float;
@@ -61,7 +60,6 @@ let default =
     read_op_prob = 0.7;
     read_txn_prob = 0.5;
     hot_access_prob = 0.0;
-    hot_item_fraction = 0.2;
     zipf_theta = 0.0;
     latency = 0.15;
     lock_timeout = 50.0;
@@ -142,9 +140,6 @@ let validate t =
   prob "read_op_prob" t.read_op_prob;
   prob "read_txn_prob" t.read_txn_prob;
   prob "hot_access_prob" t.hot_access_prob;
-  prob "hot_item_fraction" t.hot_item_fraction;
-  if t.hot_access_prob > 0.0 && t.hot_item_fraction = 0.0 then
-    fail "hot_item_fraction must be positive when hot_access_prob > 0";
   if not (t.zipf_theta >= 0.0 && t.zipf_theta < 1.0) then
     fail "zipf_theta=%g not in [0,1)" t.zipf_theta;
   finite "straggler_factor" t.straggler_factor;

@@ -35,11 +35,9 @@ type t = {
   read_op_prob : float;  (** Default 0.7, range 0–1. *)
   read_txn_prob : float;  (** Default 0.5, range 0–1. *)
   hot_access_prob : float;
-      (** Probability that an operation targets the hot set; 0 (default)
-          keeps the paper's uniform access. *)
-  hot_item_fraction : float;
-      (** Fraction of each site's item pool that forms the hot set
-          (default 0.2); only meaningful when [hot_access_prob > 0]. *)
+      (** Probability that an operation targets the hot set, the first
+          20% of each site's item pool; 0 (default) keeps the paper's
+          uniform access. *)
   zipf_theta : float;
       (** Zipf skew for item selection, in [0,1). 0 (default) keeps the
           uniform / hotspot scheme; > 0 draws items rank-weighted by

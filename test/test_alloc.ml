@@ -106,6 +106,14 @@ let test_fan_out () =
     (words_per_call (fun () ->
          ignore (Sys.opaque_identity (Repdb.Exec.fan_out c ~site:0 writes send))))
 
+(* A participant set with no site, as BackEdge decides on every commit
+   without backedge targets: the budget leaves room only for rounding. *)
+let test_notify_empty () =
+  let c = Repdb.Cluster.create Params.default in
+  let net = Network.create ~sim:c.sim ~n_sites:2 ~latency:(fun _ _ -> 1.0) () in
+  within "Exec.notify (no site)" ~budget:0.01
+    (words_per_call (fun () -> Repdb.Exec.notify c net ~src:0 [] 0))
+
 let store () = Store.create ~site:0 (List.init 200 Fun.id)
 
 (* 4 words before, 0 after: the budget leaves room only for rounding. *)
@@ -206,17 +214,18 @@ let test_resource_use () =
   within_on_5_1 "Resource.use (contended)" ~budget:4.6
     ((Gc.minor_words () -. before) /. float_of_int calls)
 
-(* Words per cycle of a kernel scenario: [scenario sim n] sets up [n]
-   cycles, then the kernel runs dry. One short warm-up run first, on the
-   same kernel, so ring and heap growth is not charged. *)
-let kernel_words scenario =
-  let sim = Sim.create () in
+(* Words per cycle of a kernel scenario on [sim]: [scenario sim n] sets up
+   [n] cycles, then the kernel runs dry. One short warm-up run first, on
+   the same kernel, so ring and heap growth is not charged. *)
+let kernel_words_on sim scenario =
   scenario sim 64;
   Sim.run sim;
   let before = Gc.minor_words () in
   scenario sim calls;
   Sim.run sim;
   (Gc.minor_words () -. before) /. float_of_int calls
+
+let kernel_words scenario = kernel_words_on (Sim.create ()) scenario
 
 (* Two processes ping-pong through two wait queues at one instant, so each
    cycle is one [park] and one [wake] served by the lane: 10 words with a
@@ -327,6 +336,25 @@ let test_condvar_await_timeout () =
   within_on_5_1 "Condvar.await_timeout, with the signal" ~budget:24.2
     (kernel_words signals)
 
+(* A PSL transaction whose one operation reads a replica: the read request,
+   the reply carrying the grant and the release at commit, with the
+   attempt's begin and commit around them. 286 words with the request,
+   reply and release path written in each protocol, 279 with it written
+   once in [Exec]; the budget is the former, so that path may add
+   nothing. *)
+let test_psl_remote_read () =
+  let placement = Placement.make ~n_sites:2 ~n_items:1 ~primary:[| 0 |] ~replicas:[| [ 1 ] |] in
+  let c = Repdb.Cluster.create_with { Params.default with n_sites = 2; n_items = 1 } placement in
+  let psl = Repdb.Psl.create c in
+  let spec = { Repdb_txn.Txn.origin = 1; ops = [ Repdb_txn.Txn.Read 0 ] } in
+  let reads sim n =
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Repdb.Psl.submit psl spec))
+        done)
+  in
+  within_on_5_1 "PSL remote read round trip" ~budget:286.0 (kernel_words_on c.sim reads)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -349,5 +377,7 @@ let () =
           Alcotest.test_case "mailbox recv" `Quick test_mailbox_recv;
           Alcotest.test_case "network serve" `Quick test_network_serve;
           Alcotest.test_case "condvar await_timeout" `Quick test_condvar_await_timeout;
+          Alcotest.test_case "notify (no site)" `Quick test_notify_empty;
+          Alcotest.test_case "psl remote read" `Quick test_psl_remote_read;
         ] );
     ]

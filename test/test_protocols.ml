@@ -364,8 +364,7 @@ let test_psl_remote_read () =
   Sim.run_until c.sim 10_000.0;
   Sim.run c.sim;
   Alcotest.check outcome "committed" Txn.Committed !o;
-  checki "one remote read" 1 (Repdb.Psl.remote_reads p);
-  (* Request + reply + release. *)
+  (* One remote read: request + reply + release. *)
   checki "three messages" 3 (Repdb.Metrics.summary c.metrics).messages
 
 let test_psl_remote_denied () =
@@ -395,7 +394,6 @@ let test_psl_local_reads_stay_local () =
   Sim.spawn c.sim (fun () -> Cluster.await_quiescence c);
   Sim.run_until c.sim 10_000.0;
   Sim.run c.sim;
-  checki "no remote reads" 0 (Repdb.Psl.remote_reads p);
   checki "no messages" 0 (Repdb.Metrics.summary c.metrics).messages
 
 (* --- Eager specifics -------------------------------------------------------- *)
@@ -412,7 +410,8 @@ let test_eager_updates_replicas_in_txn () =
   Sim.run_until c.sim 10_000.0;
   Sim.run c.sim;
   Alcotest.check outcome "committed" Txn.Committed !o;
-  checki "two remote write locks" 2 (Repdb.Eager.remote_writes p);
+  (* Two replicas, each: lock request + reply, prepare + ack, decide. *)
+  checki "ten messages" 10 (Repdb.Metrics.summary c.metrics).messages;
   checki "converged" 0 (List.length (Repdb.Convergence.check c));
   checkb "serializable" true (Serializability.check c.history = Serializability.Serializable)
 
@@ -437,7 +436,8 @@ let test_lazy_master_basics () =
   Sim.run_until c.sim 100_000.0;
   Sim.run c.sim;
   Alcotest.check outcome "committed" Txn.Committed !o;
-  checki "remote read counted" 1 (Repdb.Lazy_master.remote_reads p);
+  (* Two pushes + acks, then one remote read: request + reply + release. *)
+  checki "seven messages" 7 (Repdb.Metrics.summary c.metrics).messages;
   checki "replicas physically updated" 0 (List.length (Repdb.Convergence.check c));
   (* The replica at site 2 was fresh when read under the primary's lock. *)
   checki "replica version" 1 (Repdb_store.Store.read c.stores.(2) 0).Repdb_store.Value.version;

@@ -164,7 +164,7 @@ let test_gen_deterministic () =
 
 let test_gen_hotspot () =
   (* With hot_access_prob = 1 every op lands in the first 20% of the pool. *)
-  let p = { d with Params.hot_access_prob = 1.0; hot_item_fraction = 0.2; read_txn_prob = 1.0 } in
+  let p = { d with Params.hot_access_prob = 1.0; read_txn_prob = 1.0 } in
   let gen, pl = make_gen ~p 14 in
   let rng = Rng.create 106 in
   let pool = Placement.placed_at pl 0 in
@@ -181,7 +181,7 @@ let test_gen_hotspot () =
   done
 
 let test_hotspot_validation () =
-  (match Params.validate { d with Params.hot_access_prob = 0.5; hot_item_fraction = 0.0 } with
+  (match Params.validate { d with Params.hot_access_prob = 1.5 } with
   | () -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ());
   match Params.validate { d with Params.straggler_factor = 0.5 } with
@@ -391,7 +391,7 @@ module Ref_gen = struct
         if p.zipf_theta > 0.0 then zipf_pick rng (zipf_table p.zipf_theta pool) pool
         else begin
           let n = Array.length pool in
-          let hot = max 1 (int_of_float (ceil (p.hot_item_fraction *. float_of_int n))) in
+          let hot = max 1 (int_of_float (ceil (0.2 *. float_of_int n))) in
           if p.hot_access_prob > 0.0 && Rng.bool rng p.hot_access_prob then pool.(Rng.int rng hot)
           else Rng.pick rng pool
         end
@@ -444,7 +444,6 @@ let gen_workload =
     oneofl [ 0.0; 0.7; 1.0 ] >>= fun read_op_prob ->
     oneofl [ 0.0; 0.5; 0.9 ] >>= fun zipf_theta ->
     oneofl [ 0.0; 0.5; 1.0 ] >>= fun hot_access_prob ->
-    oneofl [ 0.05; 0.2; 1.0 ] >>= fun hot_item_fraction ->
     small_nat >>= fun seed ->
     return
       ( {
@@ -458,7 +457,6 @@ let gen_workload =
           read_op_prob;
           zipf_theta;
           hot_access_prob;
-          hot_item_fraction;
         },
         seed ))
 
@@ -466,9 +464,9 @@ let arb_workload =
   QCheck.make
     ~print:(fun ((p : Params.t), seed) ->
       Printf.sprintf
-        "ops=%d sites=%d items=%d r=%g read_txn=%g read_op=%g zipf=%g hot=%g/%g seed=%d"
+        "ops=%d sites=%d items=%d r=%g read_txn=%g read_op=%g zipf=%g hot=%g seed=%d"
         p.ops_per_txn p.n_sites p.n_items p.replication_prob p.read_txn_prob p.read_op_prob
-        p.zipf_theta p.hot_access_prob p.hot_item_fraction seed)
+        p.zipf_theta p.hot_access_prob seed)
     gen_workload
 
 (* Same spec stream, and the streams end in the same RNG state: the next
