@@ -279,20 +279,25 @@ let run_cmd =
     (match (timeline_file, report.timeline) with
     | Some dest, Some tl -> write_timeline tl dest
     | _ -> ());
-    (* A failed correctness check fails the command, so scripts and CI see it. *)
+    (* A failed correctness or liveness check fails the command, so scripts
+       and CI see it. *)
     let not_serializable =
       match report.serializability with
       | Some (Repdb_txn.Serializability.Not_serializable _) -> true
       | _ -> false
     in
-    if not_serializable || match report.divergent with Some (_ :: _) -> true | _ -> false then
-      exit 1
+    if
+      not_serializable
+      || (match report.divergent with Some (_ :: _) -> true | _ -> false)
+      || report.retries_exhausted > 0
+    then exit 1
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run one protocol on one parameter setting and print the report. Exits 1 when the \
-          history is not serializable or replicas diverged.")
+          history is not serializable, replicas diverged or a transaction exhausted its \
+          retries.")
     Term.(const run $ params_term $ protocol_term $ trace_flag $ obs_flags)
 
 (* --- stats ---------------------------------------------------------------- *)
@@ -430,8 +435,8 @@ let experiment_cmd =
        ~doc:
          "Regenerate one of the paper's figures or a sweep. Independent simulations run on \
           $(b,-j) domains. Exits 1, with one error line per failing run, when a run's replicas \
-          diverged or, under $(b,--check), its history is not serializable (naive's is \
-          expected not to be)."
+          diverged, a transaction exhausted its retries or, under $(b,--check), its history is \
+          not serializable (naive's is expected not to be)."
        ~man:[ `S Manpage.s_description; exp_list ])
     Term.(
       const run $ params_term $ exp_name $ steps $ csv $ jobs_term $ timeline_dir

@@ -2,6 +2,7 @@ module Sim = Repdb_sim.Sim
 module Value = Repdb_store.Value
 module Network = Repdb_net.Network
 module Txn = Repdb_txn.Txn
+module Validator = Repdb_occ.Validator
 
 let name = "central"
 let updates_replicas = true
@@ -9,43 +10,34 @@ let updates_replicas = true
 let central_site = 0
 
 type cert_msg =
-  | Certify of { reads : (int * int) list; writes : int list; reply : bool -> unit }
+  | Certify of { txn : Validator.txn; reply : bool -> unit }
   | Certify_reply of { ok : bool; deliver : bool -> unit }
 
 type t = {
   c : Cluster.t;
   net : cert_msg Network.t;
   update_net : Exec.update Network.t;
-  committed_version : int array; (* per item, at the central site *)
-  mutable n_certified : int;
-  mutable n_rejected : int;
+  validator : Validator.t; (* at the central site *)
 }
 
-let certified t = t.n_certified
-let rejected t = t.n_rejected
+let certified t = Validator.validated t.validator
+let rejected t = Validator.rejected t.validator
 
 (* The certification check itself: every read must still be current. Charged
    to the central site's CPU by the caller. *)
-let decide t ~reads ~writes =
-  let ok = List.for_all (fun (item, version) -> t.committed_version.(item) = version) reads in
-  if ok then begin
-    List.iter (fun item -> t.committed_version.(item) <- t.committed_version.(item) + 1) writes;
-    t.n_certified <- t.n_certified + 1
-  end
-  else t.n_rejected <- t.n_rejected + 1;
-  ok
+let decide t txn = Option.is_some (Validator.validate t.validator txn)
 
-let serve_certify t ~src ~reads ~writes ~reply =
+let serve_certify t ~src ~txn ~reply =
   let c = t.c in
   (* The central site's CPU is the shared bottleneck. *)
   Cluster.use_cpu c central_site (c.params.cpu_msg +. c.params.cpu_op);
-  let ok = decide t ~reads ~writes in
+  let ok = decide t txn in
   Network.send t.net ~src:central_site ~dst:src (Certify_reply { ok; deliver = reply })
 
 let handle t ~src = function
-  | Certify { reads; writes; reply } ->
+  | Certify { txn; reply } ->
       (* The request's outstanding count carries over to the reply. *)
-      Sim.spawn t.c.sim (fun () -> serve_certify t ~src ~reads ~writes ~reply)
+      Sim.spawn t.c.sim (fun () -> serve_certify t ~src ~txn ~reply)
   | Certify_reply { ok; deliver } ->
       Cluster.dec_outstanding t.c;
       deliver ok
@@ -56,9 +48,7 @@ let create (c : Cluster.t) =
       c;
       net = Cluster.make_net c;
       update_net = Cluster.make_net c;
-      committed_version = Array.make c.params.n_items 0;
-      n_certified = 0;
-      n_rejected = 0;
+      validator = Validator.create ();
     }
   in
   (* One sequential applier per site: updates of an item all originate at its
@@ -71,15 +61,15 @@ let create (c : Cluster.t) =
   done;
   t
 
-let certify t ~site ~reads ~writes =
+let certify t ~site txn =
   let c = t.c in
   if site = central_site then begin
     Cluster.use_cpu c central_site c.params.cpu_op;
-    decide t ~reads ~writes
+    decide t txn
   end
   else begin
     Cluster.use_cpu c site c.params.cpu_msg;
-    Exec.request c t.net ~src:site ~dst:central_site (fun reply -> Certify { reads; writes; reply })
+    Exec.request c t.net ~src:site ~dst:central_site (fun reply -> Certify { txn; reply })
   end
 
 let submit t (spec : Txn.spec) =
@@ -94,7 +84,7 @@ let submit t (spec : Txn.spec) =
   | Ok () ->
       let reads = List.rev !reads in
       let writes = Txn.writes spec in
-      if certify t ~site ~reads ~writes then begin
+      if certify t ~site { gid; reads; writes } then begin
         Exec.commit_local c a writes;
         (* Lazy direct propagation; per-item streams are FIFO from the
            primary, so replicas apply in certification order. *)

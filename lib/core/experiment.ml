@@ -299,9 +299,9 @@ let ids = List.map (fun e -> e.exp_id) registry
 let find id = List.find_opt (fun e -> e.exp_id = id) registry
 
 (* --- oracles -----------------------------------------------------------------
-   Every report of a run answers to the oracles it carries: convergence
-   always, 1SR when the history was recorded. Naive's non-1SR history is the
-   one expected violation, Example 1.1's negative control. *)
+   Every report of a run answers to the oracles it carries: convergence and
+   liveness always, 1SR when the history was recorded. Naive's non-1SR
+   history is the one expected violation, Example 1.1's negative control. *)
 
 let expected_violation = Naive.name
 
@@ -323,7 +323,12 @@ let witness (r : Driver.report) =
         ]
     | _ -> []
   in
-  match not_1sr @ diverged with [] -> None | ws -> Some (String.concat "; " ws)
+  let stuck =
+    if r.retries_exhausted > 0 then
+      [ Printf.sprintf "%d transactions exhausted their retries" r.retries_exhausted ]
+    else []
+  in
+  match not_1sr @ diverged @ stuck with [] -> None | ws -> Some (String.concat "; " ws)
 
 let violations id outcome =
   let check prefix (label, r) =

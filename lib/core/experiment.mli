@@ -52,9 +52,10 @@ val timeline_files : outcome -> (string * Repdb_obs.Timeline.t) list
 
 (** [violations id outcome] — one ["<id> x=<x> <label>: <witness>"] line
     (["<id> <label>: <witness>"] for a report list) per report whose
-    replicas diverged or whose recorded history is not one-copy
-    serializable. Naive's non-1SR history is expected (Example 1.1's
-    negative control) and never listed. *)
+    replicas diverged, whose recorded history is not one-copy serializable,
+    or in which some transaction exhausted its retries. Naive's non-1SR
+    history is expected (Example 1.1's negative control) and never
+    listed. *)
 val violations : string -> outcome -> string list
 
 (** {1 Rendering} *)

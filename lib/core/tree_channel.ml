@@ -98,16 +98,12 @@ let send ch ~src ~dst msg =
 
 let send_extra ch ~src ~dst x = send ch ~src ~dst (Extra { epoch = Epoch.current ch.c; x })
 
-let rec send_each ch site msg sent = function
-  | [] -> sent
-  | child :: rest ->
-      send ch ~src:site ~dst:child msg;
-      send_each ch site msg (sent + 1) rest
-
 (* Non-blocking, so it can sit inside an atomic commit section. Returns the
    number of children sent to. *)
 let forward_msg ch site msg writes =
-  send_each ch site msg 0 (relevant_children ch.in_subtree ch.tr site writes)
+  let children = relevant_children ch.in_subtree ch.tr site writes in
+  Exec.notify ch.c ch.net ~src:site children msg;
+  List.length children
 
 let forward ch ~site ~gid writes =
   if writes = [] then 0

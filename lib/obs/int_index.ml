@@ -1,12 +1,13 @@
 (* Keys and values sit in two flat int arrays, [empty] marking a free key
-   cell. The capacity is a power of two kept at most half full. *)
+   cell. The capacity is a power of two kept at most two-thirds full. *)
 type t = { mutable keys : int array; mutable vals : int array; mutable len : int }
 
 let empty = min_int
 let create () = { keys = Array.make 64 empty; vals = Array.make 64 0; len = 0 }
 let length t = t.len
 
-(* Fibonacci hashing, as in [Repdb_store.Hash_index]. *)
+(* Multiplicative hashing keeping the low bits: a key's home depends only on
+   the key modulo the capacity, so consecutive keys get distinct homes. *)
 let home keys key = key * 0x2545F4914F6CDD1D land max_int land (Array.length keys - 1)
 
 (* The slot holding [key], or the empty slot ending its probe run. *)
@@ -20,7 +21,7 @@ let find t key =
 
 let rec set t key v =
   let keys = t.keys in
-  if 2 * (t.len + 1) > Array.length keys then begin
+  if 3 * (t.len + 1) > 2 * Array.length keys then begin
     let vals = t.vals in
     t.keys <- Array.make (2 * Array.length keys) empty;
     t.vals <- Array.make (2 * Array.length keys) 0;
@@ -56,3 +57,5 @@ let remove t key =
     t.len <- t.len - 1;
     shift t i i
   end
+
+let iter f t = Array.iteri (fun i k -> if k <> empty then f k t.vals.(i)) t.keys

@@ -1,13 +1,10 @@
-(** Open-addressing map from ints to non-negative ints: linear probing with
-    backward-shift deletion, so there are no tombstones, and bindings,
-    lookups and removals allocate nothing once the arrays have grown to the
-    peak number of bindings.
-
-    It is not [Repdb_store.Hash_index]: that table holds any ['a] in a
-    boxed entry per binding, so every insert allocates, and it rebuilds
-    itself to clear tombstones, which a map that binds and removes a key per
-    transaction would trigger every few hundred transactions. Users keep
-    their records in a reused slot array and map keys to slot numbers. *)
+(** The one open-addressing hash index on int keys in [lib]: the paper's
+    "hash index on the item identifier" behind {!Repdb_store.Store}, and the
+    owner and attempt maps of [Lock_mgr] and {!Span}. It maps ints to
+    non-negative ints with linear probing and backward-shift deletion, so
+    there are no tombstones, and bindings, lookups and removals allocate
+    nothing once the arrays have grown to the peak number of bindings.
+    Users keep their records in a slot array and map keys to slot numbers. *)
 
 type t
 
@@ -25,3 +22,7 @@ val set : t -> int -> int -> unit
 
 (** [remove t key] deletes the binding of [key], if any. *)
 val remove : t -> int -> unit
+
+(** [iter f t] applies [f key v] to every binding, in an unspecified
+    order. *)
+val iter : (int -> int -> unit) -> t -> unit

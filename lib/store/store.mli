@@ -2,9 +2,10 @@
 
     Stand-in for the DataBlitz main-memory storage manager used in the paper:
     the whole database lives in memory and items are reached through a hash
-    index on the item identifier. A store holds only the copies (primary or
-    replica) placed at its site; touching an item that is not placed there is
-    a programming error and raises. *)
+    index on the item identifier ({!Repdb_obs.Int_index}, mapping an item to
+    its copy's slot). A store holds only the copies (primary or replica)
+    placed at its site; touching an item that is not placed there is a
+    programming error and raises. *)
 
 type item = int
 (** Items are dense integer identifiers, [0 .. n-1] cluster-wide. *)
@@ -27,13 +28,9 @@ val read : t -> item -> Value.t
     @raise Invalid_argument if [item] is not placed at this site. *)
 val apply : t -> item -> writer:int -> ?payload:string -> unit -> unit
 
-(** [set t item v] overwrites the copy with [v] (used when shipping a primary
-    value to a replica wholesale). *)
-val set : t -> item -> Value.t -> unit
-
 (** [install t item v] installs [v] wholesale, creating the copy if absent —
-    state transfer of an item newly replicated here. Hooked like {!set}, so
-    an attached redo log records the install. *)
+    state transfer of an item newly replicated here, or a healed copy.
+    Hooked, so an attached redo log records the install. *)
 val install : t -> item -> Value.t -> unit
 
 (** {1 Durability hooks (used by {!Wal})} *)
@@ -43,7 +40,7 @@ type write_event =
   | Applied of { item : item; writer : int; payload : string option }
   | Installed of { item : item; value : Value.t }
 
-(** [set_write_hook t f] — call [f] after every {!apply} / {!set}. *)
+(** [set_write_hook t f] — call [f] after every {!apply} / {!install}. *)
 val set_write_hook : t -> (write_event -> unit) -> unit
 
 (** Current contents, ascending by item. *)
@@ -55,12 +52,6 @@ val restore : t -> item -> Value.t -> unit
 
 (** Items placed at this site, ascending. *)
 val items : t -> item list
-
-(** Number of copies held. *)
-val size : t -> int
-
-(** [iter f t] applies [f item value] to every copy. *)
-val iter : (item -> Value.t -> unit) -> t -> unit
 
 (** {1 Anti-entropy digests}
 

@@ -12,7 +12,7 @@ type record =
   | Apply of { item : int; writer : int; payload : string option }
       (** A committed write, as applied through {!Store.apply}. *)
   | Ship of { item : int; value : Value.t }
-      (** A whole-value install, as applied through {!Store.set}. *)
+      (** A whole-value install, as applied through {!Store.install}. *)
 
 type t
 

@@ -465,6 +465,14 @@ let test_experiment_violations () =
     ]
     (Repdb.Experiment.violations "fig2a" (Repdb.Experiment.Figure fig))
 
+(* Liveness: a run in which a transaction ran out of retries is an error. *)
+let test_experiment_liveness () =
+  let r = Repdb.Driver.run tiny (module Repdb.Psl) in
+  Alcotest.(check (list string))
+    "one error" [ "resp psl: 1 transactions exhausted their retries" ]
+    (Repdb.Experiment.violations "resp"
+       (Repdb.Experiment.Reports [ ("psl", { r with retries_exhausted = 1 }); ("psl", r) ]))
+
 let () =
   Alcotest.run "core"
     [
@@ -511,5 +519,6 @@ let () =
           Alcotest.test_case "figure structure" `Quick test_experiment_figure_structure;
           Alcotest.test_case "tree-routing ablation" `Quick test_experiment_tree_routing_runs;
           Alcotest.test_case "violations" `Quick test_experiment_violations;
+          Alcotest.test_case "liveness" `Quick test_experiment_liveness;
         ] );
     ]
