@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Tree = Repdb_graph.Tree
 module Network = Repdb_net.Network
 module Placement = Repdb_workload.Placement
@@ -147,12 +146,11 @@ let receive ch ~on_retry ~on_extra site msg =
    order, and the sampled queue depth is what the dequeue left behind. *)
 let spawn_applier ?on_retry ch ~on_extra site =
   if Epoch.planned ch.c || Tree.parent ch.tr site <> -1 then begin
-    let inbox = Network.inbox ch.net site in
     Network.serve ch.net site (fun ~src:_ msg ->
         (match msg with
         | Update { gid; _ } ->
             Metrics.secondary_recv ch.c.metrics ~gid ~site;
-            Metrics.queue_depth ch.c.metrics ~site ~queue:"fifo" ~depth:(Mailbox.length inbox)
+            Metrics.queue_depth ch.c.metrics ~site ~queue:"fifo" ~depth:(Network.queued ch.net site)
         | Extra _ -> ());
         receive ch ~on_retry ~on_extra site msg)
   end

@@ -90,7 +90,7 @@ let create ~sim ~policy ?(site = 0) ?(trace = Trace.disabled) ?stats ?(remap = F
     policy;
     remap;
     entries = [||];
-    owners = Int_index.create ();
+    owners = Int_index.create 64;
     slots = [||];
     free = [||];
     n_free = 0;

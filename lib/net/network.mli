@@ -7,10 +7,12 @@
     (latency is per-pair constant, so FIFO follows from the deterministic
     event order of the kernel).
 
-    Delivery is either into the destination's inbox mailbox (default) or into
-    a registered handler, which runs as a plain event and must not block —
-    handlers are how protocols demultiplex traffic into per-parent queues
-    without an extra hop. *)
+    A send pushes the message on its pair's FIFO ring and schedules the
+    pair's one delivery callback, which takes the oldest: no closure, tuple
+    or wait per message, and no ring keeps a taken message. It goes to the
+    site's server ({!serve}) or to a handler ({!set_handler}), which runs as
+    a plain event and must not block — handlers are how protocols
+    demultiplex traffic into per-parent queues without an extra hop. *)
 
 type 'a t
 
@@ -55,19 +57,19 @@ val send : 'a t -> src:int -> dst:int -> 'a -> unit
     @raise Invalid_argument on out-of-range sites. *)
 val reachable : 'a t -> src:int -> dst:int -> bool
 
-(** The default delivery target for [dst]: messages arrive as [(src, msg)]. *)
-val inbox : 'a t -> int -> (int * 'a) Repdb_sim.Mailbox.t
-
-(** [serve t site f] spawns, at the current instant, a process that takes
-    [site]'s inbox messages one at a time, in arrival order, and runs
-    [f ~src msg] on each before taking the next — forever. [f] may block;
-    messages arriving meanwhile queue in the inbox.
-    @raise Invalid_argument if [site] is out of range or has a custom
-    handler. *)
+(** [serve t site f] spawns, at the current instant, [site]'s one server: a
+    process that takes [site]'s messages one at a time, in arrival order,
+    and runs [f ~src msg] on each before taking the next — forever. [f] may
+    block; the server parks on a wait queue only when no message is left.
+    @raise Invalid_argument if [site] is out of range or has a handler. *)
 val serve : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 
-(** [set_handler t dst f] — route [dst]'s traffic to [f ~src msg] instead of
-    the inbox. The handler runs at delivery time and must not block. *)
+(** [queued t site] — messages delivered to [site] not yet taken by its server. *)
+val queued : 'a t -> int -> int
+
+(** [set_handler t dst f] — run [f ~src msg] on each of [dst]'s messages at
+    its delivery event, instead of handing it to a server. The handler must
+    not block. *)
 val set_handler : 'a t -> int -> (src:int -> 'a -> unit) -> unit
 
 (** Total messages sent so far. *)

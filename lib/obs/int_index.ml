@@ -3,7 +3,11 @@
 type t = { mutable keys : int array; mutable vals : int array; mutable len : int }
 
 let empty = min_int
-let create () = { keys = Array.make 64 empty; vals = Array.make 64 0; len = 0 }
+(* The least capacity, at least 8, that takes [n] bindings without growing. *)
+let create n =
+  let rec cap c = if 3 * n > 2 * c then cap (2 * c) else c in
+  let c = cap 8 in
+  { keys = Array.make c empty; vals = Array.make c 0; len = 0 }
 let length t = t.len
 
 (* Multiplicative hashing keeping the low bits: a key's home depends only on

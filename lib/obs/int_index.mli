@@ -8,7 +8,9 @@
 
 type t
 
-val create : unit -> t
+(** [create n] — an empty index that holds [n] bindings before it first
+    grows. *)
+val create : int -> t
 
 (** Number of bindings. *)
 val length : t -> int

@@ -27,8 +27,8 @@ let create ~stats ~trace () =
     h_commit = Stats.histogram stats "span.commit";
     h_think = Stats.histogram stats "span.think";
     trace;
-    by_gid = Int_index.create ();
-    by_owner = Int_index.create ();
+    by_gid = Int_index.create 64;
+    by_owner = Int_index.create 64;
     slots = [||];
     free = [||];
     n_free = 0;

@@ -2,8 +2,8 @@
 
     Messages are delivered in send order; receivers are served in arrival
     order. A receiver that finds the mailbox empty waits on a {!Sim.once},
-    and {!send} hands its value straight to it. The network layer builds its
-    reliable FIFO channels on top of these. *)
+    and {!send} hands its value straight to it; {!recv_timeout} ends such
+    a wait on a timer too. *)
 
 type 'a t
 

@@ -1,13 +1,8 @@
 open Effect.Deep
 
-(* A FIFO ring of capacity a power of two, grown with the pushed value as
-   filler. Popped slots keep their values; resumed continuations hold no
-   stack. *)
-type 'a ring = { mutable buf : 'a array; mutable head : int; mutable len : int }
-
 (* Events are callbacks or bare continuations, in two heaps merged by
    (time, seq). Events at the current instant go to the lane instead, a FIFO
-   in which [kont] stands for the next continuation of [lane_ks]. *)
+   of callbacks and the markers [kont] and [start] (below). *)
 type t = {
   clock : float array;
       (* One-element flat float array: a [mutable clock : float] field in a
@@ -17,17 +12,17 @@ type t = {
   mutable executed : int;
   calls : (unit -> unit) Heap.t;
   konts : (unit, unit) continuation Heap.t;
-  lane : (unit -> unit) ring;
-  lane_ks : (unit, unit) continuation ring;
+  lane : (unit -> unit) Ring.t;
+  lane_ks : (unit, unit) continuation Ring.t;
   mutable awaiting : unit Effect.t; (* the last [Await], read by [on_await] *)
-  on_await : ((unit, unit) continuation -> unit) option;
+  handler : (unit, unit) handler; (* every process's, built with the kernel *)
 }
 
 (* [park] is the effect value and [on_park] its handler, both allocated once
    with the queue, so parking allocates only the captured continuation. *)
 and waitq = {
   sim : t;
-  ring : (unit, unit) continuation ring;
+  ring : (unit, unit) continuation Ring.t;
   park : unit Effect.t;
   on_park : ((unit, unit) continuation -> unit) option;
 }
@@ -51,46 +46,57 @@ type _ Effect.t +=
 
 exception Stuck of exn
 
-let ring () = { buf = [||]; head = 0; len = 0 }
-
-let push r v =
-  let cap = Array.length r.buf in
-  if r.len = cap then begin
-    let buf = Array.make (if cap = 0 then 8 else 2 * cap) v in
-    for i = 0 to r.len - 1 do
-      buf.(i) <- r.buf.((r.head + i) land (cap - 1))
-    done;
-    r.buf <- buf;
-    r.head <- 0
-  end;
-  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- v;
-  r.len <- r.len + 1
-
-let pop r =
-  let v = r.buf.(r.head) in
-  r.head <- (r.head + 1) land (Array.length r.buf - 1);
-  r.len <- r.len - 1;
-  v
-
-let kont () = assert false (* the lane marker, never run *)
+(* Lane markers, never run: [kont] stands for the next continuation of
+   [lane_ks], [start] for a process to start, the lane's next entry. *)
+let kont () = assert false
+let start () = assert false
 
 let resume_now t k =
-  push t.lane kont;
-  push t.lane_ks k
+  Ring.push t.lane kont;
+  Ring.push t.lane_ks k
 
-(* [Await]'s handler, one per kernel: the effect is stashed in [awaiting]. *)
+(* [Await]'s handler: the effect is stashed in [awaiting]. *)
 let on_await t k =
   match t.awaiting with
   | Await ({ state = Armed; _ } as o) -> o.state <- Parked (t, k)
   | Await ({ state = Early v; _ } as o) -> o.state <- Held (k, v)
   | _ -> discontinue k (Invalid_argument "Sim.await: awaited twice")
 
+(* [delay]'s duration travels through this per-domain cell rather than in
+   the effect, so [Delay] is a constant. Per domain, not global: pools run
+   kernels on several domains at once. The handler runs on the performing
+   domain right after [perform], before the process can delay again. *)
+let delay_arg = Domain.DLS.new_key (fun () -> [| 0.0 |])
+
+let on_delay t k =
+  t.next.(0) <- t.clock.(0) +. (Domain.DLS.get delay_arg).(0);
+  if t.next.(0) = t.clock.(0) then resume_now t k
+  else begin
+    t.seq <- t.seq + 1;
+    Heap.push t.konts t.next ~seq:t.seq k
+  end
+
+(* Processes run under one deep handler per kernel, so resumed
+   continuations keep it; [Park]'s effect handler is built once per queue,
+   the others here. *)
+let stuck e = Printexc.(raise_with_backtrace (Stuck e) (get_raw_backtrace ()))
+
 let create () =
-  let calls = Heap.create () and konts = Heap.create () in
   let rec t =
-    { clock = [| 0.0 |]; next = [| 0.0 |]; seq = 0; executed = 0; calls; konts;
-      lane = ring (); lane_ks = ring (); awaiting = Delay; on_await = Some (fun k -> on_await t k) }
-  in
+    { clock = [| 0.0 |]; next = [| 0.0 |]; seq = 0; executed = 0; calls = Heap.create ();
+      konts = Heap.create (); lane = Ring.create (); lane_ks = Ring.create (); awaiting = Delay;
+      handler = { retc = Fun.id; exnc = stuck; effc } }
+  and effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
+    | Delay -> delayed
+    | Park q -> q.on_park
+    | Await _ as eff ->
+        t.awaiting <- eff;
+        awaited
+    | Self -> self
+    | _ -> None
+  and delayed : ((unit, unit) continuation -> unit) option = Some (fun k -> on_delay t k)
+  and awaited : ((unit, unit) continuation -> unit) option = Some (fun k -> on_await t k)
+  and self : ((t, unit) continuation -> unit) option = Some (fun k -> continue k t) in
   t
 
 let now t = t.clock.(0)
@@ -99,7 +105,7 @@ let events_executed t = t.executed
 
 (* Schedule [fn] at [t.next.(0)]. *)
 let schedule t fn =
-  if t.next.(0) = t.clock.(0) then push t.lane fn
+  if t.next.(0) = t.clock.(0) then Ring.push t.lane fn
   else begin
     t.seq <- t.seq + 1;
     Heap.push t.calls t.next ~seq:t.seq fn
@@ -119,11 +125,11 @@ let after t d fn =
 (* --- wait queues and one-shot waits ----------------------------------------- *)
 
 let waitq sim =
-  let rec q = { sim; ring = ring (); park = Park q; on_park = Some (fun k -> push q.ring k) } in
+  let rec q = { sim; ring = Ring.create (); park = Park q; on_park = Some (fun k -> Ring.push q.ring k) } in
   q
 
-let waiting q = q.ring.len
-let wake q = q.ring.len > 0 && (resume_now q.sim (pop q.ring); true)
+let waiting q = Ring.length q.ring
+let wake q = Ring.length q.ring > 0 && (resume_now q.sim (Ring.pop q.ring); true)
 let once () = { state = Armed }
 let fired o = match o.state with Armed | Parked _ -> false | Early _ | Held _ | Fired _ -> true
 
@@ -137,65 +143,29 @@ let fire o v =
       (* Only the waiting process itself, before it parks, gets here. *)
       o.state <- Early v;
       let t = Effect.perform Self in
-      push t.lane (fun () ->
+      Ring.push t.lane (fun () ->
           match o.state with Held (k, v) -> o.state <- Fired v; continue k () | _ -> assert false);
       true
   | Early _ | Held _ | Fired _ -> false
 
 (* --- processes ---------------------------------------------------------------- *)
 
-(* [delay]'s duration travels through this per-domain cell rather than in
-   the effect, so [Delay] is a constant. Per domain, not global: pools run
-   kernels on several domains at once. The handler runs on the performing
-   domain right after [perform], before the process can delay again. *)
-let delay_arg = Domain.DLS.new_key (fun () -> [| 0.0 |])
-
-(* Run [f] as a process: its effects park the computation and re-enter
-   through the events. The handler is installed deeply, so resumed
-   continuations keep it. [Delay]'s handler is built once per process,
-   [Park]'s once per queue and [Await]'s once per kernel. *)
-let run_process t f =
-  let on_delay =
-    Some
-      (fun k ->
-        t.next.(0) <- t.clock.(0) +. (Domain.DLS.get delay_arg).(0);
-        if t.next.(0) = t.clock.(0) then resume_now t k
-        else begin
-          t.seq <- t.seq + 1;
-          Heap.push t.konts t.next ~seq:t.seq k
-        end)
-  in
-  match_with f ()
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Printexc.raise_with_backtrace (Stuck e) bt);
-      effc =
-        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Delay -> on_delay
-          | Park q -> q.on_park
-          | Await _ ->
-              t.awaiting <- eff;
-              t.on_await
-          | Self -> Some (fun k -> continue k t)
-          | _ -> None);
-    }
-
-let spawn t f = push t.lane (fun () -> run_process t f)
+(* A spawn is two lane entries, [start] and the process, so it allocates no
+   closure around it. *)
+let spawn t f =
+  Ring.push t.lane start;
+  Ring.push t.lane f
 
 let spawn_at t time f =
   if not (time >= t.clock.(0)) then invalid_arg "Sim.spawn_at: time is in the past";
-  at t time (fun () -> run_process t f)
+  at t time (fun () -> match_with f () t.handler)
 
 (* Run the next event at or before [horizon]; [false] if there is none. Heap
    entries at [now] were pushed before the clock reached [now], so their seq
    is below every lane entry's: running them, then the lane, and only then
    advancing the clock keeps (time, seq) order. *)
 let next t horizon =
-  let at_now = t.lane.len > 0 and calls = Heap.precedes t.calls t.konts in
+  let at_now = Ring.length t.lane > 0 and calls = Heap.precedes t.calls t.konts in
   if at_now && not (t.clock.(0) <= horizon) then false
   else if
     if calls then Heap.due t.calls t.clock ~at_now horizon
@@ -209,8 +179,10 @@ let next t horizon =
     at_now
     && begin
          t.executed <- t.executed + 1;
-         let f = pop t.lane in
-         if f == kont then continue (pop t.lane_ks) () else f ();
+         let f = Ring.pop t.lane in
+         if f == kont then continue (Ring.pop t.lane_ks) ()
+         else if f == start then match_with (Ring.pop t.lane) () t.handler
+         else f ();
          true
        end
 

@@ -40,7 +40,9 @@ val clock : t -> unit -> float
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** [spawn t f] schedules process [f] to start at the current time. *)
+(** [spawn t f] schedules process [f] to start at the current time. It
+    allocates no closure or handler: [f] waits on the lane behind a start
+    marker, and every process of [t] runs under [t]'s one effect handler. *)
 val spawn : t -> (unit -> unit) -> unit
 
 (** [spawn_at t time f] schedules process [f] to start at absolute [time].

@@ -33,11 +33,12 @@ let add t item =
   end
 
 let create ~site items =
+  let n = List.length items in
   let t =
     {
       site;
-      index = Int_index.create ();
-      values = Array.make (List.length items) Value.initial;
+      index = Int_index.create n;
+      values = Array.make n Value.initial;
       hook = ignore;
       hooked = false;
     }

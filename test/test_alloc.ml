@@ -227,6 +227,18 @@ let kernel_words_on sim scenario =
 
 let kernel_words scenario = kernel_words_on (Sim.create ()) scenario
 
+(* Processes that start and exit at one instant: per spawn, its lane
+   entries and what the runtime allocates for its fiber. 25 words with a
+   closure around each process and a handler built per process, 5 with the
+   process itself on the lane and one handler per kernel. *)
+let test_spawn () =
+  let spawns sim n =
+    for _ = 1 to n do
+      Sim.spawn sim ignore
+    done
+  in
+  within_on_5_1 "Sim.spawn (start + exit)" ~budget:5.78 (kernel_words spawns)
+
 (* Two processes ping-pong through two wait queues at one instant, so each
    cycle is one [park] and one [wake] served by the lane: 10 words with a
    closure per wake, 2 (the captured continuation) without. *)
@@ -302,9 +314,9 @@ let test_mailbox_recv () =
 
 (* One site sends to another every 1 ms over a 1 ms link, so the serving
    process always finds its inbox empty: per delivered message, the send,
-   its delivery event and the hand-off. 32.02 words with the hand-written
-   [Mailbox.recv] loop each protocol carried before [Network.serve]; the
-   budget is that figure, so [serve] may add nothing. *)
+   its delivery event and the hand-off. 32 words with a closure per
+   delivery and a [Mailbox] hand-off, 4 (the sender's and the server's
+   continuations) with per-pair rings and a parked server. *)
 let test_network_serve () =
   let total = ref 0 in
   let deliveries sim n =
@@ -316,7 +328,7 @@ let test_network_serve () =
           Network.send net ~src:0 ~dst:1 i
         done)
   in
-  within_on_5_1 "Network.serve, with the send" ~budget:32.02 (kernel_words deliveries)
+  within_on_5_1 "Network.serve, with the send" ~budget:4.63 (kernel_words deliveries)
 
 (* A timed wait ended by a signal 1 ms later; the timer fires later and
    loses. 67 words on [Sim.suspend], 21 on a one-shot wait. *)
@@ -340,8 +352,8 @@ let test_condvar_await_timeout () =
    the reply carrying the grant and the release at commit, with the
    attempt's begin and commit around them. 286 words with the request,
    reply and release path written in each protocol, 279 with it written
-   once in [Exec]; the budget is the former, so that path may add
-   nothing. *)
+   once in [Exec], 155 once a message costs no closure, tuple or wait and
+   a spawn no handler. *)
 let test_psl_remote_read () =
   let placement = Placement.make ~n_sites:2 ~n_items:1 ~primary:[| 0 |] ~replicas:[| [ 1 ] |] in
   let c = Repdb.Cluster.create_with { Params.default with n_sites = 2; n_items = 1 } placement in
@@ -353,7 +365,7 @@ let test_psl_remote_read () =
           ignore (Sys.opaque_identity (Repdb.Psl.submit psl spec))
         done)
   in
-  within_on_5_1 "PSL remote read round trip" ~budget:286.0 (kernel_words_on c.sim reads)
+  within_on_5_1 "PSL remote read round trip" ~budget:178.25 (kernel_words_on c.sim reads)
 
 let () =
   Alcotest.run "alloc"
@@ -370,6 +382,7 @@ let () =
           Alcotest.test_case "span cycle" `Quick test_span_cycle;
           Alcotest.test_case "trace record" `Quick test_trace_record;
           Alcotest.test_case "sim delay" `Quick test_sim_delay;
+          Alcotest.test_case "spawn" `Quick test_spawn;
           Alcotest.test_case "contended resource use" `Quick test_resource_use;
           Alcotest.test_case "park + wake" `Quick test_park_wake;
           Alcotest.test_case "lock wait" `Quick test_lock_wait;

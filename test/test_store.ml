@@ -151,11 +151,14 @@ let prop_store_matches_model =
 
 (* --- hash index -------------------------------------------------------------
    [Int_index] is the store's index on item ids (and the lock manager's and
-   span tracker's owner maps). With 64 cells, keys equal modulo 64 share a
-   home cell, so multiples of 64 build long probe runs. *)
+   span tracker's owner maps). Sized for 42 bindings it has 64 cells, so
+   keys equal modulo 64 share a home cell and multiples of 64 build long
+   probe runs. *)
+
+let index64 () = Int_index.create 42
 
 let test_index_basics () =
-  let h = Int_index.create () in
+  let h = index64 () in
   checki "empty" 0 (Int_index.length h);
   Int_index.set h 5 1;
   Int_index.set h 69 2;
@@ -174,7 +177,7 @@ let test_index_basics () =
   checki "negative key" 4 (Int_index.find h (-7))
 
 let test_index_growth () =
-  let h = Int_index.create () in
+  let h = index64 () in
   for k = 0 to 999 do
     Int_index.set h k (k * 7)
   done;
@@ -191,10 +194,33 @@ let test_index_growth () =
   checki "iter visits each binding once" 1000 !n;
   checki "iter sums values" (7 * 999 * 1000 / 2) !sum
 
+(* An index sized at creation takes that many bindings without growing:
+   the inserts allocate nothing, so the bytes allocated between two reads
+   are those of the reads themselves. *)
+let test_index_sized () =
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. before
+  in
+  let reads = allocated ignore in
+  List.iter
+    (fun n ->
+      let h = Int_index.create n in
+      let bytes =
+        allocated (fun () ->
+            for k = 0 to n - 1 do
+              Int_index.set h (k * 3) k
+            done)
+      in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "%d bindings" n) reads bytes;
+      checki "all bound" n (Int_index.length h))
+    [ 0; 1; 5; 42; 64; 1000; 1875 ]
+
 let test_index_delete_churn () =
   (* Bind-and-remove churn on one probe run must leave the table empty and
      every key findable while bound. *)
-  let h = Int_index.create () in
+  let h = index64 () in
   for round = 0 to 99 do
     for k = 0 to 7 do
       Int_index.set h (64 * ((round * 8) + k)) k
@@ -217,7 +243,7 @@ let prop_index_matches_hashtbl =
            (oneof [ int_range (-5) 30; map (fun k -> 64 * k) (int_range 0 40) ])
            (int_range 0 2) (int_range 0 9)))
     (fun ops ->
-      let h = Int_index.create () in
+      let h = index64 () in
       let model = Hashtbl.create 16 in
       List.for_all
         (fun (key, op, v) ->
@@ -347,6 +373,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_index_basics;
           Alcotest.test_case "growth" `Quick test_index_growth;
+          Alcotest.test_case "sized at create" `Quick test_index_sized;
           Alcotest.test_case "delete churn" `Quick test_index_delete_churn;
           QCheck_alcotest.to_alcotest prop_index_matches_hashtbl;
         ] );
