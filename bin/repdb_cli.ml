@@ -83,8 +83,13 @@ let params_term =
              failure, 64 ms cap, deterministic jitter from a per-client seeded stream).")
   $ float_flag "deadline"
       ~doc:
-        "Per-transaction deadline (ms); an attempt that exceeds it aborts with \
-         $(i,deadline-exceeded). 0 disables deadlines."
+        "Per-attempt deadline (ms) for the protocols that wait on another site: an \
+         attempt still waiting when it passes aborts with $(i,deadline-exceeded). \
+         $(b,psl) checks it at its remote reads, $(b,ssi) at its remote snapshot \
+         reads and its certification, $(b,backedge) at its origin wait and $(b,occ-epoch) at its epoch wait. \
+         $(b,eager), $(b,lazy-master) and $(b,central) ignore it, even while they wait \
+         remotely; $(b,dag-wt), $(b,dag-t) and $(b,naive) never wait remotely, so it \
+         never fires. 0 disables deadlines."
       d.txn_deadline
   $ float_flag "stale-reads"
       ~doc:

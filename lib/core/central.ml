@@ -10,8 +10,8 @@ let updates_replicas = true
 let central_site = 0
 
 type cert_msg =
-  | Certify of { txn : Validator.txn; reply : bool -> unit }
-  | Certify_reply of { ok : bool; deliver : bool -> unit }
+  | Certify of { txn : Validator.txn; reply : bool Sim.once }
+  | Certify_reply of { ok : bool; reply : bool Sim.once }
 
 type t = {
   c : Cluster.t;
@@ -32,15 +32,15 @@ let serve_certify t ~src ~txn ~reply =
   (* The central site's CPU is the shared bottleneck. *)
   Cluster.use_cpu c central_site (c.params.cpu_msg +. c.params.cpu_op);
   let ok = decide t txn in
-  Network.send t.net ~src:central_site ~dst:src (Certify_reply { ok; deliver = reply })
+  Network.send t.net ~src:central_site ~dst:src (Certify_reply { ok; reply })
 
 let handle t ~src = function
   | Certify { txn; reply } ->
       (* The request's outstanding count carries over to the reply. *)
       Sim.spawn t.c.sim (fun () -> serve_certify t ~src ~txn ~reply)
-  | Certify_reply { ok; deliver } ->
+  | Certify_reply { ok; reply } ->
       Cluster.dec_outstanding t.c;
-      deliver ok
+      ignore (Sim.fire reply ok)
 
 let create (c : Cluster.t) =
   let t =
@@ -69,7 +69,9 @@ let certify t ~site txn =
   end
   else begin
     Cluster.use_cpu c site c.params.cpu_msg;
-    Exec.request c t.net ~src:site ~dst:central_site (fun reply -> Certify { txn; reply })
+    let reply = Sim.once () in
+    Exec.request c t.net ~src:site ~dst:central_site ~deadline:infinity ~expired:false reply
+      (Certify { txn; reply })
   end
 
 let submit t (spec : Txn.spec) =

@@ -7,7 +7,7 @@ let name = "eager"
 let updates_replicas = true
 
 type own =
-  | Prepare of { reply : bool -> unit }
+  | Prepare of { reply : Exec.answer Sim.once }
   | Decide of { owner : int; gid : int; commit : bool; origin_commit : float }
 
 type t = {
@@ -44,7 +44,7 @@ let create (c : Cluster.t) =
   Exec.serve_remote c t.net Lock_mgr.Exclusive ~on_grant:(stage t) ~own:(fun ~site ~src -> function
     | Prepare { reply } ->
         (* Locks are already held and writes staged: always vote yes. *)
-        Network.send t.net ~src:site ~dst:src (Reply { ok = true; deliver = reply })
+        Network.send t.net ~src:site ~dst:src (Reply { answer = Granted; reply })
     | Decide { owner; gid; commit; origin_commit } ->
         Sim.spawn c.sim (fun () -> decide t site ~owner ~gid ~commit ~origin_commit));
   t
@@ -67,13 +67,11 @@ let submit t (spec : Txn.spec) =
         let dst = reps.(i) in
         participants := Exec.add_site dst !participants;
         Cluster.use_cpu c site c.params.cpu_msg;
-        if Exec.request c t.net ~src:site ~dst (fun reply ->
-               Lock { item; txn = a; reply })
-        then begin
-          Cluster.use_cpu c site c.params.cpu_msg;
-          go (i + 1)
-        end
-        else Error Txn.Remote_denied
+        match Exec.lock_remote c t.net a ~dst ~deadline:infinity item with
+        | Granted ->
+            Cluster.use_cpu c site c.params.cpu_msg;
+            go (i + 1)
+        | Denied | Expired -> Error Txn.Remote_denied
       end
     in
     go 0
@@ -97,7 +95,10 @@ let submit t (spec : Txn.spec) =
       List.iter
         (fun dst ->
           Cluster.use_cpu c site c.params.cpu_msg;
-          ignore (Exec.request c t.net ~src:site ~dst (fun reply -> Own (Prepare { reply }))))
+          let reply = Sim.once () in
+          ignore
+            (Exec.request c t.net ~src:site ~dst ~deadline:infinity ~expired:Exec.Expired reply
+               (Own (Prepare { reply }))))
         !participants;
       (* Phase 2: commit locally, then decide. *)
       let writes = Txn.writes spec in

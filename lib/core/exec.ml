@@ -12,14 +12,11 @@ let abort_reason_of_outcome = function
   | Lock_mgr.Deadlock_victim -> Txn.Deadlock
   | Lock_mgr.Granted -> invalid_arg "Exec.abort_reason_of_outcome: Granted"
 
-let request ?deadline c net ~src ~dst msg =
-  let reply = Sim.once () in
-  let resume v = ignore (Sim.fire reply v) in
+let request c net ~src ~dst ~deadline ~expired reply msg =
   Cluster.inc_outstanding c;
-  (match deadline with
-  | Some (at, expired) when at < infinity -> Sim.at c.Cluster.sim at (fun () -> resume expired)
-  | _ -> ());
-  Network.send net ~src ~dst (msg resume);
+  if deadline < infinity then
+    Sim.at c.Cluster.sim deadline (fun () -> ignore (Sim.fire reply expired));
+  Network.send net ~src ~dst msg;
   Sim.await reply
 
 (* Lock [item] in [mode] for [attempt], charge [cpu_op] and record the
@@ -108,9 +105,11 @@ let abort_primary ?cleanup (c : Cluster.t) a reason =
 
 (* --- remote participants ------------------------------------------------------ *)
 
+type answer = Granted | Denied | Expired
+
 type 'x remote =
-  | Lock of { item : int; txn : primary; reply : bool -> unit }
-  | Reply of { ok : bool; deliver : bool -> unit }
+  | Lock of { item : int; txn : primary; reply : answer Sim.once }
+  | Reply of { answer : answer; reply : answer Sim.once }
   | Release of { owner : int }
   | Own of 'x
 
@@ -127,20 +126,20 @@ type 'x server = {
 
 let serve_lock ({ c; site; _ } as s) ~src ~item ~(txn : primary) ~reply =
   Cluster.use_cpu c site c.params.cpu_msg;
-  let ok =
+  let answer =
     match Lock_mgr.acquire c.locks.(site) ~owner:txn.attempt item s.mode with
     | Lock_mgr.Granted ->
         s.on_grant ~site ~item txn;
-        true
-    | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> false
+        Granted
+    | Lock_mgr.Timed_out | Lock_mgr.Deadlock_victim -> Denied
   in
-  Network.send s.net ~src:site ~dst:src (Reply { ok; deliver = reply })
+  Network.send s.net ~src:site ~dst:src (Reply { answer; reply })
 
 let handle_remote s ~src = function
   | Lock { item; txn; reply } -> Sim.spawn s.c.sim (fun () -> serve_lock s ~src ~item ~txn ~reply)
-  | Reply { ok; deliver } ->
+  | Reply { answer; reply } ->
       Cluster.dec_outstanding s.c;
-      deliver ok
+      ignore (Sim.fire reply answer)
   | Release { owner } ->
       Sim.spawn s.c.sim (fun () ->
           Cluster.use_cpu s.c s.site s.c.params.cpu_msg;
@@ -161,6 +160,10 @@ let rec notify c net ~src sites msg =
       Cluster.inc_outstanding c;
       Network.send net ~src ~dst msg;
       notify c net ~src rest msg
+
+let lock_remote c net (a : primary) ~dst ~deadline item =
+  let reply = Sim.once () in
+  request c net ~src:a.site ~dst ~deadline ~expired:Expired reply (Lock { item; txn = a; reply })
 
 let release_remote c net (a : primary) sites =
   notify c net ~src:a.site sites (Release { owner = a.attempt })

@@ -14,15 +14,17 @@
 
 module Txn = Repdb_txn.Txn
 
-(** [request ?deadline c net ~src ~dst msg] — take an outstanding token,
-    send [msg reply] from [src] to [dst] and block until [reply v] is
-    called; returns [v]. With [~deadline:(at, expired)], [at] finite, a timer
-    returns [expired] at [at] unless the reply came first. The caller charges
-    its CPU and checks the deadline before; the reply path gives the token
-    back. *)
+(** [request c net ~src ~dst ~deadline ~expired reply msg] — take an
+    outstanding token, send [msg] from [src] to [dst] and block on [reply],
+    the one-shot wait that [msg] carries: the receiving side {!Sim.fire}s it
+    with the answer and gives the token back. Returns the answer. A finite
+    [deadline] (absolute simulated time; [infinity] for none) arms a timer
+    that fires [expired] at [deadline] unless the answer came first; a late
+    answer's fire then loses and is dropped. The caller charges its CPU and
+    checks the deadline before. *)
 val request :
-  ?deadline:float * 'r -> Cluster.t -> 'm Repdb_net.Network.t -> src:int -> dst:int ->
-  (('r -> unit) -> 'm) -> 'r
+  Cluster.t -> 'm Repdb_net.Network.t -> src:int -> dst:int -> deadline:float -> expired:'r ->
+  'r Repdb_sim.Sim.once -> 'm -> 'r
 
 (** [run_ops ?on_read c ~gid ~attempt ~site ops] executes [ops] locally: for
     each operation, acquire the lock, charge [cpu_op], record the access;
@@ -106,21 +108,28 @@ val abort_primary :
     a remote site for a lock, the site replies, and a release or the
     protocol's decide gives the lock back. *)
 
-(** The messages of such a network; ['x] are the protocol's own. *)
+(** A remote participant's answer, as its requester sees it: [Expired] is
+    the requester's own deadline timer, never sent. *)
+type answer = Granted | Denied | Expired
+
+(** The messages of such a network; ['x] are the protocol's own. No message
+    holds a function: a request carries the wait its requester parks on. *)
 type 'x remote =
-  | Lock of { item : int; txn : primary; reply : bool -> unit }
+  | Lock of { item : int; txn : primary; reply : answer Repdb_sim.Sim.once }
       (** Sent through {!request}: lock [item] for [txn.attempt]. *)
-  | Reply of { ok : bool; deliver : bool -> unit }  (** A grant, denial or ack. *)
+  | Reply of { answer : answer; reply : answer Repdb_sim.Sim.once }
+      (** A grant, denial or ack, fired into the request's [reply]. *)
   | Release of { owner : int }
   | Own of 'x
 
 (** [serve_remote c net mode ~on_grant ~own] serves [net] at every site. A
     [Lock] spawns a process that charges [cpu_msg], acquires the lock in
     [mode], runs [on_grant ~site ~item txn] if granted and sends the
-    [Reply]. A [Reply] gives back {!request}'s outstanding token and
-    delivers. A [Release] spawns a process that charges [cpu_msg], releases
-    the owner's locks and gives back {!notify}'s token. [Own x] runs
-    [own ~site ~src x] on the serving process. *)
+    [Reply]. A [Reply] gives back {!request}'s outstanding token and fires
+    its wait, which a requester whose deadline already fired ignores. A
+    [Release] spawns a process that charges [cpu_msg], releases the owner's
+    locks and gives back {!notify}'s token. [Own x] runs [own ~site ~src x]
+    on the serving process. *)
 val serve_remote :
   Cluster.t -> 'x remote Repdb_net.Network.t -> Repdb_lock.Lock_mgr.mode ->
   on_grant:(site:int -> item:int -> primary -> unit) -> own:(site:int -> src:int -> 'x -> unit) ->
@@ -129,6 +138,13 @@ val serve_remote :
 (** [notify c net ~src sites msg] takes an outstanding token and sends [msg]
     from [src] to each of [sites], in order. Allocates nothing. *)
 val notify : Cluster.t -> 'm Repdb_net.Network.t -> src:int -> int list -> 'm -> unit
+
+(** [lock_remote c net a ~dst ~deadline item] — {!request} [dst] to lock
+    [item] for [a] ([Lock]) and return its answer; [Expired] only for a
+    finite [deadline]. *)
+val lock_remote :
+  Cluster.t -> 'x remote Repdb_net.Network.t -> primary -> dst:int -> deadline:float -> int ->
+  answer
 
 (** [release_remote c net a sites] — {!notify} [sites] to release [a]'s
     locks there. *)

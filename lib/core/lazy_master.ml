@@ -11,7 +11,7 @@ let updates_replicas = true
 
 (* Updates shipped to a replica site; acknowledged by a [Reply] once
    applied. *)
-type push = { gid : int; writes : int list; origin_commit : float; reply : bool -> unit }
+type push = { gid : int; writes : int list; origin_commit : float; reply : Exec.answer Sim.once }
 
 type t = { c : Cluster.t; net : push Exec.remote Network.t }
 
@@ -30,7 +30,7 @@ let create (c : Cluster.t) =
           Cluster.use_cpu c site c.params.cpu_msg;
           let items = Placement.local_replicas c.placement site p.writes in
           Exec.apply_secondary c ~gid:p.gid ~site ~origin_commit:p.origin_commit items;
-          Network.send t.net ~src:site ~dst:src (Reply { ok = true; deliver = p.reply })));
+          Network.send t.net ~src:site ~dst:src (Reply { answer = Granted; reply = p.reply })));
   t
 
 let submit t (spec : Txn.spec) =
@@ -39,19 +39,17 @@ let submit t (spec : Txn.spec) =
   let remote_sites = ref [] in
   let rec run = function
     | [] -> Ok ()
-    | Txn.Read item :: rest when c.placement.primary.(item) <> site ->
+    | Txn.Read item :: rest when c.placement.primary.(item) <> site -> (
         let primary = c.placement.primary.(item) in
         remote_sites := Exec.add_site primary !remote_sites;
         Cluster.use_cpu c site c.params.cpu_msg;
-        if Exec.request c t.net ~src:site ~dst:primary (fun reply ->
-               Lock { item; txn = a; reply })
-        then begin
-          (* Read the local replica under the primary's lock. *)
-          Cluster.use_cpu c site c.params.cpu_op;
-          ignore (Store.read c.stores.(site) item);
-          run rest
-        end
-        else Error Txn.Remote_denied
+        match Exec.lock_remote c t.net a ~dst:primary ~deadline:infinity item with
+        | Granted ->
+            (* Read the local replica under the primary's lock. *)
+            Cluster.use_cpu c site c.params.cpu_op;
+            ignore (Store.read c.stores.(site) item);
+            run rest
+        | Denied | Expired -> Error Txn.Remote_denied)
     | op :: rest -> ( match Exec.run_op c ~gid ~attempt ~site op with Ok () -> run rest | e -> e)
   in
   match run spec.ops with
@@ -67,9 +65,10 @@ let submit t (spec : Txn.spec) =
       ignore
         (Exec.fan_out c ~site writes (fun dst ->
              Cluster.use_cpu c site c.params.cpu_msg;
+             let reply = Sim.once () in
              ignore
-               (Exec.request c t.net ~src:site ~dst (fun reply ->
-                    Own { gid; writes; origin_commit; reply }))));
+               (Exec.request c t.net ~src:site ~dst ~deadline:infinity ~expired:Exec.Expired reply
+                  (Own { gid; writes; origin_commit; reply }))));
       Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait
         (Sim.now c.sim -. origin_commit);
       Metrics.txn_commit c.metrics ~gid ~site;

@@ -76,21 +76,17 @@ let submit t (spec : Txn.spec) =
                any lock granted meanwhile, or cancels the pending wait. *)
             let t0 = Sim.now c.sim in
             Cluster.use_cpu c site c.params.cpu_msg;
-            let reply =
-              if Sim.now c.sim >= a.deadline_at then `Deadline
-              else
-                Exec.request c t.net ~src:site ~dst:primary ~deadline:(a.deadline_at, `Deadline)
-                  (fun resume ->
-                    let reply ok = resume (if ok then `Granted else `Denied) in
-                    Lock { item; txn = a; reply })
+            let answer : Exec.answer =
+              if Sim.now c.sim >= a.deadline_at then Expired
+              else Exec.lock_remote c t.net a ~dst:primary ~deadline:a.deadline_at item
             in
             Metrics.span c.metrics ~owner:attempt Repdb_obs.Span.Prop_wait (Sim.now c.sim -. t0);
-            match reply with
-            | `Granted ->
+            match answer with
+            | Granted ->
                 Cluster.use_cpu c site c.params.cpu_msg;
                 run rest
-            | `Denied -> Error Txn.Remote_denied
-            | `Deadline -> Error Txn.Deadline_exceeded))
+            | Denied -> Error Txn.Remote_denied
+            | Expired -> Error Txn.Deadline_exceeded))
     | op :: rest -> ( match Exec.run_op c ~gid ~attempt ~site op with Ok () -> run rest | e -> e)
   in
   match run spec.ops with

@@ -14,17 +14,20 @@ let updates_replicas = true
 
 let certifier_site = 0
 
+(* A copy site's answer to a snapshot read, as the reader sees it:
+   [Snap_expired] is the reader's own deadline timer, never sent. *)
+type snap = Version of int | No_version | Snap_expired
+
+(* The certifier's answer, as the client sees it: [Cert_expired] is the
+   client's deadline timer, [Unsent] a deadline that passed before the
+   request went out. *)
+type cert = Verdict of Tracker.verdict | Cert_expired | Unsent
+
 type msg =
-  | Snap_request of {
-      item : int;
-      ts : float;
-      gid : int;
-      attempt : int;
-      reply : int option -> unit;
-    }
-  | Snap_reply of { version : int option; deliver : int option -> unit }
-  | Certify of { txn : Tracker.txn; reply : Tracker.verdict -> unit }
-  | Cert_reply of { gid : int; verdict : Tracker.verdict; deliver : Tracker.verdict -> unit }
+  | Snap_request of { item : int; ts : float; gid : int; attempt : int; reply : snap Sim.once }
+  | Snap_reply of { snap : snap; reply : snap Sim.once }
+  | Certify of { txn : Tracker.txn; reply : cert Sim.once }
+  | Cert_reply of { gid : int; verdict : Tracker.verdict; reply : cert Sim.once }
 
 type t = {
   c : Cluster.t;
@@ -52,30 +55,32 @@ let handle t site ~src msg =
   match msg with
   | Snap_request { item; ts; gid; attempt; reply } ->
       Cluster.use_cpu c site c.params.cpu_msg;
-      let version =
-        if Store.mem c.stores.(site) item then Mvstore.read_at t.mv.(site) ~item ~ts else None
+      let snap =
+        match
+          if Store.mem c.stores.(site) item then Mvstore.read_at t.mv.(site) ~item ~ts else None
+        with
+        | Some v ->
+            Cluster.use_cpu c site c.params.cpu_op;
+            History.record c.history ~site ~item ~gid ~attempt ~version:v History.R;
+            Version v
+        | None -> No_version
       in
-      (match version with
-      | Some v ->
-          Cluster.use_cpu c site c.params.cpu_op;
-          History.record c.history ~site ~item ~gid ~attempt ~version:v History.R
-      | None -> ());
-      Network.send t.net ~src:site ~dst:src (Snap_reply { version; deliver = reply })
-  | Snap_reply { version; deliver } ->
+      Network.send t.net ~src:site ~dst:src (Snap_reply { snap; reply })
+  | Snap_reply { snap; reply } ->
       Cluster.dec_outstanding c;
-      deliver version
+      ignore (Sim.fire reply snap)
   | Certify { txn; reply } ->
       assert (site = certifier_site);
       Cluster.use_cpu c site (c.params.cpu_msg +. c.params.cpu_op);
       let verdict = Tracker.certify t.tracker ~now:(Sim.now c.sim) txn in
       Cluster.use_cpu c site c.params.cpu_msg;
-      Network.send t.net ~src:site ~dst:src (Cert_reply { gid = txn.gid; verdict; deliver = reply })
-  | Cert_reply { gid; verdict; deliver } ->
+      Network.send t.net ~src:site ~dst:src (Cert_reply { gid = txn.gid; verdict; reply })
+  | Cert_reply { gid; verdict; reply } ->
       Cluster.dec_outstanding c;
       (match verdict with
       | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
       | Tracker.Abort _ -> ());
-      deliver verdict
+      ignore (Sim.fire reply (Verdict verdict))
 
 let describe_msg = function
   | Snap_request _ -> ("snap-request", 24)
@@ -126,13 +131,14 @@ let remote_snapshot_read t ({ gid; attempt; site; deadline_at } : Exec.primary) 
           Cluster.use_cpu c site c.params.cpu_msg;
           if Sim.now c.sim >= deadline_at then `Deadline
           else
+            let reply = Sim.once () in
             match
-              Exec.request c t.net ~src:site ~dst:s ~deadline:(deadline_at, `Deadline) (fun resume ->
-                  Snap_request { item; ts = begin_ts; gid; attempt; reply = (fun v -> resume (`V v)) })
+              Exec.request c t.net ~src:site ~dst:s ~deadline:deadline_at ~expired:Snap_expired reply
+                (Snap_request { item; ts = begin_ts; gid; attempt; reply })
             with
-            | `V (Some v) -> `Got v
-            | `V None -> go true rest
-            | `Deadline -> `Deadline
+            | Version v -> `Got v
+            | No_version -> go true rest
+            | Snap_expired -> `Deadline
         end
   in
   go false candidates
@@ -193,22 +199,23 @@ let submit t (spec : Txn.spec) =
             (match v with
             | Tracker.Commit { commit_ts; writes } -> apply_commit t ~site ~gid ~commit_ts writes
             | Tracker.Abort _ -> ());
-            `Verdict v
+            Verdict v
           end
           else begin
             Cluster.use_cpu c site c.params.cpu_msg;
             (* The deadline can pass during the CPU wait; then no Certify
                is sent, and the registration must be withdrawn. *)
-            if Sim.now c.sim >= deadline_at then `Unsent
+            if Sim.now c.sim >= deadline_at then Unsent
             else
-              Exec.request c t.net ~src:site ~dst:certifier_site ~deadline:(deadline_at, `Deadline)
-                (fun resume -> Certify { txn; reply = (fun v -> resume (`Verdict v)) })
+              let reply = Sim.once () in
+              Exec.request c t.net ~src:site ~dst:certifier_site ~deadline:deadline_at
+                ~expired:Cert_expired reply (Certify { txn; reply })
           end
         in
         Metrics.span c.metrics ~owner:attempt Span.Prop_wait (Sim.now c.sim -. t0);
         match verdict with
-        | `Verdict (Tracker.Commit _) -> Txn.Committed
-        | `Verdict (Tracker.Abort cause) ->
+        | Verdict (Tracker.Commit _) -> Txn.Committed
+        | Verdict (Tracker.Abort cause) ->
             let reason =
               match cause with
               | Tracker.Stale_read -> Txn.Validation_failed
@@ -216,12 +223,12 @@ let submit t (spec : Txn.spec) =
               | Tracker.Dangerous -> Txn.Dangerous_structure
             in
             Exec.abort_primary c a reason
-        | `Deadline ->
+        | Cert_expired ->
             (* The certifier will still process the request; it deregisters
                the gid and a certified winner applies server-side. Only the
                client-side reads are withdrawn. *)
             Exec.abort_primary c a Txn.Deadline_exceeded
-        | `Unsent -> abort_uncertified t a Txn.Deadline_exceeded
+        | Unsent -> abort_uncertified t a Txn.Deadline_exceeded
       end)
 
 (* After an epoch switch the placement changed under the version chains:

@@ -348,24 +348,57 @@ let test_condvar_await_timeout () =
   within_on_5_1 "Condvar.await_timeout, with the signal" ~budget:24.2
     (kernel_words signals)
 
+(* A cluster of two sites holding one item, primary at site 0 and replica
+   at site 1, under [params]. *)
+let two_site_cluster params =
+  let placement = Placement.make ~n_sites:2 ~n_items:1 ~primary:[| 0 |] ~replicas:[| [ 1 ] |] in
+  Repdb.Cluster.create_with { params with Params.n_sites = 2; n_items = 1 } placement
+
+(* Words per transaction of [submit spec] run back to back by one client
+   process on [c]'s kernel. *)
+let submits (c : Repdb.Cluster.t) submit spec =
+  kernel_words_on c.sim (fun sim n ->
+      Sim.spawn sim (fun () ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (submit spec))
+          done))
+
+let remote_read = { Repdb_txn.Txn.origin = 1; ops = [ Repdb_txn.Txn.Read 0 ] }
+
 (* A PSL transaction whose one operation reads a replica: the read request,
    the reply carrying the grant and the release at commit, with the
    attempt's begin and commit around them. 286 words with the request,
    reply and release path written in each protocol, 279 with it written
    once in [Exec], 155 once a message costs no closure, tuple or wait and
-   a spawn no handler. *)
+   a spawn no handler, 137 once the request carries its one-shot wait
+   instead of reply and resume closures. *)
 let test_psl_remote_read () =
-  let placement = Placement.make ~n_sites:2 ~n_items:1 ~primary:[| 0 |] ~replicas:[| [ 1 ] |] in
-  let c = Repdb.Cluster.create_with { Params.default with n_sites = 2; n_items = 1 } placement in
+  let c = two_site_cluster Params.default in
   let psl = Repdb.Psl.create c in
-  let spec = { Repdb_txn.Txn.origin = 1; ops = [ Repdb_txn.Txn.Read 0 ] } in
-  let reads sim n =
-    Sim.spawn sim (fun () ->
-        for _ = 1 to n do
-          ignore (Sys.opaque_identity (Repdb.Psl.submit psl spec))
-        done)
-  in
-  within_on_5_1 "PSL remote read round trip" ~budget:178.25 (kernel_words_on c.sim reads)
+  within_on_5_1 "PSL remote read round trip" ~budget:157.55
+    (submits c (Repdb.Psl.submit psl) remote_read)
+
+(* The same read under a 1000 ms deadline, as in a workload with
+   deadlines on: the request also arms a timer, which fires long after the
+   grant and loses. 164 words with a deadline tuple and the timer closing
+   over a resume closure, 146 with the timer firing the wait itself. *)
+let test_psl_remote_read_deadline () =
+  let c = two_site_cluster { Params.default with txn_deadline = 1000.0 } in
+  let psl = Repdb.Psl.create c in
+  within_on_5_1 "PSL remote read, finite deadline" ~budget:168.0
+    (submits c (Repdb.Psl.submit psl) remote_read)
+
+(* An eager transaction whose one operation writes an item replicated at
+   the other site: the local lock, the remote [Lock], the [Prepare] round
+   and the commit decide. 248 words with a closure building each request
+   and a resume closure per wait, 235 with the requests carrying their
+   waits. *)
+let test_eager_remote_write () =
+  let c = two_site_cluster Params.default in
+  let eager = Repdb.Eager.create c in
+  within_on_5_1 "eager remote write round trip" ~budget:270.25
+    (submits c (Repdb.Eager.submit eager)
+       { Repdb_txn.Txn.origin = 0; ops = [ Repdb_txn.Txn.Write 0 ] })
 
 let () =
   Alcotest.run "alloc"
@@ -392,5 +425,8 @@ let () =
           Alcotest.test_case "condvar await_timeout" `Quick test_condvar_await_timeout;
           Alcotest.test_case "notify (no site)" `Quick test_notify_empty;
           Alcotest.test_case "psl remote read" `Quick test_psl_remote_read;
+          Alcotest.test_case "psl remote read, finite deadline" `Quick
+            test_psl_remote_read_deadline;
+          Alcotest.test_case "eager remote write" `Quick test_eager_remote_write;
         ] );
     ]

@@ -255,6 +255,32 @@ let prop_add_site =
       set = List.sort_uniq compare inserts
       && List.for_all (fun s -> Exec.add_site s set == set) inserts)
 
+(* Site 1 reads item 0 from its primary, site 0, over 10 ms links under a
+   5 ms deadline: the request leaves at 0.5 ms (after its [cpu_msg]), the
+   timer wins at 5 ms, and the grant's reply lands at about 21 ms. The late
+   reply finds its wait already fired, so it is dropped, yet it still gives
+   back the request's outstanding token; the [Release] sent at the abort
+   frees the lock granted meanwhile. *)
+let test_psl_reply_after_deadline () =
+  let params = { small_params with Params.latency = 10.0; txn_deadline = 5.0 } in
+  let c = Cluster.create_with params placement in
+  let psl = Repdb.Psl.create c in
+  let outcome = ref Txn.Committed and returned_at = ref nan and held_meanwhile = ref false in
+  Sim.spawn c.sim (fun () ->
+      outcome := Repdb.Psl.submit psl { Txn.origin = 1; ops = [ Txn.Read 0 ] };
+      returned_at := Sim.now c.sim;
+      checkb "request and release still in flight" true (Cluster.in_flight c > 0));
+  Sim.spawn_at c.sim 13.0 (fun () ->
+      held_meanwhile := Repdb_lock.Lock_mgr.holders c.locks.(0) 0 <> []);
+  Sim.run c.sim;
+  checkb "aborted on its deadline" true (!outcome = Txn.Aborted Txn.Deadline_exceeded);
+  checkf "resumed by the timer" 5.0 !returned_at;
+  checkb "granted after the deadline" true !held_meanwhile;
+  checkb "late reply delivered" true (Sim.now c.sim > 20.0);
+  Alcotest.(check string) "every token given back" "" (Cluster.busy c);
+  checkb "quiescent" true (Cluster.quiescent c);
+  checkb "lock released" true (Repdb_lock.Lock_mgr.holders c.locks.(0) 0 = [])
+
 (* --- routing -------------------------------------------------------------- *)
 
 let test_routing_subtree_maps () =
@@ -500,6 +526,7 @@ let () =
           Alcotest.test_case "deferred writes" `Quick test_exec_deferred_writes;
           Alcotest.test_case "abort discards" `Quick test_exec_abort_discards;
           Alcotest.test_case "secondary retries" `Quick test_exec_apply_secondary_retries;
+          Alcotest.test_case "psl reply after its deadline" `Quick test_psl_reply_after_deadline;
           QCheck_alcotest.to_alcotest prop_fan_out;
           QCheck_alcotest.to_alcotest prop_add_site;
         ] );
