@@ -21,7 +21,11 @@
     Records older than the oldest active begin timestamp are garbage
     collected; {!begin_txn} must therefore be called when a transaction
     starts and {!forget} when it aborts before certification (a certified
-    transaction is deregistered by {!certify} itself). *)
+    transaction is deregistered by {!certify} itself). GC never changes a
+    verdict as long as every [begin_ts] is no earlier than the [now] of any
+    earlier {!certify}: a record is evicted only at or before the oldest
+    active [begin_ts], and every check ignores what committed at or before
+    the certifying transaction's own [begin_ts]. *)
 
 type txn = {
   gid : int;
@@ -51,7 +55,8 @@ val forget : t -> gid:int -> unit
     timestamp [now] (must not regress). Deregisters [txn.gid]. *)
 val certify : t -> now:float -> txn -> verdict
 
-(** Pin an item's (version, commit_ts) — reconfiguration resync. *)
+(** Pin an item's (version, commit_ts) — reconfiguration resync. Like
+    [now], [commit_ts] must not regress. *)
 val seed : t -> item:int -> version:int -> commit_ts:float -> unit
 
 (** {1 Introspection, for tests} *)

@@ -8,18 +8,22 @@ type t = {
 
 let create () = { latest = Hashtbl.create 1024; n_validated = 0; n_rejected = 0 }
 
-let latest t item = Option.value ~default:0 (Hashtbl.find_opt t.latest item)
+let latest t item = match Hashtbl.find t.latest item with v -> v | exception Not_found -> 0
+
+let rec current t = function
+  | [] -> true
+  | (item, version) :: rest -> latest t item = version && current t rest
+
+let rec bump t = function
+  | [] -> []
+  | item :: rest ->
+      let v = latest t item + 1 in
+      Hashtbl.replace t.latest item v;
+      (item, v) :: bump t rest
 
 let validate t txn =
-  if List.for_all (fun (item, version) -> latest t item = version) txn.reads then begin
-    let vwrites =
-      List.map
-        (fun item ->
-          let v = latest t item + 1 in
-          Hashtbl.replace t.latest item v;
-          (item, v))
-        txn.writes
-    in
+  if current t txn.reads then begin
+    let vwrites = bump t txn.writes in
     t.n_validated <- t.n_validated + 1;
     Some vwrites
   end

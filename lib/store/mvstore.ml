@@ -1,59 +1,59 @@
-type entry = { version : int; commit_ts : float }
+(* A chain's versions, newest first. *)
+type entry = Nil | Entry of { version : int; commit_ts : float; mutable older : entry }
 
-type t = {
-  chains : (int, entry list ref) Hashtbl.t; (* item -> newest-first versions *)
-  cap : int;
-}
+(* [len] counts [head]'s entries; appends cut it back to [cap] only once it
+   reaches [2 * cap], and reads look at no more than the newest [cap]. *)
+type chain = { mutable head : entry; mutable len : int }
+
+type t = { chains : (int, chain) Hashtbl.t; cap : int }
+
+let chain version commit_ts = { head = Entry { version; commit_ts; older = Nil }; len = 1 }
 
 let create ?(cap = 64) items =
+  if cap < 1 then invalid_arg "Mvstore.create: cap < 1";
   let t = { chains = Hashtbl.create (List.length items * 2); cap } in
-  List.iter
-    (fun item ->
-      Hashtbl.replace t.chains item (ref [ { version = 0; commit_ts = neg_infinity } ]))
-    items;
+  List.iter (fun item -> Hashtbl.replace t.chains item (chain 0 neg_infinity)) items;
   t
 
 let mem t item = Hashtbl.mem t.chains item
 
+let rec version_at ts n = function
+  | Entry e when n > 0 -> if e.commit_ts <= ts then Some e.version else version_at ts (n - 1) e.older
+  | _ -> None
+
 let read_at t ~item ~ts =
-  match Hashtbl.find_opt t.chains item with
-  | None -> None
-  | Some chain ->
-      let rec find = function
-        | [] -> None
-        | e :: rest -> if e.commit_ts <= ts then Some e.version else find rest
-      in
-      find !chain
+  match Hashtbl.find t.chains item with
+  | c -> version_at ts t.cap c.head
+  | exception Not_found -> None
 
 let latest t ~item =
-  match Hashtbl.find_opt t.chains item with
-  | None -> None
-  | Some chain -> ( match !chain with [] -> None | e :: _ -> Some e.version)
+  match Hashtbl.find t.chains item with
+  | { head = Entry e; _ } -> Some e.version
+  | { head = Nil; _ } | (exception Not_found) -> None
 
-let truncate cap chain =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  take cap chain
+(* Drop everything after the newest [n] entries. *)
+let rec cut n = function Entry e -> if n <= 1 then e.older <- Nil else cut (n - 1) e.older | Nil -> ()
 
 let append t ~item ~version ~commit_ts =
-  match Hashtbl.find_opt t.chains item with
-  | None -> invalid_arg (Printf.sprintf "Mvstore.append: item %d has no chain here" item)
-  | Some chain ->
-      (match !chain with
-      | { version = prev; commit_ts = prev_ts } :: _ ->
+  match Hashtbl.find t.chains item with
+  | exception Not_found -> invalid_arg (Printf.sprintf "Mvstore.append: item %d has no chain here" item)
+  | c ->
+      (match c.head with
+      | Entry { version = prev; commit_ts = prev_ts; _ } ->
           if version <= prev then
             invalid_arg
               (Printf.sprintf "Mvstore.append: item %d version %d <= head %d" item version prev);
           if commit_ts < prev_ts then
             invalid_arg (Printf.sprintf "Mvstore.append: item %d commit_ts regressed" item)
-      | [] -> ());
-      chain := truncate t.cap ({ version; commit_ts } :: !chain)
+      | Nil -> ());
+      c.head <- Entry { version; commit_ts; older = c.head };
+      c.len <- c.len + 1;
+      if c.len >= 2 * t.cap then begin
+        cut t.cap c.head;
+        c.len <- t.cap
+      end
 
-let seed t ~item ~version ~commit_ts =
-  Hashtbl.replace t.chains item (ref [ { version; commit_ts } ])
+let seed t ~item ~version ~commit_ts = Hashtbl.replace t.chains item (chain version commit_ts)
 
 let drop t ~item = Hashtbl.remove t.chains item
 
@@ -64,9 +64,9 @@ let items t = Hashtbl.fold (fun item _ acc -> item :: acc) t.chains [] |> List.s
    two replicas that converged on the same version may have installed it at
    different instants, and that is not divergence. *)
 let checksum t ~item =
-  match Hashtbl.find_opt t.chains item with
-  | None | Some { contents = [] } -> None
-  | Some { contents = { version; _ } :: _ } ->
+  match latest t ~item with
+  | None -> None
+  | Some version ->
       let mask = (1 lsl 62) - 1 in
       let fnv_prime = 0x100000001b3 in
       let h = ref 0x0bf29ce484222325 in

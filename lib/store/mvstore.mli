@@ -9,12 +9,14 @@
 
     Chains are bounded ([cap] entries): a read older than the retained window
     returns [None] and the caller falls back to another copy (available
-    copies) or aborts. Every copy starts with version 0 at timestamp -inf, so
-    reads before the first committed write always succeed. *)
+    copies) or aborts. Appends do not copy (a chain holds up to
+    [2 * cap - 1] entries), but reads look at the newest [cap] only, so the
+    window stays [cap] entries. Every copy starts with version 0 at
+    timestamp -inf, so reads before the first committed write succeed. *)
 
 type t
 
-(** [create ?cap items] — one chain per copy placed at the site. *)
+(** [create ?cap items] — one chain per copy placed at the site; [cap >= 1]. *)
 val create : ?cap:int -> int list -> t
 
 val mem : t -> int -> bool

@@ -18,6 +18,9 @@ module Placement = Repdb_workload.Placement
 module Generator = Repdb_workload.Generator
 module Stats = Repdb_obs.Stats
 module Span = Repdb_obs.Span
+module Mvstore = Repdb_store.Mvstore
+module Tracker = Repdb_occ.Conflict_tracker
+module Validator = Repdb_occ.Validator
 
 let calls = 10_000
 
@@ -167,6 +170,70 @@ let test_trace_record () =
     (words_per_call (fun () ->
          now := !now +. 1.0;
          Repdb_obs.Trace.record tr kind))
+
+(* SSI certification with a window of concurrent commits, as on a contended
+   workload: transaction [k] begins at [k] and certifies at [k + 8], so the
+   eight committed after its begin (and everything newer than the oldest
+   active begin) are in the window. It reads two items and writes two,
+   apart from the items of the transactions concurrent with it, so every
+   certification commits. Per call, its [begin_txn] and the certification
+   of the transaction begun eight calls earlier: 190 words with one
+   [recent] list filtered twice and versions keyed by (item, version)
+   tuples, 44 with each item's writers and readers in its own lists. *)
+let test_certify () =
+  let t = Tracker.create () and lag = 8 in
+  let txns =
+    Array.init (calls + lag + 1) (fun k ->
+        let b = 4 * (k mod 16) in
+        { Tracker.gid = k; begin_ts = float_of_int k; reads = [ (b, k / 16); (b + 1, 0) ];
+          writes = [ b; b + 2 ] })
+  in
+  for k = 0 to lag - 1 do
+    Tracker.begin_txn t ~gid:k ~begin_ts:txns.(k).begin_ts
+  done;
+  let next = ref lag in
+  within "Conflict_tracker.certify (2 reads, 2 writes)" ~budget:51.1
+    (words_per_call (fun () ->
+         let k = !next in
+         next := k + 1;
+         Tracker.begin_txn t ~gid:k ~begin_ts:txns.(k).begin_ts;
+         match Tracker.certify t ~now:txns.(k).begin_ts txns.(k - lag) with
+         | Tracker.Commit _ as v -> ignore (Sys.opaque_identity v)
+         | Tracker.Abort _ -> Alcotest.fail "a transaction with no conflict aborted"))
+
+(* A chain holding its full window of 64 versions gets one more: 200
+   words when every append copied the window, 4 (the new entry) once a
+   chain is cut back only when it reaches twice the window. *)
+let test_mvstore_append () =
+  let mv = Mvstore.create [ 0 ] in
+  let version = ref 0 in
+  let append () =
+    incr version;
+    Mvstore.append mv ~item:0 ~version:!version ~commit_ts:1.0
+  in
+  for _ = 1 to 64 do
+    append ()
+  done;
+  within "Mvstore.append (full chain)" ~budget:4.6 (words_per_call append)
+
+(* A snapshot read 40 versions back in a full chain: 8 words with
+   [find_opt] and a closure over the timestamp, 2 (the returned [Some]). *)
+let test_mvstore_read_at () =
+  let mv = Mvstore.create [ 0 ] in
+  for v = 1 to 64 do
+    Mvstore.append mv ~item:0 ~version:v ~commit_ts:(float_of_int v)
+  done;
+  within "Mvstore.read_at" ~budget:2.3
+    (words_per_call (fun () -> ignore (Sys.opaque_identity (Mvstore.read_at mv ~item:0 ~ts:24.5))))
+
+(* Backward validation of a transaction reading two items and writing two
+   others, so it always passes: 27 words with [find_opt] and closures, 14
+   (the returned [Some] and version list). *)
+let test_validate () =
+  let v = Validator.create () in
+  let txn = { Validator.gid = 1; reads = [ (10, 0); (11, 0) ]; writes = [ 0; 1 ] } in
+  within "Validator.validate (2 reads, 2 writes)" ~budget:16.1
+    (words_per_call (fun () -> ignore (Sys.opaque_identity (Validator.validate v txn))))
 
 (* The effect runtime's own allocation differs between compiler releases,
    so the kernel budgets are pinned on OCaml 5.1 only and reported
@@ -414,6 +481,10 @@ let () =
           Alcotest.test_case "store apply" `Quick test_store_apply;
           Alcotest.test_case "span cycle" `Quick test_span_cycle;
           Alcotest.test_case "trace record" `Quick test_trace_record;
+          Alcotest.test_case "certify" `Quick test_certify;
+          Alcotest.test_case "mvstore append" `Quick test_mvstore_append;
+          Alcotest.test_case "mvstore read_at" `Quick test_mvstore_read_at;
+          Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "sim delay" `Quick test_sim_delay;
           Alcotest.test_case "spawn" `Quick test_spawn;
           Alcotest.test_case "contended resource use" `Quick test_resource_use;

@@ -2,16 +2,19 @@
    truth, Validator and Conflict_tracker units (write skew, first committer
    wins, stale reads), a QCheck property pinning the SSI dangerous-structure
    detector against brute-force multi-version serialization-graph acyclicity,
-   both protocols surviving combined faults + partition + reconfiguration
-   with 1SR and convergence intact (byte-identically across repeats), ssi
-   finishing serializable under deadlines short enough to expire before a
-   remote certification is sent, and the occ sweep's determinism and
-   expected optimistic-vs-locking crossover. *)
+   differential QCheck properties pinning the certifier and the version
+   chains to their list-based references, both protocols surviving combined
+   faults + partition + reconfiguration with 1SR and convergence intact
+   (byte-identically across repeats), ssi finishing serializable under
+   deadlines short enough to expire before a remote certification is sent,
+   and the occ sweep's determinism and expected optimistic-vs-locking
+   crossover. *)
 
 module Params = Repdb_workload.Params
 module Txn = Repdb_txn.Txn
 module Validator = Repdb_occ.Validator
 module Tracker = Repdb_occ.Conflict_tracker
+module Mvstore = Repdb_store.Mvstore
 module Digraph = Repdb_graph.Digraph
 
 let checki = Alcotest.(check int)
@@ -210,6 +213,276 @@ let test_certifier_sound =
         txns;
       mvsg_acyclic ~n_items !committed)
 
+(* --- differential: the certifier against its list-scan original ----------
+
+   [Reference] is the certifier as it was before it was indexed by item: one
+   [recent] list of committed transactions filtered on every certification,
+   and versions keyed by (item, version). Random streams of 100-400
+   transactions over 3-8 items drive both. Transactions begin at a time
+   drawn between the last certification and now (the registration contract)
+   and certify later in random order, some are forgotten, and an aborted
+   writer's versions are sometimes pinned with [seed], as the benchmark's
+   replay does. Every verdict, assigned version and dangerous-abort count
+   must match, across the GC runs every 64 commits. *)
+
+module Reference = struct
+  type txn = { gid : int; begin_ts : float; reads : (int * int) list; writes : int list }
+
+  type abort_cause = Stale_read | Ww_conflict | Dangerous
+
+  type verdict = Commit of { commit_ts : float; writes : (int * int) list } | Abort of abort_cause
+
+  type committed = {
+    c_gid : int;
+    c_commit : float;
+    c_reads : (int * int) list;
+    c_writes : (int * int) list;
+    mutable in_c : bool; (* has an incoming rw-antidependency from a committed txn *)
+    mutable out_c : bool; (* has an outgoing rw-antidependency to a committed txn *)
+  }
+
+  type t = {
+    latest : (int, int * float) Hashtbl.t; (* item -> newest version, commit_ts *)
+    version_ts : (int * int, float) Hashtbl.t; (* (item, version) -> commit_ts *)
+    active : (int, float) Hashtbl.t; (* gid -> begin_ts *)
+    mutable recent : committed list; (* newest first *)
+    mutable commits : int;
+    mutable n_dangerous : int;
+  }
+
+  let create () =
+    {
+      latest = Hashtbl.create 1024;
+      version_ts = Hashtbl.create 4096;
+      active = Hashtbl.create 64;
+      recent = [];
+      commits = 0;
+      n_dangerous = 0;
+    }
+
+  let begin_txn t ~gid ~begin_ts = Hashtbl.replace t.active gid begin_ts
+  let forget t ~gid = Hashtbl.remove t.active gid
+
+  let latest t item =
+    Option.value ~default:(0, neg_infinity) (Hashtbl.find_opt t.latest item)
+
+  let latest_version t item = fst (latest t item)
+
+  (* Was [v_read] the latest version of [item] as of [begin_ts]? Either it
+     still is the latest (and was committed by then), or its successor
+     committed strictly after the snapshot was taken. A successor evicted from
+     the window committed at or before the GC floor, which never exceeds any
+     live begin timestamp, so eviction means "visible at begin" — stale. *)
+  let snapshot_ok t ~begin_ts (item, v_read) =
+    let v_lat, lat_ts = latest t item in
+    if v_read > v_lat then false
+    else if v_read = v_lat then lat_ts <= begin_ts
+    else
+      match Hashtbl.find_opt t.version_ts (item, v_read + 1) with
+      | Some ts -> ts > begin_ts
+      | None -> false
+
+  (* Every certified write and committed-transaction record older than the
+     oldest active begin timestamp can no longer participate in a snapshot
+     check or a dangerous structure with anything that certifies later. *)
+  let gc t ~now =
+    let floor = Hashtbl.fold (fun _ b acc -> min b acc) t.active now in
+    t.recent <- List.filter (fun r -> r.c_commit > floor) t.recent;
+    let dead =
+      Hashtbl.fold (fun k ts acc -> if ts <= floor then k :: acc else acc) t.version_ts []
+    in
+    List.iter (Hashtbl.remove t.version_ts) dead
+
+  let intersects keys pairs = List.exists (fun (i, _) -> List.mem i keys) pairs
+
+  let certify t ~now (txn : txn) =
+    Hashtbl.remove t.active txn.gid;
+    if not (List.for_all (snapshot_ok t ~begin_ts:txn.begin_ts) txn.reads) then Abort Stale_read
+    else if
+      (* First committer wins: a concurrent transaction already committed a
+         write to something we also write. *)
+      List.exists (fun item -> snd (latest t item) > txn.begin_ts) txn.writes
+    then Abort Ww_conflict
+    else begin
+      let read_items = List.map fst txn.reads in
+      let concurrent u = u.c_commit > txn.begin_ts in
+      (* Outgoing rw edges: committed concurrent U overwrote something we
+         read. Our reads passed the snapshot check, so U's version is
+         invisible to us — a genuine antidependency. *)
+      let outs = List.filter (fun u -> concurrent u && intersects read_items u.c_writes) t.recent in
+      (* Incoming rw edges: committed concurrent V read something we are about
+         to overwrite. *)
+      let ins = List.filter (fun v -> concurrent v && intersects txn.writes v.c_reads) t.recent in
+      if
+        (outs <> [] && ins <> [])
+        || List.exists (fun u -> u.out_c) outs
+        || List.exists (fun v -> v.in_c) ins
+      then begin
+        (* Either we are the pivot of a dangerous structure, or committing
+           would complete one whose pivot already committed. *)
+        t.n_dangerous <- t.n_dangerous + 1;
+        Abort Dangerous
+      end
+      else begin
+        let vwrites =
+          List.map
+            (fun item ->
+              let v = latest_version t item + 1 in
+              Hashtbl.replace t.latest item (v, now);
+              Hashtbl.replace t.version_ts (item, v) now;
+              (item, v))
+            txn.writes
+        in
+        let r =
+          {
+            c_gid = txn.gid;
+            c_commit = now;
+            c_reads = txn.reads;
+            c_writes = vwrites;
+            in_c = ins <> [];
+            out_c = outs <> [];
+          }
+        in
+        List.iter (fun u -> u.in_c <- true) outs;
+        List.iter (fun v -> v.out_c <- true) ins;
+        t.recent <- r :: t.recent;
+        t.commits <- t.commits + 1;
+        if t.commits mod 64 = 0 then gc t ~now;
+        Commit { commit_ts = now; writes = vwrites }
+      end
+    end
+
+  let dangerous_aborts t = t.n_dangerous
+
+  let seed t ~item ~version ~commit_ts =
+    Hashtbl.replace t.latest item (version, commit_ts);
+    Hashtbl.replace t.version_ts (item, version) commit_ts
+end
+
+let reference_verdict = function
+  | Reference.Commit { commit_ts; writes } -> Ok (commit_ts, writes)
+  | Reference.Abort Reference.Stale_read -> Error "stale"
+  | Reference.Abort Reference.Ww_conflict -> Error "ww"
+  | Reference.Abort Reference.Dangerous -> Error "dangerous"
+
+let tracker_verdict = function
+  | Tracker.Commit { commit_ts; writes } -> Ok (commit_ts, writes)
+  | Tracker.Abort Tracker.Stale_read -> Error "stale"
+  | Tracker.Abort Tracker.Ww_conflict -> Error "ww"
+  | Tracker.Abort Tracker.Dangerous -> Error "dangerous"
+
+let show_verdict = function
+  | Ok (ts, writes) ->
+      Printf.sprintf "commit@%g [%s]" ts
+        (String.concat ";" (List.map (fun (i, v) -> Printf.sprintf "%d:%d" i v) writes))
+  | Error cause -> cause
+
+let test_tracker_differential =
+  QCheck.Test.make ~count:1000 ~name:"indexed certifier = list-scan certifier"
+    QCheck.(triple (int_range 100 400) (int_range 3 8) int)
+    (fun (n_txns, n_items, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let t = Tracker.create () and r = Reference.create () in
+      (* Committed and pinned versions per item, newest first. *)
+      let history = Array.make n_items [ (0, neg_infinity) ] in
+      let version_at item ts = fst (List.find (fun (_, cts) -> cts <= ts) history.(item)) in
+      let latest item = fst (List.hd history.(item)) in
+      let pin item version ts =
+        history.(item) <- (version, ts) :: history.(item);
+        Tracker.seed t ~item ~version ~commit_ts:ts;
+        Reference.seed r ~item ~version ~commit_ts:ts
+      in
+      let subset k = List.filter (fun _ -> Random.State.int rng k = 0) (List.init n_items Fun.id) in
+      let now = ref 0.0 and last = ref 0.0 and active = ref [] and next_gid = ref 0 in
+      let begin_ () =
+        incr next_gid;
+        let gid = !next_gid in
+        (* Time passes between certifications too; half-unit steps make ties. *)
+        now := !now +. float_of_int (Random.State.int rng 3);
+        let steps = int_of_float (2.0 *. (!now -. !last)) in
+        let begin_ts = !last +. (0.5 *. float_of_int (Random.State.int rng (steps + 1))) in
+        let reads =
+          List.map
+            (fun item ->
+              let v = version_at item begin_ts in
+              (* A lagging or a too-new copy now and then. *)
+              (item, match Random.State.int rng 20 with 0 -> v - 1 | 1 -> v + 1 | _ -> v))
+            (subset 3)
+        in
+        Tracker.begin_txn t ~gid ~begin_ts;
+        Reference.begin_txn r ~gid ~begin_ts;
+        active := (gid, begin_ts, reads, subset 4) :: !active
+      in
+      let certify () =
+        let ((gid, begin_ts, reads, writes) as a) = pick !active in
+        active := List.filter (( != ) a) !active;
+        if Random.State.int rng 20 = 0 then begin
+          Tracker.forget t ~gid;
+          Reference.forget r ~gid
+        end
+        else begin
+          now := !now +. float_of_int (Random.State.int rng 3);
+          last := !now;
+          let got = tracker_verdict (Tracker.certify t ~now:!now { gid; begin_ts; reads; writes }) in
+          let want = reference_verdict (Reference.certify r ~now:!now { gid; begin_ts; reads; writes }) in
+          if got <> want then
+            QCheck.Test.fail_reportf "gid %d: %s, reference %s" gid (show_verdict got) (show_verdict want);
+          match got with
+          | Ok (ts, vwrites) ->
+              List.iter (fun (item, v) -> history.(item) <- (v, ts) :: history.(item)) vwrites
+          | Error _ ->
+              if Random.State.bool rng then
+                List.iter (fun item -> pin item (latest item + Random.State.int rng 2) !now) writes
+        end
+      in
+      for _ = 1 to n_txns do
+        begin_ ();
+        while List.length !active > Random.State.int rng 6 do
+          certify ()
+        done
+      done;
+      while !active <> [] do
+        certify ()
+      done;
+      if Tracker.dangerous_aborts t <> Reference.dangerous_aborts r then
+        QCheck.Test.fail_reportf "dangerous aborts %d, reference %d" (Tracker.dangerous_aborts t)
+          (Reference.dangerous_aborts r);
+      true)
+
+(* The same for version chains: with [~cap:4], more than three times [cap]
+   appends (and a reseed now and then), [read_at] at any timestamp answers
+   as a list cut back to [cap] entries after every append. *)
+let test_mvstore_differential =
+  QCheck.Test.make ~count:300 ~name:"version chain = truncated list"
+    QCheck.(pair (int_range 13 60) int)
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let cap = 4 in
+      let mv = Mvstore.create ~cap [ 0 ] in
+      let model = ref [ (0, neg_infinity) ] and v = ref 0 and ts = ref 0.0 in
+      let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> [] in
+      let expect at = Option.map fst (List.find_opt (fun (_, cts) -> cts <= at) !model) in
+      for _ = 1 to n do
+        v := !v + 1 + Random.State.int rng 2;
+        ts := !ts +. float_of_int (Random.State.int rng 3);
+        if Random.State.int rng 25 = 0 then begin
+          Mvstore.seed mv ~item:0 ~version:!v ~commit_ts:!ts;
+          model := [ (!v, !ts) ]
+        end
+        else begin
+          Mvstore.append mv ~item:0 ~version:!v ~commit_ts:!ts;
+          model := take cap ((!v, !ts) :: !model)
+        end;
+        for _ = 1 to 4 do
+          let at = Random.State.float rng (!ts +. 2.0) -. 1.0 in
+          if Mvstore.read_at mv ~item:0 ~ts:at <> expect at then
+            QCheck.Test.fail_reportf "read_at %g after version %d" at !v
+        done;
+        if Mvstore.latest mv ~item:0 <> Some !v then QCheck.Test.fail_report "latest"
+      done;
+      Mvstore.read_at mv ~item:0 ~ts:neg_infinity = expect neg_infinity)
+
 (* --- full harness: combined faults + partition + reconfig ------------------ *)
 
 let combined_params =
@@ -350,6 +623,8 @@ let () =
           Alcotest.test_case "stale read" `Quick test_tracker_stale_read;
           Alcotest.test_case "write skew aborts" `Quick test_tracker_write_skew;
           QCheck_alcotest.to_alcotest test_certifier_sound;
+          QCheck_alcotest.to_alcotest test_tracker_differential;
+          QCheck_alcotest.to_alcotest test_mvstore_differential;
         ] );
       ( "harness",
         [
