@@ -269,7 +269,7 @@ let install_versions ?on_install ?only (c : Cluster.t) ~gid ~site ~commit_ts vwr
         Store.apply c.stores.(site) item ~writer:gid ();
         assert ((Store.read c.stores.(site) item).Value.version = version);
         (match on_install with Some f -> f ~site ~item ~version ~commit_ts | None -> ());
-        History.record c.history ~site ~item ~gid ~attempt ~version History.W
+        History.record_versioned c.history ~site ~item ~gid ~attempt ~version History.W
       end)
     vwrites
 

@@ -153,7 +153,7 @@ let submit t (spec : Txn.spec) =
       | Txn.Read item ->
           let v = Store.read c.stores.(site) item in
           reads := (item, v.Value.version) :: !reads;
-          History.record c.history ~site ~item ~gid ~attempt ~version:v.Value.version History.R
+          History.record_versioned c.history ~site ~item ~gid ~attempt ~version:v.Value.version History.R
       | Txn.Write _ -> ())
     spec.ops;
   let reads = List.rev !reads in

@@ -61,7 +61,7 @@ let handle t site ~src msg =
         with
         | Some v ->
             Cluster.use_cpu c site c.params.cpu_op;
-            History.record c.history ~site ~item ~gid ~attempt ~version:v History.R;
+            History.record_versioned c.history ~site ~item ~gid ~attempt ~version:v History.R;
             Version v
         | None -> No_version
       in
@@ -167,7 +167,7 @@ let submit t (spec : Txn.spec) =
         Cluster.use_cpu c site c.params.cpu_op;
         match Mvstore.read_at t.mv.(site) ~item ~ts:begin_ts with
         | Some v ->
-            History.record c.history ~site ~item ~gid ~attempt ~version:v History.R;
+            History.record_versioned c.history ~site ~item ~gid ~attempt ~version:v History.R;
             run ((item, v) :: reads) rest
         | None -> (
             let t0 = Sim.now c.sim in

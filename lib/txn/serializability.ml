@@ -24,26 +24,19 @@ let edge b u v =
     push b v
   end
 
-(* Vertices number the committed gids in ascending order. Gids come from a
-   counter, so they usually span a range not much wider than the number of
-   accesses: then [vertex] reads a flat array indexed by [gid - lo]. A wider
-   range falls back to a hash table. *)
-let index (logs : History.access array list) =
-  let lo = ref max_int and hi = ref min_int and total = ref 0 in
-  List.iter
-    (fun log ->
-      total := !total + Array.length log;
-      Array.iter
-        (fun (a : History.access) ->
-          if a.gid < !lo then lo := a.gid;
-          if a.gid > !hi then hi := a.gid)
-        log)
-    logs;
-  let lo = !lo and span = !hi - !lo + 1 in
-  if !total = 0 then ([||], fun _ -> invalid_arg "Serializability: no vertex")
-  else if span > 0 && span <= (4 * !total) + 4096 then begin
+(* Vertices number the committed gids in ascending order: [number gid]
+   replaces each gid by its vertex in place and returns the gid of each
+   vertex. Gids come from a counter, so they usually span a range not much
+   wider than the number of accesses: then a flat array indexed by
+   [gid - lo] numbers them. A wider range falls back to a hash table. *)
+let number gid =
+  let total = Array.length gid in
+  let lo = Array.fold_left Int.min max_int gid and hi = Array.fold_left Int.max min_int gid in
+  let span = hi - lo + 1 in
+  if total = 0 then [||]
+  else if span > 0 && span <= (4 * total) + 4096 then begin
     let slot = Array.make span (-1) in
-    List.iter (Array.iter (fun (a : History.access) -> slot.(a.gid - lo) <- 0)) logs;
+    Array.iter (fun g -> slot.(g - lo) <- 0) gid;
     let n = ref 0 in
     for i = 0 to span - 1 do
       if slot.(i) = 0 then begin
@@ -53,80 +46,73 @@ let index (logs : History.access array list) =
     done;
     let gids = Array.make !n 0 in
     Array.iteri (fun i v -> if v >= 0 then gids.(v) <- lo + i) slot;
-    (gids, fun gid -> slot.(gid - lo))
+    Array.iteri (fun j g -> gid.(j) <- slot.(g - lo)) gid;
+    gids
   end
   else begin
-    let tbl = Hashtbl.create !total in
-    List.iter (Array.iter (fun (a : History.access) -> Hashtbl.replace tbl a.gid 0)) logs;
-    let gids = Hashtbl.fold (fun gid _ acc -> gid :: acc) tbl [] |> List.sort compare |> Array.of_list in
-    Array.iteri (fun v gid -> Hashtbl.replace tbl gid v) gids;
-    (gids, Hashtbl.find tbl)
+    let tbl = Hashtbl.create total in
+    Array.iter (fun g -> Hashtbl.replace tbl g 0) gid;
+    let gids = Hashtbl.fold (fun g _ acc -> g :: acc) tbl [] |> List.sort compare |> Array.of_list in
+    Array.iteri (fun v g -> Hashtbl.replace tbl g v) gids;
+    Array.iteri (fun j g -> gid.(j) <- Hashtbl.find tbl g) gid;
+    gids
   end
 
-(* One pass per (site, item) log. We add an edge from every conflicting
-   predecessor, but transitively redundant edges don't affect acyclicity, so
-   it suffices to track the last committed writer and the readers seen since:
-   a new write conflicts with that writer and those readers; a new read
-   conflicts with that writer. *)
-let scan_positional edges readers vertex (log : History.access array) =
+(* One pass over a log, [vtx.(lo .. hi-1)] and [kv.(lo .. hi-1)]. We add an
+   edge from every conflicting predecessor, but transitively redundant
+   edges don't affect acyclicity, so it suffices to track the last
+   committed writer and the readers seen since: a new write conflicts with
+   that writer and those readers; a new read conflicts with that writer. *)
+let scan_positional edges readers vtx kv lo hi =
   let last_writer = ref (-1) in
   readers.n <- 0;
-  Array.iter
-    (fun (a : History.access) ->
-      let v = vertex a.gid in
-      if !last_writer >= 0 then edge edges !last_writer v;
-      match a.kind with
-      | History.R -> push readers v
-      | History.W ->
-          for i = 0 to readers.n - 1 do
-            edge edges readers.a.(i) v
-          done;
-          last_writer := v;
-          readers.n <- 0)
-    log
+  for j = lo to hi - 1 do
+    let v = vtx.(j) in
+    if !last_writer >= 0 then edge edges !last_writer v;
+    if kv.(j) land 1 = 0 then push readers v
+    else begin
+      for i = 0 to readers.n - 1 do
+        edge edges readers.a.(i) v
+      done;
+      last_writer := v;
+      readers.n <- 0
+    end
+  done
 
 (* Version-tagged logs come from the multi-version protocols (occ-epoch,
    ssi): a snapshot read executes at some log position but observes an older
    version, so positional order is not the conflict order there. Edges are
-   derived from the versions instead: ww between writers of consecutive
-   installed versions, wr from the writer of [v] to each reader of [v], and
-   rw from each reader of [v] to the writer of the next installed version,
-   found by binary search. When a version is installed twice the later
-   writer counts. *)
-let scan_versioned edges vertex (log : History.access array) =
-  let writes =
-    List.filter_map
-      (fun (a : History.access) ->
-        match (a.kind, a.version) with History.W, Some v -> Some (v, vertex a.gid) | _ -> None)
-      (Array.to_list log)
-    |> List.stable_sort (fun (v, _) (v', _) -> Int.compare v v')
-  in
-  let rec last_of_each = function
-    | (v, _) :: ((v', _) :: _ as rest) when v = v' -> last_of_each rest
-    | w :: rest -> w :: last_of_each rest
-    | [] -> []
-  in
-  let writes = Array.of_list (last_of_each writes) in
-  let k = Array.length writes in
+   derived from the versions instead. Every install counts, in (version,
+   log position) order: ww edges chain the installs, a reader of [v] gets
+   wr from the last installer of [v] and rw to the first installer of the
+   next installed version, found by binary search. Unversioned accesses in
+   such a log are ignored. *)
+let scan_versioned edges writes vtx kv lo hi =
+  let version j = kv.(j) asr 2 in
+  writes.n <- 0;
+  for j = lo to hi - 1 do
+    if kv.(j) land 3 = 3 then push writes j
+  done;
+  let w = Array.sub writes.a 0 writes.n in
+  Array.stable_sort (fun p q -> Int.compare (version p) (version q)) w;
+  let k = Array.length w in
   for i = 1 to k - 1 do
-    edge edges (snd writes.(i - 1)) (snd writes.(i))
+    edge edges vtx.(w.(i - 1)) vtx.(w.(i))
   done;
   (* The first index whose version is above [v], or [k]. *)
   let rec above v lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if fst writes.(mid) > v then above v lo mid else above v (mid + 1) hi
+      if version w.(mid) > v then above v lo mid else above v (mid + 1) hi
   in
-  Array.iter
-    (fun (a : History.access) ->
-      match (a.kind, a.version) with
-      | History.R, Some v ->
-          let r = vertex a.gid and i = above v 0 k in
-          if i > 0 && fst writes.(i - 1) = v then edge edges (snd writes.(i - 1)) r;
-          if i < k then edge edges r (snd writes.(i))
-      | _ -> ())
-    log
+  for j = lo to hi - 1 do
+    if kv.(j) land 3 = 2 then begin
+      let r = vtx.(j) and i = above (version j) 0 k in
+      if i > 0 && version w.(i - 1) = version j then edge edges vtx.(w.(i - 1)) r;
+      if i < k then edge edges r vtx.(w.(i))
+    end
+  done
 
 (* The edge pairs as compressed sparse rows over [n] vertices: the
    successors of [u] are [succ.(off.(u) .. off.(u + 1) - 1)], ascending and
@@ -175,15 +161,18 @@ let csr n (e : buf) =
 
 (* The serialization graph as rows, with the gid of each vertex. *)
 let graph history =
-  let logs = History.committed_logs history in
-  let gids, vertex = index logs in
-  let edges = buf (4 * History.size history) and readers = buf 16 in
-  List.iter
-    (fun log ->
-      if Array.exists (fun (a : History.access) -> a.version <> None) log then
-        scan_versioned edges vertex log
-      else scan_positional edges readers vertex log)
-    logs;
+  let { History.start; gids = vtx; kvs = kv } = History.grouped history in
+  let gids = number vtx in
+  let edges = buf (4 * Array.length vtx) and scratch = buf 16 in
+  for l = 0 to Array.length start - 2 do
+    let lo = start.(l) and hi = start.(l + 1) in
+    let j = ref lo in
+    while !j < hi && kv.(!j) land 2 = 0 do
+      incr j
+    done;
+    if !j < hi then scan_versioned edges scratch vtx kv lo hi
+    else scan_positional edges scratch vtx kv lo hi
+  done;
   (csr (Array.length gids) edges, gids)
 
 (* An iterative depth-first search that visits roots and successors in

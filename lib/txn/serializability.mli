@@ -7,7 +7,11 @@
     iff the union of these edges over all sites is acyclic. Because every
     subtransaction of a transaction carries the same gid, a cycle across
     sites — like the one in Example 1.1 of the paper — is detected even
-    though each site's local schedule is serializable. *)
+    though each site's local schedule is serializable. A versioned log takes
+    its edges from the versions instead: ww edges chain every install in
+    (version, log position) order, so a version installed twice keeps both
+    writers, and a reader of [v] follows the last installer of [v] and
+    precedes the first installer of the next higher version. *)
 
 type verdict =
   | Serializable

@@ -571,11 +571,14 @@ let test_attempt_owned_by_one_gid () =
       ignore (Driver.run_on c proto);
       let owner = Hashtbl.create 4096 and shared = ref 0 in
       List.iter
-        (Array.iter (fun (a : Repdb_txn.History.access) ->
-             match Hashtbl.find_opt owner a.attempt with
-             | None -> Hashtbl.replace owner a.attempt a.gid
-             | Some gid -> if gid <> a.gid then incr shared))
-        (Repdb_txn.History.committed_logs c.history);
+        (fun (site, item) ->
+          List.iter
+            (fun (a : Repdb_txn.History.access) ->
+              match Hashtbl.find_opt owner a.attempt with
+              | None -> Hashtbl.replace owner a.attempt a.gid
+              | Some gid -> if gid <> a.gid then incr shared)
+            (Repdb_txn.History.committed_log c.history ~site ~item))
+        (Repdb_txn.History.touched c.history);
       checkb (name ^ ": history recorded") true (Hashtbl.length owner > 0);
       checki (name ^ ": accesses whose attempt id another gid also uses") 0 !shared)
     (Repdb.Registry.all @ [ Repdb.Registry.backedge_general; Repdb.Registry.dag_t_pipelined ])
