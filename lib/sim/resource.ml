@@ -16,6 +16,6 @@ let release t =
   end
 
 let use t d =
-  acquire t;
-  Sim.delay d;
+  if not (d >= 0.0) then invalid_arg "Resource.use: negative duration";
+  if t.free > 0 then (acquire t; Sim.delay d) else Sim.park_for t.waiters d;
   release t

@@ -5,9 +5,9 @@
     site's CPU: {!use} serialises service bursts, which is how the simulator
     reproduces the per-machine saturation of the paper's testbed.
 
-    Waiters park on a {!Sim.waitq}: a contended {!acquire} is on every
-    transaction's path, and the wait queue parks and wakes allocating only
-    the continuation the runtime captures. *)
+    Waiters park on a {!Sim.waitq}, allocating only the continuation the
+    runtime captures. A queued {!use}, on every transaction's path, parks
+    with its hold ({!Sim.park_for}), so its process resumes once. *)
 
 type t
 
@@ -29,5 +29,6 @@ val acquire : t -> unit
     @raise Invalid_argument if no unit is held. *)
 val release : t -> unit
 
-(** [use t d] = acquire, hold for [d] simulated ms, release. *)
+(** [use t d] = acquire, hold for [d] simulated ms, release.
+    @raise Invalid_argument before it takes a unit unless [d >= 0]. *)
 val use : t -> float -> unit

@@ -25,3 +25,23 @@ let pop r =
   r.head <- (r.head + 1) land (Array.length r.buf - 1);
   r.len <- r.len - 1;
   v
+
+type floats = { mutable fs : float array; mutable fhead : int; mutable flen : int }
+
+let floats () = { fs = [||]; fhead = 0; flen = 0 }
+
+let push_float r c =
+  let cap = Array.length r.fs in
+  if r.flen = cap then begin
+    let fs = Array.make (max 8 (2 * cap)) 0.0 in
+    for i = 0 to r.flen - 1 do fs.(i) <- r.fs.((r.fhead + i) land (cap - 1)) done;
+    r.fs <- fs;
+    r.fhead <- 0
+  end;
+  r.fs.((r.fhead + r.flen) land (Array.length r.fs - 1)) <- c.(0);
+  r.flen <- r.flen + 1
+
+let pop_float r c =
+  c.(0) <- r.fs.(r.fhead);
+  r.fhead <- (r.fhead + 1) land (Array.length r.fs - 1);
+  r.flen <- r.flen - 1

@@ -16,3 +16,11 @@ val push : 'a t -> 'a -> unit
 
 (** [pop r] removes and returns the oldest value; [r] must not be empty. *)
 val pop : 'a t -> 'a
+
+(** Flat float FIFOs: a value goes in and out through [c.(0)], so none is
+    boxed crossing a call. [pop_float] needs a non-empty FIFO. *)
+type floats
+
+val floats : unit -> floats
+val push_float : floats -> float array -> unit
+val pop_float : floats -> float array -> unit

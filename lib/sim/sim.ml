@@ -2,18 +2,19 @@ open Effect.Deep
 
 (* Events are callbacks or bare continuations, in two heaps merged by
    (time, seq). Events at the current instant go to the lane instead, a FIFO
-   of callbacks and the markers [kont] and [start] (below). *)
+   of callbacks and the markers [kont], [start] and [hand] (below). *)
 type t = {
   clock : float array;
       (* One-element flat float array: a [mutable clock : float] field in a
          mixed record is boxed, so every clock advance would allocate. *)
-  next : float array; (* the time being scheduled, unboxed the same way *)
+  next : float array; (* the time being scheduled, unboxed the same way, or a hold in transit *)
   mutable seq : int;
   mutable executed : int;
   calls : (unit -> unit) Heap.t;
   konts : (unit, unit) continuation Heap.t;
   lane : (unit -> unit) Ring.t;
   lane_ks : (unit, unit) continuation Ring.t;
+  holds : Ring.floats; (* the holds of the lane's [hand] markers *)
   mutable awaiting : unit Effect.t; (* the last [Await], read by [on_await] *)
   handler : (unit, unit) handler; (* every process's, built with the kernel *)
 }
@@ -23,6 +24,7 @@ type t = {
 and waitq = {
   sim : t;
   ring : (unit, unit) continuation Ring.t;
+  durs : Ring.floats; (* each parked process's hold; -1 after a plain [park] *)
   park : unit Effect.t;
   on_park : ((unit, unit) continuation -> unit) option;
 }
@@ -47,9 +49,11 @@ type _ Effect.t +=
 exception Stuck of exn
 
 (* Lane markers, never run: [kont] stands for the next continuation of
-   [lane_ks], [start] for a process to start, the lane's next entry. *)
+   [lane_ks], [start] for a process to start, the lane's next entry, [hand]
+   for the next continuation to hold for the next of [holds] first. *)
 let kont () = assert false
 let start () = assert false
+let hand () = assert false
 
 let resume_now t k =
   Ring.push t.lane kont;
@@ -68,8 +72,9 @@ let on_await t k =
    domain right after [perform], before the process can delay again. *)
 let delay_arg = Domain.DLS.new_key (fun () -> [| 0.0 |])
 
-let on_delay t k =
-  t.next.(0) <- t.clock.(0) +. (Domain.DLS.get delay_arg).(0);
+(* Resume [k] [d.(0)] ms from now: [delay]'s handler and a [hand] marker. *)
+let hold t d k =
+  t.next.(0) <- t.clock.(0) +. d.(0);
   if t.next.(0) = t.clock.(0) then resume_now t k
   else begin
     t.seq <- t.seq + 1;
@@ -84,8 +89,8 @@ let stuck e = Printexc.(raise_with_backtrace (Stuck e) (get_raw_backtrace ()))
 let create () =
   let rec t =
     { clock = [| 0.0 |]; next = [| 0.0 |]; seq = 0; executed = 0; calls = Heap.create ();
-      konts = Heap.create (); lane = Ring.create (); lane_ks = Ring.create (); awaiting = Delay;
-      handler = { retc = Fun.id; exnc = stuck; effc } }
+      konts = Heap.create (); lane = Ring.create (); lane_ks = Ring.create ();
+      holds = Ring.floats (); awaiting = Delay; handler = { retc = Fun.id; exnc = stuck; effc } }
   and effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
     | Delay -> delayed
     | Park q -> q.on_park
@@ -94,7 +99,8 @@ let create () =
         awaited
     | Self -> self
     | _ -> None
-  and delayed : ((unit, unit) continuation -> unit) option = Some (fun k -> on_delay t k)
+  and delayed : ((unit, unit) continuation -> unit) option =
+    Some (fun k -> hold t (Domain.DLS.get delay_arg) k)
   and awaited : ((unit, unit) continuation -> unit) option = Some (fun k -> on_await t k)
   and self : ((t, unit) continuation -> unit) option = Some (fun k -> continue k t) in
   t
@@ -125,11 +131,23 @@ let after t d fn =
 (* --- wait queues and one-shot waits ----------------------------------------- *)
 
 let waitq sim =
-  let rec q = { sim; ring = Ring.create (); park = Park q; on_park = Some (fun k -> Ring.push q.ring k) } in
+  let rec q = { sim; ring = Ring.create (); durs = Ring.floats (); park = Park q; on_park }
+  and on_park = Some (fun k -> Ring.push q.ring k; Ring.push_float q.durs sim.next) in
   q
 
 let waiting q = Ring.length q.ring
-let wake q = Ring.length q.ring > 0 && (resume_now q.sim (Ring.pop q.ring); true)
+
+let wake q =
+  let t = q.sim in
+  Ring.length q.ring > 0
+  && begin
+       Ring.pop_float q.durs t.next;
+       if t.next.(0) < 0.0 then Ring.push t.lane kont
+       else (Ring.push t.lane hand; Ring.push_float t.holds t.next);
+       Ring.push t.lane_ks (Ring.pop q.ring);
+       true
+     end
+
 let once () = { state = Armed }
 let fired o = match o.state with Armed | Parked _ -> false | Early _ | Held _ | Fired _ -> true
 
@@ -164,7 +182,7 @@ let spawn_at t time f =
    entries at [now] were pushed before the clock reached [now], so their seq
    is below every lane entry's: running them, then the lane, and only then
    advancing the clock keeps (time, seq) order. *)
-let next t horizon =
+let rec next t horizon =
   let at_now = Ring.length t.lane > 0 and calls = Heap.precedes t.calls t.konts in
   if at_now && not (t.clock.(0) <= horizon) then false
   else if
@@ -177,14 +195,17 @@ let next t horizon =
   end
   else
     at_now
-    && begin
-         t.executed <- t.executed + 1;
-         let f = Ring.pop t.lane in
-         if f == kont then continue (Ring.pop t.lane_ks) ()
-         else if f == start then match_with (Ring.pop t.lane) () t.handler
-         else f ();
-         true
-       end
+    &&
+    let f = Ring.pop t.lane in
+    if f == hand then (* no event: it holds where the resumed process would delay *)
+      (Ring.pop_float t.holds t.next; hold t t.next (Ring.pop t.lane_ks); next t horizon)
+    else begin
+      t.executed <- t.executed + 1;
+      if f == kont then continue (Ring.pop t.lane_ks) ()
+      else if f == start then match_with (Ring.pop t.lane) () t.handler
+      else f ();
+      true
+    end
 
 let step t = if not (next t infinity) then invalid_arg "Sim.step: no scheduled events"
 let run t = while next t infinity do () done
@@ -200,7 +221,12 @@ let delay d =
   (Domain.DLS.get delay_arg).(0) <- d;
   Effect.perform Delay
 
-let park q = Effect.perform q.park
+let park q = q.sim.next.(0) <- -1.0; Effect.perform q.park
+
+let park_for q d =
+  if not (d >= 0.0) then invalid_arg "Sim.park_for: negative hold";
+  q.sim.next.(0) <- d;
+  Effect.perform q.park
 
 let await o =
   Effect.perform (Await o);

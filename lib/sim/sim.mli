@@ -11,15 +11,15 @@
     An event is a callback or a bare continuation: a resumed process is
     scheduled as the continuation the runtime captured, with no closure
     around it. Events for a later instant wait in a heap. Events for the
-    current instant (every wake, resume and spawn: about half) go to the
-    {e lane}, a FIFO ring. Heap entries at the current instant were pushed
-    before the clock reached it, so running them, then the lane, then
-    advancing the clock is the order a single heap would give.
+    current instant (every wake, resume and spawn: 8-35% of the events on
+    the benchmark workloads) go to the {e lane}, a FIFO ring. Heap entries
+    at the current instant were pushed before the clock reached it, so
+    running them, then the lane, then advancing the clock is one heap's order.
 
     Waits: {!delay} holds for a duration; {!park}/{!wake} serve FIFO waits
-    that only a wake ends (a site's CPU queue); a one-shot wait ({!once})
-    serves a wait that a timer may end first or that returns a value (lock
-    waits, request/reply round trips, {!Mailbox.recv}).
+    that only a wake ends, and {!park_for} adds a hold (a site's CPU queue);
+    a one-shot wait ({!once}) serves a wait that a timer may end first or
+    returns a value (lock waits, request/reply round trips, {!Mailbox.recv}).
 
     Time is measured in {b milliseconds} throughout the repository. *)
 
@@ -37,7 +37,8 @@ val now : t -> float
     collectors) that timestamp events without holding the kernel itself. *)
 val clock : t -> unit -> float
 
-(** Number of events executed so far. *)
+(** Number of events executed so far: callbacks run and processes started
+    or resumed. A woken {!park_for} starting its hold is no event. *)
 val events_executed : t -> int
 
 (** [spawn t f] schedules process [f] to start at the current time. It
@@ -121,6 +122,11 @@ val delay : float -> unit
 
 (** [park q] blocks the calling process on [q] until a {!wake} picks it. *)
 val park : waitq -> unit
+
+(** [park_for q d] is [park q; delay d] with one resumption instead of two:
+    the hold starts at the woken process's lane turn, so it ends when and in
+    the order {!delay} would. @raise Invalid_argument unless [d >= 0]. *)
+val park_for : waitq -> float -> unit
 
 (** [await o] blocks the calling process until [o] fires and returns the
     winning value. Each wait is awaited once. *)

@@ -375,6 +375,31 @@ let test_resource_errors () =
   Alcotest.check_raises "release unheld" (Invalid_argument "Resource.release: not held")
     (fun () -> Resource.release r)
 
+(* A negative or NaN duration is refused at the call, before [use] takes a
+   unit or queues, whether a unit is free or not. *)
+let test_resource_use_rejects () =
+  List.iter
+    (fun d ->
+      let sim = Sim.create () in
+      let r = Resource.create ~sim ~capacity:1 () in
+      let refused = ref [] in
+      let try_use () =
+        let before = (Resource.available r, Resource.queue_length r) in
+        (try Resource.use r d with Invalid_argument m -> refused := m :: !refused);
+        check Alcotest.(pair int int) "unchanged" before (Resource.available r, Resource.queue_length r)
+      in
+      Sim.spawn sim try_use;
+      Sim.spawn sim (fun () ->
+          Resource.acquire r;
+          Sim.spawn sim try_use;
+          Sim.delay 1.0;
+          Resource.release r);
+      Sim.run sim;
+      check Alcotest.(list string) "uncontended, then contended"
+        [ "Resource.use: negative duration"; "Resource.use: negative duration" ] !refused;
+      checki "unit back" 1 (Resource.available r))
+    [ -1.0; nan ]
+
 (* The closure-queue resource that preceded {!Sim.waitq}, kept as the
    reference model: each waiter is a one-shot [Sim.suspend] resume wrapped
    in a closure. *)
@@ -406,10 +431,10 @@ type res_op = Use of float | Hold of float | Sleep of float
 
 (* Run a script on a fresh kernel: process [p] starts at [start] and runs
    its ops; every grant and release logs the process, op index, time,
-   [available] and [queue_length]. Returns the log and the events
-   executed. *)
+   [available] and [queue_length]. Returns the log, the events executed and
+   the uses that queued (issued while no unit was free). *)
 let run_resource_script ~acquire ~release ~use ~available ~queue_length r sim script =
-  let log = ref [] in
+  let log = ref [] and queued = ref 0 in
   let note p i what = log := (p, i, what, Sim.now sim, available r, queue_length r) :: !log in
   List.iteri
     (fun p (start, ops) ->
@@ -419,6 +444,7 @@ let run_resource_script ~acquire ~release ~use ~available ~queue_length r sim sc
                 (fun i op ->
                   match op with
                   | Use d ->
+                      if available r = 0 then incr queued;
                       use r d;
                       note p i "used"
                   | Hold d ->
@@ -431,30 +457,35 @@ let run_resource_script ~acquire ~release ~use ~available ~queue_length r sim sc
                 ops)))
     script;
   Sim.run sim;
-  (List.rev !log, Sim.events_executed sim)
+  (List.rev !log, Sim.events_executed sim, !queued)
 
-(* Durations from a small set, so grants and releases tie at one instant. *)
+(* Durations from a small set, so grants and releases tie at one instant;
+   Table 1's CPU costs 0.05, 0.1 and 0.15 (with 0.5) add up to float sums
+   that tie only sometimes. *)
 let gen_resource_script =
   let open QCheck2.Gen in
-  let dur = oneofl [ 0.0; 1.0; 2.5; 5.0 ] in
+  let dur = oneofl [ 0.0; 0.05; 0.1; 0.15; 0.5; 1.0; 2.5; 5.0 ] in
   let op = oneof [ map (fun d -> Use d) dur; map (fun d -> Hold d) dur; map (fun d -> Sleep d) dur ] in
   pair (int_range 1 3) (list_size (int_range 1 12) (pair dur (list_size (int_range 0 8) op)))
 
+(* The logs are equal, and so are the event counts once each queued use is
+   charged the one resumption its hand-off saves: the reference resumes it
+   at its grant and again after its hold, [Resource.use] only after. *)
 let prop_resource_matches_reference =
   QCheck2.Test.make ~name:"resource matches closure-queue reference" ~count:300
     gen_resource_script (fun (capacity, script) ->
       let sim = Sim.create () in
       let r = Resource.create ~sim ~capacity () in
-      let got =
+      let log, events, queued =
         Resource.(run_resource_script ~acquire ~release ~use ~available ~queue_length) r sim script
       in
       let sim = Sim.create () in
       let m = Ref_resource.create ~capacity () in
-      let want =
+      let ref_log, ref_events, _ =
         Ref_resource.(run_resource_script ~acquire ~release ~use ~available ~queue_length)
           m sim script
       in
-      got = want)
+      log = ref_log && ref_events = events + queued)
 
 (* --- qcheck properties ---------------------------------------------------- *)
 
@@ -1053,5 +1084,6 @@ let () =
           Alcotest.test_case "capacity" `Quick test_resource_capacity;
           QCheck_alcotest.to_alcotest prop_resource_matches_reference;
           Alcotest.test_case "errors" `Quick test_resource_errors;
+          Alcotest.test_case "use rejects a bad duration" `Quick test_resource_use_rejects;
         ] );
     ]
