@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Condvar = Repdb_sim.Condvar
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Digraph = Repdb_graph.Digraph
 module Tree = Repdb_graph.Tree
@@ -33,9 +32,8 @@ type direct_msg =
   | Exec_failed of { gid : int }
 
 type pending = {
-  p_gid : int;
   mutable p_state : [ `Waiting | `Special_arrived | `Failed of Txn.abort_reason ];
-  p_cv : Condvar.t;
+  mutable p_wake : unit Sim.once option; (* set as the primary parks *)
 }
 
 type participant = {
@@ -51,11 +49,12 @@ type t = {
   retree : unit -> Tree.t; (* rebuild the tree for the current placement *)
   ch : special Tree_channel.t;
   direct_net : direct_msg Network.t;
-  pending_by_attempt : (int, pending) Hashtbl.t array; (* per site *)
+  pending_by_attempt : (int, pending) Hashtbl.t; (* attempt ids are cluster-unique *)
   pending_by_gid : (int, pending) Hashtbl.t;
   participants : (int, participant) Hashtbl.t array; (* per site, by gid *)
-  participants_by_attempt : (int, participant) Hashtbl.t array;
+  participants_by_attempt : (int, participant) Hashtbl.t;
   aborted_gids : (int, unit) Hashtbl.t array;
+      (* per site: abort [Decide]s that arrived before their participant *)
   ow : float; (* origin wait per round, ms; derived from params *)
   retry_cap : int; (* participant lock-wait rounds before Exec_failed *)
 }
@@ -93,6 +92,17 @@ let next_hop t site origin =
   | hop :: _ -> hop
   | [] -> invalid_arg "Backedge_proto: no path to origin"
 
+(* Decide a waiting primary's outcome; resume it if it has parked. *)
+let settle p state =
+  p.p_state <- state;
+  match p.p_wake with Some w -> ignore (Sim.fire w ()) | None -> ()
+
+(* Whether an abort [Decide] for [gid] reached [site] first. The entry is
+   consumed: a site runs each gid's subtransaction at most once. *)
+let take_abort t site gid =
+  let aborted = t.aborted_gids.(site) in
+  Hashtbl.mem aborted gid && (Hashtbl.remove aborted gid; true)
+
 (* --- deadlock victimisation -------------------------------------------- *)
 
 (* A lock wait at [site] timed out while items were needed by a secondary or
@@ -108,12 +118,10 @@ let victimise t site items =
   in
   List.iter
     (fun attempt ->
-      match Hashtbl.find_opt t.pending_by_attempt.(site) attempt with
-      | Some p when p.p_state = `Waiting ->
-          p.p_state <- `Failed Txn.Deadlock;
-          Condvar.broadcast p.p_cv
+      match Hashtbl.find_opt t.pending_by_attempt attempt with
+      | Some p when p.p_state = `Waiting -> settle p (`Failed Txn.Deadlock)
       | _ -> (
-          match Hashtbl.find_opt t.participants_by_attempt.(site) attempt with
+          match Hashtbl.find_opt t.participants_by_attempt attempt with
           | Some bp when bp.bp_state <> `Cancelled ->
               Cluster.inc_outstanding t.c;
               Network.send t.direct_net ~src:site ~dst:bp.bp_origin (Exec_failed { gid = bp.bp_gid })
@@ -128,7 +136,7 @@ let victimise t site items =
 let run_participant t ~gid ~origin ~site items =
   let c = t.c in
   let rec attempt_loop tries =
-    if Hashtbl.mem t.aborted_gids.(site) gid then None
+    if take_abort t site gid then None
     else if tries > t.retry_cap then begin
       Cluster.inc_outstanding c;
       Network.send t.direct_net ~src:site ~dst:origin (Exec_failed { gid });
@@ -140,7 +148,7 @@ let run_participant t ~gid ~origin ~site items =
         { bp_gid = gid; bp_origin = origin; bp_attempt = attempt; bp_items = items; bp_state = `Executing }
       in
       Hashtbl.replace t.participants.(site) gid bp;
-      Hashtbl.replace t.participants_by_attempt.(site) attempt bp;
+      Hashtbl.replace t.participants_by_attempt attempt bp;
       match Exec.acquire_writes c ~gid ~attempt ~site items with
       | Ok () when bp.bp_state = `Executing ->
           bp.bp_state <- `Staged;
@@ -151,7 +159,7 @@ let run_participant t ~gid ~origin ~site items =
              it waited for the last lock. *)
           Exec.abort_local c ~attempt ~site;
           Hashtbl.remove t.participants.(site) gid;
-          Hashtbl.remove t.participants_by_attempt.(site) attempt;
+          Hashtbl.remove t.participants_by_attempt attempt;
           if bp.bp_state = `Cancelled then None
           else begin
             victimise t site items;
@@ -170,14 +178,12 @@ let on_special t site sp =
   if site = sp.origin then
     (* All earlier secondaries have committed here: wake the primary. *)
     match Hashtbl.find_opt t.pending_by_gid sp.gid with
-    | Some p when p.p_state = `Waiting ->
-        p.p_state <- `Special_arrived;
-        Condvar.broadcast p.p_cv
+    | Some p when p.p_state = `Waiting -> settle p `Special_arrived
     | _ -> ()
   else
     let items = Placement.local_replicas t.c.placement site sp.writes in
     let proceed =
-      if items = [] then not (Hashtbl.mem t.aborted_gids.(site) sp.gid)
+      if items = [] then not (take_abort t site sp.gid)
       else Option.is_some (run_participant t ~gid:sp.gid ~origin:sp.origin ~site items)
     in
     if proceed then forward_special t ~src:site sp
@@ -202,13 +208,11 @@ let handle_direct t site msg =
               Exec.finish_staged c ~gid ~attempt:bp.bp_attempt ~site ~commit ~origin_commit
                 bp.bp_items;
               Hashtbl.remove t.participants.(site) gid;
-              Hashtbl.remove t.participants_by_attempt.(site) bp.bp_attempt;
-              if not commit then Hashtbl.replace t.aborted_gids.(site) gid ()
+              Hashtbl.remove t.participants_by_attempt bp.bp_attempt
           | `Executing ->
               (* Still fighting for locks; flag it and unpark the wait. *)
               assert (not commit);
               bp.bp_state <- `Cancelled;
-              Hashtbl.replace t.aborted_gids.(site) gid ();
               ignore (Lock_mgr.abort_waiter c.locks.(site) ~owner:bp.bp_attempt)
           | `Cancelled -> ()
         end
@@ -216,9 +220,7 @@ let handle_direct t site msg =
       Cluster.dec_outstanding c
   | Exec_failed { gid } ->
       (match Hashtbl.find_opt t.pending_by_gid gid with
-      | Some p when p.p_state = `Waiting ->
-          p.p_state <- `Failed Txn.Deadlock;
-          Condvar.broadcast p.p_cv
+      | Some p when p.p_state = `Waiting -> settle p (`Failed Txn.Deadlock)
       | _ -> ());
       Cluster.dec_outstanding c
 
@@ -249,10 +251,10 @@ let make_with_tree (c : Cluster.t) ~retree tr =
           | Exec_request sp -> ("exec-request", 32 + (8 * List.length sp.writes))
           | Decide _ -> ("decide", 24)
           | Exec_failed _ -> ("exec-failed", 16));
-      pending_by_attempt = Array.init m (fun _ -> Hashtbl.create 8);
+      pending_by_attempt = Hashtbl.create 32;
       pending_by_gid = Hashtbl.create 32;
       participants = Array.init m (fun _ -> Hashtbl.create 8);
-      participants_by_attempt = Array.init m (fun _ -> Hashtbl.create 8);
+      participants_by_attempt = Hashtbl.create 32;
       aborted_gids = Array.init m (fun _ -> Hashtbl.create 32);
       ow = origin_wait c.params;
       retry_cap = participant_retry_cap c.params;
@@ -321,7 +323,7 @@ let reconfigure =
 (* Withdraw the pending entry and tell every staged target the outcome. *)
 let decide_targets t ({ gid; attempt; site; _ } : Exec.primary) ~targets ~commit ~origin_commit =
   Hashtbl.remove t.pending_by_gid gid;
-  Hashtbl.remove t.pending_by_attempt.(site) attempt;
+  Hashtbl.remove t.pending_by_attempt attempt;
   Exec.notify t.c t.direct_net ~src:site targets (Decide { gid; commit; origin_commit })
 
 let abort_primary t a ~targets reason =
@@ -357,9 +359,9 @@ let submit t (spec : Txn.spec) =
              staged remotely, so no Decide is owed. *)
           Exec.abort_primary c a Txn.Partitioned
       | farthest :: _ as targets ->
-          let p = { p_gid = gid; p_state = `Waiting; p_cv = Condvar.create () } in
+          let p = { p_state = `Waiting; p_wake = None } in
           Hashtbl.replace t.pending_by_gid gid p;
-          Hashtbl.replace t.pending_by_attempt.(site) attempt p;
+          Hashtbl.replace t.pending_by_attempt attempt p;
           Cluster.inc_outstanding c;
           Network.send t.direct_net ~src:site ~dst:farthest (Exec_request { gid; origin = site; writes });
           Cluster.use_cpu c site c.params.cpu_msg;
@@ -392,9 +394,14 @@ let submit t (spec : Txn.spec) =
                   abort_primary t a ~targets Txn.Deadline_exceeded
                 end
                 else begin
-                  let woken = Condvar.await_timeout c.sim p.p_cv timeout in
+                  let w = Sim.once () in
+                  Sim.after c.sim timeout (fun () -> ignore (Sim.fire w ()));
+                  p.p_wake <- Some w;
+                  Sim.await w;
+                  (* Still [`Waiting] only if the timer won; a special or
+                     failure that landed after it still decides. *)
                   match p.p_state with
-                  | `Waiting when not woken ->
+                  | `Waiting ->
                       p.p_state <- `Failed on_expire;
                       prop_done ();
                       abort_primary t a ~targets on_expire

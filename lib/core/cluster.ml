@@ -1,7 +1,6 @@
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
-module Condvar = Repdb_sim.Condvar
 module Store = Repdb_store.Store
 module Wal = Repdb_store.Wal
 module Lock_mgr = Repdb_lock.Lock_mgr
@@ -18,7 +17,7 @@ module Timeline = Repdb_obs.Timeline
 type epoch = {
   mutable config_epoch : int;
   mutable reconfiguring : bool;
-  resume : Condvar.t; (* broadcast when the epoch switch completes *)
+  resume : Sim.waitq; (* woken when the epoch switch completes *)
   mutable reconfigs : int;
   mutable state_transfers : int;
   mutable stall_total : float;
@@ -32,7 +31,7 @@ type epoch = {
 type faults = {
   wals : Wal.t array; (* one redo log per site *)
   site_up : bool array;
-  up_cv : Condvar.t array; (* broadcast when the site restarts *)
+  up_wait : Sim.waitq array; (* woken when the site restarts *)
   mutable crashes : int;
   mutable partitions : int; (* partition windows that have activated *)
   corrupted : (int * int, unit) Hashtbl.t;
@@ -49,8 +48,8 @@ type run = {
   mutable clients_running : int;
   mutable active_txns : int; (* transaction attempts executing *)
   mutable stopped_at : float; (* when the stop flag was set; [infinity] before *)
-  quiesced : Condvar.t; (* broadcast when [quiescent] may have become true *)
-  drained : Condvar.t; (* broadcast when [drained] may have become true *)
+  quiesced : Sim.waitq; (* woken when [quiescent] may have become true *)
+  drained : Sim.waitq; (* woken when [drained] may have become true *)
   mutable inflight_fns : ((src:int -> dst:int -> bool) -> int) list;
       (* Per network: in-flight messages on pairs selected by the
          predicate. *)
@@ -160,7 +159,7 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
                 wal)
               stores;
           site_up = Array.make m true;
-          up_cv = Array.init m (fun _ -> Condvar.create ());
+          up_wait = Array.init m (fun _ -> Sim.waitq sim);
           crashes = 0;
           partitions = 0;
           corrupted = Hashtbl.create 16;
@@ -190,8 +189,8 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
         clients_running = 0;
         active_txns = 0;
         stopped_at = infinity;
-        quiesced = Condvar.create ();
-        drained = Condvar.create ();
+        quiesced = Sim.waitq sim;
+        drained = Sim.waitq sim;
         inflight_fns = [];
         retries_exhausted = 0;
       };
@@ -199,7 +198,7 @@ let create_with ?latency ?(trace = false) ?trace_capacity (params : Params.t) pl
       {
         config_epoch = 0;
         reconfiguring = false;
-        resume = Condvar.create ();
+        resume = Sim.waitq sim;
         reconfigs = 0;
         state_transfers = 0;
         stall_total = 0.0;
@@ -258,11 +257,11 @@ let drained ?parked t =
   t.run.active_txns = 0
   && t.run.outstanding - (match parked with None -> 0 | Some only -> in_flight ~only t) <= 0
 
-let maybe_wake t = if quiescent t then Condvar.broadcast t.run.quiesced
+let maybe_wake t = if quiescent t then Sim.wake_all t.run.quiesced
 
 (* Only a strong drain waits on [drained], so outside an epoch switch the
-   queue is empty and the broadcast does nothing. *)
-let maybe_drained t = if drained t then Condvar.broadcast t.run.drained
+   queue is empty and the wake does nothing. *)
+let maybe_drained t = if drained t then Sim.wake_all t.run.drained
 
 let inc_outstanding t = t.run.outstanding <- t.run.outstanding + 1
 
@@ -281,7 +280,7 @@ let client_finished t =
 
 let await_quiescence t =
   while not (quiescent t) do
-    Condvar.await t.run.quiesced
+    Sim.park t.run.quiesced
   done;
   t.run.stopped_at <- Sim.now t.sim
 
@@ -314,7 +313,7 @@ let active_txns t = t.run.active_txns
 
 let await_drained t =
   while not (drained t) do
-    Condvar.await t.run.drained
+    Sim.park t.run.drained
   done
 
 let exhaust_retries t = t.run.retries_exhausted <- t.run.retries_exhausted + 1

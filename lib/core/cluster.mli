@@ -16,7 +16,6 @@
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
-module Condvar = Repdb_sim.Condvar
 module Store = Repdb_store.Store
 module Wal = Repdb_store.Wal
 module Lock_mgr = Repdb_lock.Lock_mgr
@@ -32,7 +31,7 @@ type epoch = {
       (** Bumped once per executed switch. Propagation messages carry the
           epoch they were routed under. *)
   mutable reconfiguring : bool;  (** A switch is in progress. *)
-  resume : Condvar.t;  (** Broadcast when the switch completes. *)
+  resume : Sim.waitq;  (** Every waiter is woken when the switch completes. *)
   mutable reconfigs : int;  (** Operator plan steps executed so far. *)
   mutable state_transfers : int;  (** Item values bulk-copied to new copies. *)
   mutable stall_total : float;  (** Total client stall at the barrier, ms. *)
@@ -52,7 +51,7 @@ type faults = {
       (** Per-site redo logs, attached at creation: hooking every write has
           a cost, and fault-free runs never crash. *)
   site_up : bool array;
-  up_cv : Condvar.t array;  (** Per-site; broadcast when the site restarts. *)
+  up_wait : Sim.waitq array;  (** Per-site; every waiter is woken when the site restarts. *)
   mutable crashes : int;  (** Crash events executed so far. *)
   mutable partitions : int;  (** Partition windows activated so far. *)
   corrupted : (int * int, unit) Hashtbl.t;

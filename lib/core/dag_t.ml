@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Condvar = Repdb_sim.Condvar
 module Digraph = Repdb_graph.Digraph
 module Network = Repdb_net.Network
 module Placement = Repdb_workload.Placement
@@ -22,13 +21,13 @@ type site_state = {
   queues : (msg Queue.t * string) array;
       (* per site id: the copy-graph parent's queue with its trace label;
          [no_parent] for a site that is not a parent *)
-  arrivals : Condvar.t;
+  arrivals : Sim.waitq;
   last_sent : float array; (* per child site id *)
   (* Pipelined-applier bookkeeping (the Section 3.2.3 relaxation): *)
   mutable tickets : int; (* secondaries dispatched, in timestamp order *)
   mutable commits_done : int; (* secondaries committed *)
   item_queues : (int, int Queue.t) Hashtbl.t; (* item -> pending tickets *)
-  turn : Condvar.t;
+  turn : Sim.waitq;
 }
 
 type t = {
@@ -85,7 +84,7 @@ let applier t site =
   let st = t.states.(site) in
   let rec loop () =
     let q = min_head st in
-    if q == no_queue then Condvar.await st.arrivals else process t site (Queue.pop q);
+    if q == no_queue then Sim.park st.arrivals else process t site (Queue.pop q);
     loop ()
   in
   loop ()
@@ -109,7 +108,7 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
       items
   in
   while not (my_turn_on_items ()) do
-    Condvar.await st.turn
+    Sim.park st.turn
   done;
   let attempt =
     if items = [] then -1
@@ -121,7 +120,7 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
   in
   (* Commit strictly in dispatch (= timestamp) order. *)
   while st.commits_done <> ticket do
-    Condvar.await st.turn
+    Sim.park st.turn
   done;
   if items <> [] then
     Exec.commit_secondary c ~gid:msg.gid ~attempt ~site ~origin_commit:msg.origin_commit items;
@@ -134,14 +133,14 @@ let pipelined_worker t site (msg : msg) ~ticket ~items =
     items;
   st.commits_done <- st.commits_done + 1;
   if not msg.dummy then Cluster.dec_outstanding c;
-  Condvar.broadcast st.turn
+  Sim.wake_all st.turn
 
 let pipelined_applier t site =
   let c = t.c in
   let st = t.states.(site) in
   let rec loop () =
     let q = min_head st in
-    if q == no_queue then Condvar.await st.arrivals
+    if q == no_queue then Sim.park st.arrivals
     else begin
       let msg = Queue.pop q in
       if not msg.dummy then Metrics.secondary_recv c.metrics ~gid:msg.gid ~site;
@@ -223,12 +222,12 @@ let create_internal ~pipelined (c : Cluster.t) =
           lts = 0;
           ts = Timestamp.initial rank.(site);
           queues;
-          arrivals = Condvar.create ();
+          arrivals = Sim.waitq c.sim;
           last_sent = Array.make m 0.0;
           tickets = 0;
           commits_done = 0;
           item_queues = Hashtbl.create 16;
-          turn = Condvar.create ();
+          turn = Sim.waitq c.sim;
         })
   in
   let children = Array.init m (Digraph.succ graph) in
@@ -240,7 +239,7 @@ let create_internal ~pipelined (c : Cluster.t) =
         if q == no_queue then invalid_arg "Dag_t: message from a non-parent site";
         Queue.add msg q;
         Metrics.queue_depth c.metrics ~site ~queue:label ~depth:(Queue.length q);
-        Condvar.broadcast st.arrivals);
+        Sim.wake_all st.arrivals);
     if Digraph.pred graph site <> [] then
       Sim.spawn c.sim (fun () -> if t.pipelined then pipelined_applier t site else applier t site);
     if children.(site) <> [] then begin

@@ -1,5 +1,4 @@
 module Sim = Repdb_sim.Sim
-module Condvar = Repdb_sim.Condvar
 module Network = Repdb_net.Network
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
@@ -37,7 +36,7 @@ let barrier (c : Cluster.t) ~site =
   if e.reconfiguring then begin
     let t0 = Sim.now c.sim in
     while e.reconfiguring do
-      Condvar.await e.resume
+      Sim.park e.resume
     done;
     let stall = Sim.now c.sim -. t0 in
     e.stall_total <- e.stall_total +. stall;
@@ -101,9 +100,9 @@ let additions (old_pl : Placement.t) (np : Placement.t) =
 let switch t kind ?(admit = fun () -> true) next =
   let c = t.c and e = t.c.epoch in
   (* Whichever coordinator arrives second — operator plan or healer — waits
-     for the first one's resume broadcast. *)
+     for the first one's resume wake. *)
   while e.reconfiguring do
-    Condvar.await e.resume
+    Sim.park e.resume
   done;
   e.reconfiguring <- true;
   let admitted = admit () in
@@ -130,7 +129,7 @@ let switch t kind ?(admit = fun () -> true) next =
         e.config_epoch <- e.config_epoch + 1
   end;
   e.reconfiguring <- false;
-  Condvar.broadcast e.resume;
+  Sim.wake_all e.resume;
   admitted
 
 (* --- the operator plan ----------------------------------------------------- *)

@@ -1,6 +1,5 @@
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
-module Condvar = Repdb_sim.Condvar
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
 module Wal = Repdb_store.Wal
@@ -17,7 +16,7 @@ let await_site_up (c : Cluster.t) site =
   | None -> ()
   | Some f ->
       while not f.site_up.(site) do
-        Condvar.await f.up_cv.(site)
+        Sim.park f.up_wait.(site)
       done
 
 let crash_site (c : Cluster.t) (f : Cluster.faults) ~site =
@@ -56,7 +55,7 @@ let recover_site (c : Cluster.t) (f : Cluster.faults) ~site ~downtime =
   Wal.reattach wal recovered;
   f.site_up.(site) <- true;
   Metrics.emit c.metrics (Event.Site_recover { site; downtime });
-  Condvar.broadcast f.up_cv.(site)
+  Sim.wake_all f.up_wait.(site)
 
 (* Silently scramble replica copies at [site]: each non-primary copy is
    overwritten with probability [prob] via [Store.restore], which bypasses

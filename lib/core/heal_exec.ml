@@ -40,8 +40,6 @@
      when the relaxed stale-epoch fence dropped propagation. *)
 
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
-module Condvar = Repdb_sim.Condvar
 module Network = Repdb_net.Network
 module Store = Repdb_store.Store
 module Value = Repdb_store.Value
@@ -59,14 +57,15 @@ let heartbeat_every = 25.0
 let anti_entropy_every = 200.0
 
 (* Control-plane messages. Requests are sent "as" the acting primary (the
-   healer impersonates it), so responses route back to the primary's handler,
-   which funnels them into the session mailbox. *)
+   healer impersonates it) and carry the session's wait, which the response
+   fires at the primary's handler: [Some] response, or [None] from the
+   session's timer. *)
 type msg =
   | Heartbeat
-  | Digest_req of { sid : int; items : int list }
-  | Digest_resp of { sid : int; digest : int; present : int }
-  | Check_req of { sid : int; items : int list }
-  | Check_resp of { sid : int; sums : (int * int option) list }
+  | Digest_req of { reply : msg option Sim.once; items : int list }
+  | Digest_resp of { reply : msg option Sim.once; digest : int; present : int }
+  | Check_req of { reply : msg option Sim.once; items : int list }
+  | Check_resp of { reply : msg option Sim.once; sums : (int * int option) list }
       (* (item, checksum) — [None] when the holder has no copy at all. *)
   | Repair of { item : int; value : Value.t }
 
@@ -102,10 +101,8 @@ type t = {
   dets : Detector.t array array;  (* [dets.(observer).(subject)] *)
   suspected : bool array;
   suspect_since : float array;
-  resp_mb : (int * msg) Mailbox.t;  (* sid-tagged responses, one live session *)
-  mutable next_sid : int;
   mutable session_busy : bool;
-  session_free : Condvar.t;
+  session_free : Sim.waitq;
   hb_sent : Stats.counter;
   hb_recv : Stats.counter;
   suspect_ctr : Stats.counter;
@@ -119,8 +116,8 @@ type t = {
 
 (* --- Per-site control-plane handler --------------------------------------- *)
 
-(* Runs at delivery time and must never block: store reads, sends and mailbox
-   pushes only. Heal traffic charges no CPU — control-plane overhead is
+(* Runs at delivery time and must never block: store reads, sends and fires
+   only. Heal traffic charges no CPU — control-plane overhead is
    deliberately outside the data-plane resource model. *)
 let handler t site ~src msg =
   let c = t.c in
@@ -128,20 +125,22 @@ let handler t site ~src msg =
   | Heartbeat ->
       Stats.incr t.hb_recv ~site;
       Detector.record t.dets.(site).(src) ~now:(Sim.now c.sim)
-  | Digest_req { sid; items } ->
+  | Digest_req { reply; items } ->
       let store = c.stores.(site) in
       let present = List.fold_left (fun n i -> if Store.mem store i then n + 1 else n) 0 items in
       Network.send t.net ~src:site ~dst:src
-        (Digest_resp { sid; digest = Store.digest_over store items; present })
-  | Check_req { sid; items } ->
+        (Digest_resp { reply; digest = Store.digest_over store items; present })
+  | Check_req { reply; items } ->
       let store = c.stores.(site) in
       let sums =
         List.map
           (fun i -> (i, if Store.mem store i then Some (Store.checksum store i) else None))
           items
       in
-      Network.send t.net ~src:site ~dst:src (Check_resp { sid; sums })
-  | Digest_resp { sid; _ } | Check_resp { sid; _ } -> Mailbox.send t.resp_mb (sid, msg)
+      Network.send t.net ~src:site ~dst:src (Check_resp { reply; sums })
+  | Digest_resp { reply; _ } | Check_resp { reply; _ } ->
+      (* A response to a session whose timer won is dropped. *)
+      ignore (Sim.fire reply (Some msg))
   | Repair { item; value } ->
       (* Validate against the current placement: a repair that raced a
          failover may target a site that no longer holds the item. *)
@@ -154,36 +153,26 @@ let handler t site ~src msg =
 
 (* --- Repair sessions ------------------------------------------------------ *)
 
-let fresh_sid t =
-  let s = t.next_sid in
-  t.next_sid <- s + 1;
-  s
-
-(* One session at a time: background scan, rejoin and final sweep all funnel
-   responses through the same mailbox, so they serialize here. *)
+(* One session at a time: the background scan, rejoins and the final sweep
+   take turns. Each request has its own wait; the turns fix the event order. *)
 let with_session t f =
   while t.session_busy do
-    Condvar.await t.session_free
+    Sim.park t.session_free
   done;
   t.session_busy <- true;
   Fun.protect f ~finally:(fun () ->
       t.session_busy <- false;
-      Condvar.broadcast t.session_free)
+      Sim.wake_all t.session_free)
 
-(* Await the response tagged [sid], discarding stale tags from timed-out
-   sessions whose replies were parked on a down link. *)
-let await_resp t ~sid ~timeout =
-  let deadline = Sim.now t.c.sim +. timeout in
-  let rec go () =
-    let left = deadline -. Sim.now t.c.sim in
-    if left <= 0.0 then None
-    else
-      match Mailbox.recv_timeout t.c.sim t.resp_mb left with
-      | None -> None
-      | Some (got, m) when got = sid -> Some m
-      | Some _ -> go ()
-  in
-  go ()
+(* Send [primary]'s request [req reply] to [holder] and wait [timeout] ms for
+   the response; [None] on timeout. The timer's instant keeps the rounding of
+   [now +. (deadline -. now)]. *)
+let request t ~primary ~holder ~timeout req =
+  let reply = Sim.once () and now = Sim.now t.c.sim in
+  Network.send t.net ~src:primary ~dst:holder (req reply);
+  let deadline = now +. timeout in
+  Sim.after t.c.sim (deadline -. now) (fun () -> ignore (Sim.fire reply None));
+  Sim.await reply
 
 exception Session_timeout
 
@@ -211,18 +200,15 @@ let run_session ?(force = false) t ~primary ~holder =
     else begin
       let timeout = Float.max 2000.0 (50.0 *. c.params.latency) in
       let store = c.stores.(primary) in
+      let ask = request t ~primary ~holder ~timeout in
       let equal_digest chunk =
-        let sid = fresh_sid t in
-        Network.send t.net ~src:primary ~dst:holder (Digest_req { sid; items = chunk });
-        match await_resp t ~sid ~timeout with
+        match ask (fun reply -> Digest_req { reply; items = chunk }) with
         | Some (Digest_resp { digest; present; _ }) ->
             digest = Store.digest_over store chunk && present = List.length chunk
         | _ -> raise Session_timeout
       in
       let check_items chunk =
-        let sid = fresh_sid t in
-        Network.send t.net ~src:primary ~dst:holder (Check_req { sid; items = chunk });
-        match await_resp t ~sid ~timeout with
+        match ask (fun reply -> Check_req { reply; items = chunk }) with
         | Some (Check_resp { sums; _ }) ->
             List.filter_map
               (fun (item, remote) ->
@@ -510,10 +496,8 @@ let schedule (c : Cluster.t) epoch =
       dets;
       suspected = Array.make m false;
       suspect_since = Array.make m 0.0;
-      resp_mb = Mailbox.create ();
-      next_sid = 0;
       session_busy = false;
-      session_free = Condvar.create ();
+      session_free = Sim.waitq c.sim;
       hb_sent = Stats.counter stats "detector.hb_sent";
       hb_recv = Stats.counter stats "detector.hb_recv";
       suspect_ctr = Stats.counter stats "detector.suspect";

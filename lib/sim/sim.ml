@@ -148,6 +148,8 @@ let wake q =
        true
      end
 
+let wake_all q = while wake q do () done
+
 let once () = { state = Armed }
 let fired o = match o.state with Armed | Parked _ -> false | Early _ | Held _ | Fired _ -> true
 

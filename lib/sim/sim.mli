@@ -3,10 +3,10 @@
     The kernel owns a virtual clock and runs events in [(time, seq)] order,
     so ties at one instant run in scheduling order. Simulated {e processes}
     are ordinary OCaml functions run under an effect handler: they may block
-    on {!delay}, {!park} or {!await} (and on {!Condvar}, {!Mailbox} and
-    {!Resource}, built on them), at which point control returns to the
-    scheduler. Between two blocking points a process runs atomically, which
-    is how the paper's "critical sections" around commit are realised.
+    on {!delay}, {!park} or {!await} (and on {!Resource}, built on them), at
+    which point control returns to the scheduler. Between two blocking points
+    a process runs atomically, which is how the paper's "critical sections"
+    around commit are realised.
 
     An event is a callback or a bare continuation: a resumed process is
     scheduled as the continuation the runtime captured, with no closure
@@ -17,9 +17,10 @@
     running them, then the lane, then advancing the clock is one heap's order.
 
     Waits: {!delay} holds for a duration; {!park}/{!wake} serve FIFO waits
-    that only a wake ends, and {!park_for} adds a hold (a site's CPU queue);
-    a one-shot wait ({!once}) serves a wait that a timer may end first or
-    returns a value (lock waits, request/reply round trips, {!Mailbox.recv}).
+    that only a wake ends (barriers, drains, arrival queues; {!wake_all}
+    broadcasts), and {!park_for} adds a hold (a site's CPU queue); a one-shot
+    wait ({!once}) serves a wait that a timer may end first or that returns a
+    value (lock waits, request/reply round trips, BackEdge's origin wait).
 
     Time is measured in {b milliseconds} throughout the repository. *)
 
@@ -91,6 +92,9 @@ val waiting : waitq -> int
 (** [wake q] schedules the longest-parked process at the current time, as
     {!fire} does, and returns [true]; [false] if none is parked. *)
 val wake : waitq -> bool
+
+(** [wake_all q] — {!wake} until none is parked, longest-parked first. *)
+val wake_all : waitq -> unit
 
 (** {1 One-shot waits}
 

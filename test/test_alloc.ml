@@ -8,8 +8,6 @@
 module Sim = Repdb_sim.Sim
 module Rng = Repdb_sim.Rng
 module Resource = Repdb_sim.Resource
-module Mailbox = Repdb_sim.Mailbox
-module Condvar = Repdb_sim.Condvar
 module Network = Repdb_net.Network
 module Lock_mgr = Repdb_lock.Lock_mgr
 module Store = Repdb_store.Store
@@ -435,28 +433,29 @@ let test_request_reply () =
   in
   within_on_5_1 "request/reply round trip" ~budget:28.8 (kernel_words round_trips)
 
-(* A receiver always finds the mailbox empty: the sender delays 1 ms, then
-   hands its value straight over. 59 words on [Sim.suspend], 19 on a
-   one-shot wait. *)
-let test_mailbox_recv () =
-  let hand_offs sim n =
-    let mb = Mailbox.create () in
+(* A process parks on a wait queue that another wakes with [wake_all] every
+   1 ms: per cycle, the park, the waker's delay and the wake. 19 words as a
+   one-shot wait queued in a FIFO of waits, 4 (the two captured
+   continuations) as a park. *)
+let test_park_wake_all () =
+  let broadcasts sim n =
+    let q = Sim.waitq sim in
     Sim.spawn sim (fun () ->
         for _ = 1 to n do
-          ignore (Sys.opaque_identity (Mailbox.recv mb))
+          Sim.park q
         done);
     Sim.spawn sim (fun () ->
-        for i = 1 to n do
+        for _ = 1 to n do
           Sim.delay 1.0;
-          Mailbox.send mb i
+          Sim.wake_all q
         done)
   in
-  within_on_5_1 "Mailbox.recv (empty), with the send" ~budget:21.9 (kernel_words hand_offs)
+  within_on_5_1 "park + wake_all, with the delay" ~budget:4.61 (kernel_words broadcasts)
 
 (* One site sends to another every 1 ms over a 1 ms link, so the serving
    process always finds its inbox empty: per delivered message, the send,
    its delivery event and the hand-off. 32 words with a closure per
-   delivery and a [Mailbox] hand-off, 4 (the sender's and the server's
+   delivery and a queued hand-off, 4 (the sender's and the server's
    continuations) with per-pair rings and a parked server. *)
 let test_network_serve () =
   let total = ref 0 in
@@ -471,23 +470,26 @@ let test_network_serve () =
   in
   within_on_5_1 "Network.serve, with the send" ~budget:4.63 (kernel_words deliveries)
 
-(* A timed wait ended by a signal 1 ms later; the timer fires later and
-   loses. 67 words on [Sim.suspend], 21 on a one-shot wait. *)
-let test_condvar_await_timeout () =
-  let signals sim n =
-    let cv = Condvar.create () in
+(* A timed wait ended by a fire 1 ms later, as BackEdge's origin wait is by
+   its special; the timer fires later and loses. 67 words on [Sim.suspend],
+   21 on a one-shot wait queued in a FIFO of waits, 18 on the bare wait. *)
+let test_once_timer () =
+  let fires sim n =
+    let current = ref (Sim.once ()) in
     Sim.spawn sim (fun () ->
         for _ = 1 to n do
-          ignore (Sys.opaque_identity (Condvar.await_timeout sim cv 10.0))
+          let w = Sim.once () in
+          Sim.after sim 10.0 (fun () -> ignore (Sim.fire w false));
+          current := w;
+          ignore (Sys.opaque_identity (Sim.await w))
         done);
     Sim.spawn sim (fun () ->
         for _ = 1 to n do
           Sim.delay 1.0;
-          Condvar.signal cv
+          ignore (Sim.fire !current true)
         done)
   in
-  within_on_5_1 "Condvar.await_timeout, with the signal" ~budget:24.2
-    (kernel_words signals)
+  within_on_5_1 "once + Sim.after, with the fire" ~budget:20.7 (kernel_words fires)
 
 (* A cluster of two sites holding one item, primary at site 0 and replica
    at site 1, under [params]. *)
@@ -569,9 +571,9 @@ let () =
           Alcotest.test_case "park + wake" `Quick test_park_wake;
           Alcotest.test_case "lock wait" `Quick test_lock_wait;
           Alcotest.test_case "request/reply round trip" `Quick test_request_reply;
-          Alcotest.test_case "mailbox recv" `Quick test_mailbox_recv;
+          Alcotest.test_case "park + wake_all" `Quick test_park_wake_all;
           Alcotest.test_case "network serve" `Quick test_network_serve;
-          Alcotest.test_case "condvar await_timeout" `Quick test_condvar_await_timeout;
+          Alcotest.test_case "once + timer" `Quick test_once_timer;
           Alcotest.test_case "notify (no site)" `Quick test_notify_empty;
           Alcotest.test_case "psl remote read" `Quick test_psl_remote_read;
           Alcotest.test_case "psl remote read, finite deadline" `Quick

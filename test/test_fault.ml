@@ -5,7 +5,6 @@
 
 module Fault = Repdb_fault.Fault
 module Sim = Repdb_sim.Sim
-module Mailbox = Repdb_sim.Mailbox
 module Network = Repdb_net.Network
 module Params = Repdb_workload.Params
 

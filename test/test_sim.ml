@@ -1,11 +1,9 @@
-(* Tests for the discrete-event kernel: heap, RNG, scheduler, condition
-   variables, mailboxes and resources. *)
+(* Tests for the discrete-event kernel: heap, RNG, scheduler, wait queues,
+   one-shot waits and resources. *)
 
 module Sim = Repdb_sim.Sim
 module Heap = Repdb_sim.Heap
 module Rng = Repdb_sim.Rng
-module Condvar = Repdb_sim.Condvar
-module Mailbox = Repdb_sim.Mailbox
 module Resource = Repdb_sim.Resource
 
 let check = Alcotest.check
@@ -232,108 +230,110 @@ let test_events_executed () =
   Sim.run sim;
   checki "counted" 5 (Sim.events_executed sim)
 
-(* --- condvar ------------------------------------------------------------- *)
+(* --- wait queues and timed one-shot waits ---------------------------------- *)
 
-let test_condvar_signal_fifo () =
+let test_waitq_wake_fifo () =
   let sim = Sim.create () in
-  let cv = Condvar.create () in
+  let q = Sim.waitq sim in
   let log = ref [] in
   for i = 1 to 3 do
     Sim.spawn sim (fun () ->
-        Condvar.await cv;
+        Sim.park q;
         log := i :: !log)
   done;
-  Sim.after sim 1.0 (fun () -> Condvar.signal cv);
-  Sim.after sim 2.0 (fun () -> Condvar.signal cv);
-  Sim.after sim 3.0 (fun () -> Condvar.signal cv);
+  Sim.after sim 1.0 (fun () -> checkb "woke one" true (Sim.wake q));
+  Sim.after sim 2.0 (fun () -> checkb "woke one" true (Sim.wake q));
+  Sim.after sim 3.0 (fun () -> checkb "woke one" true (Sim.wake q));
+  Sim.after sim 4.0 (fun () -> checkb "none parked" false (Sim.wake q));
   Sim.run sim;
   check Alcotest.(list int) "FIFO wakeups" [ 1; 2; 3 ] (List.rev !log)
 
-let test_condvar_broadcast () =
+let test_waitq_wake_all () =
   let sim = Sim.create () in
-  let cv = Condvar.create () in
-  let woken = ref 0 in
-  for _ = 1 to 5 do
+  let q = Sim.waitq sim in
+  let log = ref [] in
+  for i = 1 to 5 do
     Sim.spawn sim (fun () ->
-        Condvar.await cv;
-        incr woken)
+        Sim.park q;
+        log := (i, Sim.now sim) :: !log)
   done;
   Sim.after sim 1.0 (fun () ->
-      Alcotest.(check int) "waiters" 5 (Condvar.waiters cv);
-      Condvar.broadcast cv);
+      checki "waiting" 5 (Sim.waiting q);
+      Sim.wake_all q;
+      checki "none left" 0 (Sim.waiting q));
   Sim.run sim;
-  checki "all woken" 5 !woken
+  check
+    Alcotest.(list (pair int (float 1e-9)))
+    "all woken, in FIFO order"
+    (List.init 5 (fun i -> (i + 1, 1.0)))
+    (List.rev !log)
 
-let test_condvar_timeout () =
+(* A wait a timer may end first, as BackEdge's origin wait and a heal
+   session's request use it: one once per wait, its timer armed before the
+   process awaits. *)
+let timed_wait sim d =
+  let w = Sim.once () in
+  Sim.after sim d (fun () -> ignore (Sim.fire w false));
+  (w, fun () -> Sim.await w)
+
+let test_once_timer () =
   let sim = Sim.create () in
-  let cv = Condvar.create () in
   let results = ref [] in
+  let fire_at_20 = ref None in
   Sim.spawn sim (fun () ->
-      let r = Condvar.await_timeout sim cv 10.0 in
+      let _, await = timed_wait sim 10.0 in
+      let r = await () in
       results := (Sim.now sim, r) :: !results);
   Sim.spawn sim (fun () ->
-      let r = Condvar.await_timeout sim cv 50.0 in
+      let w, await = timed_wait sim 50.0 in
+      fire_at_20 := Some w;
+      let r = await () in
       results := (Sim.now sim, r) :: !results);
-  Sim.after sim 20.0 (fun () -> Condvar.signal cv);
+  Sim.after sim 20.0 (fun () -> checkb "fire wins" true (Sim.fire (Option.get !fire_at_20) true));
   Sim.run sim;
   check
     Alcotest.(list (pair (float 1e-9) bool))
-    "first timed out, second signalled"
+    "first timed out, second fired"
     [ (10.0, false); (20.0, true) ]
     (List.rev !results)
 
-(* --- mailbox ------------------------------------------------------------- *)
-
-let test_mailbox_fifo () =
+(* A reply-carrying wait, as a heal session's request is: a wait nobody
+   answers ends at its timer with [None]; a later one answered before its
+   timer returns the reply. *)
+let test_once_timeout_then_reply () =
   let sim = Sim.create () in
-  let mb = Mailbox.create () in
-  let got = ref [] in
-  Sim.spawn sim (fun () ->
-      for _ = 1 to 3 do
-        got := Mailbox.recv mb :: !got
-      done);
-  Sim.after sim 1.0 (fun () ->
-      Mailbox.send mb "a";
-      Mailbox.send mb "b";
-      Mailbox.send mb "c");
-  Sim.run sim;
-  check Alcotest.(list string) "in order" [ "a"; "b"; "c" ] (List.rev !got)
-
-let test_mailbox_buffering () =
-  let sim = Sim.create () in
-  let mb = Mailbox.create () in
-  Mailbox.send mb 1;
-  Mailbox.send mb 2;
-  checki "length" 2 (Mailbox.length mb);
-  checkb "peek" true (Mailbox.peek mb = Some 1);
-  let got = ref [] in
-  Sim.spawn sim (fun () ->
-      got := Mailbox.recv mb :: !got;
-      got := Mailbox.recv mb :: !got);
-  Sim.run sim;
-  check Alcotest.(list int) "buffered order" [ 1; 2 ] (List.rev !got);
-  checkb "empty" true (Mailbox.is_empty mb)
-
-let test_mailbox_recv_timeout () =
-  let sim = Sim.create () in
-  let mb = Mailbox.create () in
+  let reply_wait d =
+    let w = Sim.once () in
+    Sim.after sim d (fun () -> ignore (Sim.fire w None));
+    w
+  in
   let r1 = ref (Some 0) and r2 = ref None in
-  Sim.spawn sim (fun () -> r1 := Mailbox.recv_timeout sim mb 5.0);
+  Sim.spawn sim (fun () -> r1 := Sim.await (reply_wait 5.0));
   Sim.run sim;
   checkb "timed out" true (!r1 = None);
-  Sim.spawn sim (fun () -> r2 := Mailbox.recv_timeout sim mb 5.0);
-  Sim.after sim 2.0 (fun () -> Mailbox.send mb 9);
+  let w = ref None in
+  Sim.spawn sim (fun () ->
+      let wait = reply_wait 5.0 in
+      w := Some wait;
+      r2 := Sim.await wait);
+  Sim.after sim 2.0 (fun () -> checkb "reply wins" true (Sim.fire (Option.get !w) (Some 9)));
   Sim.run sim;
   checkb "delivered" true (!r2 = Some 9)
 
-let test_mailbox_timeout_does_not_lose_messages () =
-  (* A message sent after a receiver timed out must stay in the queue. *)
+(* A response that lands after its timer won, as a late heal response does:
+   the fire loses and resumes nothing. *)
+let test_once_late_fire () =
   let sim = Sim.create () in
-  let mb = Mailbox.create () in
-  Sim.spawn sim (fun () -> ignore (Mailbox.recv_timeout sim mb 5.0));
-  Sim.after sim 10.0 (fun () -> Mailbox.send mb 1);
+  let w = ref None and resumed = ref 0 in
+  Sim.spawn sim (fun () ->
+      let wait, await = timed_wait sim 5.0 in
+      w := Some wait;
+      checkb "timed out" false (await ());
+      incr resumed);
+  Sim.after sim 10.0 (fun () -> checkb "late fire loses" false (Sim.fire (Option.get !w) true));
   Sim.run sim;
-  checki "message kept" 1 (Mailbox.length mb)
+  checki "resumed once" 1 !resumed;
+  checki "events: start, timer, resume, late fire" 4 (Sim.events_executed sim)
 
 (* --- resource ------------------------------------------------------------ *)
 
@@ -1065,18 +1065,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_lane_matches_reference;
         ]
         @ nan_cases );
-      ( "condvar",
+      ( "waitq",
         [
-          Alcotest.test_case "signal FIFO" `Quick test_condvar_signal_fifo;
-          Alcotest.test_case "broadcast" `Quick test_condvar_broadcast;
-          Alcotest.test_case "timeout" `Quick test_condvar_timeout;
+          Alcotest.test_case "wake FIFO" `Quick test_waitq_wake_fifo;
+          Alcotest.test_case "wake_all FIFO" `Quick test_waitq_wake_all;
         ] );
-      ( "mailbox",
+      ( "once",
         [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "buffering" `Quick test_mailbox_buffering;
-          Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
-          Alcotest.test_case "timeout keeps messages" `Quick test_mailbox_timeout_does_not_lose_messages;
+          Alcotest.test_case "timer" `Quick test_once_timer;
+          Alcotest.test_case "timeout then reply" `Quick test_once_timeout_then_reply;
+          Alcotest.test_case "late fire" `Quick test_once_late_fire;
         ] );
       ( "resource",
         [
